@@ -96,8 +96,8 @@ mod imp {
     use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllVisitor};
     use rfsp_pram::{CycleBudget, Machine, Observer, Program, SharedPool, TraceEvent};
     use rfsp_run::{
-        read_line, write_line, ExecMode, JobInfo, JobState, PauseFlow, Request, Response,
-        RunConfig, RunSession, Scheduler, SessionCheckpoint, SessionEnd, Spool,
+        read_line, read_request, write_line, ExecMode, JobInfo, JobState, PauseFlow, Request,
+        Response, RunConfig, RunSession, Scheduler, SessionCheckpoint, SessionEnd, Spool,
     };
     use serde::{Deserialize, Serialize};
 
@@ -349,7 +349,7 @@ mod imp {
         let Ok(reader) = stream.try_clone() else { return };
         let mut reader = BufReader::new(reader);
         let mut out = stream;
-        let request = match read_line::<Request>(&mut reader) {
+        let request = match read_request(&mut reader) {
             Ok(Some(r)) => r,
             Ok(None) => return,
             Err(e) => {

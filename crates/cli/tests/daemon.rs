@@ -6,11 +6,13 @@
 //! Along the way this also certifies live telemetry (a `submit --watch`
 //! client must receive event lines while its job runs) and the `jobs`
 //! listing. The spool root honours `RFSP_DAEMON_SPOOL` so CI can archive
-//! it when the test fails.
+//! it when the test fails. A second test sends hostile request lines and
+//! demands that the daemon answers them with errors and keeps serving.
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -205,17 +207,62 @@ fn daemon_survives_sigkill_and_resumes_byte_identically() {
         .status()
         .expect("shutdown request");
     assert!(status.success());
-    let start = Instant::now();
-    loop {
-        if let Some(status) = daemon.0.try_wait().unwrap() {
-            assert!(status.success(), "daemon exited uncleanly: {status}");
-            break;
-        }
-        assert!(start.elapsed() < Duration::from_secs(60), "daemon ignored shutdown");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_for_clean_exit(&mut daemon);
 
     if std::env::var("RFSP_DAEMON_SPOOL").is_err() {
         let _ = std::fs::remove_dir_all(&base);
     }
+}
+
+/// Wait for a daemon to exit after a shutdown request; it must exit cleanly.
+fn wait_for_clean_exit(daemon: &mut KillOnDrop) {
+    let start = Instant::now();
+    loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            assert!(status.success(), "daemon exited uncleanly: {status}");
+            return;
+        }
+        assert!(start.elapsed() < Duration::from_secs(60), "daemon ignored shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn daemon_answers_hostile_requests_and_keeps_serving() {
+    let base = std::env::temp_dir().join(format!("rfsp-daemon-abuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let socket = base.join("rfsp.sock");
+    let (base_s, socket_s) = (base.to_str().unwrap(), socket.to_str().unwrap());
+    assert!(socket_s.len() < 100, "socket path too long: {socket_s}");
+    let mut daemon = spawn_daemon(base_s, socket_s);
+    wait_for("daemon socket", Duration::from_secs(30), || socket.exists());
+
+    let reply = |line: &str| {
+        let mut stream = UnixStream::connect(&socket).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        // The daemon may hang up before reading all of an oversized line.
+        let _ = stream.write_all(line.as_bytes());
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).expect("reply");
+        reply
+    };
+    let limit = usize::try_from(rfsp_run::MAX_REQUEST_BYTES).unwrap();
+    // One byte over the frame bound: refused before it is parsed.
+    let over = reply(&format!("{}\n", " ".repeat(limit + 1)));
+    assert!(over.contains("\"Err\"") && over.contains("longer than"), "{over}");
+    // Within the bound but nested far past the decoder's depth limit;
+    // recursing into it would overflow the handler thread's stack.
+    let deep = reply(&format!("{}\n", "[".repeat(limit)));
+    assert!(deep.contains("\"Err\"") && deep.contains("nesting deeper"), "{deep}");
+    // The daemon is still up and answering.
+    assert_eq!(reply("\"Jobs\"\n").trim(), r#"{"JobList":{"jobs":[]}}"#);
+
+    let status = Command::new(BIN)
+        .args(["cancel", "--socket", socket_s, "--shutdown"])
+        .status()
+        .expect("shutdown request");
+    assert!(status.success());
+    wait_for_clean_exit(&mut daemon);
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -46,7 +46,9 @@ pub use checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 pub use config::{build_adversary, RunConfig};
 pub use events::{count_tick_starts, EventLog};
 pub use host::{ExecMode, RunHost};
-pub use protocol::{read_line, write_line, JobInfo, JobState, Request, Response};
+pub use protocol::{
+    read_line, read_request, write_line, JobInfo, JobState, Request, Response, MAX_REQUEST_BYTES,
+};
 pub use sched::Scheduler;
 pub use session::{run_with_cut, CutOutcome, PauseFlow, PauseInfo, RunSession, SessionEnd};
 pub use spool::{DoneMarker, Spool, SpoolJob};

@@ -117,8 +117,9 @@ impl Spool {
 
     /// Scan the spool: every `job-NNNNNN` directory with a readable
     /// `config.json` becomes a [`SpoolJob`], sorted by id. Unreadable or
-    /// torn checkpoints are reported as errors — a daemon must refuse to
-    /// silently restart a job whose checkpoint it cannot parse.
+    /// torn checkpoints and done markers are reported as errors — a
+    /// daemon must refuse to silently restart a job whose checkpoint it
+    /// cannot parse, or re-run one whose marker it cannot read.
     ///
     /// # Errors
     ///
@@ -156,7 +157,13 @@ impl Spool {
             let done = if done_path.exists() {
                 let text = std::fs::read_to_string(&done_path)
                     .map_err(|e| io_err("read", &done_path.display().to_string(), &e))?;
-                serde::json::from_str(&text).ok().and_then(|v| DoneMarker::from_value(&v).ok())
+                let marker = serde::json::from_str(&text)
+                    .ok()
+                    .and_then(|v| DoneMarker::from_value(&v).ok())
+                    .ok_or_else(|| {
+                        RunError(format!("{}: malformed done marker", done_path.display()))
+                    })?;
+                Some(marker)
             } else {
                 None
             };
@@ -219,6 +226,16 @@ mod tests {
         // restart the job from scratch.
         std::fs::write(root.join("job-000001").join("ck.json"), "{torn").unwrap();
         assert!(spool.scan().is_err());
+        std::fs::remove_file(root.join("job-000001").join("ck.json")).unwrap();
+
+        // So must a garbage done marker: reading it as "not done" would
+        // re-run a finished job.
+        let marker = root.join("job-000002").join("done.json");
+        std::fs::write(&marker, "\u{0}garbage").unwrap();
+        let err = spool.scan().err().expect("garbage marker fails the scan");
+        assert_eq!(err.0, format!("{}: malformed done marker", marker.display()));
+        std::fs::write(&marker, r#"{"state":"completed"}"#).unwrap();
+        assert!(spool.scan().is_err(), "a marker without its detail is malformed too");
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

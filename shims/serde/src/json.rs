@@ -26,15 +26,23 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&parse(s)?)
 }
 
-/// Parse JSON text into a [`Value`].
+/// How deeply arrays and objects may nest in parsed text. The deepest
+/// documents the workspace writes, session checkpoints, nest 8 levels (at
+/// `machine.pattern.events[i].kind.Failure.point`); the golden event
+/// fixtures nest 3. Anything past this limit is refused with an [`Error`]
+/// rather than recursed into until the stack overflows.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse JSON text into a [`Value`], in time linear in the text's length.
 ///
 /// # Errors
 ///
-/// [`Error`] on malformed JSON or trailing garbage.
+/// [`Error`] on malformed JSON, trailing garbage, or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::custom(format!("trailing characters at byte {pos}")));
@@ -147,7 +155,9 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parse one value; `depth` is how many more arrays or objects may open
+/// inside it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::custom("unexpected end of input")),
@@ -155,6 +165,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'[' | b'{') if depth == 0 => {
+            Err(Error::custom(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}")))
+        }
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -164,7 +177,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -192,7 +205,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::custom(format!("expected ':' at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -225,13 +238,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or backslash in one step.
+        // Both are ASCII, so the run ends on a character boundary, and
+        // each byte is validated once.
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let end = run.map_or(bytes.len(), |run| *pos + run);
+        out.push_str(
+            std::str::from_utf8(&bytes[*pos..end])
+                .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
+        );
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err(Error::custom("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -259,14 +283,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     _ => return Err(Error::custom("invalid escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -340,6 +356,216 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    /// Strings whose characters straddle the decoder's copied runs: every
+    /// UTF-8 width, escapes at both ends of a run, and the control
+    /// characters the writer escapes.
+    const BOUNDARY_STRINGS: &[&str] = &[
+        "",
+        "é",
+        "aé",
+        "éa",
+        "ß€𝄞",
+        "a€b𝄞c",
+        "\"start",
+        "end\"",
+        "\\",
+        "a\\",
+        "\\a",
+        "\"\\\"",
+        "\n",
+        "line\nbreak",
+        "\u{0}\u{1}\u{1f}\t\r",
+        "é\"€\\𝄞\u{7}",
+        "/ slash",
+    ];
+
+    #[test]
+    fn strings_roundtrip_across_run_boundaries() {
+        for &s in BOUNDARY_STRINGS {
+            let v = Value::Seq(vec![Value::Str(s.into()), Value::Str(s.into())]);
+            assert_eq!(parse(&to_string(&v)).unwrap(), v, "{s:?}");
+            assert_eq!(parse(&to_string_pretty(&v)).unwrap(), v, "{s:?}");
+            let map = Value::Map(vec![(s.into(), Value::Str(s.into()))]);
+            assert_eq!(parse(&to_string(&map)).unwrap(), map, "{s:?}");
+        }
+        // Escapes the writer never emits still decode.
+        assert_eq!(parse(r#""\/\b\fé€""#).unwrap(), Value::Str("/\u{8}\u{c}é€".into()));
+    }
+
+    #[test]
+    fn string_errors_are_pinned() {
+        let err = |text: &str| parse(text).unwrap_err().to_string();
+        assert_eq!(err(r#""abc"#), "unterminated string");
+        assert_eq!(err(r#"["é"#), "unterminated string");
+        assert_eq!(err(r#""abc\"#), "invalid escape");
+        assert_eq!(err(r#""\x""#), "invalid escape");
+        assert_eq!(err(r#""\u12""#), "truncated \\u escape");
+        assert_eq!(err(r#""\u12zz""#), "invalid \\u escape");
+        assert_eq!(err(r#""\u00é""#), "invalid \\u escape");
+        assert_eq!(err(r#""\ud800""#), "invalid \\u code point");
+        assert_eq!(err(r#"{1:2}"#), "expected string at byte 1");
+    }
+
+    /// The string decoder as it was before the run scan: one character
+    /// per step, re-validating the rest of the input each time (quadratic
+    /// in the input's length). The reference the scan is checked against.
+    fn parse_string_per_char(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(Error::custom(format!("expected string at byte {pos}")));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err(Error::custom("unterminated string")),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| Error::custom("invalid \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| Error::custom("invalid \\u escape"))?;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?,
+                            );
+                            *pos += 4;
+                        }
+                        _ => return Err(Error::custom("invalid escape")),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
+                    let c = rest.chars().next().expect("non-empty remainder");
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_matches_the_per_character_reference() {
+        // Every sequence of up to three fragments, each with and without
+        // a closing quote and a trailing value: the scan must return the
+        // same string (or the same error) and stop at the same byte.
+        const FRAGMENTS: &[&str] = &[
+            "a", "é", "€", "𝄞", "\"", "\\", "\\\"", "\\\\", "\\n", "\\/", "\\u0041", "\\u00e9",
+            "\\u+041", "\\ud800", "\\u12", "\\u00é", "\\q", "\u{1}", "\n", " ",
+        ];
+        let mut cases = vec![String::new()];
+        for _ in 0..3 {
+            let longer: Vec<String> = cases
+                .iter()
+                .flat_map(|c| FRAGMENTS.iter().map(move |f| format!("{c}{f}")))
+                .collect();
+            cases.extend(longer);
+        }
+        cases.sort();
+        cases.dedup();
+        for body in &cases {
+            for tail in ["", "\"", "\",1]"] {
+                let text = format!("\"{body}{tail}");
+                let (mut new_pos, mut old_pos) = (0, 0);
+                let new = parse_string(text.as_bytes(), &mut new_pos);
+                let old = parse_string_per_char(text.as_bytes(), &mut old_pos);
+                assert_eq!(new, old, "{text:?}");
+                if new.is_ok() {
+                    assert_eq!(new_pos, old_pos, "{text:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_crash() {
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.to_string(), format!("nesting deeper than {MAX_DEPTH} levels at byte 128"));
+        assert!(parse(&"{\"k\":".repeat(1 << 16)).is_err());
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// A document with the shape of a machine checkpoint: memory cells,
+    /// per-processor state, and a failure pattern of small tagged maps,
+    /// about a fifth of its bytes inside strings as in a real one.
+    fn checkpoint_shaped(events: u64) -> Value {
+        let str = |s: &str| Value::Str(s.into());
+        let event = |i: u64| {
+            let kind = if i.is_multiple_of(2) {
+                Value::Map(vec![(
+                    "Failure".into(),
+                    Value::Map(vec![("point".into(), str("BeforeWrites"))]),
+                )])
+            } else {
+                str("Restart")
+            };
+            Value::Map(vec![
+                ("kind".into(), kind),
+                ("pid".into(), Value::UInt(i % 64)),
+                ("time".into(), Value::UInt(i / 8)),
+            ])
+        };
+        let proc = |p: u64| {
+            Value::Map(vec![
+                ("status".into(), str(if p.is_multiple_of(2) { "Alive" } else { "Failed" })),
+                ("completed".into(), Value::UInt(p * 7)),
+                ("state".into(), Value::Null),
+            ])
+        };
+        Value::Map(vec![
+            ("version".into(), Value::UInt(4)),
+            ("model".into(), str("word")),
+            ("mem".into(), Value::Seq((0..events).map(|i| Value::UInt(i % 3)).collect())),
+            ("procs".into(), Value::Seq((0..64).map(proc).collect())),
+            (
+                "pattern".into(),
+                Value::Map(vec![("events".into(), Value::Seq((0..events).map(event).collect()))]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn megabyte_documents_decode_in_linear_time() {
+        // Unoptimized, the linear decoder takes about 20 ms on either
+        // document; the quadratic per-character one it replaced took 7 s
+        // on the checkpoint and over 3 minutes on the string (2-vCPU x86
+        // host). The bound only has to separate the two.
+        let bound = std::time::Duration::from_secs(2);
+        let unit = "plain ascii é€𝄞 \"quoted\" back\\slash\n\t";
+        let big = Value::Str(unit.repeat((1 << 20) / unit.len()));
+        let ck = checkpoint_shaped(10_000);
+        for (what, v, text) in
+            [("string", &big, to_string(&big)), ("checkpoint", &ck, to_string_pretty(&ck))]
+        {
+            assert!(text.len() >= 1 << 20, "{what}: only {} bytes", text.len());
+            let start = std::time::Instant::now();
+            let back = parse(&text).unwrap();
+            let took = start.elapsed();
+            assert!(back == *v, "{what}: the round trip changed the document");
+            assert!(took < bound, "{what}: {} bytes took {took:?}", text.len());
+        }
     }
 
     #[test]
