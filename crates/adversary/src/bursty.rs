@@ -192,7 +192,7 @@ mod tests {
     /// instance at each pause, still reproduces the uninterrupted run.
     #[test]
     fn checkpoint_resume_preserves_modulated_stream() {
-        use rfsp_pram::{NoopObserver, RunControl, RunLimits, RunStatus};
+        use rfsp_pram::{NoopObserver, RunControl, RunSpec, RunStatus};
 
         let n = 64;
         let p = 8;
@@ -210,7 +210,7 @@ mod tests {
         let report = loop {
             let lp = last_pause;
             let status = machine
-                .run_controlled(&mut adv, RunLimits::default(), &mut NoopObserver, |cycle| {
+                .run_with(RunSpec::default(), &mut adv, &mut NoopObserver, |cycle| {
                     if lp == Some(cycle) {
                         RunControl::Continue
                     } else {

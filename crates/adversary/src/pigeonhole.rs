@@ -199,7 +199,7 @@ mod tests {
     use super::*;
     use rfsp_core::{AlgoX, SnapshotBalance, WriteAllTasks, XOptions};
     use rfsp_pram::snapshot::SnapshotMachine;
-    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine};
+    use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, NoopObserver, RunLimits};
 
     #[test]
     fn forces_superlinear_work_on_snapshot_algorithm() {
@@ -242,9 +242,10 @@ mod tests {
         let mut prev = n;
         // Drive manually for a few ticks by running with a cycle cap.
         for _ in 0..5 {
-            let _ = m.run_with_limits(
+            let _ = m.run_observed(
                 &mut adversary,
-                rfsp_pram::RunLimits { max_cycles: m.stats().parallel_time + 1 },
+                RunLimits { max_cycles: m.stats().parallel_time + 1 },
+                &mut NoopObserver,
             );
             let now = tasks.unvisited(m.memory());
             assert!(now * 2 >= prev.saturating_sub(1), "visited more than half: {prev} -> {now}");

@@ -220,7 +220,7 @@ mod tests {
     /// stream) continues exactly like the uninterrupted run.
     #[test]
     fn checkpoint_resume_preserves_random_stream() {
-        use rfsp_pram::{NoopObserver, RunControl, RunLimits, RunStatus};
+        use rfsp_pram::{NoopObserver, RunControl, RunSpec, RunStatus};
 
         let n = 64;
         let p = 8;
@@ -235,7 +235,7 @@ mod tests {
         let mut first = Machine::new(&algo, p, CycleBudget::PAPER).unwrap();
         let mut adv1 = RandomFaults::new(0.3, 0.5, 4242).with_budget(200);
         let status = first
-            .run_controlled(&mut adv1, RunLimits::default(), &mut NoopObserver, |cycle| {
+            .run_with(RunSpec::default(), &mut adv1, &mut NoopObserver, |cycle| {
                 if cycle == 5 {
                     RunControl::Pause
                 } else {
@@ -266,7 +266,7 @@ mod tests {
     /// budget), not just end-of-run state.
     #[test]
     fn mid_run_cursor_roundtrips_at_every_pause() {
-        use rfsp_pram::{NoopObserver, RunControl, RunLimits, RunStatus};
+        use rfsp_pram::{NoopObserver, RunControl, RunSpec, RunStatus};
 
         let n = 64;
         let p = 8;
@@ -286,7 +286,7 @@ mod tests {
         let report = loop {
             let lp = last_pause;
             let status = machine
-                .run_controlled(&mut adv, RunLimits::default(), &mut NoopObserver, |cycle| {
+                .run_with(RunSpec::default(), &mut adv, &mut NoopObserver, |cycle| {
                     if lp == Some(cycle) {
                         RunControl::Continue
                     } else {

@@ -45,7 +45,7 @@ use rfsp_adversary::BurstyFaults;
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
 use rfsp_pram::{
     CycleBudget, LayoutBuilder, Machine, Observer, PolicyConfig, PolicyEngine, PolicyKind,
-    RunControl, RunLimits, RunStatus, TraceEvent,
+    RunControl, RunSpec, RunStatus, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
 
@@ -130,7 +130,7 @@ fn record(intensity: f64, seed: u64) -> (Vec<u64>, u64) {
     loop {
         let lp = last_pause;
         let status = m
-            .run_controlled(&mut adv, RunLimits::default(), &mut series, |cycle| {
+            .run_with(RunSpec::default(), &mut adv, &mut series, |cycle| {
                 // One pause to measure a live checkpoint's byte size.
                 if cycle >= 32 && lp.is_none() {
                     RunControl::Pause

@@ -39,7 +39,8 @@ use std::time::Instant;
 use rfsp_core::{SnapshotBalance, TrivialAssign, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, RunLimits, RunReport,
+    CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, NoopObserver, RunLimits,
+    RunReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -158,11 +159,9 @@ fn word_run_once(layout: MemoryLayout, n: usize, p: usize, threads: usize) -> (u
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::with_layout(&algo, p, CycleBudget::PAPER, layout).expect("valid layout");
     let start = Instant::now();
-    let report = if threads == 1 {
-        m.run(&mut NoFailures).expect("scaling run")
-    } else {
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).expect("scaling run")
-    };
+    let report = m
+        .run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
+        .expect("scaling run");
     let elapsed = start.elapsed().as_nanos();
     assert!(tasks.all_written(m.memory()), "write-all postcondition failed");
     (elapsed, report)

@@ -18,7 +18,7 @@
 //! host; on a single hardware thread the pool measures its own overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfsp_bench::{TelemetrySink, TickEngine, WriteAllRun};
+use rfsp_bench::{TelemetrySink, WriteAllRun};
 use rfsp_core::{TrivialAssign, WriteAllTasks};
 use rfsp_pram::{
     CycleBudget, LayoutBuilder, Machine, NoFailures, NoopObserver, Observer, PramError, RunLimits,
@@ -35,13 +35,24 @@ fn processor_counts() -> Vec<usize> {
     }
 }
 
-fn engines() -> Vec<TickEngine> {
+/// The engines compared, as thread counts: the sequential engine (1) and
+/// a pool sized to the host.
+fn engines() -> Vec<usize> {
     let threads = std::thread::available_parallelism().map_or(4, |c| c.get()).clamp(2, 8);
-    vec![TickEngine::Sequential, TickEngine::Pooled { threads }]
+    vec![1, threads]
+}
+
+/// Display label of an engine (`seq` / `pool4`).
+fn label(threads: usize) -> String {
+    if threads == 1 {
+        "seq".to_string()
+    } else {
+        format!("pool{threads}")
+    }
 }
 
 fn run_once(
-    engine: TickEngine,
+    threads: usize,
     p: usize,
     observer: &mut dyn Observer,
 ) -> Result<WriteAllRun, PramError> {
@@ -50,12 +61,8 @@ fn run_once(
     let tasks = WriteAllTasks::new(&mut layout, n);
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::new(&algo, p, CycleBudget::PAPER)?;
-    let report = match engine {
-        TickEngine::Sequential => m.run_observed(&mut NoFailures, RunLimits::default(), observer),
-        TickEngine::Pooled { threads } => {
-            m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, observer)
-        }
-    }?;
+    let report =
+        m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, observer)?;
     Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
 }
 
@@ -63,7 +70,7 @@ fn bench_tick_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("tick_engine");
     for &p in &processor_counts() {
         for engine in engines() {
-            group.bench_with_input(BenchmarkId::new(engine.label(), p), &p, |b, &p| {
+            group.bench_with_input(BenchmarkId::new(label(engine), p), &p, |b, &p| {
                 b.iter(|| run_once(engine, p, &mut NoopObserver).expect("bench run"))
             });
         }
@@ -81,11 +88,11 @@ fn emit_artifact(_c: &mut Criterion) {
         for engine in engines() {
             let n = CELLS_PER_PROC * p;
             let run = sink
-                .observe(format!("{}-p{p}", engine.label()), "Trivial", n, p, |obs| {
+                .observe(format!("{}-p{p}", label(engine)), "Trivial", n, p, |obs| {
                     run_once(engine, p, obs)
                 })
                 .expect("observed run");
-            assert!(run.verified, "write-all postcondition failed for {} p={p}", engine.label());
+            assert!(run.verified, "write-all postcondition failed for {} p={p}", label(engine));
         }
     }
     if let Some(path) = sink.finish() {

@@ -6,8 +6,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfsp_adversary::{RandomFaults, Thrashing};
-use rfsp_bench::{run_write_all, Algo};
-use rfsp_pram::{NoFailures, RunLimits};
+use rfsp_bench::{run_write_all, Algo, WriteAllRun, WriteAllSpec};
+use rfsp_pram::{Adversary, NoFailures, NoopObserver, RunLimits};
+
+/// One sequential run of `algo` on `n` cells and `p` processors.
+fn run(algo: Algo, n: usize, p: usize, adversary: impl Adversary) -> WriteAllRun {
+    let spec = WriteAllSpec::new(algo, n, p);
+    run_write_all(&spec, |_| adversary, RunLimits::default(), &mut NoopObserver).expect("bench run")
+}
 
 fn bench_no_failures(c: &mut Criterion) {
     let mut group = c.benchmark_group("write_all_no_failures");
@@ -15,10 +21,7 @@ fn bench_no_failures(c: &mut Criterion) {
         let p = n / 16;
         for algo in [Algo::X, Algo::V, Algo::W, Algo::Interleaved] {
             group.bench_with_input(BenchmarkId::new(algo.name(), n), &(n, p), |b, &(n, p)| {
-                b.iter(|| {
-                    run_write_all(algo, n, p, &mut NoFailures, RunLimits::default())
-                        .expect("bench run")
-                })
+                b.iter(|| run(algo, n, p, NoFailures))
             });
         }
     }
@@ -30,23 +33,12 @@ fn bench_under_faults(c: &mut Criterion) {
     let n = 512;
     let p = 64;
     group.bench_function("X/random_churn", |b| {
-        b.iter(|| {
-            let mut adv = RandomFaults::new(0.1, 0.7, 42);
-            run_write_all(Algo::X, n, p, &mut adv, RunLimits::default()).expect("bench run")
-        })
+        b.iter(|| run(Algo::X, n, p, RandomFaults::new(0.1, 0.7, 42)))
     });
     group.bench_function("V/random_churn", |b| {
-        b.iter(|| {
-            let mut adv = RandomFaults::new(0.1, 0.7, 42);
-            run_write_all(Algo::V, n, p, &mut adv, RunLimits::default()).expect("bench run")
-        })
+        b.iter(|| run(Algo::V, n, p, RandomFaults::new(0.1, 0.7, 42)))
     });
-    group.bench_function("X/thrashing", |b| {
-        b.iter(|| {
-            run_write_all(Algo::X, n, p, &mut Thrashing::new(), RunLimits::default())
-                .expect("bench run")
-        })
-    });
+    group.bench_function("X/thrashing", |b| b.iter(|| run(Algo::X, n, p, Thrashing::new())));
     group.finish();
 }
 
@@ -55,11 +47,7 @@ fn bench_variants(c: &mut Criterion) {
     let n = 1024;
     let p = 64;
     for algo in [Algo::X, Algo::XInPlace] {
-        group.bench_function(algo.name(), |b| {
-            b.iter(|| {
-                run_write_all(algo, n, p, &mut NoFailures, RunLimits::default()).expect("bench run")
-            })
-        });
+        group.bench_function(algo.name(), |b| b.iter(|| run(algo, n, p, NoFailures)));
     }
     group.bench_function("X-lockfree-4-threads", |b| {
         b.iter(|| rfsp_core::run_lockfree_x(n, 4, rfsp_core::LockfreeOptions::default()))

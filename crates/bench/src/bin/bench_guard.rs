@@ -51,7 +51,9 @@
 use std::time::Instant;
 
 use rfsp_core::{TrivialAssign, WriteAllTasks};
-use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, RunLimits};
+use rfsp_pram::{
+    CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, NoopObserver, RunLimits,
+};
 use serde::{Deserialize, Serialize};
 
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -130,11 +132,8 @@ fn scale_run_once(threads: usize) -> f64 {
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::new(&algo, p, CycleBudget::PAPER).expect("valid machine");
     let start = Instant::now();
-    if threads == 1 {
-        m.run(&mut NoFailures).expect("guard run");
-    } else {
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).expect("guard run");
-    }
+    m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
+        .expect("guard run");
     let elapsed = start.elapsed().as_nanos();
     assert!(tasks.all_written(m.memory()), "write-all postcondition failed");
     elapsed as f64 / SCALE_N as f64

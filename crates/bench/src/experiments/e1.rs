@@ -8,7 +8,7 @@
 use rfsp_adversary::Thrashing;
 use rfsp_pram::RunLimits;
 
-use crate::{fmt, print_table, run_write_all_observed, Algo, TelemetrySink};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Run experiment E1.
 pub fn run() {
@@ -18,11 +18,9 @@ pub fn run() {
         let (n, p) = (k, k);
         let run = sink
             .observe(format!("x-thrashing-n{k}"), Algo::X.name(), n, p, |obs| {
-                run_write_all_observed(
-                    Algo::X,
-                    n,
-                    p,
-                    &mut Thrashing::new(),
+                run_write_all(
+                    &WriteAllSpec::new(Algo::X, n, p),
+                    |_| Thrashing::new(),
                     RunLimits::default(),
                     obs,
                 )

@@ -3,9 +3,7 @@
 use rfsp_adversary::{offline_random, Stalking, StalkingMode};
 use rfsp_pram::{PramError, RunLimits};
 
-use crate::{
-    fmt, print_table, run_write_all_observed, run_write_all_with_observed, Algo, TelemetrySink,
-};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Mean completed work of `algo` under the stalker over `seeds` trials;
 /// `None` entries were censored at the cycle limit (the adversary held the
@@ -44,10 +42,8 @@ fn stalked(
             n,
             p,
             |obs| {
-                run_write_all_with_observed(
-                    algo,
-                    n,
-                    p,
+                run_write_all(
+                    &WriteAllSpec::new(algo, n, p),
                     |setup| Stalking::new(setup.tasks.x(), n - 1, mode),
                     RunLimits { max_cycles: limit },
                     obs,
@@ -106,11 +102,9 @@ pub fn run() {
             let mut adv = offline_random(p, 1_000_000, 0.1, 0.5, seed);
             let run = sink
                 .observe(format!("acc-offline-n{n}-s{seed}"), "ACC", n, p, |obs| {
-                    run_write_all_observed(
-                        Algo::Acc(seed),
-                        n,
-                        p,
-                        &mut adv,
+                    run_write_all(
+                        &WriteAllSpec::new(Algo::Acc(seed), n, p),
+                        |_| &mut adv,
                         RunLimits::default(),
                         obs,
                     )

@@ -9,7 +9,7 @@ use rfsp_adversary::{Pigeonhole, RandomFaults, XKiller};
 use rfsp_core::XOptions;
 use rfsp_pram::RunLimits;
 
-use crate::{fmt, print_table, run_write_all_with_options_observed, Algo, TelemetrySink};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Run experiment E11.
 pub fn run() {
@@ -28,26 +28,16 @@ pub fn run() {
     let mut rows = Vec::new();
     for (name, opts) in variants {
         let slug = crate::slugify(name);
+        let spec = WriteAllSpec { x_options: opts, ..WriteAllSpec::new(Algo::X, n, p) };
         let calm = sink
             .observe(format!("x-{slug}-nofail"), "X", n, p, |obs| {
-                run_write_all_with_options_observed(
-                    Algo::X,
-                    opts,
-                    n,
-                    p,
-                    |_| rfsp_pram::NoFailures,
-                    RunLimits::default(),
-                    obs,
-                )
+                run_write_all(&spec, |_| rfsp_pram::NoFailures, RunLimits::default(), obs)
             })
             .expect("E11 calm run");
         let churn = sink
             .observe(format!("x-{slug}-churn"), "X", n, p, |obs| {
-                run_write_all_with_options_observed(
-                    Algo::X,
-                    opts,
-                    n,
-                    p,
+                run_write_all(
+                    &spec,
                     |_| RandomFaults::new(0.05, 0.6, 0xE11),
                     RunLimits::default(),
                     obs,
@@ -56,11 +46,8 @@ pub fn run() {
             .expect("E11 churn run");
         let pigeon = sink
             .observe(format!("x-{slug}-pigeonhole"), "X", n, p, |obs| {
-                run_write_all_with_options_observed(
-                    Algo::X,
-                    opts,
-                    n,
-                    p,
+                run_write_all(
+                    &spec,
                     |setup| Pigeonhole::new(setup.tasks.x()),
                     RunLimits::default(),
                     obs,
@@ -69,11 +56,8 @@ pub fn run() {
             .expect("E11 pigeonhole run");
         let killer = sink
             .observe(format!("x-{slug}-killer"), "X", n, p, |obs| {
-                run_write_all_with_options_observed(
-                    Algo::X,
-                    opts,
-                    n,
-                    p,
+                run_write_all(
+                    &spec,
                     |setup| {
                         XKiller::new(
                             setup.tasks.x(),

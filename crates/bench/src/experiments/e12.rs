@@ -12,7 +12,7 @@
 use rfsp_adversary::Pigeonhole;
 use rfsp_pram::RunLimits;
 
-use crate::{fmt, loglog_slope, print_table, run_write_all_with_observed, Algo, TelemetrySink};
+use crate::{fmt, loglog_slope, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Run experiment E12.
 pub fn run() {
@@ -30,10 +30,8 @@ pub fn run() {
                     n,
                     n,
                     |obs| {
-                        run_write_all_with_observed(
-                            algo,
-                            n,
-                            n,
+                        run_write_all(
+                            &WriteAllSpec::new(algo, n, n),
                             |setup| Pigeonhole::fail_stop(setup.tasks.x()),
                             RunLimits::default(),
                             obs,

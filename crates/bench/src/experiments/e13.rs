@@ -12,7 +12,7 @@
 use rfsp_net::{NetworkMeter, OmegaNetwork};
 use rfsp_pram::{NoFailures, RunLimits};
 
-use crate::{fmt, print_table, run_write_all_observed, Algo, TelemetrySink};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 fn metered(
     sink: &mut TelemetrySink,
@@ -27,7 +27,7 @@ fn metered(
     let mut meter = NetworkMeter::new(NoFailures, net);
     let run = sink
         .observe(format!("{}-p{p}-{net_name}", algo.name()), algo.name(), n, p, |obs| {
-            run_write_all_observed(algo, n, p, &mut meter, RunLimits::default(), obs)
+            run_write_all(&WriteAllSpec::new(algo, n, p), |_| &mut meter, RunLimits::default(), obs)
         })
         .expect("E13 run failed");
     assert!(run.verified);

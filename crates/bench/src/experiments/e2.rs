@@ -7,7 +7,7 @@ use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{LayoutBuilder, NoopObserver, Observer, RunLimits, WorkStats};
 
-use crate::{fmt, loglog_slope, print_table, run_write_all_with_observed, Algo, TelemetrySink};
+use crate::{fmt, loglog_slope, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Stats of the snapshot algorithm under the pigeonhole adversary, with the
 /// run's event stream delivered to `observer` (the unified execution core
@@ -52,10 +52,8 @@ pub fn run() {
         for algo in [Algo::X, Algo::V, Algo::Interleaved] {
             let run = sink
                 .observe(format!("{}-pigeonhole-n{n}", algo.name()), algo.name(), n, n, |obs| {
-                    run_write_all_with_observed(
-                        algo,
-                        n,
-                        n,
+                    run_write_all(
+                        &WriteAllSpec::new(algo, n, n),
                         |setup| Pigeonhole::new(setup.tasks.x()),
                         RunLimits::default(),
                         obs,

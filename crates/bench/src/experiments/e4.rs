@@ -4,7 +4,7 @@
 use rfsp_adversary::RandomFaults;
 use rfsp_pram::RunLimits;
 
-use crate::{fmt, print_table, run_write_all_observed, Algo, TelemetrySink};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Run experiment E4.
 pub fn run() {
@@ -18,7 +18,12 @@ pub fn run() {
         let mut adv = RandomFaults::new(0.002, 0.0, 0xE4).with_budget(p as u64 - 1);
         let run = sink
             .observe(format!("v-failstop-n{n}-p{p}"), Algo::V.name(), n, p, |obs| {
-                run_write_all_observed(Algo::V, n, p, &mut adv, RunLimits::default(), obs)
+                run_write_all(
+                    &WriteAllSpec::new(Algo::V, n, p),
+                    |_| &mut adv,
+                    RunLimits::default(),
+                    obs,
+                )
             })
             .expect("E4 run failed");
         assert!(run.verified);

@@ -4,7 +4,7 @@
 use rfsp_adversary::RandomFaults;
 use rfsp_pram::RunLimits;
 
-use crate::{fmt, print_table, run_write_all_observed, Algo, TelemetrySink};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Run experiment E5.
 pub fn run() {
@@ -17,7 +17,12 @@ pub fn run() {
         let mut adv = RandomFaults::new(0.05, 0.8, 0xE5).with_budget(m_budget);
         let run = sink
             .observe(format!("v-restarts-m{m_budget}"), Algo::V.name(), n, p, |obs| {
-                run_write_all_observed(Algo::V, n, p, &mut adv, RunLimits::default(), obs)
+                run_write_all(
+                    &WriteAllSpec::new(Algo::V, n, p),
+                    |_| &mut adv,
+                    RunLimits::default(),
+                    obs,
+                )
             })
             .expect("E5 run failed");
         assert!(run.verified);

@@ -4,9 +4,7 @@
 use rfsp_adversary::{Pigeonhole, Thrashing};
 use rfsp_pram::RunLimits;
 
-use crate::{
-    fmt, print_table, run_write_all_observed, run_write_all_with_observed, Algo, TelemetrySink,
-};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Run experiment E6.
 pub fn run() {
@@ -19,11 +17,9 @@ pub fn run() {
         // Thrashing: an unbounded-|F| adversary.
         let thrash = sink
             .observe(format!("x-thrashing-p{p}"), Algo::X.name(), n, p, |obs| {
-                run_write_all_observed(
-                    Algo::X,
-                    n,
-                    p,
-                    &mut Thrashing::new(),
+                run_write_all(
+                    &WriteAllSpec::new(Algo::X, n, p),
+                    |_| Thrashing::new(),
                     RunLimits::default(),
                     obs,
                 )
@@ -33,10 +29,8 @@ pub fn run() {
         // Pigeonhole: the halving adversary.
         let pigeon = sink
             .observe(format!("x-pigeonhole-p{p}"), Algo::X.name(), n, p, |obs| {
-                run_write_all_with_observed(
-                    Algo::X,
-                    n,
-                    p,
+                run_write_all(
+                    &WriteAllSpec::new(Algo::X, n, p),
                     |setup| Pigeonhole::new(setup.tasks.x()),
                     RunLimits::default(),
                     obs,

@@ -4,7 +4,7 @@
 use rfsp_adversary::XKiller;
 use rfsp_pram::RunLimits;
 
-use crate::{fmt, loglog_slope, print_table, run_write_all_with_observed, Algo, TelemetrySink};
+use crate::{fmt, loglog_slope, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 /// Completed work of X under the X-killer at `N = P = n`.
 pub fn x_under_killer(n: usize) -> (u64, u64) {
@@ -15,10 +15,8 @@ pub fn x_under_killer(n: usize) -> (u64, u64) {
 fn x_under_killer_observed(n: usize, sink: &mut TelemetrySink) -> (u64, u64) {
     let run = sink
         .observe(format!("x-killer-n{n}"), Algo::X.name(), n, n, |obs| {
-            run_write_all_with_observed(
-                Algo::X,
-                n,
-                n,
+            run_write_all(
+                &WriteAllSpec::new(Algo::X, n, n),
                 |setup| {
                     XKiller::new(
                         setup.tasks.x(),

@@ -4,7 +4,7 @@
 use rfsp_adversary::{RandomFaults, Thrashing};
 use rfsp_pram::{Adversary, RunLimits};
 
-use crate::{fmt, print_table, run_write_all_observed, Algo, TelemetrySink};
+use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
 
 fn regime(
     sink: &mut TelemetrySink,
@@ -21,7 +21,12 @@ fn regime(
         let label = format!("{}-{}", algo.name(), crate::slugify(name));
         let run = sink
             .observe(label, algo.name(), n, p, |obs| {
-                run_write_all_observed(algo, n, p, &mut adversary, RunLimits::default(), obs)
+                run_write_all(
+                    &WriteAllSpec::new(algo, n, p),
+                    |_| &mut adversary,
+                    RunLimits::default(),
+                    obs,
+                )
             })
             .expect("E8 run failed");
         assert!(run.verified);

@@ -13,55 +13,12 @@ use rfsp_core::{
     AccOptions, AlgoAcc, AlgoV, AlgoW, AlgoX, AlgoXInPlace, Interleaved, WriteAllTasks, XOptions,
 };
 use rfsp_pram::{
-    Adversary, CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoopObserver, Observer,
-    PramError, Program, RunLimits, RunReport,
+    Adversary, CycleBudget, ExecMode, LayoutBuilder, Machine, MemoryLayout, Observer, PramError,
+    Program, RunControl, RunLimits, RunReport, RunSpec, RunStatus,
 };
 use serde::{Deserialize, Serialize};
 
 pub use telemetry::{BenchArtifact, BenchRun, TelemetrySink};
-
-/// Which tentative-phase backend drives the machine's run loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TickEngine {
-    /// The sequential engine: one OS thread plays every processor.
-    Sequential,
-    /// The persistent worker pool with this many threads (the machine
-    /// routes `threads == 1` to the sequential tentative phase).
-    Pooled {
-        /// Worker thread count.
-        threads: usize,
-    },
-}
-
-impl TickEngine {
-    /// Short display label (`seq` / `pool4`).
-    pub fn label(self) -> String {
-        match self {
-            TickEngine::Sequential => "seq".to_string(),
-            TickEngine::Pooled { threads } => format!("pool{threads}"),
-        }
-    }
-
-    fn drive<P, A>(
-        self,
-        machine: &mut Machine<'_, P>,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport, PramError>
-    where
-        P: Program + Sync,
-        P::Private: Send,
-        A: Adversary,
-    {
-        match self {
-            TickEngine::Sequential => machine.run_observed(adversary, limits, observer),
-            TickEngine::Pooled { threads } => {
-                machine.run_threaded_observed(adversary, limits, threads, observer)
-            }
-        }
-    }
-}
 
 /// Which Write-All algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,6 +51,48 @@ impl Algo {
     }
 }
 
+/// One Write-All run: the instance and every machine knob the run recipe
+/// forwards. All knobs except the instance are behavior-invariant — every
+/// tick engine, layout and batch width produces a bit-identical run.
+#[derive(Clone, Copy, Debug)]
+pub struct WriteAllSpec<'a> {
+    /// The algorithm.
+    pub algo: Algo,
+    /// Instance size `N`.
+    pub n: usize,
+    /// Processor count `P`.
+    pub p: usize,
+    /// The tick engine.
+    pub exec: ExecMode<'a>,
+    /// The shared-memory layout: per-bank counters (and any attached
+    /// network meter) reflect a real bank mapping.
+    pub layout: MemoryLayout,
+    /// Tentative-phase batch width ([`Machine::set_batch_width`]); `None`
+    /// keeps the machine default, `Some(1)` forces the scalar reference
+    /// path.
+    pub batch_width: Option<usize>,
+    /// Algorithm X's options (the Remark 5 ablation); must stay at the
+    /// default for every other algorithm.
+    pub x_options: XOptions,
+}
+
+impl WriteAllSpec<'_> {
+    /// `algo` on `n` cells and `p` processors, every knob at its default:
+    /// the sequential engine, flat memory, the machine's batch width and
+    /// default X options.
+    pub fn new(algo: Algo, n: usize, p: usize) -> Self {
+        WriteAllSpec {
+            algo,
+            n,
+            p,
+            exec: ExecMode::Sequential,
+            layout: MemoryLayout::Flat,
+            batch_width: None,
+            x_options: XOptions::default(),
+        }
+    }
+}
+
 /// Outcome of one Write-All run.
 #[derive(Clone, Debug)]
 pub struct WriteAllRun {
@@ -103,73 +102,20 @@ pub struct WriteAllRun {
     pub verified: bool,
 }
 
-/// Run a Write-All instance of size `n` on `p` processors under
-/// `adversary`.
-///
-/// # Errors
-///
-/// Propagates machine errors; [`PramError::CycleLimit`] marks runs the
-/// adversary successfully prevented from finishing within `limits`.
-pub fn run_write_all<A: Adversary>(
-    algo: Algo,
-    n: usize,
-    p: usize,
-    adversary: &mut A,
-    limits: RunLimits,
-) -> Result<WriteAllRun, PramError> {
-    run_write_all_observed(algo, n, p, adversary, limits, &mut NoopObserver)
-}
-
-/// [`run_write_all`] with an event stream: every machine event of the run
-/// goes to `observer` (attach a
+/// Run the Write-All instance `spec` names, streaming every machine event
+/// to `observer` (attach a
 /// [`MetricsObserver`](rfsp_pram::MetricsObserver) to collect the per-tick
-/// telemetry behind the `BENCH_*.json` artifacts).
+/// telemetry behind the `BENCH_*.json` artifacts). `make_adversary` sees
+/// the instance's [`WriteAllSetup`], which region-aware adversaries like
+/// the pigeonhole and the stalker need; others ignore it.
 ///
 /// # Errors
 ///
-/// As [`run_write_all`].
-pub fn run_write_all_observed<A: Adversary>(
-    algo: Algo,
-    n: usize,
-    p: usize,
-    adversary: &mut A,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError> {
-    run_write_all_with_observed(algo, n, p, |_| adversary, limits, observer)
-}
-
-/// Run a Write-All instance and also hand the adversary constructor the
-/// array region (needed by region-aware adversaries like the pigeonhole
-/// and the stalker).
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-pub fn run_write_all_with<F, A>(
-    algo: Algo,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    run_write_all_with_observed(algo, n, p, make_adversary, limits, &mut NoopObserver)
-}
-
-/// [`run_write_all_with`] with an event stream (see
-/// [`run_write_all_observed`]).
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-pub fn run_write_all_with_observed<F, A>(
-    algo: Algo,
-    n: usize,
-    p: usize,
+/// Propagates machine errors (including invalid layouts);
+/// [`PramError::CycleLimit`] marks runs the adversary successfully
+/// prevented from finishing within `limits`.
+pub fn run_write_all<F, A>(
+    spec: &WriteAllSpec<'_>,
     make_adversary: F,
     limits: RunLimits,
     observer: &mut dyn Observer,
@@ -178,205 +124,52 @@ where
     F: FnOnce(&WriteAllSetup) -> A,
     A: Adversary,
 {
-    run_write_all_engine_observed(
-        algo,
-        TickEngine::Sequential,
-        n,
-        p,
-        make_adversary,
-        limits,
-        observer,
-    )
-}
+    struct Run<'s, 'o, F> {
+        spec: &'s WriteAllSpec<'s>,
+        make_adversary: F,
+        limits: RunLimits,
+        observer: &'o mut dyn Observer,
+    }
 
-/// [`run_write_all_with_observed`] with an explicit [`TickEngine`]: the
-/// pooled and sequential backends produce bit-identical results, so
-/// experiments may pick whichever is faster for their size.
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-pub fn run_write_all_engine_observed<F, A>(
-    algo: Algo,
-    engine: TickEngine,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    run_write_all_layout_observed(
-        algo,
-        engine,
-        MemoryLayout::Flat,
-        n,
-        p,
-        make_adversary,
-        limits,
-        observer,
-    )
-}
+    impl<F, A> WriteAllVisitor for Run<'_, '_, F>
+    where
+        F: FnOnce(&WriteAllSetup) -> A,
+        A: Adversary,
+    {
+        type Out = Result<WriteAllRun, PramError>;
 
-/// [`run_write_all_engine_observed`] with an explicit [`MemoryLayout`]:
-/// the machine's shared memory is partitioned per `layout`, so per-bank
-/// counters (and any attached network meter) reflect a real bank mapping.
-/// Flat and banked layouts produce bit-identical runs.
-///
-/// # Errors
-///
-/// As [`run_write_all`]; additionally rejects invalid layouts.
-#[allow(clippy::too_many_arguments)]
-pub fn run_write_all_layout_observed<F, A>(
-    algo: Algo,
-    engine: TickEngine,
-    mem_layout: MemoryLayout,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    run_write_all_tuned_observed(
-        algo,
-        engine,
-        mem_layout,
-        MachineTuning::default(),
-        n,
-        p,
-        make_adversary,
-        limits,
-        observer,
-    )
-}
-
-/// Machine knobs the run recipe forwards verbatim (all default to the
-/// machine's own defaults).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MachineTuning {
-    /// Tentative-phase batch width ([`Machine::set_batch_width`]); `None`
-    /// keeps the machine default, `Some(1)` forces the scalar reference
-    /// path.
-    pub batch_width: Option<usize>,
-}
-
-/// [`run_write_all_layout_observed`] with explicit [`MachineTuning`]; the
-/// knobs are behavior-invariant (batch width only changes how the
-/// tentative phase is vectorized, not what it computes).
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_write_all_tuned_observed<F, A>(
-    algo: Algo,
-    engine: TickEngine,
-    mem_layout: MemoryLayout,
-    tuning: MachineTuning,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    let mut layout = LayoutBuilder::new();
-    let tasks = WriteAllTasks::new(&mut layout, n);
-    match algo {
-        Algo::X => {
-            let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
-            let setup =
-                WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
+        fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
+        where
+            P: Program + Sync,
+            P::Private: Send + Serialize + Deserialize,
+        {
+            let mut adversary = (self.make_adversary)(setup);
+            let mut m = Machine::with_layout(prog, self.spec.p, budget, self.spec.layout)?;
+            if let Some(w) = self.spec.batch_width {
                 m.set_batch_width(w);
             }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::V => {
-            let prog = AlgoV::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::W => {
-            let prog = AlgoW::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::Interleaved => {
-            let prog = Interleaved::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup {
-                tasks,
-                x_layout: Some(*prog.x_half().layout()),
-                tree: Some(prog.x_half().tree()),
+            let run = RunSpec { exec: self.spec.exec, panic: None, limits: self.limits };
+            let RunStatus::Completed(report) =
+                m.run_with(run, &mut adversary, self.observer, |_| RunControl::Continue)?
+            else {
+                unreachable!("the control callback never pauses")
             };
-            let mut adversary = make_adversary(&setup);
-            let budget = prog.required_budget();
-            let mut m = Machine::with_layout(&prog, p, budget, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::XInPlace => {
-            let prog = AlgoXInPlace::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
-        }
-        Algo::Acc(seed) => {
-            let prog = AlgoAcc::new(&mut layout, tasks, AccOptions { seed });
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            let mut adversary = make_adversary(&setup);
-            let mut m = Machine::with_layout(&prog, p, CycleBudget::PAPER, mem_layout)?;
-            if let Some(w) = tuning.batch_width {
-                m.set_batch_width(w);
-            }
-            let report = engine.drive(&mut m, &mut adversary, limits, observer)?;
-            Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
+            Ok(WriteAllRun { report, verified: setup.tasks.all_written(m.memory()) })
         }
     }
+
+    with_write_all_program(spec, Run { spec, make_adversary, limits, observer })
 }
 
 /// A computation generic over the *concrete* Write-All program type.
 ///
-/// [`run_write_all_engine_observed`] erases the program behind a fixed run
-/// recipe; anything needing the extra capabilities of the machine's
-/// crash-safety surface — [`Machine::save_checkpoint`] /
+/// [`run_write_all`] erases the program behind a fixed run recipe;
+/// anything needing the extra capabilities of the machine's crash-safety
+/// surface — [`Machine::save_checkpoint`] /
 /// [`Machine::restore_checkpoint`] (which require `P::Private:
-/// Serialize + Deserialize`), [`Machine::run_threaded_isolated`], or
+/// Serialize + Deserialize`), a panic-isolating [`Machine::run_with`], or
 /// multiple machines over one program — implements this trait instead and
-/// lets [`with_write_all_program`] construct the program `algo` names.
+/// lets [`with_write_all_program`] construct the program.
 pub trait WriteAllVisitor {
     /// What the visit produces.
     type Out;
@@ -390,20 +183,23 @@ pub trait WriteAllVisitor {
         P::Private: Send + Serialize + Deserialize;
 }
 
-/// Build the Write-All program `algo` names (instance size `n`, `p`
-/// processors) and hand it to `visitor` — the checkpoint-capable
-/// counterpart of [`run_write_all_engine_observed`].
-pub fn with_write_all_program<V: WriteAllVisitor>(
-    algo: Algo,
-    n: usize,
-    p: usize,
-    visitor: V,
-) -> V::Out {
+/// Build the Write-All program `spec` names — from its algorithm, instance
+/// size, processor count and X options — and hand it to `visitor`.
+///
+/// # Panics
+///
+/// If `spec` sets non-default X options for an algorithm other than X.
+pub fn with_write_all_program<V: WriteAllVisitor>(spec: &WriteAllSpec<'_>, visitor: V) -> V::Out {
+    let (n, p) = (spec.n, spec.p);
+    assert!(
+        matches!(spec.algo, Algo::X) || spec.x_options == XOptions::default(),
+        "X options apply to algorithm X only"
+    );
     let mut layout = LayoutBuilder::new();
     let tasks = WriteAllTasks::new(&mut layout, n);
-    match algo {
+    match spec.algo {
         Algo::X => {
-            let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
+            let prog = AlgoX::new(&mut layout, tasks, p, spec.x_options);
             let setup =
                 WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
             visitor.visit(&prog, &setup, CycleBudget::PAPER)
@@ -439,58 +235,6 @@ pub fn with_write_all_program<V: WriteAllVisitor>(
             visitor.visit(&prog, &setup, CycleBudget::PAPER)
         }
     }
-}
-
-/// Like [`run_write_all_with`], restricted to algorithm X but with
-/// explicit [`XOptions`] — used by the Remark 5
-/// ablation (E11).
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-pub fn run_write_all_with_options<F, A>(
-    algo: Algo,
-    opts: rfsp_core::XOptions,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    run_write_all_with_options_observed(algo, opts, n, p, make_adversary, limits, &mut NoopObserver)
-}
-
-/// [`run_write_all_with_options`] with an event stream (see
-/// [`run_write_all_observed`]).
-///
-/// # Errors
-///
-/// As [`run_write_all`].
-pub fn run_write_all_with_options_observed<F, A>(
-    algo: Algo,
-    opts: rfsp_core::XOptions,
-    n: usize,
-    p: usize,
-    make_adversary: F,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<WriteAllRun, PramError>
-where
-    F: FnOnce(&WriteAllSetup) -> A,
-    A: Adversary,
-{
-    assert!(matches!(algo, Algo::X), "options apply to algorithm X only");
-    let mut layout = LayoutBuilder::new();
-    let tasks = WriteAllTasks::new(&mut layout, n);
-    let prog = AlgoX::new(&mut layout, tasks, p, opts);
-    let setup = WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
-    let mut adversary = make_adversary(&setup);
-    let mut m = Machine::new(&prog, p, CycleBudget::PAPER)?;
-    let report = m.run_observed(&mut adversary, limits, observer)?;
-    Ok(WriteAllRun { report, verified: tasks.all_written(m.memory()) })
 }
 
 /// What a region-aware adversary constructor gets to see.
@@ -599,12 +343,14 @@ pub fn fmt(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfsp_pram::NoFailures;
+    use rfsp_pram::{NoFailures, NoopObserver};
 
     #[test]
     fn runner_covers_all_algorithms() {
         for algo in [Algo::X, Algo::V, Algo::W, Algo::Interleaved, Algo::XInPlace, Algo::Acc(3)] {
-            let run = run_write_all(algo, 32, 8, &mut NoFailures, RunLimits::default()).unwrap();
+            let spec = WriteAllSpec::new(algo, 32, 8);
+            let run = run_write_all(&spec, |_| NoFailures, RunLimits::default(), &mut NoopObserver)
+                .unwrap();
             assert!(run.verified, "{algo:?}");
             assert!(run.report.stats.completed_work() > 0);
         }
@@ -612,46 +358,26 @@ mod tests {
 
     #[test]
     fn pooled_engine_matches_sequential_runner() {
-        let seq = run_write_all_engine_observed(
-            Algo::X,
-            TickEngine::Sequential,
-            32,
-            8,
-            |_| NoFailures,
-            RunLimits::default(),
-            &mut NoopObserver,
-        )
-        .unwrap();
-        let pooled = run_write_all_engine_observed(
-            Algo::X,
-            TickEngine::Pooled { threads: 3 },
-            32,
-            8,
-            |_| NoFailures,
-            RunLimits::default(),
-            &mut NoopObserver,
-        )
-        .unwrap();
+        let run = |spec: &WriteAllSpec<'_>| {
+            run_write_all(spec, |_| NoFailures, RunLimits::default(), &mut NoopObserver).unwrap()
+        };
+        let seq = run(&WriteAllSpec::new(Algo::X, 32, 8));
+        let pooled =
+            run(&WriteAllSpec { exec: ExecMode::Threads(3), ..WriteAllSpec::new(Algo::X, 32, 8) });
         assert!(seq.verified && pooled.verified);
         assert_eq!(seq.report.stats, pooled.report.stats);
-        assert_eq!(TickEngine::Pooled { threads: 3 }.label(), "pool3");
-        assert_eq!(TickEngine::Sequential.label(), "seq");
     }
 
     #[test]
     fn banked_layout_matches_flat_runner() {
-        let flat = run_write_all(Algo::X, 32, 8, &mut NoFailures, RunLimits::default()).unwrap();
-        let banked = run_write_all_layout_observed(
-            Algo::X,
-            TickEngine::Sequential,
-            MemoryLayout::banked(4),
-            32,
-            8,
-            |_| NoFailures,
-            RunLimits::default(),
-            &mut NoopObserver,
-        )
-        .unwrap();
+        let run = |spec: &WriteAllSpec<'_>| {
+            run_write_all(spec, |_| NoFailures, RunLimits::default(), &mut NoopObserver).unwrap()
+        };
+        let flat = run(&WriteAllSpec::new(Algo::X, 32, 8));
+        let banked = run(&WriteAllSpec {
+            layout: MemoryLayout::banked(4),
+            ..WriteAllSpec::new(Algo::X, 32, 8)
+        });
         assert!(banked.verified);
         assert_eq!(flat.report.stats, banked.report.stats);
     }
@@ -690,15 +416,14 @@ mod tests {
 
     #[test]
     fn region_aware_runner_exposes_layout() {
-        let run = run_write_all_with(
-            Algo::X,
-            16,
-            16,
+        let run = run_write_all(
+            &WriteAllSpec::new(Algo::X, 16, 16),
             |setup| {
                 assert!(setup.x_layout.is_some());
                 NoFailures
             },
             RunLimits::default(),
+            &mut NoopObserver,
         )
         .unwrap();
         assert!(run.verified);

@@ -41,14 +41,15 @@ use rfsp_adversary::RandomFaults;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    Adversary, CompletionHint, CycleBudget, DecisionRecorder, FailurePattern, LayoutBuilder,
-    Machine, NoopObserver, PanicPolicy, Pid, PolicyKind, PramError, Program, ReadSet, RunLimits,
-    ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
+    Adversary, CompletionHint, CycleBudget, DecisionRecorder, ExecMode, FailurePattern,
+    LayoutBuilder, Machine, NoopObserver, PanicPolicy, Pid, PolicyKind, PramError, Program,
+    ReadSet, RunControl, RunLimits, RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step,
+    Word, WriteSet,
 };
 use rfsp_run::run_with_cut;
 use serde::{Deserialize, Serialize};
 
-use crate::{with_write_all_program, Algo, WriteAllSetup, WriteAllVisitor};
+use crate::{with_write_all_program, Algo, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 
 /// Which algorithm a soak case exercises.
 ///
@@ -350,13 +351,16 @@ impl WriteAllVisitor for CaseRunner<'_> {
                 let chaos = PanicOnce::new(prog, Pid(spec.pid), spec.on_call);
                 let mut m = Machine::new(&chaos, c.p, budget)?;
                 let mut adv = ScheduledAdversary::new(log.clone());
-                let report = m.run_threaded_isolated(
-                    &mut adv,
+                let spec = RunSpec {
+                    exec: ExecMode::Threads(c.threads),
+                    panic: Some(PanicPolicy::FallbackSequential),
                     limits,
-                    c.threads,
-                    PanicPolicy::FallbackSequential,
-                    &mut NoopObserver,
-                )?;
+                };
+                let RunStatus::Completed(report) =
+                    m.run_with(spec, &mut adv, &mut NoopObserver, |_| RunControl::Continue)?
+                else {
+                    unreachable!("the control callback never pauses")
+                };
                 let fired = chaos.fired();
                 Ok(RunData {
                     stats: report.stats,
@@ -547,22 +551,20 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
         detail,
     };
 
+    let program = WriteAllSpec::new(algo, case.n, case.p);
+
     // 1. Reference run, recording the adversary's decisions.
-    let reference = match with_write_all_program(
-        algo,
-        case.n,
-        case.p,
-        CaseRunner { case, mode: Mode::Reference },
-    ) {
-        Ok(data) => data,
-        Err(PramError::CycleLimit { .. }) => {
-            return Ok(CaseOutcome::Skipped(format!(
-                "reference run exceeded {} cycles",
-                case.max_cycles
-            )))
-        }
-        Err(e) => return Err(fail("reference", e.to_string())),
-    };
+    let reference =
+        match with_write_all_program(&program, CaseRunner { case, mode: Mode::Reference }) {
+            Ok(data) => data,
+            Err(PramError::CycleLimit { .. }) => {
+                return Ok(CaseOutcome::Skipped(format!(
+                    "reference run exceeded {} cycles",
+                    case.max_cycles
+                )))
+            }
+            Err(e) => return Err(fail("reference", e.to_string())),
+        };
     let log = reference.log.clone().expect("reference mode records a log");
 
     // 2. Accounting invariants on the reference report.
@@ -596,9 +598,8 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
     }
 
     // 3. Engine equivalence: replay on the worker pool.
-    let pooled =
-        with_write_all_program(algo, case.n, case.p, CaseRunner { case, mode: Mode::Pooled(&log) })
-            .map_err(|e| fail("pooled", e.to_string()))?;
+    let pooled = with_write_all_program(&program, CaseRunner { case, mode: Mode::Pooled(&log) })
+        .map_err(|e| fail("pooled", e.to_string()))?;
     compare(case, "pooled-equivalence", &reference, &pooled)?;
 
     // 4. Panic isolation: same replay with a detonating worker.
@@ -606,9 +607,7 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
     if let Some(spec) = case.panic {
         if case.threads >= 2 {
             let chaotic = with_write_all_program(
-                algo,
-                case.n,
-                case.p,
+                &program,
                 CaseRunner { case, mode: Mode::PanicChaos(&log, spec) },
             )
             .map_err(|e| fail("panic-chaos", e.to_string()))?;
@@ -621,9 +620,7 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
     if let Some(kill_at) = case.kill_at {
         if case.algo.checkpointable() {
             let resumed = with_write_all_program(
-                algo,
-                case.n,
-                case.p,
+                &program,
                 CaseRunner { case, mode: Mode::KillResume(&log, kill_at) },
             )
             .map_err(|e| fail("kill-resume", e.to_string()))?;
@@ -637,9 +634,7 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
     if case.adaptive_policy && case.algo.checkpointable() {
         if let Some(kill_at) = case.kill_at {
             let resumed = with_write_all_program(
-                algo,
-                case.n,
-                case.p,
+                &program,
                 CaseRunner { case, mode: Mode::PolicyResume(&log, kill_at) },
             )
             .map_err(|e| fail("policy-resume", e.to_string()))?;

@@ -88,7 +88,7 @@ impl TelemetrySink {
 
     /// Run `f` under a per-tick metrics observer (when active; a no-op
     /// observer otherwise) and record the outcome. `f` receives the
-    /// observer to pass to one of the `run_write_all*_observed` runners;
+    /// observer to pass to [`run_write_all`](crate::run_write_all);
     /// failed runs (e.g. deliberate cycle-limit censoring) are not
     /// recorded and their error is returned unchanged.
     ///
@@ -227,7 +227,7 @@ impl TelemetrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_write_all_observed, Algo};
+    use crate::{run_write_all, Algo, WriteAllSpec};
     use rfsp_pram::{NoFailures, RunLimits};
 
     #[test]
@@ -235,7 +235,12 @@ mod tests {
         let mut sink = TelemetrySink { experiment: "t".into(), dir: None, runs: Vec::new() };
         let run = sink
             .observe("r", "X", 32, 8, |obs| {
-                run_write_all_observed(Algo::X, 32, 8, &mut NoFailures, RunLimits::default(), obs)
+                run_write_all(
+                    &WriteAllSpec::new(Algo::X, 32, 8),
+                    |_| NoFailures,
+                    RunLimits::default(),
+                    obs,
+                )
             })
             .unwrap();
         assert!(run.verified);
@@ -271,7 +276,12 @@ mod tests {
         let mut sink = TelemetrySink::with_dir("t2", &dir);
         let run = sink
             .observe("v-32", "V", 32, 8, |obs| {
-                run_write_all_observed(Algo::V, 32, 8, &mut NoFailures, RunLimits::default(), obs)
+                run_write_all(
+                    &WriteAllSpec::new(Algo::V, 32, 8),
+                    |_| NoFailures,
+                    RunLimits::default(),
+                    obs,
+                )
             })
             .unwrap();
         sink.record_stats("snap", "snapshot", 32, 32, true, run.report.stats);

@@ -6,16 +6,16 @@ use rfsp_bench::experiments;
 
 use crate::args::{ArgError, Args};
 use crate::commands::longrun;
-use crate::CliOutcome;
+use crate::{CliOutcome, StopSource};
 
-/// Execute the subcommand.
+/// Execute the subcommand; a long run takes its stop flag from `stop`.
 ///
 /// # Errors
 ///
 /// Reports an unknown experiment id as [`ArgError`].
-pub fn run(args: &Args) -> Result<CliOutcome, ArgError> {
+pub fn run(args: &Args, stop: StopSource) -> Result<CliOutcome, ArgError> {
     if args.get("run").is_some() || args.get("resume").is_some() {
-        return longrun::run(args);
+        return longrun::run(args, stop());
     }
     match args.get_or("id", "all") {
         "all" => experiments::run_all(),

@@ -15,7 +15,7 @@
 //! All of that machinery lives in [`rfsp_run::RunSession`] (shared with
 //! the soak harness's crash-recovery lanes and the `rfsp serve` daemon);
 //! this module is only the CLI skin: flag parsing, the program visitor,
-//! SIGINT wiring, and the completion summary.
+//! the stop flag, and the completion summary.
 //!
 //! Two checkpoint policies are available (`--policy`):
 //!
@@ -35,14 +35,16 @@
 //! rfsp experiment --resume ck.json
 //! ```
 
-use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllVisitor};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 use rfsp_pram::{CycleBudget, Machine, NoopObserver, PolicyKind, Program, RunLimits};
 use rfsp_run::{ExecMode, PauseFlow, RunSession, SessionEnd};
 use serde::{Deserialize, Serialize};
 
 use crate::args::{ArgError, Args};
 use crate::commands::writeall::parse_algo;
-use crate::{signals, CliOutcome};
+use crate::CliOutcome;
 
 // The long-run types and helpers now live in the `rfsp-run` session
 // layer; these aliases keep the CLI's historical names (and the on-disk
@@ -55,6 +57,7 @@ pub use rfsp_run::{
 struct LongRun<'a> {
     cfg: &'a LongRunConfig,
     resume: Option<&'a ExperimentCheckpoint>,
+    stop: &'a AtomicBool,
 }
 
 impl WriteAllVisitor for LongRun<'_> {
@@ -74,10 +77,11 @@ impl WriteAllVisitor for LongRun<'_> {
             None => RunSession::new(cfg.clone(), exec, build)?,
         };
 
-        // SIGINT is the only external pause source here: it forces a
-        // checkpoint (when configured) and stops the session.
+        // The stop flag (SIGINT, in the binary) is the only external pause
+        // source here: it forces a checkpoint (when configured) and stops
+        // the session.
         let end = session.run(
-            &mut |_| signals::interrupted(),
+            &mut |_| self.stop.load(Ordering::SeqCst),
             &mut |pause| if pause.external { PauseFlow::Stop } else { PauseFlow::Continue },
             &mut NoopObserver,
         )?;
@@ -167,20 +171,20 @@ pub(crate) fn config_from_args(args: &Args) -> Result<LongRunConfig, ArgError> {
     Ok(cfg)
 }
 
-/// Entry point for both `--run writeall` and `--resume`.
+/// Entry point for both `--run writeall` and `--resume`. The run pauses —
+/// checkpointed when configured, [`CliOutcome::Interrupted`] — at the
+/// first tick boundary after `stop` is set.
 ///
 /// # Errors
 ///
 /// Bad arguments, unreadable/mismatched checkpoint or events files, and
 /// machine errors, all as [`ArgError`].
-pub fn run(args: &Args) -> Result<CliOutcome, ArgError> {
-    signals::install();
-    signals::reset();
+pub fn run(args: &Args, stop: &AtomicBool) -> Result<CliOutcome, ArgError> {
     if let Some(path) = args.get("resume") {
         let ck = ExperimentCheckpoint::load(path)?;
         let algo = parse_algo(&ck.config.algo)?;
-        let (n, p) = (ck.config.n as usize, ck.config.p as usize);
-        with_write_all_program(algo, n, p, LongRun { cfg: &ck.config, resume: Some(&ck) })
+        let spec = WriteAllSpec::new(algo, ck.config.n as usize, ck.config.p as usize);
+        with_write_all_program(&spec, LongRun { cfg: &ck.config, resume: Some(&ck), stop })
     } else {
         let run = args.get_or("run", "writeall");
         if run != "writeall" {
@@ -188,8 +192,8 @@ pub fn run(args: &Args) -> Result<CliOutcome, ArgError> {
         }
         let cfg = config_from_args(args)?;
         let algo = parse_algo(&cfg.algo)?;
-        let (n, p) = (cfg.n as usize, cfg.p as usize);
-        with_write_all_program(algo, n, p, LongRun { cfg: &cfg, resume: None })
+        let spec = WriteAllSpec::new(algo, cfg.n as usize, cfg.p as usize);
+        with_write_all_program(&spec, LongRun { cfg: &cfg, resume: None, stop })
     }
 }
 
@@ -263,7 +267,7 @@ mod tests {
     }
 
     fn run_argv(argv: Vec<String>) -> CliOutcome {
-        run(&Args::parse(argv).unwrap()).unwrap()
+        run(&Args::parse(argv).unwrap(), &AtomicBool::new(false)).unwrap()
     }
 
     fn events_triple(dir: &std::path::Path, common: &[&str], tag: &str) -> Vec<u8> {

@@ -93,7 +93,7 @@ mod imp {
     use std::sync::{Arc, Mutex, PoisonError};
     use std::time::Duration;
 
-    use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllVisitor};
+    use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
     use rfsp_pram::{CycleBudget, Machine, Observer, Program, SharedPool, TraceEvent};
     use rfsp_run::{
         read_line, read_request, write_line, ExecMode, JobInfo, JobState, PauseFlow, Request,
@@ -254,9 +254,7 @@ mod imp {
     fn run_job(daemon: &Arc<Daemon>, job: u64, cfg: RunConfig, resume: Option<SessionCheckpoint>) {
         let outcome = parse_algo(&cfg.algo).and_then(|algo| {
             with_write_all_program(
-                algo,
-                cfg.n as usize,
-                cfg.p as usize,
+                &WriteAllSpec::new(algo, cfg.n as usize, cfg.p as usize),
                 JobVisitor { daemon, job, cfg: &cfg, resume },
             )
         });

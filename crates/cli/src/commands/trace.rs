@@ -19,7 +19,7 @@
 //! rfsp trace --model snapshot --n 1024 --p 64 --adversary pigeonhole --events -
 //! ```
 
-use rfsp_bench::{run_write_all_with_observed, WriteAllSetup};
+use rfsp_bench::{run_write_all, WriteAllSetup, WriteAllSpec};
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
@@ -95,10 +95,8 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     } else {
         let algo = parse_algo(args.get_or("algo", "x"))?;
         let mut build_err = None;
-        let result = run_write_all_with_observed(
-            algo,
-            n,
-            p,
+        let result = run_write_all(
+            &WriteAllSpec::new(algo, n, p),
             |setup| match build_adversary(args, setup, n) {
                 Ok(adv) => adv,
                 Err(e) => {

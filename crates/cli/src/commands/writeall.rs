@@ -3,8 +3,10 @@
 use rfsp_adversary::{
     offline_random, Budgeted, Pigeonhole, RandomFaults, Stalking, StalkingMode, Thrashing, XKiller,
 };
-use rfsp_bench::{run_write_all_tuned_observed, Algo, MachineTuning, TickEngine, WriteAllSetup};
-use rfsp_pram::{Adversary, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary};
+use rfsp_bench::{run_write_all, Algo, WriteAllSetup, WriteAllSpec};
+use rfsp_pram::{
+    Adversary, ExecMode, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary,
+};
 
 use crate::args::{ArgError, Args};
 use crate::pattern_io;
@@ -126,22 +128,20 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     if threads == 0 {
         return Err(ArgError("--threads must be at least 1".into()));
     }
-    let engine = if threads == 1 { TickEngine::Sequential } else { TickEngine::Pooled { threads } };
     let mem_layout = parse_layout(args)?;
     // 0 = keep the machine default; 1 = the scalar reference path (the
     // differential-testing toggle).
     let batch_width: usize = args.get_parsed("batch-width", 0)?;
-    let tuning =
-        MachineTuning { batch_width: if batch_width == 0 { None } else { Some(batch_width) } };
+    let spec = WriteAllSpec {
+        exec: ExecMode::Threads(threads),
+        layout: mem_layout,
+        batch_width: if batch_width == 0 { None } else { Some(batch_width) },
+        ..WriteAllSpec::new(algo, n, p)
+    };
 
     let mut build_err = None;
-    let result = run_write_all_tuned_observed(
-        algo,
-        engine,
-        mem_layout,
-        tuning,
-        n,
-        p,
+    let result = run_write_all(
+        &spec,
         |setup| match build_adversary(args, setup, n) {
             Ok(adv) => adv,
             Err(e) => {
@@ -162,7 +162,8 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 
     let s = run.report.stats.completed_work();
     println!("algorithm       : {}", algo.name());
-    println!("tick engine     : {}", engine.label());
+    let engine = if threads == 1 { "seq".to_string() } else { format!("pool{threads}") };
+    println!("tick engine     : {engine}");
     println!("memory layout   : {mem_layout}");
     println!("instance        : N = {n}, P = {p}");
     println!("adversary       : {}", args.get_or("adversary", "none"));

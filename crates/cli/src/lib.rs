@@ -21,7 +21,16 @@ pub mod signals;
 // daemon needs it too); this re-export keeps the CLI's historical path.
 pub use rfsp_run::pattern_io;
 
+use std::sync::atomic::AtomicBool;
+
 use args::{ArgError, Args};
+
+/// Where a crash-safe long run gets its stop flag: called once when such
+/// a run starts, and the run pauses (checkpointed, exit code 3) once the
+/// flag is set. The `rfsp` binary passes [`signals::install`], which arms
+/// the SIGINT handler; every other command keeps the default SIGINT
+/// disposition. Tests pass a flag of their own.
+pub type StopSource = fn() -> &'static AtomicBool;
 
 /// How a successfully dispatched command ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -147,19 +156,20 @@ pub fn unknown(what: &str, got: &str, expected: &[&str]) -> ArgError {
     ArgError(format!("unknown {what} '{got}' (expected one of: {})", expected.join(", ")))
 }
 
-/// Dispatch a parsed command line.
+/// Dispatch a parsed command line; a long run takes its stop flag from
+/// `stop`.
 ///
 /// # Errors
 ///
 /// Every user-facing problem is an [`ArgError`] with a printable message.
-pub fn dispatch(args: &Args) -> Result<CliOutcome, ArgError> {
+pub fn dispatch(args: &Args, stop: StopSource) -> Result<CliOutcome, ArgError> {
     let done = |r: Result<(), ArgError>| r.map(|()| CliOutcome::Done);
     match args.command.as_deref() {
         Some("writeall") => done(commands::writeall::run(args)),
         Some("simulate") => done(commands::simulate::run(args)),
         Some("lockfree") => done(commands::lockfree::run(args)),
         Some("trace") => done(commands::trace::run(args)),
-        Some("experiment") => commands::experiment::run(args),
+        Some("experiment") => commands::experiment::run(args, stop),
         Some("soak") => done(commands::soak::run(args)),
         Some("serve") => done(commands::serve::serve(args)),
         Some("submit") => done(commands::serve::submit(args)),
@@ -180,7 +190,7 @@ pub fn dispatch(args: &Args) -> Result<CliOutcome, ArgError> {
 /// * `1` — runtime error (I/O, machine error, failed cross-check).
 /// * `2` — usage error: malformed command line or unknown command.
 /// * `3` — long run interrupted by SIGINT after checkpointing.
-pub fn run_cli<I, S>(raw: I) -> u8
+pub fn run_cli<I, S>(raw: I, stop: StopSource) -> u8
 where
     I: IntoIterator<Item = S>,
     S: Into<String>,
@@ -194,7 +204,7 @@ where
         }
     };
     let usage_error = args.command.as_deref().is_some_and(|c| !COMMANDS.contains(&c));
-    match dispatch(&args) {
+    match dispatch(&args, stop) {
         Ok(CliOutcome::Done) => 0,
         // Interrupted-with-checkpoint: distinct from errors so callers can
         // script "rerun with --resume".
@@ -215,12 +225,19 @@ where
 mod tests {
     use super::*;
 
+    /// A stop source that never fires: unit tests must not share the
+    /// binary's SIGINT flag.
+    fn never() -> &'static AtomicBool {
+        static NEVER: AtomicBool = AtomicBool::new(false);
+        &NEVER
+    }
+
     #[test]
     fn help_and_unknown_commands() {
         let a = Args::parse(Vec::<String>::new()).unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         let a = Args::parse(["bogus"]).unwrap();
-        let Err(e) = dispatch(&a) else { panic!("unknown command accepted") };
+        let Err(e) = dispatch(&a, never) else { panic!("unknown command accepted") };
         assert!(e.0.contains("unknown command 'bogus'"), "{e}");
         assert!(e.0.contains("expected one of"), "{e}");
     }
@@ -228,14 +245,14 @@ mod tests {
     #[test]
     fn exit_codes_follow_the_documented_table() {
         // 0 — success.
-        assert_eq!(run_cli(["help"]), 0);
-        assert_eq!(run_cli(["writeall", "--n", "32", "--p", "8"]), 0);
+        assert_eq!(run_cli(["help"], never), 0);
+        assert_eq!(run_cli(["writeall", "--n", "32", "--p", "8"], never), 0);
         // 2 — usage: unknown command, malformed command line.
-        assert_eq!(run_cli(["bogus"]), 2);
-        assert_eq!(run_cli(["writeall", "stray-positional"]), 2);
+        assert_eq!(run_cli(["bogus"], never), 2);
+        assert_eq!(run_cli(["writeall", "stray-positional"], never), 2);
         // 1 — runtime: a known command that fails while running.
-        assert_eq!(run_cli(["writeall", "--algo", "zzz"]), 1);
-        assert_eq!(run_cli(["experiment", "--resume", "/no/such/ck.json"]), 1);
+        assert_eq!(run_cli(["writeall", "--algo", "zzz"], never), 1);
+        assert_eq!(run_cli(["experiment", "--resume", "/no/such/ck.json"], never), 1);
         // 3 — interrupted-with-checkpoint — exercised against the real
         // binary (signal delivery) in tests/exit_codes.rs.
     }
@@ -258,16 +275,16 @@ mod tests {
             "7",
         ])
         .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
     }
 
     #[test]
     fn pooled_writeall_runs_end_to_end() {
         let a = Args::parse(["writeall", "--n", "32", "--p", "8", "--algo", "x", "--threads", "3"])
             .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         let a = Args::parse(["writeall", "--n", "32", "--p", "8", "--threads", "0"]).unwrap();
-        assert!(dispatch(&a).is_err());
+        assert!(dispatch(&a, never).is_err());
     }
 
     #[test]
@@ -286,9 +303,9 @@ mod tests {
             "2",
         ])
         .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         let a = Args::parse(["writeall", "--n", "32", "--p", "8", "--banks", "0"]).unwrap();
-        assert!(dispatch(&a).is_err());
+        assert!(dispatch(&a, never).is_err());
     }
 
     #[test]
@@ -296,13 +313,13 @@ mod tests {
         let a =
             Args::parse(["simulate", "--kernel", "sum", "--n", "16", "--p", "4", "--engine", "x"])
                 .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
     }
 
     #[test]
     fn lockfree_runs_end_to_end() {
         let a = Args::parse(["lockfree", "--n", "256", "--threads", "2"]).unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
     }
 
     #[test]
@@ -327,7 +344,7 @@ mod tests {
             path_s,
         ])
         .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         let a = Args::parse([
             "writeall",
             "--n",
@@ -340,7 +357,7 @@ mod tests {
             path_s,
         ])
         .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         std::fs::remove_file(path).unwrap();
     }
 
@@ -370,7 +387,7 @@ mod tests {
             metrics.to_str().unwrap(),
         ])
         .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         let ev = std::fs::read_to_string(&events).unwrap();
         assert!(ev.lines().next().unwrap().contains("TickStart"));
         let mx = std::fs::read_to_string(&metrics).unwrap();
@@ -400,19 +417,19 @@ mod tests {
             std::env::temp_dir().join("rfsp-trace-tail.jsonl").to_str().unwrap(),
         ])
         .unwrap();
-        dispatch(&a).unwrap();
+        dispatch(&a, never).unwrap();
         let _ = std::fs::remove_file(std::env::temp_dir().join("rfsp-trace-tail.jsonl"));
     }
 
     #[test]
     fn bad_arguments_are_reported() {
         let a = Args::parse(["writeall", "--algo", "zzz"]).unwrap();
-        assert!(dispatch(&a).is_err());
+        assert!(dispatch(&a, never).is_err());
         let a = Args::parse(["simulate", "--kernel", "zzz"]).unwrap();
-        assert!(dispatch(&a).is_err());
+        assert!(dispatch(&a, never).is_err());
         let a = Args::parse(["experiment", "--id", "e99"]).unwrap();
-        assert!(dispatch(&a).is_err());
+        assert!(dispatch(&a, never).is_err());
         let a = Args::parse(["lockfree", "--fault-rate", "2.0"]).unwrap();
-        assert!(dispatch(&a).is_err());
+        assert!(dispatch(&a, never).is_err());
     }
 }

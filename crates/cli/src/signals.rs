@@ -1,25 +1,17 @@
-//! Minimal SIGINT handling for long-running commands.
+//! Minimal SIGINT handling for the `rfsp` binary.
 //!
-//! The crash-safe experiment runner checks [`interrupted`] at every tick
-//! boundary; the handler merely sets an atomic flag, so the run can pause
-//! cleanly — flush telemetry, write a final checkpoint — instead of dying
-//! mid-tick. On non-Unix targets installation is a no-op and the flag
+//! The crash-safe experiment runner polls a stop flag at every tick
+//! boundary; [`install`] points SIGINT at this module's flag, so an
+//! interrupt pauses the run cleanly — flush telemetry, write a final
+//! checkpoint — instead of killing it mid-tick. Only the binary's entry
+//! point calls [`install`] (handing it down through
+//! [`dispatch`](crate::dispatch)); library callers and tests pass flags of
+//! their own. On non-Unix targets installation is a no-op and the flag
 //! simply never trips.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-/// Whether a SIGINT has arrived since [`install`].
-pub fn interrupted() -> bool {
-    INTERRUPTED.load(Ordering::SeqCst)
-}
-
-/// Arm (or re-arm) the flag; used by tests and by runs started after an
-/// earlier interrupted run in the same process.
-pub fn reset() {
-    INTERRUPTED.store(false, Ordering::SeqCst);
-}
 
 #[cfg(unix)]
 mod imp {
@@ -48,25 +40,16 @@ mod imp {
     pub fn install() {}
 }
 
-/// Install the SIGINT handler (idempotent).
-pub fn install() {
+/// Install the SIGINT handler (idempotent) and return the flag it sets.
+pub fn install() -> &'static AtomicBool {
     imp::install();
+    &INTERRUPTED
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flag_starts_clear_and_resets() {
-        install();
-        reset();
-        assert!(!interrupted());
-        INTERRUPTED.store(true, std::sync::atomic::Ordering::SeqCst);
-        assert!(interrupted());
-        reset();
-        assert!(!interrupted());
-    }
+    use std::sync::atomic::Ordering;
 
     /// A real SIGINT (not a direct store) must trip the flag: certifies
     /// the handler is installed and async-signal-safe in practice.
@@ -78,19 +61,17 @@ mod tests {
         }
         // Install FIRST: raising SIGINT under the default disposition
         // would kill the test process.
-        install();
-        reset();
+        let flag = install();
         let rc = unsafe { raise(2) };
         assert_eq!(rc, 0, "raise(SIGINT) failed");
         // Signal delivery to the raising thread is synchronous on Linux,
         // but spin briefly to stay portable.
         for _ in 0..1000 {
-            if interrupted() {
+            if flag.load(Ordering::SeqCst) {
                 break;
             }
             std::thread::yield_now();
         }
-        assert!(interrupted(), "SIGINT handler did not set the flag");
-        reset();
+        assert!(flag.load(Ordering::SeqCst), "SIGINT handler did not set the flag");
     }
 }

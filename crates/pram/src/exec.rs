@@ -76,8 +76,9 @@ impl Default for RunLimits {
     }
 }
 
-/// Verdict of a `run_controlled` control callback, consulted once per tick
-/// at the tick boundary.
+/// Verdict of a run's control callback (see
+/// [`Machine::run_with`](crate::Machine::run_with)), consulted once per
+/// tick at the tick boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunControl {
     /// Execute the next tick.
@@ -88,7 +89,7 @@ pub enum RunControl {
     Pause,
 }
 
-/// How a controlled run ended.
+/// How a run ended.
 #[derive(Debug)]
 pub enum RunStatus {
     /// The program completed; the report is the same one an uncontrolled
@@ -101,9 +102,17 @@ pub enum RunStatus {
     },
 }
 
+/// Unwrap the status of a run whose control callback never pauses.
+pub(crate) fn completed(status: Result<RunStatus>) -> Result<RunReport> {
+    match status? {
+        RunStatus::Completed(report) => Ok(report),
+        RunStatus::Paused { .. } => unreachable!("the control callback never pauses"),
+    }
+}
+
 /// What the pooled engine does when a worker thread catches a panic while
 /// playing a processor's tentative cycle (see
-/// [`Machine::run_threaded_isolated`](crate::Machine::run_threaded_isolated)).
+/// [`RunSpec::panic`](crate::RunSpec::panic)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PanicPolicy {
     /// Abort the run with [`PramError::WorkerPanic`], leaving the machine
@@ -480,7 +489,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     fn collect_decisions<M, A>(&mut self, adversary: &mut A) -> Decisions
     where
         M: ExecutionModel<Private = Pv>,
-        A: Adversary,
+        A: Adversary + ?Sized,
     {
         self.meta.clear();
         self.meta.extend(self.procs.status.iter().zip(&self.procs.completed).enumerate().map(
@@ -505,27 +514,28 @@ impl<Pv: Clone + Send> Core<Pv> {
         adversary.decide(&view)
     }
 
-    /// Execute exactly one observed tick: `TickStart`, the model's
-    /// sequential tentative phase, adversary decisions, validate/commit/
-    /// charge.
+    /// Execute exactly one observed tick on `backend`: `TickStart`, the
+    /// tentative phase, adversary decisions, validate/commit/charge.
     ///
     /// # Errors
     ///
     /// See [`PramError`].
-    pub(crate) fn tick_observed<M, A>(
+    pub(crate) fn tick<M, A, B>(
         &mut self,
         model: &M,
         adversary: &mut A,
         observer: &mut dyn Observer,
+        backend: &mut B,
     ) -> Result<()>
     where
         M: ExecutionModel<Private = Pv>,
-        A: Adversary,
+        A: Adversary + ?Sized,
+        B: Backend<M>,
     {
         observer.event(TraceEvent::TickStart { cycle: self.cycle });
-        model.tentative(self)?;
+        backend.tentative(model, self)?;
         let decisions = self.collect_decisions::<M, A>(adversary);
-        self.apply(model, decisions, observer)
+        backend.apply(model, self, decisions, observer)
     }
 
     /// The single run loop behind every public entry point of both
@@ -552,7 +562,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     ) -> Result<RunStatus>
     where
         M: ExecutionModel<Private = Pv>,
-        A: Adversary,
+        A: Adversary + ?Sized,
         B: Backend<M>,
     {
         backend.prime(model, self);
@@ -567,37 +577,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             if control(self.cycle) == RunControl::Pause {
                 return Ok(RunStatus::Paused { cycle: self.cycle });
             }
-            observer.event(TraceEvent::TickStart { cycle: self.cycle });
-            backend.tentative(model, self)?;
-            let decisions = self.collect_decisions::<M, A>(adversary);
-            backend.apply(model, self, decisions, observer)?;
-        }
-    }
-
-    /// [`Core::run_loop`] without a pause hook, unwrapped to a
-    /// [`RunReport`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub(crate) fn run_to_completion<M, A, B>(
-        &mut self,
-        model: &M,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-        backend: &mut B,
-    ) -> Result<RunReport>
-    where
-        M: ExecutionModel<Private = Pv>,
-        A: Adversary,
-        B: Backend<M>,
-    {
-        match self
-            .run_loop(model, adversary, limits, observer, backend, |_| RunControl::Continue)?
-        {
-            RunStatus::Completed(report) => Ok(report),
-            RunStatus::Paused { .. } => unreachable!("the control callback never pauses"),
+            self.tick(model, adversary, observer, backend)?;
         }
     }
 
@@ -1331,7 +1311,7 @@ where
     pub(crate) fn save_checkpoint<M, A>(&self, model: &M, adversary: &A) -> Result<Checkpoint>
     where
         M: ExecutionModel<Private = Pv>,
-        A: Adversary,
+        A: Adversary + ?Sized,
     {
         let adversary = adversary.save_state().ok_or_else(|| PramError::Checkpoint {
             detail: "the adversary is not checkpointable (save_state returned None)".into(),
@@ -1391,7 +1371,7 @@ where
     ) -> Result<()>
     where
         M: ExecutionModel<Private = Pv>,
-        A: Adversary,
+        A: Adversary + ?Sized,
     {
         let fail = |detail: String| PramError::Checkpoint { detail };
         if ck.version != CHECKPOINT_VERSION {

@@ -88,14 +88,16 @@ pub use exec::{ExecutionModel, DEFAULT_BATCH_WIDTH};
 pub use failure::{
     DecisionRecorder, FailureEvent, FailureKind, FailurePattern, PatternError, ScheduledAdversary,
 };
-pub use machine::{Machine, PanicPolicy, RunControl, RunLimits, RunStatus, SharedPool};
+pub use machine::{
+    ExecMode, Machine, PanicPolicy, RunControl, RunLimits, RunSpec, RunStatus, SharedPool,
+};
 pub use memory::{CellChunks, MemoryLayout, SharedMemory};
 pub use mode::WriteMode;
 pub use policy::{PolicyConfig, PolicyEngine, PolicyKind};
 pub use region::{LayoutBuilder, Region};
 pub use snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 pub use trace::{
-    MetricsObserver, NoopObserver, Observer, RunSeries, Tee, TickMetrics, TraceEvent, TraceLog,
+    MetricsObserver, NoopObserver, Observer, RunSeries, Tee, TickMetrics, TraceEvent,
     TraceRecorder, WastedWork,
 };
 pub use unvisited::{AddrSlice, UnvisitedIndex, LANE_WIDTH};

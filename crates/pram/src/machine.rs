@@ -29,6 +29,13 @@
 //! rank-ordered merges keeping every observable byte identical to the
 //! sequential engine.
 //!
+//! Every run enters through one method, [`Machine::run_with`]: a
+//! [`RunSpec`] names the tick engine ([`ExecMode`]), the optional
+//! [`PanicPolicy`] and the [`RunLimits`], and `run_with` holds the only
+//! table that maps a spec to a backend. [`Machine::run`],
+//! [`Machine::run_observed`] and [`Machine::run_threaded_observed`] are
+//! one-line conveniences over the same table.
+//!
 //! The engine remains built so a **steady-state tick performs no heap
 //! allocation and no thread spawn**: all per-tick buffers live in the core
 //! and are reused; the threaded backend parks its worker pool for the whole
@@ -46,7 +53,7 @@ use crate::adversary::{Adversary, Decisions, ProcStatus, TentativeCycle};
 use crate::checkpoint::Checkpoint;
 use crate::cycle::{CycleBudget, ReadSet, Step, MAX_READS, MAX_WRITES};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{Backend, Core, ExecutionModel, SeqBackend};
+use crate::exec::{completed, Backend, Core, ExecutionModel, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
 use crate::pool::{panic_detail, PoolShutdown, SendPtr, TickPool, CLASS_TENTATIVE};
@@ -55,6 +62,39 @@ use crate::word::{Pid, Word};
 use crate::{CompletionHint, Program, Result};
 
 pub use crate::exec::{PanicPolicy, RunControl, RunLimits, RunStatus};
+
+/// Which tick engine a run uses (see [`Machine::run_with`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub enum ExecMode<'a> {
+    /// The sequential engine: the calling thread plays every phase.
+    #[default]
+    Sequential,
+    /// A private pool of this many worker threads, spawned when the run
+    /// starts and joined when it returns. `1` is the sequential engine;
+    /// `0` is rejected.
+    Threads(usize),
+    /// A caller-owned [`SharedPool`], time-shared between runs; the
+    /// calling thread holds the pool's turn for the whole run.
+    Pool(&'a SharedPool),
+}
+
+/// How one run executes: the tick engine, panic isolation, and limits.
+///
+/// The default is the plain sequential engine with default limits — what
+/// [`Machine::run`] uses.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RunSpec<'a> {
+    /// The tick engine.
+    pub exec: ExecMode<'a>,
+    /// `Some` plays every processor's tentative cycle under
+    /// `catch_unwind`, so a panic in program code surfaces as
+    /// [`PramError::WorkerPanic`] naming the processor; on a pool the
+    /// policy also decides whether the run surfaces the panic or finishes
+    /// sequentially. `None` lets a panic unwind through the run.
+    pub panic: Option<PanicPolicy>,
+    /// Safety limits.
+    pub limits: RunLimits,
+}
 
 /// The word model's [`ExecutionModel`]: a charged, budgeted read phase
 /// (the plan chain) followed by a budgeted write phase.
@@ -89,14 +129,7 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
     }
 
     fn tentative(&self, core: &mut Core<P::Private>) -> Result<()> {
-        let (mem, cycle) = (&core.mem, core.cycle);
-        let statuses = &core.procs.status;
-        for (i, (state, out)) in
-            core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
-        {
-            tentative_for(self.program, mem, self.budget, cycle, Pid(i), statuses[i], state, out)?;
-        }
-        Ok(())
+        tentative_seq::<P, false>(self.program, self.budget, core)
     }
 
     fn partial_instructions(t: &TentativeCycle, committed_writes: usize) -> u64 {
@@ -233,25 +266,13 @@ impl<'p, P: Program> Machine<'p, P> {
     /// See [`PramError`]; in particular [`PramError::CycleLimit`] if the
     /// default limit is exhausted.
     pub fn run<A: Adversary>(&mut self, adversary: &mut A) -> Result<RunReport> {
-        self.run_with_limits(adversary, RunLimits::default())
+        self.run_observed(adversary, RunLimits::default(), &mut NoopObserver)
     }
 
-    /// Run to completion under `adversary` with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_with_limits<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-    ) -> Result<RunReport> {
-        self.run_observed(adversary, limits, &mut NoopObserver)
-    }
-
-    /// Like [`Machine::run_with_limits`], streaming every machine event —
-    /// cycle completions, failures, restarts, committed writes — to
-    /// `observer` (see [`crate::trace`]).
+    /// Run to completion on the sequential engine, streaming every machine
+    /// event — cycle completions, failures, restarts, committed writes —
+    /// to `observer` (see [`crate::trace`]). The sequential row of
+    /// [`Machine::run_with`]'s table, callable without `P: Sync`.
     ///
     /// # Errors
     ///
@@ -262,34 +283,27 @@ impl<'p, P: Program> Machine<'p, P> {
         limits: RunLimits,
         observer: &mut dyn Observer,
     ) -> Result<RunReport> {
-        let Machine { model, core } = self;
-        core.run_to_completion(model, adversary, limits, observer, &mut SeqBackend)
+        completed(self.run_sequential(None, limits, adversary, observer, |_| RunControl::Continue))
     }
 
-    /// Run under `adversary` until completion **or** until `control`
-    /// requests a pause at a tick boundary (e.g. "every K ticks" for
-    /// periodic checkpoints, or "when the SIGINT flag is set").
-    ///
-    /// The callback receives the tick about to execute. On
-    /// [`RunStatus::Paused`] the machine holds no transient state: save a
-    /// [`Checkpoint`] with [`Machine::save_checkpoint`], or simply call a
-    /// run method again to continue. A resumed run picks up exactly where
-    /// the pause left off; note the callback is consulted again with the
-    /// same tick number, so a "pause at tick k" predicate must be rearmed
-    /// by the caller before resuming.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_controlled<A: Adversary>(
+    /// The sequential rows of [`Machine::run_with`]'s table: the plain
+    /// backend, or the one that catches panics per processor. Needs no
+    /// `P: Sync`, so [`Machine::run_observed`] shares it.
+    fn run_sequential<A: Adversary + ?Sized>(
         &mut self,
-        adversary: &mut A,
+        panic: Option<PanicPolicy>,
         limits: RunLimits,
+        adversary: &mut A,
         observer: &mut dyn Observer,
         control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus> {
         let Machine { model, core } = self;
-        core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control)
+        match panic {
+            None => core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control),
+            Some(_) => {
+                core.run_loop(model, adversary, limits, observer, &mut CaughtBackend, control)
+            }
+        }
     }
 
     /// Execute exactly one tick under `adversary`. Exposed for fine-grained
@@ -312,7 +326,7 @@ impl<'p, P: Program> Machine<'p, P> {
         adversary: &mut A,
         observer: &mut dyn Observer,
     ) -> Result<()> {
-        self.core.tick_observed(&self.model, adversary, observer)
+        self.core.tick(&self.model, adversary, observer, &mut SeqBackend)
     }
 }
 
@@ -324,18 +338,18 @@ where
     /// Snapshot the machine (and `adversary`) at the current tick boundary
     /// into a versioned [`Checkpoint`].
     ///
-    /// Call only between run calls — e.g. after
-    /// [`Machine::run_controlled`] returned [`RunStatus::Paused`] — so the
-    /// machine holds no transient tick state. Restoring the checkpoint
-    /// into a freshly built machine of the same program, size, budget and
-    /// write mode (plus a freshly built adversary of the same kind and
-    /// configuration) resumes the run bit-for-bit.
+    /// Call only between run calls — e.g. after [`Machine::run_with`]
+    /// returned [`RunStatus::Paused`] — so the machine holds no transient
+    /// tick state. Restoring the checkpoint into a freshly built machine
+    /// of the same program, size, budget and write mode (plus a freshly
+    /// built adversary of the same kind and configuration) resumes the run
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
     /// [`PramError::Checkpoint`] if the adversary is not checkpointable
     /// ([`Adversary::save_state`] returned `None`).
-    pub fn save_checkpoint<A: Adversary>(&self, adversary: &A) -> Result<Checkpoint> {
+    pub fn save_checkpoint<A: Adversary + ?Sized>(&self, adversary: &A) -> Result<Checkpoint> {
         self.core.save_checkpoint(&self.model, adversary)
     }
 
@@ -353,7 +367,7 @@ where
     /// [`PramError::Checkpoint`] on a version, model or shape mismatch, an
     /// undecodable private state, an illegal recorded failure pattern, or
     /// an adversary that refuses the saved state.
-    pub fn restore_checkpoint<A: Adversary>(
+    pub fn restore_checkpoint<A: Adversary + ?Sized>(
         &mut self,
         ck: &Checkpoint,
         adversary: &mut A,
@@ -439,11 +453,23 @@ fn tentative_for<P: Program>(
     Ok(())
 }
 
-/// [`WordModel::tentative`] with per-processor panic isolation: a panic in
-/// program code surfaces as [`PramError::WorkerPanic`] naming the
-/// processor, instead of unwinding through the run loop. Used by the
-/// degraded path of [`Machine::run_threaded_isolated`].
-fn tentative_caught<P: Program>(
+/// Run one processor's tentative cycle `f`, under `catch_unwind` when
+/// `CATCH` is set so a panic in program code surfaces as
+/// [`PramError::WorkerPanic`] naming `pid`. With `CATCH == false` this
+/// compiles to the bare call.
+#[inline(always)]
+fn guarded<const CATCH: bool>(pid: Pid, f: impl FnOnce() -> Result<()>) -> Result<()> {
+    if !CATCH {
+        return f();
+    }
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(PramError::WorkerPanic { pid: Some(pid), detail: panic_detail(payload.as_ref()) })
+    })
+}
+
+/// The sequential tentative phase: the calling thread plays every
+/// processor's cycle in PID order ([`guarded`] by `CATCH`).
+fn tentative_seq<P: Program, const CATCH: bool>(
     program: &P,
     budget: CycleBudget,
     core: &mut Core<P::Private>,
@@ -452,25 +478,19 @@ fn tentative_caught<P: Program>(
     let statuses = &core.procs.status;
     for (i, (state, out)) in core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
     {
-        catch_unwind(AssertUnwindSafe(|| {
+        guarded::<CATCH>(Pid(i), || {
             tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(PramError::WorkerPanic {
-                pid: Some(Pid(i)),
-                detail: panic_detail(payload.as_ref()),
-            })
         })?;
     }
     Ok(())
 }
 
 /// Parallel tentative phase: pool workers claim chunks of the processor
-/// range from the shared cursor and fill the corresponding tentative slots.
-/// With the structure-of-arrays processor state only the private states
-/// need a raw [`SendPtr`]: statuses are read-only during the tentative
-/// phase and are shared as a plain slice.
-fn tentative_pooled<P>(
+/// range from the shared cursor and fill the corresponding tentative slots
+/// ([`guarded`] by `CATCH`). With the structure-of-arrays processor state
+/// only the private states need a raw [`SendPtr`]: statuses are read-only
+/// during the tentative phase and are shared as a plain slice.
+fn tentative_pooled<P, const CATCH: bool>(
     program: &P,
     budget: CycleBudget,
     core: &mut Core<P::Private>,
@@ -497,46 +517,8 @@ where
             // done, so the pointers outlive all dereferences.
             let state = unsafe { &mut *states.ptr().add(i) };
             let out = unsafe { &mut *tentative.ptr().add(i) };
-            tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)?;
-        }
-        Ok(())
-    })
-}
-
-/// [`tentative_pooled`] with per-processor panic isolation: each
-/// processor's cycle runs under `catch_unwind`, so a panicking program
-/// surfaces as [`PramError::WorkerPanic`] naming the processor.
-fn tentative_pooled_isolated<P>(
-    program: &P,
-    budget: CycleBudget,
-    core: &mut Core<P::Private>,
-    pool: &TickPool,
-) -> Result<()>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
-    let p = core.procs.len();
-    let align = core.chunk_align();
-    let (mem, cycle) = (&core.mem, core.cycle);
-    let statuses: &[ProcStatus] = &core.procs.status;
-    let states = SendPtr::new(core.procs.state.as_mut_ptr());
-    let tentative = SendPtr::new(core.tentative.as_mut_ptr());
-    pool.run_tick(CLASS_TENTATIVE, p, align, &move |start: usize, end: usize| {
-        #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
-        for i in start..end {
-            // SAFETY: as in `tentative_pooled` — disjoint chunks, pointers
-            // outlive the tick.
-            let state = unsafe { &mut *states.ptr().add(i) };
-            let out = unsafe { &mut *tentative.ptr().add(i) };
-            catch_unwind(AssertUnwindSafe(|| {
+            guarded::<CATCH>(Pid(i), || {
                 tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(PramError::WorkerPanic {
-                    pid: Some(Pid(i)),
-                    detail: panic_detail(payload.as_ref()),
-                })
             })?;
         }
         Ok(())
@@ -561,7 +543,7 @@ where
     }
 
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_pooled(model.program, model.budget, core, self.pool)
+        tentative_pooled::<P, false>(model.program, model.budget, core, self.pool)
     }
 
     fn apply(
@@ -575,14 +557,14 @@ where
     }
 }
 
-/// The sequential panic-isolating backend: [`tentative_caught`] wraps every
-/// processor's cycle in `catch_unwind`. Used for `threads == 1` isolated
-/// runs and as the degraded mode of [`IsolatedBackend`].
+/// The sequential panic-isolating backend: every processor's cycle runs
+/// under `catch_unwind`. Used for sequential runs with a panic policy and
+/// as the degraded mode of [`IsolatedBackend`].
 struct CaughtBackend;
 
 impl<'p, P: Program> Backend<WordModel<'p, P>> for CaughtBackend {
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_caught(model.program, model.budget, core)
+        tentative_seq::<P, true>(model.program, model.budget, core)
     }
 }
 
@@ -610,7 +592,7 @@ where
 {
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
         if self.degraded {
-            return tentative_caught(model.program, model.budget, core);
+            return tentative_seq::<P, true>(model.program, model.budget, core);
         }
         // Snapshot every private state: the tentative phase advances
         // states in place, so recovering from a panic mid-phase needs the
@@ -618,7 +600,7 @@ where
         for (saved, state) in self.backup.iter_mut().zip(core.procs.state.iter()) {
             saved.clone_from(state);
         }
-        match tentative_pooled_isolated(model.program, model.budget, core, self.pool) {
+        match tentative_pooled::<P, true>(model.program, model.budget, core, self.pool) {
             Err(PramError::WorkerPanic { pid, detail }) => {
                 for (state, saved) in core.procs.state.iter_mut().zip(self.backup.iter()) {
                     state.clone_from(saved);
@@ -630,7 +612,7 @@ where
                         // Replay the whole tick sequentially from the
                         // restored pre-tick states — nothing had committed,
                         // so the replay is identical to a clean tick.
-                        tentative_caught(model.program, model.budget, core)
+                        tentative_seq::<P, true>(model.program, model.budget, core)
                     }
                 }
             }
@@ -644,40 +626,106 @@ where
     P: Program + Sync,
     P::Private: Send,
 {
-    /// Like [`Machine::run_with_limits`], but every heavy phase of the
-    /// tick — the tentative phase, the commit, and the completion-index
-    /// rebuild at run entry — is computed by a persistent pool of
-    /// `threads` worker threads claiming chunks from shared cursors. Only
-    /// the adversary consultation and the deterministic rank-ordered
-    /// merges stay on the coordinating thread, preserving the exact
-    /// semantics, event streams and determinism of the sequential engine.
+    /// The one run entry point: run under `adversary` until the program
+    /// completes **or** `control` asks for a pause at a tick boundary, on
+    /// the engine `spec` names.
     ///
-    /// The workers are spawned **once per run** and parked between ticks,
-    /// so a steady-state tick performs no thread spawns. `threads == 1`
-    /// routes to the sequential tentative phase — same results, none of the
-    /// pool's synchronization overhead.
+    /// | `spec.exec` | `panic: None` | `panic: Some(policy)` |
+    /// |---|---|---|
+    /// | `Sequential`, `Threads(1)` | sequential | sequential, panics caught |
+    /// | `Threads(n ≥ 2)` | private `n`-worker pool | private pool, isolated |
+    /// | `Pool(shared)` | shared pool | shared pool, isolated |
+    /// | `Threads(0)` | [`PramError::InvalidConfig`] | same |
     ///
-    /// This is the "real concurrency" backend: results are bit-identical to
-    /// [`Machine::run`] for the same program and adversary.
+    /// Every row produces the identical event stream, accounting, failure
+    /// pattern and memory. The pooled rows farm every heavy phase of the
+    /// tick — tentative phase, commit, completion-index rebuild — out to
+    /// the workers, whose chunks are merged in rank order; a private pool
+    /// is spawned once per call and parked between ticks, so a
+    /// steady-state tick performs no thread spawns. A shared pool's turn
+    /// lock is held for the whole call, so concurrent callers serialize;
+    /// pause through `control` to time-share it.
+    ///
+    /// An *isolated* pooled run backs up every private state before each
+    /// tentative phase, so a caught panic restores the tick boundary and
+    /// `policy` decides what follows: [`PanicPolicy::Surface`] returns
+    /// [`PramError::WorkerPanic`] with the machine intact, and
+    /// [`PanicPolicy::FallbackSequential`] replays the tick sequentially
+    /// and finishes the run there with results identical to an
+    /// undisturbed run. The sequential engine has nothing to fall back to
+    /// and surfaces the panic under either policy.
+    ///
+    /// `control` receives the tick about to execute. On
+    /// [`RunStatus::Paused`] the machine holds no transient state: save a
+    /// [`Checkpoint`] with [`Machine::save_checkpoint`], or call a run
+    /// method again to continue. The callback is consulted again with the
+    /// same tick number on resume, so a "pause at tick k" predicate must be
+    /// rearmed by the caller.
     ///
     /// # Errors
     ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`.
-    pub fn run_threaded<A: Adversary>(
+    /// See [`PramError`]; [`PramError::WorkerPanic`] as described above.
+    pub fn run_with<A: Adversary + ?Sized>(
         &mut self,
+        spec: RunSpec<'_>,
         adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-    ) -> Result<RunReport> {
-        self.run_threaded_observed(adversary, limits, threads, &mut NoopObserver)
+        observer: &mut dyn Observer,
+        control: impl FnMut(u64) -> RunControl,
+    ) -> Result<RunStatus> {
+        match spec.exec {
+            ExecMode::Sequential | ExecMode::Threads(1) => {
+                self.run_sequential(spec.panic, spec.limits, adversary, observer, control)
+            }
+            ExecMode::Threads(0) => {
+                Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
+            }
+            ExecMode::Threads(threads) => {
+                let pool = TickPool::new(threads);
+                std::thread::scope(|scope| {
+                    let _shutdown = PoolShutdown(&pool);
+                    let pool = &pool;
+                    for rank in 0..threads {
+                        scope.spawn(move || pool.worker(rank));
+                    }
+                    self.run_pooled(pool, spec, adversary, observer, control)
+                })
+            }
+            ExecMode::Pool(shared) => {
+                let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
+                shared.pool.bind_coordinator();
+                self.run_pooled(&shared.pool, spec, adversary, observer, control)
+            }
+        }
     }
 
-    /// [`Machine::run_threaded`] with an event stream: shares the
-    /// sequential engine's run loop ([`Machine::run_observed`]), so for the
-    /// same program and adversary both backends emit the **identical**
-    /// sequence of [`TraceEvent`](crate::trace::TraceEvent)s — only the
-    /// tentative phase is farmed out to the worker pool.
+    /// The pooled rows of [`Machine::run_with`]'s table, on a pool whose
+    /// workers are running and whose coordinator is the calling thread.
+    fn run_pooled<A: Adversary + ?Sized>(
+        &mut self,
+        pool: &TickPool,
+        spec: RunSpec<'_>,
+        adversary: &mut A,
+        observer: &mut dyn Observer,
+        control: impl FnMut(u64) -> RunControl,
+    ) -> Result<RunStatus> {
+        let Machine { model, core } = self;
+        let limits = spec.limits;
+        match spec.panic {
+            None => {
+                let mut backend = PooledBackend { pool };
+                core.run_loop(model, adversary, limits, observer, &mut backend, control)
+            }
+            Some(policy) => {
+                let backup = vec![None; core.procs.len()];
+                let mut backend = IsolatedBackend { pool, policy, backup, degraded: false };
+                core.run_loop(model, adversary, limits, observer, &mut backend, control)
+            }
+        }
+    }
+
+    /// Run to completion on a private pool of `threads` workers,
+    /// streaming every event to `observer`: [`Machine::run_with`] with
+    /// [`ExecMode::Threads`] and no pause.
     ///
     /// # Errors
     ///
@@ -690,186 +738,21 @@ where
         threads: usize,
         observer: &mut dyn Observer,
     ) -> Result<RunReport> {
-        if threads == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
-        }
-        let Machine { model, core } = self;
-        if threads == 1 {
-            // A one-thread pool would pay wake/park synchronization for no
-            // parallelism; the sequential phase is the same computation.
-            return core.run_to_completion(model, adversary, limits, observer, &mut SeqBackend);
-        }
-        let pool = TickPool::new(threads);
-        std::thread::scope(|scope| {
-            let _shutdown = PoolShutdown(&pool);
-            let pool = &pool;
-            for rank in 0..threads {
-                scope.spawn(move || pool.worker(rank));
-            }
-            let mut backend = PooledBackend { pool };
-            core.run_to_completion(model, adversary, limits, observer, &mut backend)
-        })
-    }
-
-    /// [`Machine::run_threaded_observed`] with a pause hook — the threaded
-    /// counterpart of [`Machine::run_controlled`], for checkpointed long
-    /// runs on the pooled engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`.
-    pub fn run_threaded_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        if threads == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
-        }
-        let Machine { model, core } = self;
-        if threads == 1 {
-            return core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control);
-        }
-        let pool = TickPool::new(threads);
-        std::thread::scope(|scope| {
-            let _shutdown = PoolShutdown(&pool);
-            let pool = &pool;
-            for rank in 0..threads {
-                scope.spawn(move || pool.worker(rank));
-            }
-            let mut backend = PooledBackend { pool };
-            core.run_loop(model, adversary, limits, observer, &mut backend, control)
-        })
-    }
-
-    /// [`Machine::run_threaded_observed`] with **panic isolation**: a panic
-    /// in program code (`plan`/`execute`) is caught at the worker, the
-    /// pre-tick private states are restored from a per-tick backup, and
-    /// `policy` decides what happens next — surface
-    /// [`PramError::WorkerPanic`] with the machine intact at the tick
-    /// boundary, or replay the tick sequentially and finish the run on the
-    /// sequential engine with results identical to an undisturbed run.
-    ///
-    /// The isolation costs one clone of every private state per tick, so
-    /// the plain [`Machine::run_threaded`] remains the default engine;
-    /// this entry point is for runs that must survive faulty host code
-    /// (the chaos harness, long crash-safe experiments).
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`, and [`PramError::WorkerPanic`] if a panic fires
-    /// under [`PanicPolicy::Surface`] (or repeats during a sequential
-    /// replay under [`PanicPolicy::FallbackSequential`]).
-    pub fn run_threaded_isolated<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        policy: PanicPolicy,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
-        match self.run_threaded_isolated_controlled(
-            adversary,
-            limits,
-            threads,
-            policy,
-            observer,
-            |_| RunControl::Continue,
-        )? {
-            RunStatus::Completed(report) => Ok(report),
-            RunStatus::Paused { .. } => unreachable!("the control callback never pauses"),
-        }
-    }
-
-    /// [`Machine::run_threaded_isolated`] with a pause hook: the fully
-    /// armored engine — panic isolation, graceful sequential degradation,
-    /// and checkpointable tick boundaries — used by the crash-safe
-    /// experiment runner.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run_threaded_isolated`].
-    pub fn run_threaded_isolated_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
-        policy: PanicPolicy,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        if threads == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
-        }
-        let Machine { model, core } = self;
-        if threads == 1 {
-            return core.run_loop(model, adversary, limits, observer, &mut CaughtBackend, control);
-        }
-        let pool = TickPool::new(threads);
-        std::thread::scope(|scope| {
-            let _shutdown = PoolShutdown(&pool);
-            let pool = &pool;
-            for rank in 0..threads {
-                scope.spawn(move || pool.worker(rank));
-            }
-            let mut backend = IsolatedBackend {
-                pool,
-                policy,
-                backup: vec![None; core.procs.len()],
-                degraded: false,
-            };
-            core.run_loop(model, adversary, limits, observer, &mut backend, control)
-        })
-    }
-
-    /// [`Machine::run_threaded_isolated_controlled`] on a caller-provided
-    /// [`SharedPool`] instead of a private per-call pool.
-    ///
-    /// The segment holds the pool's turn lock for its whole duration, so
-    /// concurrent callers serialize; pause at tick boundaries (via
-    /// `control`) to time-share the pool between runs. The calling thread
-    /// becomes the pool's coordinator for the duration of the segment.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run_threaded_isolated`].
-    pub fn run_pooled_isolated_controlled<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        pool: &SharedPool,
-        policy: PanicPolicy,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        let Machine { model, core } = self;
-        let _turn = pool.turn.lock().unwrap_or_else(PoisonError::into_inner);
-        pool.pool.bind_coordinator();
-        let mut backend = IsolatedBackend {
-            pool: &pool.pool,
-            policy,
-            backup: vec![None; core.procs.len()],
-            degraded: false,
-        };
-        core.run_loop(model, adversary, limits, observer, &mut backend, control)
+        let spec = RunSpec { exec: ExecMode::Threads(threads), panic: None, limits };
+        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
     }
 }
 
 /// A persistent worker pool shared across machines and run segments.
 ///
-/// [`Machine::run_threaded_isolated_controlled`] builds a private
-/// [`TickPool`] per call — right for a single run, but wasteful (and
-/// impossible to time-share) when a daemon multiplexes many paused runs
-/// over one set of OS threads. `SharedPool` owns its workers for as long
-/// as the value lives; any thread may drive a run segment on it through
-/// [`Machine::run_pooled_isolated_controlled`], one segment at a time: an
-/// internal turn lock serializes drivers, and each driver re-binds the
-/// pool's coordinator to itself before its first tick.
+/// [`ExecMode::Threads`] builds a private [`TickPool`] per call — right
+/// for a single run, but wasteful (and impossible to time-share) when a
+/// daemon multiplexes many paused runs over one set of OS threads.
+/// `SharedPool` owns its workers for as long as the value lives; any
+/// thread may drive a run segment on it through [`Machine::run_with`] with
+/// [`ExecMode::Pool`], one segment at a time: an internal turn lock
+/// serializes drivers, and each driver re-binds the pool's coordinator to
+/// itself before its first tick.
 pub struct SharedPool {
     pool: Arc<TickPool>,
     /// Serializes run segments: at most one coordinator drives the workers
@@ -905,6 +788,12 @@ impl SharedPool {
     /// Number of worker threads the pool owns.
     pub fn threads(&self) -> usize {
         self.pool.threads()
+    }
+}
+
+impl std::fmt::Debug for SharedPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedPool").field("threads", &self.threads()).finish_non_exhaustive()
     }
 }
 
@@ -979,28 +868,25 @@ mod tests {
         assert_eq!(pool.threads(), 2);
         let prog = Counter { n: 8, target: 5 };
         let mut m = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
+        let spec = RunSpec {
+            exec: ExecMode::Pool(&pool),
+            panic: Some(PanicPolicy::Surface),
+            limits: RunLimits::default(),
+        };
         let status = m
-            .run_pooled_isolated_controlled(
-                &mut NoFailures,
-                RunLimits::default(),
-                &pool,
-                PanicPolicy::Surface,
-                &mut NoopObserver,
-                |c| if c >= 2 { RunControl::Pause } else { RunControl::Continue },
-            )
+            .run_with(spec, &mut NoFailures, &mut NoopObserver, |c| {
+                if c >= 2 {
+                    RunControl::Pause
+                } else {
+                    RunControl::Continue
+                }
+            })
             .unwrap();
         assert!(matches!(status, RunStatus::Paused { cycle: 2 }));
         let status = std::thread::scope(|s| {
             s.spawn(|| {
-                m.run_pooled_isolated_controlled(
-                    &mut NoFailures,
-                    RunLimits::default(),
-                    &pool,
-                    PanicPolicy::Surface,
-                    &mut NoopObserver,
-                    |_| RunControl::Continue,
-                )
-                .unwrap()
+                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue)
+                    .unwrap()
             })
             .join()
             .unwrap()
@@ -1198,7 +1084,9 @@ mod tests {
     fn cycle_limit_is_enforced() {
         let prog = Counter { n: 1, target: 1_000 };
         let mut m = Machine::new(&prog, 1, CycleBudget::PAPER).unwrap();
-        let err = m.run_with_limits(&mut NoFailures, RunLimits { max_cycles: 10 }).unwrap_err();
+        let err = m
+            .run_observed(&mut NoFailures, RunLimits { max_cycles: 10 }, &mut NoopObserver)
+            .unwrap_err();
         assert_eq!(err, PramError::CycleLimit { cycles: 10 });
     }
 
@@ -1272,40 +1160,46 @@ mod tests {
         ));
     }
 
+    /// Every row of `run_with`'s backend table — each exec mode, with and
+    /// without a panic policy — produces the sequential engine's event
+    /// stream, stats, failure pattern and memory, and `Threads(0)` is
+    /// rejected.
     #[test]
-    fn threaded_run_matches_sequential() {
+    fn every_run_spec_matches_sequential() {
+        use crate::trace::TraceRecorder;
+
         let prog = Counter { n: 16, target: 5 };
-        let mut seq = Machine::new(&prog, 16, CycleBudget::PAPER).unwrap();
-        let seq_report = seq.run(&mut OneHiccup).unwrap();
-        let mut par = Machine::new(&prog, 16, CycleBudget::PAPER).unwrap();
-        let par_report = par.run_threaded(&mut OneHiccup, RunLimits::default(), 4).unwrap();
-        assert_eq!(seq_report.stats, par_report.stats);
-        assert_eq!(seq_report.pattern, par_report.pattern);
-        assert_eq!(seq.memory().as_slice(), par.memory().as_slice());
-    }
-
-    /// `threads == 1` routes to the sequential tentative phase (no pool)
-    /// and reports identical stats.
-    #[test]
-    fn single_threaded_run_matches_sequential() {
-        let prog = Counter { n: 8, target: 4 };
-        let mut seq = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-        let seq_report = seq.run(&mut OneHiccup).unwrap();
-        let mut one = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-        let one_report = one.run_threaded(&mut OneHiccup, RunLimits::default(), 1).unwrap();
-        assert_eq!(seq_report.stats, one_report.stats);
-        assert_eq!(seq_report.pattern, one_report.pattern);
-        assert_eq!(seq.memory().as_slice(), one.memory().as_slice());
-    }
-
-    #[test]
-    fn threaded_run_rejects_zero_threads() {
-        let prog = Counter { n: 2, target: 1 };
-        let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
-        assert!(matches!(
-            m.run_threaded(&mut NoFailures, RunLimits::default(), 0),
-            Err(PramError::InvalidConfig { .. })
-        ));
+        let run = |spec: RunSpec<'_>| {
+            let mut m = Machine::new(&prog, 16, CycleBudget::PAPER).unwrap();
+            let mut trace = TraceRecorder::unbounded();
+            let status = m.run_with(spec, &mut OneHiccup, &mut trace, |_| RunControl::Continue);
+            let report = completed(status)?;
+            Ok::<_, PramError>((trace.to_jsonl(), report, m.memory().as_slice().to_vec()))
+        };
+        let (trace, report, mem) = run(RunSpec::default()).unwrap();
+        assert!(!report.pattern.is_empty(), "the adversary failed and restarted P1");
+        let pool = SharedPool::new(2).unwrap();
+        let execs = [
+            ExecMode::Sequential,
+            ExecMode::Threads(1),
+            ExecMode::Threads(3),
+            ExecMode::Pool(&pool),
+        ];
+        let panics = [None, Some(PanicPolicy::Surface), Some(PanicPolicy::FallbackSequential)];
+        for exec in execs {
+            for panic in panics {
+                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
+                let (row_trace, row_report, row_mem) = run(spec).unwrap();
+                assert_eq!(row_trace, trace, "{spec:?}: event stream");
+                assert_eq!(row_report.stats, report.stats, "{spec:?}: stats");
+                assert_eq!(row_report.pattern, report.pattern, "{spec:?}: failure pattern");
+                assert_eq!(row_mem, mem, "{spec:?}: memory");
+            }
+        }
+        for panic in panics {
+            let spec = RunSpec { exec: ExecMode::Threads(0), panic, limits: RunLimits::default() };
+            assert!(matches!(run(spec), Err(PramError::InvalidConfig { .. })), "{spec:?}");
+        }
     }
 
     /// Counter with an incremental completion hint: cell `i` is satisfied
@@ -1420,6 +1314,11 @@ mod tests {
         }
     }
 
+    /// A 4-worker private pool with per-processor panic isolation.
+    fn isolated(policy: PanicPolicy) -> RunSpec<'static> {
+        RunSpec { exec: ExecMode::Threads(4), panic: Some(policy), limits: RunLimits::default() }
+    }
+
     fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -1445,15 +1344,13 @@ mod tests {
                 fired: std::sync::atomic::AtomicBool::new(false),
             };
             let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
-            let report = m
-                .run_threaded_isolated(
-                    &mut NoFailures,
-                    RunLimits::default(),
-                    4,
-                    PanicPolicy::FallbackSequential,
-                    &mut NoopObserver,
-                )
-                .unwrap();
+            let report = completed(m.run_with(
+                isolated(PanicPolicy::FallbackSequential),
+                &mut NoFailures,
+                &mut NoopObserver,
+                |_| RunControl::Continue,
+            ))
+            .unwrap();
             assert!(trapped.fired.load(std::sync::atomic::Ordering::SeqCst));
             assert_eq!(report.stats, expected.stats);
             assert_eq!(report.per_processor, expected.per_processor);
@@ -1481,12 +1378,11 @@ mod tests {
                 fired: std::sync::atomic::AtomicBool::new(false),
             };
             let mut m = Machine::with_layout(&trapped, 8, CycleBudget::PAPER, layout).unwrap();
-            m.run_threaded_isolated(
+            m.run_with(
+                isolated(PanicPolicy::FallbackSequential),
                 &mut NoFailures,
-                RunLimits::default(),
-                4,
-                PanicPolicy::FallbackSequential,
                 &mut NoopObserver,
+                |_| RunControl::Continue,
             )
             .unwrap();
             assert!(trapped.fired.load(std::sync::atomic::Ordering::SeqCst));
@@ -1510,12 +1406,11 @@ mod tests {
             };
             let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
             let err = m
-                .run_threaded_isolated(
+                .run_with(
+                    isolated(PanicPolicy::Surface),
                     &mut NoFailures,
-                    RunLimits::default(),
-                    4,
-                    PanicPolicy::Surface,
                     &mut NoopObserver,
+                    |_| RunControl::Continue,
                 )
                 .unwrap_err();
             assert!(
@@ -1565,7 +1460,7 @@ mod tests {
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let mut trace1 = TraceRecorder::unbounded();
         let status = first
-            .run_controlled(&mut adv1, RunLimits::default(), &mut trace1, |cycle| {
+            .run_with(RunSpec::default(), &mut adv1, &mut trace1, |cycle| {
                 if cycle == 2 {
                     RunControl::Pause
                 } else {
@@ -1604,7 +1499,7 @@ mod tests {
         let prog = Counter { n: 4, target: 3 };
         let mut m = Machine::new(&prog, 4, CycleBudget::PAPER).unwrap();
         let status = m
-            .run_controlled(&mut NoFailures, RunLimits::default(), &mut NoopObserver, |c| {
+            .run_with(RunSpec::default(), &mut NoFailures, &mut NoopObserver, |c| {
                 if c == 1 {
                     RunControl::Pause
                 } else {

@@ -1,7 +1,7 @@
 //! The persistent tick pool behind the threaded engine.
 //!
-//! [`Machine::run_threaded`](crate::Machine::run_threaded) used to spawn a
-//! fresh set of scoped OS threads **every tick**; at millions of ticks per
+//! The threaded engine of [`Machine::run_with`](crate::Machine::run_with)
+//! used to spawn a fresh set of scoped OS threads **every tick**; at millions of ticks per
 //! run the spawn/join cost dominated. [`TickPool`] replaces that with
 //! long-lived workers created once per run:
 //!

@@ -24,7 +24,7 @@
 //! word machine runs. That buys the snapshot machine everything the word
 //! engine had grown separately: [`Observer`] event streams
 //! ([`SnapshotMachine::run_observed`]), pausable runs
-//! ([`SnapshotMachine::run_controlled`]) and versioned checkpoint
+//! ([`SnapshotMachine::run_with`]) and versioned checkpoint
 //! save/restore — all byte-identical in behavior to the pre-unification
 //! engine (pinned by `tests/golden_equivalence.rs`).
 //!
@@ -47,7 +47,8 @@ use crate::adversary::{Adversary, TentativeCycle};
 use crate::checkpoint::Checkpoint;
 use crate::cycle::{Step, WriteSet};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{Core, ExecutionModel, RunControl, RunLimits, RunStatus, SeqBackend};
+use crate::exec::{completed, Core, ExecutionModel, RunControl, RunLimits, RunStatus, SeqBackend};
+use crate::machine::RunSpec;
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
 use crate::trace::{NoopObserver, Observer};
@@ -412,33 +413,19 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         self.core.cycle
     }
 
-    /// Run to completion under `adversary`.
+    /// Run to completion under `adversary` with default [`RunLimits`].
     ///
     /// # Errors
     ///
     /// See [`PramError`].
     pub fn run<A: Adversary>(&mut self, adversary: &mut A) -> Result<RunReport> {
-        self.run_with_limits(adversary, RunLimits::default())
+        self.run_observed(adversary, RunLimits::default(), &mut NoopObserver)
     }
 
-    /// Run with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_with_limits<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-    ) -> Result<RunReport> {
-        self.run_observed(adversary, limits, &mut NoopObserver)
-    }
-
-    /// Like [`SnapshotMachine::run_with_limits`], streaming every machine
-    /// event — cycle completions, failures, restarts, committed writes — to
-    /// `observer` (see [`crate::trace`]). The event vocabulary is shared
-    /// with the word machine, so one trace/telemetry pipeline serves both
-    /// models.
+    /// Run to completion, streaming every machine event — cycle
+    /// completions, failures, restarts, committed writes — to `observer`
+    /// (see [`crate::trace`]). The event vocabulary is shared with the
+    /// word machine, so one trace/telemetry pipeline serves both models.
     ///
     /// # Errors
     ///
@@ -449,27 +436,30 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         limits: RunLimits,
         observer: &mut dyn Observer,
     ) -> Result<RunReport> {
-        let SnapshotMachine { model, core } = self;
-        core.run_to_completion(model, adversary, limits, observer, &mut SeqBackend)
+        let spec = RunSpec { limits, ..RunSpec::default() };
+        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
     }
 
-    /// Run under `adversary` until completion **or** until `control`
-    /// requests a pause at a tick boundary — the snapshot counterpart of
-    /// [`Machine::run_controlled`](crate::Machine::run_controlled), with
-    /// the same pause/checkpoint/resume contract.
+    /// Run until completion **or** until `control` requests a pause at a
+    /// tick boundary — the snapshot counterpart of
+    /// [`Machine::run_with`](crate::Machine::run_with), with the same
+    /// pause/checkpoint/resume contract. The snapshot engine is
+    /// sequential-only and plays no processor under `catch_unwind`, so
+    /// every spec runs on the sequential engine and only `spec.limits` is
+    /// honoured.
     ///
     /// # Errors
     ///
     /// See [`PramError`].
-    pub fn run_controlled<A: Adversary>(
+    pub fn run_with<A: Adversary + ?Sized>(
         &mut self,
+        spec: RunSpec<'_>,
         adversary: &mut A,
-        limits: RunLimits,
         observer: &mut dyn Observer,
         control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus> {
         let SnapshotMachine { model, core } = self;
-        core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control)
+        core.run_loop(model, adversary, spec.limits, observer, &mut SeqBackend, control)
     }
 
     /// Execute exactly one tick under `adversary` (no completion check).
@@ -493,7 +483,7 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         adversary: &mut A,
         observer: &mut dyn Observer,
     ) -> Result<()> {
-        self.core.tick_observed(&self.model, adversary, observer)
+        self.core.tick(&self.model, adversary, observer, &mut SeqBackend)
     }
 }
 
@@ -512,7 +502,7 @@ where
     /// # Errors
     ///
     /// [`PramError::Checkpoint`] if the adversary is not checkpointable.
-    pub fn save_checkpoint<A: Adversary>(&self, adversary: &A) -> Result<Checkpoint> {
+    pub fn save_checkpoint<A: Adversary + ?Sized>(&self, adversary: &A) -> Result<Checkpoint> {
         self.core.save_checkpoint(&self.model, adversary)
     }
 
@@ -526,7 +516,7 @@ where
     /// [`PramError::Checkpoint`] on a version, model or shape mismatch, an
     /// undecodable private state, an illegal recorded failure pattern, or
     /// an adversary that refuses the saved state.
-    pub fn restore_checkpoint<A: Adversary>(
+    pub fn restore_checkpoint<A: Adversary + ?Sized>(
         &mut self,
         ck: &Checkpoint,
         adversary: &mut A,

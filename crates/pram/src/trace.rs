@@ -3,15 +3,14 @@
 //! An [`Observer`] receives every semantically meaningful event of a run —
 //! cycle completions, interruptions, failures, restarts, committed writes,
 //! completion — letting tools trace, visualize or cross-check executions
-//! without touching the accounting. Three observers ship with the crate:
+//! without touching the accounting. Two observers ship with the crate:
 //!
-//! * [`TraceLog`] — the original recorder: keeps a prefix of the event
-//!   stream plus running totals; the totals are checked against
-//!   [`WorkStats`](crate::WorkStats) in the test suite, giving the
-//!   accounting an independent witness.
 //! * [`TraceRecorder`] — a bounded **ring buffer**: keeps the most recent
 //!   `cap` events (the interesting tail of a long run) while totals keep
 //!   counting, and exports the stream as JSONL for replay comparison.
+//!   Per-kind counts over an unbounded recording are checked against
+//!   [`WorkStats`](crate::WorkStats) in the test suite, giving the
+//!   accounting an independent witness.
 //! * [`MetricsObserver`] — folds the event stream into a per-tick
 //!   [`TickMetrics`] time series (alive processors, completions,
 //!   failures, restarts, commits, cumulative `S`, `S'` and `|F|`), the
@@ -19,11 +18,10 @@
 //!   `rfsp trace` subcommand. The finished [`RunSeries`] exports as JSON,
 //!   JSONL or CSV via serde.
 //!
-//! Both engines emit the identical stream for identical runs: the
-//! threaded backend ([`Machine::run_threaded_observed`]
-//! (crate::Machine::run_threaded_observed)) shares the sequential
-//! engine's observed run loop, which the test suite pins with a
-//! byte-identical JSONL comparison under a replayed failure pattern.
+//! Every engine emits the identical stream for identical runs: each row of
+//! [`Machine::run_with`](crate::Machine::run_with)'s backend table shares
+//! the one run loop, which the test suite pins with a byte-identical JSONL
+//! comparison under a replayed failure pattern.
 
 use std::collections::VecDeque;
 
@@ -110,58 +108,6 @@ impl Observer for Tee<'_> {
     fn event(&mut self, event: TraceEvent) {
         self.0.event(event);
         self.1.event(event);
-    }
-}
-
-/// Records events into memory, with an optional cap to bound memory use on
-/// long runs (older events are NOT evicted; recording simply stops — the
-/// totals keep counting).
-#[derive(Clone, Debug, Default)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
-    cap: Option<usize>,
-    /// Total completions seen (even past the cap).
-    pub completions: u64,
-    /// Total interruptions seen.
-    pub interruptions: u64,
-    /// Total failures seen.
-    pub failures: u64,
-    /// Total restarts seen.
-    pub restarts: u64,
-    /// Total committed writes seen.
-    pub commits: u64,
-}
-
-impl TraceLog {
-    /// Unbounded recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record at most `cap` events (counters keep running past it).
-    pub fn with_capacity_limit(cap: usize) -> Self {
-        TraceLog { cap: Some(cap), ..Self::default() }
-    }
-
-    /// The recorded events, in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-}
-
-impl Observer for TraceLog {
-    fn event(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::CycleCompleted { .. } => self.completions += 1,
-            TraceEvent::CycleInterrupted { .. } => self.interruptions += 1,
-            TraceEvent::Failure { .. } => self.failures += 1,
-            TraceEvent::Restart { .. } => self.restarts += 1,
-            TraceEvent::Commit { .. } => self.commits += 1,
-            TraceEvent::TickStart { .. } | TraceEvent::Completed { .. } => {}
-        }
-        if self.cap.is_none_or(|c| self.events.len() < c) {
-            self.events.push(event);
-        }
     }
 }
 
@@ -551,19 +497,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tracelog_counts_and_caps() {
-        let mut log = TraceLog::with_capacity_limit(2);
-        log.event(TraceEvent::TickStart { cycle: 0 });
-        log.event(TraceEvent::CycleCompleted { cycle: 0, pid: Pid(0) });
-        log.event(TraceEvent::Commit { cycle: 0, addr: 3, value: 1 });
-        log.event(TraceEvent::CycleInterrupted { cycle: 0, pid: Pid(1) });
-        assert_eq!(log.events().len(), 2, "capped");
-        assert_eq!(log.completions, 1);
-        assert_eq!(log.commits, 1);
-        assert_eq!(log.interruptions, 1);
-    }
-
-    #[test]
     fn recorder_evicts_oldest() {
         let mut rec = TraceRecorder::with_capacity(2);
         rec.event(TraceEvent::TickStart { cycle: 0 });
@@ -707,14 +640,14 @@ mod tests {
 
     #[test]
     fn tee_duplicates_events() {
-        let mut a = TraceLog::new();
+        let mut a = TraceRecorder::unbounded();
         let mut b = TraceRecorder::unbounded();
         {
             let mut tee = Tee(&mut a, &mut b);
             tee.event(TraceEvent::TickStart { cycle: 0 });
             tee.event(TraceEvent::CycleCompleted { cycle: 0, pid: Pid(0) });
         }
-        assert_eq!(a.events().len(), 2);
+        assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
     }
 }

@@ -10,15 +10,23 @@
 //! with the number of ticks — including with the adaptive inline degrade
 //! disabled, so the spin-then-park barrier, the per-worker commit
 //! buffers and the sharded index rebuild are all inside the measurement.
+//!
+//! The sequential and snapshot engines run wholly on the calling thread,
+//! so their measurements read a per-thread counter: the test harness's
+//! own threads allocate at any moment and must not leak into a window
+//! that has to stay at exactly zero. The pooled measurements read the
+//! process-wide counter, because worker-thread allocations are what they
+//! measure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, CycleBudget, LayoutBuilder, Machine, NoFailures, Pid, Program, ReadSet, Region,
-    RunLimits, SharedMemory, Step, Word, WriteSet,
+    CompletionHint, CycleBudget, LayoutBuilder, Machine, NoFailures, NoopObserver, Pid, Program,
+    ReadSet, Region, RunLimits, SharedMemory, Step, Word, WriteSet,
 };
 
 /// [`Grind`] with completion hints, so the pooled run builds the
@@ -62,11 +70,28 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter has no side effects
-// on the returned memory.
+thread_local! {
+    // Const-initialized with no destructor, so the allocator can bump it
+    // without allocating or registering anything itself.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation, process-wide and on the calling thread.
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: delegates verbatim to `System`; the counters have no side
+// effects on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -75,7 +100,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -83,9 +108,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the two measurements so neither sees the other's heap
-/// traffic (libtest may run them on separate threads).
+/// Serializes the measurements so none sees another's heap traffic
+/// (libtest may run them on separate threads). A failed test poisons the
+/// lock; the others take it anyway, so one failure stays one failure.
 static MEASURE: Mutex<()> = Mutex::new(());
+
+fn measure_lock() -> std::sync::MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Each processor increments its own cell once per tick until every cell
 /// reaches `target`: the run lasts exactly `target` full-width ticks.
@@ -118,7 +148,7 @@ impl Program for Grind {
 
 #[test]
 fn sequential_steady_state_ticks_do_not_allocate() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure_lock();
     let p = 16;
     let prog = Grind { n: p, target: 1 << 20 };
     let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
@@ -127,11 +157,11 @@ fn sequential_steady_state_ticks_do_not_allocate() {
     for _ in 0..8 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..64 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "sequential steady-state ticks allocated {delta} times");
 }
 
@@ -185,7 +215,7 @@ impl SnapshotProgram for SnapWriteAll {
 
 #[test]
 fn snapshot_steady_state_ticks_do_not_allocate() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure_lock();
     let p = 16;
     // 80 full-width ticks of work: warm-up (8) + measurement (64) stay
     // strictly inside the run, and every tick commits p index removals
@@ -198,24 +228,25 @@ fn snapshot_steady_state_ticks_do_not_allocate() {
     for _ in 0..8 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..64 {
         m.tick(&mut NoFailures).unwrap();
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "snapshot steady-state ticks allocated {delta} times");
 }
 
 #[test]
 fn pooled_allocations_do_not_grow_with_tick_count() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure_lock();
     let p = 16;
     let threads = 3;
     let measure = |target: Word| {
         let prog = Grind { n: p, target };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).unwrap();
+        m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
+            .unwrap();
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
     let short = measure(16);
@@ -240,7 +271,7 @@ fn pooled_allocations_do_not_grow_with_tick_count() {
 /// tick count.
 #[test]
 fn forced_parallel_commit_allocations_do_not_grow_with_tick_count() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure_lock();
     std::env::set_var("RFSP_POOL_INLINE_NS", "0");
     let p = 16;
     let threads = 3;
@@ -248,7 +279,8 @@ fn forced_parallel_commit_allocations_do_not_grow_with_tick_count() {
         let prog = HintedGrind { n: p, target };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        m.run_threaded(&mut NoFailures, RunLimits::default(), threads).unwrap();
+        m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
+            .unwrap();
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
     let short = measure(16);

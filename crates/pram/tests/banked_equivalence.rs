@@ -12,8 +12,9 @@ use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
     Checkpoint, CompletionHint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern,
-    Machine, MemoryLayout, Pid, PramError, Program, ReadSet, RunControl, RunLimits, RunReport,
-    RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WriteSet,
+    Machine, MemoryLayout, NoopObserver, Pid, PramError, Program, ReadSet, RunControl, RunLimits,
+    RunReport, RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
+    WriteSet,
 };
 
 /// Per-processor increment grind (same shape as `properties.rs`).
@@ -241,14 +242,14 @@ proptest! {
 
         let mut straight = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
         let report_s = straight
-            .run_with_limits(&mut ScheduledAdversary::new(pattern.clone()), limits)
+            .run_observed(&mut ScheduledAdversary::new(pattern.clone()), limits, &mut NoopObserver)
             .unwrap();
 
         let mut first = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let status = first
-            .run_controlled(&mut adv1, limits, &mut rfsp_pram::NoopObserver, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+            .run_with(RunSpec { limits, ..RunSpec::default() }, &mut adv1, &mut NoopObserver, |c| {
+                if c >= pause_at { RunControl::Pause } else { RunControl::Continue }
             })
             .unwrap();
 
@@ -264,7 +265,7 @@ proptest! {
                 let mut second = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
                 let mut adv2 = ScheduledAdversary::new(pattern.clone());
                 second.restore_checkpoint(&ck, &mut adv2).unwrap();
-                let report = second.run_with_limits(&mut adv2, limits).unwrap();
+                let report = second.run_observed(&mut adv2, limits, &mut NoopObserver).unwrap();
                 (report, second.memory().to_vec(), second.memory().bank_counters())
             }
         };
@@ -286,7 +287,7 @@ fn cross_layout_restore_is_refused() {
     let mut banked = Machine::with_layout(&prog, 4, CycleBudget::PAPER, layout).unwrap();
     let mut adv = ScheduledAdversary::new(FailurePattern::new());
     let status = banked
-        .run_controlled(&mut adv, RunLimits::default(), &mut rfsp_pram::NoopObserver, |cycle| {
+        .run_with(RunSpec::default(), &mut adv, &mut NoopObserver, |cycle| {
             if cycle >= 1 {
                 RunControl::Pause
             } else {

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use rfsp_pram::{
     Checkpoint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine, Pid,
-    Program, ReadSet, RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step,
-    TraceRecorder, Word, WriteSet,
+    Program, ReadSet, RunControl, RunLimits, RunSpec, RunStatus, ScheduledAdversary, SharedMemory,
+    Step, TraceRecorder, Word, WriteSet,
 };
 
 /// A Write-All-ish grind with *nontrivial private state*: each processor
@@ -115,8 +115,8 @@ proptest! {
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let mut trace_a = TraceRecorder::unbounded();
         let status = first
-            .run_controlled(&mut adv1, limits, &mut trace_a, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+            .run_with(RunSpec { limits, ..RunSpec::default() }, &mut adv1, &mut trace_a, |c| {
+                if c >= pause_at { RunControl::Pause } else { RunControl::Continue }
             })
             .unwrap();
 

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rfsp_pram::{
-    CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Machine, Pid,
-    Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
-    WriteMode, WriteSet,
+    CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Machine,
+    NoopObserver, Pid, Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step,
+    TraceRecorder, Word, WriteMode, WriteSet,
 };
 
 proptest! {
@@ -140,7 +140,7 @@ proptest! {
         }
         let mut adv = ScheduledAdversary::new(pattern);
         let report = m
-            .run_with_limits(&mut adv, RunLimits { max_cycles: 1_000_000 })
+            .run_observed(&mut adv, RunLimits { max_cycles: 1_000_000 }, &mut NoopObserver)
             .unwrap();
         for i in 0..p {
             prop_assert!(m.memory().peek(i) >= target);

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
     Checkpoint, CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, Pid,
-    RunControl, RunLimits, RunStatus, ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word,
-    WriteSet,
+    RunControl, RunLimits, RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step,
+    TraceRecorder, Word, WriteSet,
 };
 
 /// Indexed snapshot Write-All with *nontrivial private state*: each
@@ -124,8 +124,8 @@ proptest! {
         let mut adv1 = ScheduledAdversary::new(pattern.clone());
         let mut trace_a = TraceRecorder::unbounded();
         let status = first
-            .run_controlled(&mut adv1, limits, &mut trace_a, |cycle| {
-                if cycle >= pause_at { RunControl::Pause } else { RunControl::Continue }
+            .run_with(RunSpec { limits, ..RunSpec::default() }, &mut adv1, &mut trace_a, |c| {
+                if c >= pause_at { RunControl::Pause } else { RunControl::Continue }
             })
             .unwrap();
 

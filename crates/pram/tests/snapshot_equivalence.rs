@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use rfsp_pram::snapshot::reference::ReferenceSnapshotMachine;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Pid,
-    Region, RunLimits, ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
+    CompletionHint, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder,
+    NoopObserver, Pid, Region, RunLimits, ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
 };
 
 /// Snapshot Write-All with an irregular (but deterministic) assignment
@@ -130,7 +130,7 @@ proptest! {
 
         let mut machine = SnapshotMachine::new(&prog, p, 1).unwrap();
         let new = machine
-            .run_with_limits(&mut ScheduledAdversary::new(pattern), limits)
+            .run_observed(&mut ScheduledAdversary::new(pattern), limits, &mut NoopObserver)
             .unwrap();
 
         prop_assert_eq!(old.outcome, new.outcome);

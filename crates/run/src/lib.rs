@@ -45,10 +45,13 @@ pub use atomic::write_atomic;
 pub use checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 pub use config::{build_adversary, RunConfig};
 pub use events::{count_tick_starts, EventLog};
-pub use host::{ExecMode, RunHost};
+pub use host::RunHost;
 pub use protocol::{
     read_line, read_request, write_line, JobInfo, JobState, Request, Response, MAX_REQUEST_BYTES,
 };
+/// The tick-engine choice a [`RunSession`] runs on, re-exported from
+/// [`rfsp_pram`] so session callers need not name that crate.
+pub use rfsp_pram::ExecMode;
 pub use sched::Scheduler;
 pub use session::{run_with_cut, CutOutcome, PauseFlow, PauseInfo, RunSession, SessionEnd};
 pub use spool::{DoneMarker, Spool, SpoolJob};

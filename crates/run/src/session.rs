@@ -6,9 +6,9 @@
 //! CLI, the soak harness, and the `rfsp serve` daemon all drive the exact
 //! same code:
 //!
-//! 1. run an armored segment until the policy's next checkpoint is due, a
-//!    caller pause fires (SIGINT, preemption quantum, cancellation), or
-//!    the run completes;
+//! 1. run a panic-isolated segment until the policy's next checkpoint is
+//!    due, a caller pause fires (SIGINT, preemption quantum,
+//!    cancellation), or the run completes;
 //! 2. at each pause, flush the events log and — when the cadence or an
 //!    external pause demands it — publish a durable checkpoint atomically;
 //! 3. hand control to the caller (`on_pause`), who may stop the session
@@ -20,14 +20,14 @@
 use std::time::Instant;
 
 use rfsp_pram::{
-    Adversary, Observer, PolicyEngine, PolicyKind, PramError, RunLimits, RunReport, RunStatus,
-    SharedMemory, Tee, WastedWork,
+    Adversary, ExecMode, NoopObserver, Observer, PolicyEngine, PolicyKind, PramError, RunControl,
+    RunLimits, RunReport, RunSpec, RunStatus, SharedMemory, Tee, WastedWork,
 };
 
 use crate::checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 use crate::config::{build_adversary, RunConfig};
 use crate::events::EventLog;
-use crate::host::{ExecMode, RunHost};
+use crate::host::RunHost;
 use crate::{machine_err, RunError};
 use serde::Serialize as _;
 
@@ -228,26 +228,19 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             // Whether the segment's pause was externally requested (such
             // pauses force a checkpoint and are reported to `on_pause`).
             let mut external = false;
-            let policy = self.engine.panic_policy();
+            let spec = RunSpec { exec: self.exec, panic: Some(self.engine.panic_policy()), limits };
             let status = {
                 let mut inner = Tee(&mut self.events, &mut self.engine);
                 let mut observer = Tee(&mut inner, telemetry);
-                self.machine.host_run_armored(
-                    &mut *self.adversary,
-                    limits,
-                    self.exec,
-                    policy,
-                    &mut observer,
-                    &mut |cycle| {
-                        let ext = pause_when(cycle);
-                        if (ext || (cadence && cycle >= due_at)) && lp != Some(cycle) {
-                            external = ext;
-                            rfsp_pram::RunControl::Pause
-                        } else {
-                            rfsp_pram::RunControl::Continue
-                        }
-                    },
-                )
+                self.machine.host_run(spec, &mut *self.adversary, &mut observer, &mut |cycle| {
+                    let ext = pause_when(cycle);
+                    if (ext || (cadence && cycle >= due_at)) && lp != Some(cycle) {
+                        external = ext;
+                        RunControl::Pause
+                    } else {
+                        RunControl::Continue
+                    }
+                })
             };
             let status = match status {
                 Ok(status) => status,
@@ -286,7 +279,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
         }
         let started = Instant::now();
         let mut machine_ck =
-            self.machine.host_save_checkpoint(&self.adversary).map_err(|e| machine_err(&e))?;
+            self.machine.host_save_checkpoint(&*self.adversary).map_err(|e| machine_err(&e))?;
         // Feed the cost model the machine snapshot alone (policy field
         // still Null): a pure function of machine state, identical in a
         // resumed and an uninterrupted run.
@@ -380,13 +373,14 @@ pub fn run_with_cut<M: RunHost>(
     kill_at: u64,
     policy: Option<PolicyKind>,
 ) -> Result<CutOutcome<M>, PramError> {
+    let spec = RunSpec { limits, ..RunSpec::default() };
     let mut ref_engine = policy.map(PolicyEngine::new);
     if let Some(engine) = &mut ref_engine {
         // Uninterrupted run with the engine observing: the
         // decision-stream reference.
         let mut straight = build()?;
         let mut adv = make_adversary();
-        straight.host_run(&mut *adv, limits, engine)?;
+        straight.host_run(spec, &mut *adv, engine, &mut |_| RunControl::Continue)?;
     }
 
     let mut first = build()?;
@@ -396,19 +390,14 @@ pub fn run_with_cut<M: RunHost>(
     let mut control = |cycle: u64| {
         if armed && cycle >= kill_at {
             armed = false;
-            rfsp_pram::RunControl::Pause
+            RunControl::Pause
         } else {
-            rfsp_pram::RunControl::Continue
+            RunControl::Continue
         }
     };
     let status = match &mut engine {
-        Some(e) => first.host_run_controlled(&mut *adv, limits, e, &mut control)?,
-        None => first.host_run_controlled(
-            &mut *adv,
-            limits,
-            &mut rfsp_pram::NoopObserver,
-            &mut control,
-        )?,
+        Some(e) => first.host_run(spec, &mut *adv, e, &mut control)?,
+        None => first.host_run(spec, &mut *adv, &mut NoopObserver, &mut control)?,
     };
     match status {
         // Finished before the kill tick: nothing to resume.
@@ -435,9 +424,13 @@ pub fn run_with_cut<M: RunHost>(
                 e.restore_state(&ck.policy)?;
             }
             second.host_restore_checkpoint(&ck, &mut *adv2)?;
-            let report = match &mut resumed_engine {
-                Some(e) => second.host_run(&mut *adv2, limits, e)?,
-                None => second.host_run(&mut *adv2, limits, &mut rfsp_pram::NoopObserver)?,
+            let mut to_end = |_| RunControl::Continue;
+            let status = match &mut resumed_engine {
+                Some(e) => second.host_run(spec, &mut *adv2, e, &mut to_end)?,
+                None => second.host_run(spec, &mut *adv2, &mut NoopObserver, &mut to_end)?,
+            };
+            let RunStatus::Completed(report) = status else {
+                unreachable!("the control callback never pauses")
             };
             let policy_states = match (&ref_engine, &resumed_engine) {
                 (Some(r), Some(g)) => Some((

@@ -5,7 +5,7 @@
 
 use rfsp_adversary::RandomFaults;
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
-use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, PolicyKind, RunLimits};
+use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, NoopObserver, PolicyKind, RunLimits};
 use rfsp_run::{
     run_with_cut, ExecMode, PauseFlow, RunConfig, RunSession, SessionCheckpoint, SessionEnd,
 };
@@ -53,7 +53,7 @@ fn drive(cfg: &RunConfig, kill_at: Option<u64>, resume: bool) -> bool {
         .run(
             &mut |cycle| kill_at.is_some_and(|k| cycle >= k),
             &mut |pause| if pause.external { PauseFlow::Stop } else { PauseFlow::Continue },
-            &mut rfsp_pram::NoopObserver,
+            &mut NoopObserver,
         )
         .unwrap();
     match end {
@@ -103,8 +103,9 @@ fn run_with_cut_matches_a_straight_run() {
     let limits = RunLimits::default();
 
     let mut straight = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-    let straight_report =
-        straight.run_with_limits(&mut RandomFaults::new(0.2, 0.6, 11), limits).unwrap();
+    let straight_report = straight
+        .run_observed(&mut RandomFaults::new(0.2, 0.6, 11), limits, &mut NoopObserver)
+        .unwrap();
 
     let outcome = run_with_cut(
         || Machine::new(&prog, 8, CycleBudget::PAPER),

@@ -10,7 +10,9 @@
 
 use rfsp::adversary::{Pigeonhole, RandomFaults, Thrashing, XKiller};
 use rfsp::core::{AlgoV, AlgoW, AlgoX, Interleaved, WriteAllTasks, XOptions};
-use rfsp::pram::{Adversary, CycleBudget, LayoutBuilder, Machine, NoFailures, RunLimits};
+use rfsp::pram::{
+    Adversary, CycleBudget, LayoutBuilder, Machine, NoFailures, NoopObserver, RunLimits,
+};
 
 const N: usize = 512;
 const P: usize = 512;
@@ -41,7 +43,7 @@ fn cell(
             let prog = AlgoX::new(&mut layout, tasks, P, XOptions::default());
             let mut adv = mk_adv(&tasks, Some(*prog.layout()), Some(prog.tree()));
             let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, RunLimits::default()).expect("run");
+            let r = m.run_observed(&mut adv, RunLimits::default(), &mut NoopObserver).expect("run");
             assert!(tasks.all_written(m.memory()));
             r.stats.completed_work()
         }
@@ -49,7 +51,7 @@ fn cell(
             let prog = AlgoV::new(&mut layout, tasks, P);
             let mut adv = mk_adv(&tasks, None, None);
             let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, RunLimits::default()).expect("run");
+            let r = m.run_observed(&mut adv, RunLimits::default(), &mut NoopObserver).expect("run");
             assert!(tasks.all_written(m.memory()));
             r.stats.completed_work()
         }
@@ -57,7 +59,7 @@ fn cell(
             let prog = AlgoW::new(&mut layout, tasks, P);
             let mut adv = mk_adv(&tasks, None, None);
             let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, RunLimits::default()).expect("run");
+            let r = m.run_observed(&mut adv, RunLimits::default(), &mut NoopObserver).expect("run");
             assert!(tasks.all_written(m.memory()));
             r.stats.completed_work()
         }
@@ -66,7 +68,7 @@ fn cell(
             let mut adv = mk_adv(&tasks, Some(*prog.x_half().layout()), Some(prog.x_half().tree()));
             let budget = prog.required_budget();
             let mut m = Machine::new(&prog, P, budget).expect("machine");
-            let r = m.run_with_limits(&mut adv, RunLimits::default()).expect("run");
+            let r = m.run_observed(&mut adv, RunLimits::default(), &mut NoopObserver).expect("run");
             assert!(tasks.all_written(m.memory()));
             r.stats.completed_work()
         }

@@ -11,7 +11,7 @@
 
 use rfsp::adversary::{Stalking, StalkingMode};
 use rfsp::core::{AccOptions, AlgoAcc, AlgoX, WriteAllTasks, XOptions};
-use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, PramError, RunLimits};
+use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, NoopObserver, PramError, RunLimits};
 
 const N: usize = 32;
 const P: usize = 6;
@@ -23,7 +23,7 @@ fn stalk_x(mode: StalkingMode) -> String {
     let prog = AlgoX::new(&mut layout, tasks, P, XOptions::default());
     let mut adv = Stalking::new(tasks.x(), N - 1, mode);
     let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-    match m.run_with_limits(&mut adv, RunLimits { max_cycles: LIMIT }) {
+    match m.run_observed(&mut adv, RunLimits { max_cycles: LIMIT }, &mut NoopObserver) {
         Ok(r) => {
             format!("S = {:>8}  |F| = {:>6}", r.stats.completed_work(), r.stats.pattern_size())
         }
@@ -38,7 +38,7 @@ fn stalk_acc(mode: StalkingMode, seed: u64) -> String {
     let prog = AlgoAcc::new(&mut layout, tasks, AccOptions { seed });
     let mut adv = Stalking::new(tasks.x(), N - 1, mode);
     let mut m = Machine::new(&prog, P, CycleBudget::PAPER).expect("machine");
-    match m.run_with_limits(&mut adv, RunLimits { max_cycles: LIMIT }) {
+    match m.run_observed(&mut adv, RunLimits { max_cycles: LIMIT }, &mut NoopObserver) {
         Ok(r) => {
             format!("S = {:>8}  |F| = {:>6}", r.stats.completed_work(), r.stats.pattern_size())
         }

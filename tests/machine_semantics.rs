@@ -4,7 +4,9 @@
 
 use rfsp::adversary::RandomFaults;
 use rfsp::core::{AlgoV, AlgoX, WriteAllTasks, XOptions};
-use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, RunLimits, ScheduledAdversary, WriteMode};
+use rfsp::pram::{
+    CycleBudget, LayoutBuilder, Machine, NoopObserver, RunLimits, ScheduledAdversary, WriteMode,
+};
 
 /// The threaded execution backend is bit-identical to the sequential one,
 /// including under an adversarial schedule (replayed so both backends see
@@ -39,7 +41,9 @@ fn threaded_backend_matches_sequential_under_faults() {
         let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
         let mut adv = ScheduledAdversary::new(pattern.clone());
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let r = m.run_threaded(&mut adv, RunLimits::default(), threads).unwrap();
+        let r = m
+            .run_threaded_observed(&mut adv, RunLimits::default(), threads, &mut NoopObserver)
+            .unwrap();
         assert_eq!(r.stats, seq_stats, "threads = {threads}");
         assert_eq!(m.memory().as_slice(), &seq_mem[..], "threads = {threads}");
     }
@@ -101,24 +105,34 @@ fn fail_points_inside_cycles_are_all_exercised() {
     assert!(tasks.all_written(m.memory()));
 }
 
-/// The event stream independently witnesses the accounting: TraceLog
-/// totals must equal WorkStats on an adversarial run.
+/// The event stream independently witnesses the accounting: per-kind
+/// event counts must equal WorkStats on an adversarial run.
 #[test]
 fn trace_log_matches_work_stats() {
-    use rfsp::pram::{RunLimits, TraceEvent, TraceLog};
+    use rfsp::pram::{RunLimits, TraceEvent, TraceRecorder};
     let mut layout = LayoutBuilder::new();
     let tasks = WriteAllTasks::new(&mut layout, 100);
     let prog = AlgoX::new(&mut layout, tasks, 20, XOptions::default());
     let mut adv = RandomFaults::new(0.2, 0.6, 0xBEEF);
     let mut m = Machine::new(&prog, 20, CycleBudget::PAPER).unwrap();
-    let mut log = TraceLog::new();
+    let mut log = TraceRecorder::unbounded();
     let report = m.run_observed(&mut adv, RunLimits::default(), &mut log).unwrap();
+    let count = |kind: fn(&TraceEvent) -> bool| log.events().filter(|e| kind(e)).count() as u64;
 
-    assert_eq!(log.completions, report.stats.completed_cycles);
-    assert_eq!(log.interruptions, report.stats.interrupted_cycles);
-    assert_eq!(log.failures, report.stats.failures);
-    assert_eq!(log.restarts, report.stats.restarts);
-    assert!(log.commits >= 100, "every array cell was committed at least once");
+    assert_eq!(
+        count(|e| matches!(e, TraceEvent::CycleCompleted { .. })),
+        report.stats.completed_cycles
+    );
+    assert_eq!(
+        count(|e| matches!(e, TraceEvent::CycleInterrupted { .. })),
+        report.stats.interrupted_cycles
+    );
+    assert_eq!(count(|e| matches!(e, TraceEvent::Failure { .. })), report.stats.failures);
+    assert_eq!(count(|e| matches!(e, TraceEvent::Restart { .. })), report.stats.restarts);
+    assert!(
+        count(|e| matches!(e, TraceEvent::Commit { .. })) >= 100,
+        "every array cell was committed at least once"
+    );
     // The stream ends with the completion event.
     assert!(matches!(log.events().last(), Some(TraceEvent::Completed { .. })));
     // Ticks are monotone.
@@ -161,7 +175,7 @@ fn threaded_backend_matches_for_v_and_interleaved() {
         let prog = AlgoV::new(&mut layout, tasks, p);
         let mut adv = ScheduledAdversary::new(pattern.clone());
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        m.run_threaded(&mut adv, RunLimits::default(), 4).unwrap().stats
+        m.run_threaded_observed(&mut adv, RunLimits::default(), 4, &mut NoopObserver).unwrap().stats
     };
     assert_eq!(seq, par);
     // Interleaved.
@@ -175,7 +189,11 @@ fn threaded_backend_matches_for_v_and_interleaved() {
             let mut m = Machine::new(&prog, p, budget).unwrap();
             match threads {
                 None => m.run(&mut adv).unwrap().stats,
-                Some(t) => m.run_threaded(&mut adv, RunLimits::default(), t).unwrap().stats,
+                Some(t) => {
+                    m.run_threaded_observed(&mut adv, RunLimits::default(), t, &mut NoopObserver)
+                        .unwrap()
+                        .stats
+                }
             }
         };
         (run(None), run(Some(3)))

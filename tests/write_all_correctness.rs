@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rfsp::adversary::RandomFaults;
 use rfsp::core::{AlgoV, AlgoW, AlgoX, AlgoXInPlace, Interleaved, WriteAllTasks, XOptions};
-use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, RunLimits, RunReport};
+use rfsp::pram::{CycleBudget, LayoutBuilder, Machine, NoopObserver, RunLimits, RunReport};
 
 #[derive(Clone, Copy, Debug)]
 enum Which {
@@ -26,7 +26,7 @@ fn run(which: Which, n: usize, p: usize, p_fail: f64, p_restart: f64, seed: u64)
         Which::X => {
             let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("X must terminate");
+            let r = m.run_observed(&mut adv, limits, &mut NoopObserver).expect("X must terminate");
             assert!(tasks.all_written(m.memory()), "X left unwritten cells");
             r
         }
@@ -38,28 +38,32 @@ fn run(which: Which, n: usize, p: usize, p_fail: f64, p_restart: f64, seed: u64)
                 XOptions { counting: true, spread_initial: true },
             );
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("X-counting must terminate");
+            let r = m
+                .run_observed(&mut adv, limits, &mut NoopObserver)
+                .expect("X-counting must terminate");
             assert!(tasks.all_written(m.memory()), "X-counting left unwritten cells");
             r
         }
         Which::XInPlace => {
             let prog = AlgoXInPlace::new(&mut layout, tasks, p);
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("in-place X must terminate");
+            let r = m
+                .run_observed(&mut adv, limits, &mut NoopObserver)
+                .expect("in-place X must terminate");
             assert!(tasks.all_written(m.memory()), "in-place X left unwritten cells");
             r
         }
         Which::V => {
             let prog = AlgoV::new(&mut layout, tasks, p);
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("V must terminate");
+            let r = m.run_observed(&mut adv, limits, &mut NoopObserver).expect("V must terminate");
             assert!(tasks.all_written(m.memory()), "V left unwritten cells");
             r
         }
         Which::W => {
             let prog = AlgoW::new(&mut layout, tasks, p);
             let mut m = Machine::new(&prog, p, CycleBudget::PAPER).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("W must terminate");
+            let r = m.run_observed(&mut adv, limits, &mut NoopObserver).expect("W must terminate");
             assert!(tasks.all_written(m.memory()), "W left unwritten cells");
             r
         }
@@ -67,7 +71,8 @@ fn run(which: Which, n: usize, p: usize, p_fail: f64, p_restart: f64, seed: u64)
             let prog = Interleaved::new(&mut layout, tasks, p);
             let budget = prog.required_budget();
             let mut m = Machine::new(&prog, p, budget).expect("machine");
-            let r = m.run_with_limits(&mut adv, limits).expect("V+X must terminate");
+            let r =
+                m.run_observed(&mut adv, limits, &mut NoopObserver).expect("V+X must terminate");
             assert!(tasks.all_written(m.memory()), "V+X left unwritten cells");
             r
         }
