@@ -84,9 +84,8 @@ mod imp {
 
 #[cfg(unix)]
 mod imp {
-    use std::cell::Cell;
     use std::collections::BTreeMap;
-    use std::io::{BufReader, Write};
+    use std::io::{BufReader, ErrorKind, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -109,6 +108,16 @@ mod imp {
         m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// How long a watcher may accept no bytes before the daemon drops it
+    /// as if it had hung up (DESIGN §17). Until then the job writing to it
+    /// holds its turn, so this bounds how long one stalled client can
+    /// freeze every job.
+    const WATCH_STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
+    /// Watch-stream bytes a job may buffer before it writes them out
+    /// mid-tick, so one tick of a large-P job cannot buffer without bound.
+    const FAN_FLUSH_BYTES: usize = 64 * 1024;
+
     /// Live state of one job, as the registry tracks it.
     struct JobEntry {
         state: JobState,
@@ -117,7 +126,30 @@ mod imp {
         n: u64,
         p: u64,
         cancel: Arc<AtomicBool>,
-        watchers: Arc<Mutex<Vec<UnixStream>>>,
+        watchers: Arc<Mutex<WatchList>>,
+    }
+
+    impl JobEntry {
+        fn new(cfg: &RunConfig, state: JobState, cycle: u64) -> JobEntry {
+            let live = matches!(state, JobState::Queued | JobState::Running);
+            JobEntry {
+                state,
+                cycle,
+                algo: cfg.algo.clone(),
+                n: cfg.n,
+                p: cfg.p,
+                cancel: Arc::new(AtomicBool::new(false)),
+                watchers: Arc::new(Mutex::new(WatchList { sinks: Vec::new(), closed: !live })),
+            }
+        }
+    }
+
+    /// A job's watch subscribers. The list itself records that the job
+    /// ended, so subscribing and ending are ordered by its lock alone: no
+    /// watcher registers on a terminal job and waits forever.
+    struct WatchList {
+        sinks: Vec<UnixStream>,
+        closed: bool,
     }
 
     /// Everything the daemon's threads share.
@@ -126,29 +158,89 @@ mod imp {
         sched: Scheduler,
         pool: Option<SharedPool>,
         quantum: u64,
+        /// Where the daemon listens; `Shutdown` connects here once to wake
+        /// the accept loop.
+        socket: String,
         registry: Mutex<BTreeMap<u64, JobEntry>>,
         handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
         next_id: Mutex<u64>,
         shutdown: AtomicBool,
     }
 
-    /// Streams a job's events to its subscribed watchers; a watcher whose
-    /// socket write fails is silently dropped (it hung up).
+    /// Streams a job's events to its watchers. Each event is appended, in
+    /// its `{"job":N,"event":…}` envelope, to a batch that goes to every
+    /// watcher in one write per tick (DESIGN §17). A watcher whose write
+    /// fails is dropped: it hung up, or accepted no bytes for
+    /// [`WATCH_STALL_TIMEOUT`].
     struct Fan {
         job: u64,
-        sinks: Arc<Mutex<Vec<UnixStream>>>,
+        watchers: Arc<Mutex<WatchList>>,
+        /// `{"job":N,"event":`, built once per job.
+        envelope: Vec<u8>,
+        /// Enveloped lines not yet written.
+        batch: Vec<u8>,
+        /// Whether anyone watched at the last flush. A job nobody watches
+        /// encodes nothing.
+        watched: bool,
+    }
+
+    impl Fan {
+        fn new(job: u64, watchers: Arc<Mutex<WatchList>>) -> Fan {
+            let envelope = format!("{{\"job\":{job},\"event\":").into_bytes();
+            Fan { job, watchers, envelope, batch: Vec::new(), watched: false }
+        }
+
+        /// Write the batch to every watcher and note whether any remain.
+        fn flush(&mut self) {
+            let mut list = lock(&self.watchers);
+            if !self.batch.is_empty() {
+                let (job, batch) = (self.job, &self.batch);
+                list.sinks.retain_mut(|s| match s.write_all(batch) {
+                    Ok(()) => true,
+                    Err(e) => {
+                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                            eprintln!(
+                                "job {job}: dropped a watcher that accepted no bytes for {:?}",
+                                WATCH_STALL_TIMEOUT
+                            );
+                        }
+                        false
+                    }
+                });
+                self.batch.clear();
+            }
+            self.watched = !list.sinks.is_empty();
+        }
+
+        /// The job ended: send what is left, then drop every watcher (their
+        /// EOF) and refuse new ones.
+        fn close(mut self) {
+            self.flush();
+            let mut list = lock(&self.watchers);
+            list.closed = true;
+            list.sinks.clear();
+        }
     }
 
     impl Observer for Fan {
         fn event(&mut self, event: TraceEvent) {
-            let mut sinks = lock(&self.sinks);
-            if sinks.is_empty() {
+            match event {
+                // A tick boundary sends the previous tick. Completion first
+                // checks for a watcher that subscribed since the last flush.
+                TraceEvent::TickStart { .. } => self.flush(),
+                TraceEvent::Completed { .. } if !self.watched => self.flush(),
+                _ => {}
+            }
+            if !self.watched {
                 return;
             }
-            let mut line = format!("{{\"job\":{},\"event\":", self.job);
-            line.push_str(&serde::json::to_string(&event));
-            line.push_str("}\n");
-            sinks.retain_mut(|s| s.write_all(line.as_bytes()).is_ok());
+            self.batch.extend_from_slice(&self.envelope);
+            event.append_json(&mut self.batch);
+            self.batch.extend_from_slice(b"}\n");
+            if matches!(event, TraceEvent::Completed { .. }) || self.batch.len() >= FAN_FLUSH_BYTES
+            {
+                self.flush();
+            }
         }
     }
 
@@ -164,6 +256,8 @@ mod imp {
         job: u64,
         cfg: &'d RunConfig,
         resume: Option<SessionCheckpoint>,
+        cancel: &'d AtomicBool,
+        fan: &'d mut Fan,
     }
 
     impl WriteAllVisitor for JobVisitor<'_> {
@@ -174,7 +268,7 @@ mod imp {
             P: Program + Sync,
             P::Private: Send + Serialize + Deserialize,
         {
-            let JobVisitor { daemon, job, cfg, resume } = self;
+            let JobVisitor { daemon, job, cfg, resume, cancel, fan } = self;
             let procs = cfg.p as usize;
             let build = Box::new(move || Machine::new(prog, procs, budget));
             // Pooled jobs share the daemon's worker pool; --threads 1 jobs
@@ -190,72 +284,76 @@ mod imp {
                 Some(ck) => RunSession::resume(ck, exec, build)?,
                 None => RunSession::new(cfg.clone(), exec, build)?,
             };
-            let (cancel, watchers) = {
-                let reg = lock(&daemon.registry);
-                let entry = reg.get(&job).expect("job registered before spawn");
-                (Arc::clone(&entry.cancel), Arc::clone(&entry.watchers))
-            };
-            let mut fan = Fan { job, sinks: watchers };
 
             daemon.sched.acquire(job);
             lock(&daemon.registry).get_mut(&job).expect("registered").state = JobState::Running;
-            // Every quantum expiry is an *external* pause: the session
-            // publishes a checkpoint before we yield the turn, so the
-            // spool stays resumable at every preemption point.
-            let quantum_end = Cell::new(session.cycle() + daemon.quantum);
-            let stop = Cell::new(None);
-            let end = session.run(
-                &mut |cycle| {
-                    cancel.load(Ordering::SeqCst)
-                        || daemon.shutdown.load(Ordering::SeqCst)
-                        || cycle >= quantum_end.get()
-                },
-                &mut |pause| {
-                    lock(&daemon.registry).get_mut(&job).expect("registered").cycle = pause.cycle;
-                    if cancel.load(Ordering::SeqCst) {
-                        stop.set(Some(JobEnd::Canceled { cycle: pause.cycle }));
-                        return PauseFlow::Stop;
+            let end = loop {
+                // Each segment runs one quantum. Every pause (the quantum
+                // expiring, a checkpoint falling due) ends it after the
+                // session published any checkpoint due, so the spool stays
+                // resumable at every preemption point.
+                let quantum_end = session.cycle() + daemon.quantum;
+                let end = session.run(
+                    &mut |cycle| {
+                        cancel.load(Ordering::SeqCst)
+                            || daemon.shutdown.load(Ordering::SeqCst)
+                            || cycle >= quantum_end
+                    },
+                    &mut |_| PauseFlow::Stop,
+                    fan,
+                );
+                // Watchers hold every line the events log has flushed
+                // before the job gives up its turn or ends.
+                fan.flush();
+                match end {
+                    Ok(SessionEnd::Stopped { cycle }) => {
+                        lock(&daemon.registry).get_mut(&job).expect("registered").cycle = cycle;
+                        if cancel.load(Ordering::SeqCst) {
+                            break Ok(JobEnd::Canceled { cycle });
+                        }
+                        if daemon.shutdown.load(Ordering::SeqCst) {
+                            break Ok(JobEnd::Shutdown);
+                        }
+                        daemon.sched.yield_turn(job);
                     }
-                    if daemon.shutdown.load(Ordering::SeqCst) {
-                        stop.set(Some(JobEnd::Shutdown));
-                        return PauseFlow::Stop;
+                    Ok(SessionEnd::Completed(report)) => {
+                        if !setup.tasks.all_written(session.memory()) {
+                            break Err(ArgError(
+                                "postcondition failed: array not fully written".into(),
+                            ));
+                        }
+                        lock(&daemon.registry).get_mut(&job).expect("registered").cycle =
+                            session.cycle();
+                        break Ok(JobEnd::Completed(format!(
+                            "S={} tau={} checkpoints={} restores={}",
+                            report.stats.completed_work(),
+                            report.stats.parallel_time,
+                            session.wasted().checkpoints,
+                            session.wasted().restores,
+                        )));
                     }
-                    daemon.sched.yield_turn(job);
-                    quantum_end.set(pause.cycle + daemon.quantum);
-                    PauseFlow::Continue
-                },
-                &mut fan,
-            );
-            daemon.sched.release(job);
-            match end? {
-                SessionEnd::Completed(report) => {
-                    if !setup.tasks.all_written(session.memory()) {
-                        return Err(ArgError(
-                            "postcondition failed: array not fully written".into(),
-                        ));
-                    }
-                    lock(&daemon.registry).get_mut(&job).expect("registered").cycle =
-                        session.cycle();
-                    Ok(JobEnd::Completed(format!(
-                        "S={} tau={} checkpoints={} restores={}",
-                        report.stats.completed_work(),
-                        report.stats.parallel_time,
-                        session.wasted().checkpoints,
-                        session.wasted().restores,
-                    )))
+                    Err(e) => break Err(e.into()),
                 }
-                SessionEnd::Stopped { .. } => Ok(stop.take().unwrap_or(JobEnd::Shutdown)),
-            }
+            };
+            daemon.sched.release(job);
+            end
         }
     }
 
     /// Body of a job thread: run the session, then publish the terminal
-    /// state to the registry and (except on daemon shutdown) the spool.
+    /// state to the registry, the watchers and (except on daemon shutdown)
+    /// the spool.
     fn run_job(daemon: &Arc<Daemon>, job: u64, cfg: RunConfig, resume: Option<SessionCheckpoint>) {
+        let (cancel, watchers) = {
+            let reg = lock(&daemon.registry);
+            let entry = reg.get(&job).expect("job registered before spawn");
+            (Arc::clone(&entry.cancel), Arc::clone(&entry.watchers))
+        };
+        let mut fan = Fan::new(job, watchers);
         let outcome = parse_algo(&cfg.algo).and_then(|algo| {
             with_write_all_program(
                 &WriteAllSpec::new(algo, cfg.n as usize, cfg.p as usize),
-                JobVisitor { daemon, job, cfg: &cfg, resume },
+                JobVisitor { daemon, job, cfg: &cfg, resume, cancel: &cancel, fan: &mut fan },
             )
         });
         let (state, marker) = match &outcome {
@@ -270,14 +368,10 @@ mod imp {
             Ok(JobEnd::Shutdown) => (JobState::Stopped, None),
             Err(e) => (JobState::Failed, Some(("failed", e.0.clone()))),
         };
-        {
-            let mut registry = lock(&daemon.registry);
-            let entry = registry.get_mut(&job).expect("registered");
-            entry.state = state;
-            // Dropping the watcher streams is the subscribers' EOF: a
-            // `submit --watch` client exits once its job is terminal.
-            lock(&entry.watchers).clear();
-        }
+        lock(&daemon.registry).get_mut(&job).expect("registered").state = state;
+        // Closing the watch list is the subscribers' EOF: a `submit
+        // --watch` client exits once its job is terminal.
+        fan.close();
         if let Some((tag, detail)) = marker {
             if let Err(e) = daemon.spool.mark_done(job, tag, &detail) {
                 eprintln!("job {job}: cannot record terminal state: {e}");
@@ -296,15 +390,7 @@ mod imp {
         resume: Option<SessionCheckpoint>,
         state: JobState,
     ) {
-        let entry = JobEntry {
-            state,
-            cycle: resume.as_ref().map_or(0, |ck| ck.machine.cycle),
-            algo: cfg.algo.clone(),
-            n: cfg.n,
-            p: cfg.p,
-            cancel: Arc::new(AtomicBool::new(false)),
-            watchers: Arc::new(Mutex::new(Vec::new())),
-        };
+        let entry = JobEntry::new(&cfg, state, resume.as_ref().map_or(0, |ck| ck.machine.cycle));
         lock(&daemon.registry).insert(job, entry);
         let d = Arc::clone(daemon);
         let handle = std::thread::spawn(move || run_job(&d, job, cfg, resume));
@@ -368,22 +454,35 @@ mod imp {
                 }
                 None => Response::Err { message: format!("no such job: {job}") },
             },
-            Request::Watch { job } => match lock(&daemon.registry).get(&job) {
-                Some(entry) => {
-                    // Registering on a terminal job would hang the client
-                    // forever; ack and hang up instead (the registry lock
-                    // orders this against run_job's terminal transition).
-                    let live = matches!(entry.state, JobState::Queued | JobState::Running);
-                    if write_line(&mut out, &Response::Done).is_ok() && live {
-                        lock(&entry.watchers).push(out);
+            Request::Watch { job } => {
+                // Take the list out and let go of the registry before
+                // waiting on the list's lock, which the job holds while it
+                // writes to its watchers.
+                let watchers = lock(&daemon.registry).get(&job).map(|e| Arc::clone(&e.watchers));
+                match watchers {
+                    Some(watchers) => {
+                        if write_line(&mut out, &Response::Done).is_ok()
+                            && out.set_write_timeout(Some(WATCH_STALL_TIMEOUT)).is_ok()
+                        {
+                            // On a job that already ended, dropping the
+                            // stream instead is the client's EOF.
+                            let mut list = lock(&watchers);
+                            if !list.closed {
+                                list.sinks.push(out);
+                            }
+                        }
+                        return;
                     }
-                    return;
+                    None => Response::Err { message: format!("no such job: {job}") },
                 }
-                None => Response::Err { message: format!("no such job: {job}") },
-            },
+            }
             Request::Shutdown => {
                 daemon.shutdown.store(true, Ordering::SeqCst);
-                Response::Done
+                let _ = write_line(&mut out, &Response::Done);
+                // Wake the accept loop, blocked until the next client, so
+                // it sees the flag.
+                let _ = UnixStream::connect(&daemon.socket);
+                return;
             }
         };
         let _ = write_line(&mut out, &response);
@@ -415,6 +514,7 @@ mod imp {
             sched: Scheduler::new(),
             pool,
             quantum,
+            socket: socket.clone(),
             registry: Mutex::new(BTreeMap::new()),
             handles: Mutex::new(Vec::new()),
             next_id: Mutex::new(next_id),
@@ -432,18 +532,7 @@ mod imp {
                         _ => JobState::Stopped,
                     };
                     let cycle = sj.resume.as_ref().map_or(0, |ck| ck.machine.cycle);
-                    lock(&daemon.registry).insert(
-                        sj.job,
-                        JobEntry {
-                            state,
-                            cycle,
-                            algo: sj.config.algo.clone(),
-                            n: sj.config.n,
-                            p: sj.config.p,
-                            cancel: Arc::new(AtomicBool::new(false)),
-                            watchers: Arc::new(Mutex::new(Vec::new())),
-                        },
-                    );
+                    lock(&daemon.registry).insert(sj.job, JobEntry::new(&sj.config, state, cycle));
                 }
                 None => {
                     let resumed = sj.resume.is_some();
@@ -459,20 +548,16 @@ mod imp {
 
         let _ = std::fs::remove_file(&socket);
         let listener = UnixListener::bind(&socket).map_err(|e| sock_err("bind", &socket, &e))?;
-        listener.set_nonblocking(true).map_err(|e| sock_err("configure", &socket, &e))?;
         println!("rfsp serve: listening on {socket} (spool {spool_dir}, quantum {quantum} ticks)");
-        while !daemon.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let d = Arc::clone(&daemon);
-                    std::thread::spawn(move || handle_client(&d, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(sock_err("accept on", &socket, &e)),
+        // Block in accept: a `Shutdown` request sets the flag and then
+        // connects once itself, which wakes this loop to see it.
+        for stream in listener.incoming() {
+            if daemon.shutdown.load(Ordering::SeqCst) {
+                break;
             }
+            let stream = stream.map_err(|e| sock_err("accept on", &socket, &e))?;
+            let d = Arc::clone(&daemon);
+            std::thread::spawn(move || handle_client(&d, stream));
         }
         // Graceful shutdown: every job sees the flag at its next pause,
         // checkpoints, and stops; the spool keeps them resumable.

@@ -6,12 +6,16 @@
 //! Along the way this also certifies live telemetry (a `submit --watch`
 //! client must receive event lines while its job runs) and the `jobs`
 //! listing. The spool root honours `RFSP_DAEMON_SPOOL` so CI can archive
-//! it when the test fails. A second test sends hostile request lines and
-//! demands that the daemon answers them with errors and keeps serving.
+//! it when the test fails. The other tests send hostile request lines and
+//! demand that the daemon answers them with errors and keeps serving;
+//! check that a watched stream is the tail of the job's spooled events,
+//! through completion and through cancellation, with EOF right after; and
+//! stall a watcher and demand that the daemon keeps answering and every
+//! other job keeps running.
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -68,11 +72,11 @@ impl Drop for KillOnDrop {
     }
 }
 
-fn spawn_daemon(spool: &str, socket: &str) -> KillOnDrop {
+fn spawn_daemon(spool: &str, socket: &str, stderr: Stdio) -> KillOnDrop {
     let child = Command::new(BIN)
         .args(["serve", "--spool", spool, "--socket", socket, "--workers", "0", "--quantum", "200"])
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(stderr)
         .spawn()
         .expect("spawn daemon");
     KillOnDrop(child)
@@ -113,7 +117,7 @@ fn daemon_survives_sigkill_and_resumes_byte_identically() {
 
     // First daemon: submit both jobs, the second through a `--watch`
     // client so live telemetry is certified while the jobs run.
-    let mut daemon = spawn_daemon(&spool_s, &socket_s);
+    let mut daemon = spawn_daemon(&spool_s, &socket_s, Stdio::null());
     wait_for("daemon socket", Duration::from_secs(30), || socket.exists());
 
     let mut submit1: Vec<String> =
@@ -177,7 +181,7 @@ fn daemon_survives_sigkill_and_resumes_byte_identically() {
 
     // Second daemon on the same spool: it must re-adopt both jobs (one
     // from its checkpoint, one possibly from scratch) and finish them.
-    let mut daemon = spawn_daemon(&spool_s, &socket_s);
+    let mut daemon = spawn_daemon(&spool_s, &socket_s, Stdio::null());
     wait_for("both jobs to complete", Duration::from_secs(300), || {
         dirs.iter().all(|d| d.join("done.json").exists())
     });
@@ -229,24 +233,8 @@ fn wait_for_clean_exit(daemon: &mut KillOnDrop) {
 
 #[test]
 fn daemon_answers_hostile_requests_and_keeps_serving() {
-    let base = std::env::temp_dir().join(format!("rfsp-daemon-abuse-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
-    let socket = base.join("rfsp.sock");
-    let (base_s, socket_s) = (base.to_str().unwrap(), socket.to_str().unwrap());
-    assert!(socket_s.len() < 100, "socket path too long: {socket_s}");
-    let mut daemon = spawn_daemon(base_s, socket_s);
-    wait_for("daemon socket", Duration::from_secs(30), || socket.exists());
-
-    let reply = |line: &str| {
-        let mut stream = UnixStream::connect(&socket).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        // The daemon may hang up before reading all of an oversized line.
-        let _ = stream.write_all(line.as_bytes());
-        let mut reply = String::new();
-        BufReader::new(stream).read_line(&mut reply).expect("reply");
-        reply
-    };
+    let scene = Scene::start("daemon-abuse", Stdio::null());
+    let reply = |line: &str| scene.reply(line, Duration::from_secs(30));
     let limit = usize::try_from(rfsp_run::MAX_REQUEST_BYTES).unwrap();
     // One byte over the frame bound: refused before it is parsed.
     let over = reply(&format!("{}\n", " ".repeat(limit + 1)));
@@ -257,12 +245,216 @@ fn daemon_answers_hostile_requests_and_keeps_serving() {
     assert!(deep.contains("\"Err\"") && deep.contains("nesting deeper"), "{deep}");
     // The daemon is still up and answering.
     assert_eq!(reply("\"Jobs\"\n").trim(), r#"{"JobList":{"jobs":[]}}"#);
+    scene.shut_down();
+}
 
-    let status = Command::new(BIN)
-        .args(["cancel", "--socket", socket_s, "--shutdown"])
-        .status()
-        .expect("shutdown request");
-    assert!(status.success());
-    wait_for_clean_exit(&mut daemon);
-    let _ = std::fs::remove_dir_all(&base);
+/// A daemon on a fresh directory of its own under the system temp dir.
+struct Scene {
+    base: PathBuf,
+    socket: PathBuf,
+    daemon: KillOnDrop,
+}
+
+impl Scene {
+    fn start(name: &str, stderr: Stdio) -> Scene {
+        let base = std::env::temp_dir().join(format!("rfsp-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let socket = base.join("rfsp.sock");
+        let (base_s, socket_s) = (base.to_str().unwrap(), socket.to_str().unwrap());
+        assert!(socket_s.len() < 100, "socket path too long: {socket_s}");
+        let daemon = spawn_daemon(base_s, socket_s, stderr);
+        wait_for("daemon socket", Duration::from_secs(30), || socket.exists());
+        Scene { base, socket, daemon }
+    }
+
+    fn socket_str(&self) -> &str {
+        self.socket.to_str().unwrap()
+    }
+
+    /// Send one raw request line; the stream stays open for the reply.
+    fn send(&self, line: &str, timeout: Duration) -> UnixStream {
+        let mut stream = UnixStream::connect(&self.socket).expect("connect");
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        // The daemon may hang up before reading all of an oversized line.
+        let _ = stream.write_all(line.as_bytes());
+        stream
+    }
+
+    /// Send one raw request line and read the one-line reply.
+    fn reply(&self, line: &str, timeout: Duration) -> String {
+        let mut reply = String::new();
+        BufReader::new(self.send(line, timeout)).read_line(&mut reply).expect("reply");
+        reply
+    }
+
+    fn job_file(&self, job: u64, name: &str) -> PathBuf {
+        self.base.join(format!("job-{job:06}")).join(name)
+    }
+
+    /// Wait for `job`'s terminal marker and return it.
+    fn done_marker(&self, job: u64) -> String {
+        let path = self.job_file(job, "done.json");
+        wait_for(&format!("job {job}'s done marker"), Duration::from_secs(120), || path.exists());
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    /// `rfsp submit` for a job of `n` cells; returns its id.
+    fn submit(&self, n: &str, seed: &str) -> u64 {
+        let out = Command::new(BIN)
+            .args(["submit", "--socket", self.socket_str()])
+            .args(job_flags(n, seed))
+            .output()
+            .expect("submit");
+        let ack = String::from_utf8_lossy(&out.stdout);
+        ack.trim().strip_prefix("job ").and_then(|j| j.parse().ok()).expect("job id")
+    }
+
+    /// `rfsp submit --watch` for a job of `n` cells, its stdout piped.
+    fn submit_watched(&self, n: &str, seed: &str) -> Child {
+        Command::new(BIN)
+            .args(["submit", "--socket", self.socket_str(), "--watch"])
+            .args(job_flags(n, seed))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("submit --watch")
+    }
+
+    fn shut_down(mut self) {
+        let status = Command::new(BIN)
+            .args(["cancel", "--socket", self.socket_str(), "--shutdown"])
+            .status()
+            .expect("shutdown request");
+        assert!(status.success());
+        wait_for_clean_exit(&mut self.daemon);
+        let _ = std::fs::remove_dir_all(&self.base);
+    }
+}
+
+/// Strip the `{"job":N,"event":…}` envelope from watched lines, and demand
+/// that what is left is the tail of the job's spooled `events.jsonl`, which
+/// ends where the watched stream ended. Returns the watched events.
+fn assert_spool_tail(scene: &Scene, job: u64, watched: &[String]) -> Vec<String> {
+    let prefix = format!("{{\"job\":{job},\"event\":");
+    let events: Vec<String> = watched
+        .iter()
+        .map(|l| {
+            let e = l.strip_prefix(&prefix).and_then(|l| l.strip_suffix('}'));
+            e.unwrap_or_else(|| panic!("malformed watch line {l:?}")).to_string()
+        })
+        .collect();
+    let spool = std::fs::read_to_string(scene.job_file(job, "events.jsonl")).unwrap();
+    let lines: Vec<&str> = spool.lines().collect();
+    assert!(!events.is_empty(), "job {job}: nothing watched");
+    assert!(events.len() <= lines.len(), "job {job}: watched more than the spool holds");
+    let tail = &lines[lines.len() - events.len()..];
+    if let Some(i) = (0..events.len()).find(|&i| events[i] != tail[i]) {
+        panic!(
+            "job {job}: watched line {i} of {} is {:?}, the spool's tail has {:?}",
+            events.len(),
+            events[i],
+            tail[i]
+        );
+    }
+    events
+}
+
+/// Read `child`'s stdout to EOF: the `job N` line, then the watched lines.
+fn watch_to_eof(child: &mut Child, mut on_line: impl FnMut(&str)) -> (u64, Vec<String>) {
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let first = lines.next().expect("submit ack").unwrap();
+    let job = first.strip_prefix("job ").and_then(|j| j.parse().ok()).expect("job id");
+    let mut watched = Vec::new();
+    for line in lines {
+        let line = line.unwrap();
+        on_line(&line);
+        watched.push(line);
+    }
+    assert!(child.wait().unwrap().success(), "submit --watch failed");
+    (job, watched)
+}
+
+#[test]
+fn watched_stream_is_the_spool_tail_through_completion() {
+    let scene = Scene::start("daemon-watch-done", Stdio::null());
+    let mut client = scene.submit_watched("512", "5");
+    let (job, watched) = watch_to_eof(&mut client, |_| {});
+    let events = assert_spool_tail(&scene, job, &watched);
+    // The spool's last line is the completion, and EOF followed it.
+    assert!(events.last().unwrap().starts_with("{\"Completed\""), "{:?}", events.last());
+    let marker = scene.done_marker(job);
+    assert!(marker.contains("completed"), "{marker}");
+    scene.shut_down();
+}
+
+#[test]
+fn watched_stream_is_the_spool_tail_through_cancellation() {
+    let scene = Scene::start("daemon-watch-cancel", Stdio::null());
+    let mut client = scene.submit_watched("16384", "7");
+    let socket = scene.socket_str().to_string();
+    let mut canceled = false;
+    let (job, watched) = watch_to_eof(&mut client, |line| {
+        // Cancel once the job has streamed a first line.
+        if !canceled {
+            canceled = true;
+            let job = line.strip_prefix("{\"job\":").and_then(|l| l.split(',').next()).unwrap();
+            let status =
+                Command::new(BIN).args(["cancel", "--socket", &socket, "--job", job]).status();
+            assert!(status.expect("cancel request").success());
+        }
+    });
+    // The job stopped at a pause: the events log was flushed there, and
+    // the watchers got everything up to it before their EOF.
+    assert_spool_tail(&scene, job, &watched);
+    let marker = scene.done_marker(job);
+    assert!(marker.contains("canceled at tick"), "job finished before the cancel: {marker}");
+    scene.shut_down();
+}
+
+#[test]
+fn a_stalled_watcher_does_not_freeze_the_daemon() {
+    let log_path = std::env::temp_dir().join(format!("rfsp-stall-{}.log", std::process::id()));
+    let log = std::fs::File::create(&log_path).unwrap();
+    let scene = Scene::start("daemon-stall", Stdio::from(log));
+
+    // Job 1 streams several MB. Its first watcher reads the ack, then
+    // nothing: once the socket buffer is full, the job's writes block.
+    let (n, seed) = JOBS[0];
+    assert_eq!(scene.submit(n, seed), 1);
+    let mut stalled = scene.send("{\"Watch\":{\"job\":1}}\n", Duration::from_secs(30));
+    let mut ack = [0u8; 7];
+    stalled.read_exact(&mut ack).unwrap();
+    assert_eq!(&ack, b"\"Done\"\n");
+    // The job is blocked once its events log, which grows every few
+    // ticks while it runs, stops growing.
+    let events = scene.job_file(1, "events.jsonl");
+    let (mut last, mut since) = (0, Instant::now());
+    wait_for("the watcher to stall its job", Duration::from_secs(120), || {
+        let now = std::fs::metadata(&events).map_or(0, |m| m.len());
+        if now != last {
+            (last, since) = (now, Instant::now());
+        }
+        now > 0 && since.elapsed() > Duration::from_millis(300)
+    });
+
+    // A second watcher of the stalled job, then `Jobs`: neither may wait
+    // on the job's writes.
+    let ack = scene.reply("{\"Watch\":{\"job\":1}}\n", Duration::from_secs(30));
+    assert_eq!(ack.trim(), "\"Done\"");
+    let asked = Instant::now();
+    let jobs = scene.reply("\"Jobs\"\n", Duration::from_secs(1));
+    assert!(jobs.contains("\"JobList\""), "Jobs answered {jobs:?}");
+    assert!(asked.elapsed() < Duration::from_secs(1), "Jobs took {:?}", asked.elapsed());
+
+    // The stalled watcher is dropped after the stall timeout, so a second
+    // job gets its turns and finishes.
+    assert_eq!(scene.submit("256", "3"), 2);
+    assert!(scene.done_marker(2).contains("completed"));
+
+    drop(stalled);
+    scene.shut_down();
+    let log = std::fs::read_to_string(&log_path).unwrap();
+    assert_eq!(log.matches("dropped a watcher").count(), 1, "daemon log:\n{log}");
+    let _ = std::fs::remove_file(&log_path);
 }

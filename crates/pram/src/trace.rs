@@ -84,6 +84,85 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// Append this event's JSON to `out`: byte for byte what
+    /// `serde::json::to_string(self)` renders, without building a
+    /// `serde::Value` tree or a `String`. Every JSONL event sink (the
+    /// events log, the daemon's watch stream, [`TraceRecorder::to_jsonl`])
+    /// encodes through here into a buffer it reuses; the derived
+    /// `Serialize` stays the reference the tests pin this encoder to.
+    pub fn append_json(&self, out: &mut Vec<u8>) {
+        match *self {
+            TraceEvent::TickStart { cycle } => open_variant(out, "TickStart", cycle),
+            TraceEvent::CycleCompleted { cycle, pid } => {
+                open_variant(out, "CycleCompleted", cycle);
+                push_field(out, "pid", pid.0 as u64);
+            }
+            TraceEvent::CycleInterrupted { cycle, pid } => {
+                open_variant(out, "CycleInterrupted", cycle);
+                push_field(out, "pid", pid.0 as u64);
+            }
+            TraceEvent::Failure { cycle, pid, point } => {
+                open_variant(out, "Failure", cycle);
+                push_field(out, "pid", pid.0 as u64);
+                out.extend_from_slice(b",\"point\":");
+                match point {
+                    FailPoint::BeforeReads => out.extend_from_slice(b"\"BeforeReads\""),
+                    FailPoint::BeforeWrites => out.extend_from_slice(b"\"BeforeWrites\""),
+                    FailPoint::AfterWrite(k) => {
+                        out.extend_from_slice(b"{\"AfterWrite\":");
+                        push_uint(out, k as u64);
+                        out.push(b'}');
+                    }
+                }
+            }
+            TraceEvent::Restart { cycle, pid } => {
+                open_variant(out, "Restart", cycle);
+                push_field(out, "pid", pid.0 as u64);
+            }
+            TraceEvent::Commit { cycle, addr, value } => {
+                open_variant(out, "Commit", cycle);
+                push_field(out, "addr", addr as u64);
+                push_field(out, "value", value);
+            }
+            TraceEvent::Completed { cycle } => open_variant(out, "Completed", cycle),
+        }
+        out.extend_from_slice(b"}}");
+    }
+}
+
+/// `{"<variant>":{"cycle":<cycle>`: every event's opening, since `cycle`
+/// is each variant's first field.
+fn open_variant(out: &mut Vec<u8>, variant: &str, cycle: u64) {
+    out.extend_from_slice(b"{\"");
+    out.extend_from_slice(variant.as_bytes());
+    out.extend_from_slice(b"\":{\"cycle\":");
+    push_uint(out, cycle);
+}
+
+/// `,"<name>":<value>`.
+fn push_field(out: &mut Vec<u8>, name: &str, value: u64) {
+    out.extend_from_slice(b",\"");
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b"\":");
+    push_uint(out, value);
+}
+
+/// `value` in decimal, as the JSON writer renders unsigned integers.
+fn push_uint(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
 /// A sink for [`TraceEvent`]s. All methods default to no-ops so observers
 /// implement only what they need.
 pub trait Observer: Send {
@@ -160,16 +239,17 @@ impl TraceRecorder {
         self.events.is_empty()
     }
 
-    /// The retained stream as JSONL: one serde-rendered event per line
-    /// (trailing newline included). Two identical runs export
-    /// byte-identical streams, which the engine-equivalence tests rely on.
+    /// The retained stream as JSONL: one event per line in its serde JSON
+    /// form (see [`TraceEvent::append_json`]), trailing newline included.
+    /// Two identical runs export byte-identical streams, which the
+    /// engine-equivalence tests rely on.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in &self.events {
-            out.push_str(&serde::json::to_string(e));
-            out.push('\n');
+            e.append_json(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("event JSON is ASCII")
     }
 }
 
@@ -523,6 +603,82 @@ mod tests {
             let back: TraceEvent = serde::json::from_str(&text).unwrap();
             assert_eq!(back, *e, "event {text} did not round-trip");
         }
+    }
+
+    /// Every variant and every `FailPoint` shape, with `cycle` and the
+    /// other fields drawn from `c`, `u` and `w`.
+    fn every_shape(c: u64, u: usize, w: u64) -> Vec<TraceEvent> {
+        let pid = Pid(u);
+        let mut events = vec![
+            TraceEvent::TickStart { cycle: c },
+            TraceEvent::CycleCompleted { cycle: c, pid },
+            TraceEvent::CycleInterrupted { cycle: c, pid },
+            TraceEvent::Restart { cycle: c, pid },
+            TraceEvent::Commit { cycle: c, addr: u, value: w },
+            TraceEvent::Completed { cycle: c },
+        ];
+        for point in [FailPoint::BeforeReads, FailPoint::BeforeWrites, FailPoint::AfterWrite(u)] {
+            events.push(TraceEvent::Failure { cycle: c, pid, point });
+        }
+        events
+    }
+
+    /// Encode `e` after bytes the buffer already holds, and demand the
+    /// appended bytes equal the derived `Serialize`'s rendering.
+    fn check_encoder(e: &TraceEvent) -> Result<(), String> {
+        let mut buf = b"kept".to_vec();
+        e.append_json(&mut buf);
+        let want = serde::json::to_string(e);
+        if buf.starts_with(b"kept") && buf[4..] == *want.as_bytes() {
+            Ok(())
+        } else {
+            Err(format!("{e:?}: encoder wrote {:?}, serde {want}", String::from_utf8_lossy(&buf)))
+        }
+    }
+
+    #[test]
+    fn encoder_matches_serde_on_every_shape() {
+        const WORDS: [u64; 4] = [0, 1, u64::MAX, usize::MAX as u64];
+        const SIZES: [usize; 3] = [0, 1, usize::MAX];
+        let mut checked = 0;
+        for c in WORDS {
+            for u in SIZES {
+                for w in WORDS {
+                    for e in every_shape(c, u, w) {
+                        check_encoder(&e).unwrap();
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 4 * 3 * 4 * 9);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+
+        #[test]
+        fn encoder_matches_serde_on_arbitrary_events(
+            shape in 0usize..9,
+            words in (proptest::any::<u64>(), proptest::any::<usize>(), proptest::any::<u64>()),
+            // Right shifts spread the draws over every digit count.
+            shifts in (0u32..64, 0u32..64, 0u32..64),
+        ) {
+            let (c, u, w) = (words.0 >> shifts.0, words.1 >> shifts.1, words.2 >> shifts.2);
+            let e = every_shape(c, u, w)[shape];
+            check_encoder(&e).map_err(proptest::TestCaseError::fail)?;
+        }
+    }
+
+    #[test]
+    fn to_jsonl_is_one_serde_line_per_event() {
+        let mut rec = TraceRecorder::unbounded();
+        let events = every_shape(7, 3, 11);
+        for &e in &events {
+            rec.event(e);
+        }
+        let want: String = events.iter().map(|e| serde::json::to_string(e) + "\n").collect();
+        assert_eq!(rec.to_jsonl(), want);
     }
 
     #[test]

@@ -24,6 +24,8 @@ pub fn count_tick_starts(bytes: &[u8]) -> u64 {
 struct EventWriter {
     path: String,
     out: BufWriter<File>,
+    /// The line being encoded, reused for every event.
+    line: Vec<u8>,
     bytes: u64,
     err: Option<std::io::Error>,
 }
@@ -45,12 +47,13 @@ impl Observer for EventWriter {
         if self.err.is_some() {
             return;
         }
-        let mut line = serde::json::to_string(&event);
-        line.push('\n');
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
+        self.line.clear();
+        event.append_json(&mut self.line);
+        self.line.push(b'\n');
+        if let Err(e) = self.out.write_all(&self.line) {
             self.err = Some(e);
         } else {
-            self.bytes += line.len() as u64;
+            self.bytes += self.line.len() as u64;
         }
     }
 }
@@ -100,6 +103,7 @@ impl EventLog {
         let writer = EventWriter {
             path: path.to_string(),
             out: BufWriter::new(file),
+            line: Vec::new(),
             bytes: resume_offset.unwrap_or(0),
             err: None,
         };

@@ -201,7 +201,9 @@ impl<'a, M: RunHost> RunSession<'a, M> {
     ///   stopping is always resumable.
     /// * `on_pause` runs while the machine is paused at a tick boundary,
     ///   after any due checkpoint was published; return
-    ///   [`PauseFlow::Stop`] to end the session there.
+    ///   [`PauseFlow::Stop`] to end the session there. Calling `run`
+    ///   again on a stopped session goes on from that pause exactly as if
+    ///   `on_pause` had returned [`PauseFlow::Continue`].
     /// * `telemetry` sees every machine event, after the events log and
     ///   the policy engine (daemon subscribers hang off this).
     ///

@@ -1,7 +1,8 @@
 //! End-to-end certification of the session layer, independent of the CLI:
 //! a killed-and-resumed [`RunSession`] must produce a byte-identical event
-//! stream to an uninterrupted one, and [`run_with_cut`] must agree with a
-//! straight run.
+//! stream to an uninterrupted one, so must a session stopped at every pause
+//! and run again in the same process, and [`run_with_cut`] must agree with
+//! a straight run.
 
 use rfsp_adversary::RandomFaults;
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
@@ -93,6 +94,35 @@ fn killed_session_resumes_to_byte_identical_events() {
     assert!(ck.wasted.checkpoints >= 1);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dropped);
+}
+
+#[test]
+fn a_session_stopped_at_every_pause_goes_on_when_run_again() {
+    // The daemon ends a segment at every pause and calls `run` again once
+    // it holds the turn; that must be the same run as one that continues.
+    let dir = test_dir("rerun");
+    let base = config(&dir, "base");
+    assert!(drive(&base, None, false), "baseline must complete");
+
+    let cfg = config(&dir, "rerun");
+    let mut layout = LayoutBuilder::new();
+    let tasks = WriteAllTasks::new(&mut layout, cfg.n as usize);
+    let prog = AlgoX::new(&mut layout, tasks, cfg.p as usize, XOptions::default());
+    let build = Box::new(|| Machine::new(&prog, cfg.p as usize, CycleBudget::PAPER));
+    let mut session = RunSession::new(cfg.clone(), ExecMode::Sequential, build).unwrap();
+    let mut stops = 0;
+    while let SessionEnd::Stopped { .. } =
+        session.run(&mut |_| false, &mut |_| PauseFlow::Stop, &mut NoopObserver).unwrap()
+    {
+        stops += 1;
+    }
+    assert!(stops > 1, "the checkpoint cadence must pause the run more than once");
+    assert!(tasks.all_written(session.memory()), "postcondition violated");
+
+    let want = std::fs::read(base.events.as_deref().unwrap()).unwrap();
+    let got = std::fs::read(cfg.events.as_deref().unwrap()).unwrap();
+    assert_eq!(want, got, "a re-run session's event stream diverged");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
