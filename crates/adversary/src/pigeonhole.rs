@@ -18,10 +18,11 @@
 //!
 //! The adversary is allocation-free in steady state: the per-cell writer
 //! lists are a flat CSR (counts → exclusive prefix sums → one `Pid` pool),
-//! all buffers live on the struct and are reused across ticks, and when
-//! the machine maintains an unvisited index
-//! ([`MachineView::unvisited`]) the per-tick O(N) memory rescan disappears
-//! entirely — the index hands over the unvisited slice and O(1) ranks.
+//! and all buffers live on the struct and are reused across ticks. Each
+//! tick numbers the unvisited cells of x in one ascending walk — over the
+//! set bits of the machine's unvisited index
+//! ([`MachineView::unvisited`]) when it keeps one, over memory otherwise —
+//! so every tentative write finds its cell's number in O(1).
 
 use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView, Pid, ProcStatus, Region};
 
@@ -37,8 +38,9 @@ pub struct Pigeonhole {
     /// the spirit of the [KS 89] lower-bound adversary: processors stay
     /// dead, and the strategy stops failing when one would remain.
     pub revive: bool,
-    // Reused per-tick buffers (see the module docs).
-    scan: Vec<usize>,
+    // Reused per-tick buffers (see the module docs). `slot_of[offset]` is
+    // the position number of x's cell `offset` among the unvisited cells,
+    // or `usize::MAX` when it is visited.
     slot_of: Vec<usize>,
     counts: Vec<usize>,
     starts: Vec<usize>,
@@ -54,7 +56,6 @@ impl Pigeonhole {
             x,
             floor: 1,
             revive: true,
-            scan: Vec::new(),
             slot_of: Vec::new(),
             counts: Vec::new(),
             starts: Vec::new(),
@@ -81,54 +82,35 @@ impl Adversary for Pigeonhole {
                 }
             }
         }
-        // Unvisited cells of x, in position order: straight from the
-        // machine's index when it maintains one, by (reused-buffer) scan
-        // otherwise. `indexed` additionally carries the rank of x's first
-        // unvisited cell, turning address → slot into O(1) rank lookups.
-        let indexed = view.unvisited.map(|idx| (idx, idx.range_in(self.x).start));
-        let u = match indexed {
-            Some((idx, _)) => idx.count_in(self.x),
-            None => {
-                self.scan.clear();
-                self.scan.extend(
-                    (0..self.x.len()).map(|i| self.x.at(i)).filter(|&a| view.mem.peek(a) == 0),
-                );
-                self.scan.len()
-            }
+        // Number the unvisited cells of x by position, in one walk: over
+        // the set bits of the machine's index when it keeps one, by a
+        // memory scan otherwise.
+        let x = self.x;
+        self.slot_of.clear();
+        self.slot_of.resize(x.len(), usize::MAX);
+        let mut u = 0;
+        let mut number = |addr: usize| {
+            self.slot_of[addr - x.base()] = u;
+            u += 1;
         };
-        #[cfg(debug_assertions)]
-        {
-            let fresh: Vec<usize> = (0..self.x.len())
-                .map(|i| self.x.at(i))
-                .filter(|&a| view.mem.peek(a) == 0)
-                .collect();
-            let agrees = match indexed {
-                Some((idx, _)) => idx.slice_in(self.x).iter().eq(fresh.iter().copied()),
-                None => self.scan == fresh,
-            };
-            assert!(agrees, "unvisited index diverged from the memory scan");
+        let scan = (0..x.len()).map(|i| x.at(i)).filter(|&a| view.mem.peek(a) == 0);
+        match view.unvisited {
+            Some(idx) => {
+                debug_assert!(
+                    idx.iter_in(x).eq(scan),
+                    "unvisited index diverged from the memory scan"
+                );
+                idx.iter_in(x).for_each(&mut number);
+            }
+            None => scan.for_each(&mut number),
         }
         if u <= self.floor {
             return d;
         }
-        if indexed.is_none() {
-            // Fallback slot lookup: region offset → slot (MAX = visited).
-            self.slot_of.clear();
-            self.slot_of.resize(self.x.len(), usize::MAX);
-            for k in 0..self.scan.len() {
-                let addr = self.scan[k];
-                self.slot_of[self.x.index_of(addr)] = k;
-            }
-        }
-        let x = self.x;
-        let slot = move |slot_of: &[usize], addr: usize| -> Option<usize> {
-            match indexed {
-                Some((idx, base)) => idx.rank_of(addr).map(|r| r - base),
-                None => {
-                    let s = slot_of[x.index_of(addr)];
-                    (s != usize::MAX).then_some(s)
-                }
-            }
+        let slot_of = &self.slot_of;
+        let slot = |addr: usize| -> Option<usize> {
+            let s = slot_of[addr - x.base()];
+            (s != usize::MAX).then_some(s)
         };
         // Writer lists per unvisited cell as a flat CSR: count, prefix-sum,
         // fill (counts double as fill cursors).
@@ -136,8 +118,8 @@ impl Adversary for Pigeonhole {
         self.counts.resize(u, 0);
         for t in view.tentative.iter().flatten() {
             for &(addr, value) in t.writes.writes() {
-                if value == 1 && self.x.contains(addr) {
-                    if let Some(k) = slot(&self.slot_of, addr) {
+                if value == 1 && x.contains(addr) {
+                    if let Some(k) = slot(addr) {
                         self.counts[k] += 1;
                     }
                 }
@@ -154,8 +136,8 @@ impl Adversary for Pigeonhole {
         for (pid_idx, t) in view.tentative.iter().enumerate() {
             let Some(t) = t.as_ref() else { continue };
             for &(addr, value) in t.writes.writes() {
-                if value == 1 && self.x.contains(addr) {
-                    if let Some(k) = slot(&self.slot_of, addr) {
+                if value == 1 && x.contains(addr) {
+                    if let Some(k) = slot(addr) {
                         self.csr[self.counts[k]] = Pid(pid_idx);
                         self.counts[k] += 1;
                     }

@@ -13,7 +13,7 @@
 //! * **word model**, banked layout (64 banks, block interleave 8): the
 //!   same thread sweep at `N ∈ {2^20, 2^24}` — bank arithmetic must not
 //!   break the scaling;
-//! * **snapshot model**, flat + banked at `N ∈ {2^20, 2^24}`,
+//! * **snapshot model**, flat + banked at `N ∈ {2^20, 2^22}`,
 //!   single-threaded (the snapshot machine is sequential by design).
 //!
 //! Every run is a real machine execution ([`TrivialAssign`] /
@@ -122,10 +122,11 @@ fn small_sizes() -> Vec<usize> {
     }
 }
 
-/// Sizes for the snapshot model. Its tentative phase `select`s from the
-/// unvisited index every tick, so the index re-compacts each tick and the
-/// run costs `Θ(N²/P)` overall — the sweep stays below the word-model
-/// ceiling by design.
+/// Sizes for the snapshot model. Its tentative phase ranks and `select`s
+/// in the unvisited index every tick, at O(log N) per processor, so the
+/// run costs `O(N log N)` whatever the cells per processor. The sweep
+/// stays at two sizes because the snapshot machine has no pooled engine
+/// and so no thread axis.
 fn snapshot_sizes() -> Vec<usize> {
     if quick() {
         vec![1 << 12]

@@ -65,7 +65,7 @@ impl SnapshotProgram for SnapshotBalance {
     ) -> Step {
         let x = self.tasks.x();
         // Snapshot: number the unvisited cells by position. The machine's
-        // unvisited index answers this in O(1) per processor; on a bare
+        // unvisited index answers this in O(log N) per processor; on a bare
         // view the helper degrades to the old full scan.
         let u = view.unvisited_count_in(x);
         if u == 0 {
@@ -155,9 +155,12 @@ mod tests {
             mem.poke(tasks.x().at(i), 1);
         }
         let mut idx = rfsp_pram::UnvisitedIndex::new(0);
-        idx.rebuild(mem.size(), |addr| {
-            matches!(algo.completion_hint(addr, mem.peek(addr)), CompletionHint::Outstanding)
-        });
+        idx.rebuild(
+            mem.size(),
+            (0..mem.size()).filter(|&addr| {
+                matches!(algo.completion_hint(addr, mem.peek(addr)), CompletionHint::Outstanding)
+            }),
+        );
         let bare = SnapshotView::bare(&mem);
         let indexed = SnapshotView::with_index(&mem, &idx);
         for pid in 0..5 {

@@ -14,8 +14,9 @@
 //!   unstable sort is deterministic).
 //! * **winners** — `parts × write_slots` rows: the CRCW winner per
 //!   `(slot, addr)` group, address-ascending within a row by construction.
-//! * **bank_deltas / index_ops** — per-partition accounting deltas and net
-//!   completion-index operations, merged by the coordinator in rank order.
+//! * **bank_deltas / outstanding_changes** — per-partition accounting
+//!   deltas and signed changes of the outstanding-cell count, merged by the
+//!   coordinator in rank order.
 //! * **errs** — per-worker first-conflict slot, keyed by `(slot, addr)` so
 //!   the coordinator can pick the globally-first error deterministically.
 //!
@@ -62,8 +63,8 @@ pub(crate) struct CommitScratch {
     pub(crate) winners: Vec<Vec<SlotWinner>>,
     /// Per-partition committed-write counts per bank.
     pub(crate) bank_deltas: Vec<Vec<u64>>,
-    /// Per-partition net completion-index operations `(addr, insert)`.
-    pub(crate) index_ops: Vec<Vec<(usize, bool)>>,
+    /// Per-partition change of the outstanding-cell count.
+    pub(crate) outstanding_changes: Vec<isize>,
     /// Per-worker first error, keyed by `(slot, addr)` for the
     /// deterministic global minimum.
     pub(crate) errs: Vec<Option<(u32, usize, PramError)>>,
@@ -83,7 +84,7 @@ impl CommitScratch {
         for d in &mut self.bank_deltas {
             d.reserve(banks);
         }
-        self.index_ops.resize_with(parts, Vec::new);
+        self.outstanding_changes.resize(parts, 0);
         self.errs.resize_with(parts.max(groups), || None);
     }
 

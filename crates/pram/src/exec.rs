@@ -20,24 +20,25 @@
 //!   snapshot-model runs trace identically;
 //! * adversary-decision validation (shared with the models via
 //!   [`crate::decisions`]);
-//! * the incremental completion tracker: an [`UnvisitedIndex`] primed from
-//!   [`ExecutionModel::completion_hint`] and folded on every committed
-//!   write, replacing the O(N) `is_complete` scan with an O(1) emptiness
-//!   test;
+//! * the incremental completion tracker: an outstanding-cell count primed
+//!   from [`ExecutionModel::completion_masks`] and folded on every
+//!   committed write, replacing the O(N) `is_complete` scan with an O(1)
+//!   zero test — plus, for a model that keeps one
+//!   ([`ExecutionModel::KEEPS_INDEX`]), an [`UnvisitedIndex`] of those
+//!   cells folded the same way;
 //! * versioned checkpoint save/restore tagged with the model's name
 //!   ([`ExecutionModel::MODEL`]), so a word checkpoint cannot be restored
 //!   into a snapshot machine or vice versa.
 //!
 //! The core stays **allocation-free in steady state**: all per-tick buffers
 //! (tentative cycles, fates, slot merges, failure scratch) live in the
-//! [`Core`] and are reused; index maintenance is O(committed writes)
-//! amortized per tick with in-place compaction. Backends implement the
+//! [`Core`] and are reused; tracker maintenance is O(1) per committed write
+//! for the count and O(log N) for the index. Backends implement the
 //! [`Backend`] hooks passed into [`Core::run_loop`] — the word machine's
-//! persistent worker pool farms the tentative phase, the commit merge and
-//! the index rebuild out to real threads, the sequential engines play every
-//! phase inline — so the event stream and all accounting are byte-identical
-//! across backends *by construction* (pinned by
-//! `tests/golden_equivalence.rs`).
+//! persistent worker pool farms the tentative phase and the commit merge
+//! out to real threads, the sequential engines play every phase inline —
+//! so the event stream and all accounting are byte-identical across
+//! backends *by construction* (pinned by `tests/golden_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -53,11 +54,9 @@ use crate::error::PramError;
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{
-    SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE, CLASS_REBUILD,
-};
+use crate::pool::{SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE};
 use crate::trace::{Observer, TraceEvent};
-use crate::unvisited::UnvisitedIndex;
+use crate::unvisited::{UnvisitedIndex, LANE_WIDTH};
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Result};
 
@@ -165,11 +164,13 @@ pub trait ExecutionModel {
     /// checkpoint taken under a different model.
     const MODEL: &'static str;
 
-    /// Whether [`MachineView::unvisited`] exposes the completion tracker's
-    /// index to the adversary. The snapshot model does (the §3 adversaries
-    /// are defined on the unvisited set); the word model predates the index
-    /// and keeps its adversary view stable.
-    const ADVERSARY_SEES_INDEX: bool;
+    /// Whether the core keeps an [`UnvisitedIndex`] of the outstanding
+    /// cells beside their count, and exposes it through
+    /// [`MachineView::unvisited`]. The snapshot model does: its §3 programs
+    /// and adversaries number the unvisited cells by position. The word
+    /// model only asks whether the count is zero, so it keeps no index and
+    /// its adversary view stays `None`.
+    const KEEPS_INDEX: bool;
 
     /// Fresh private state for processor `pid` (start and restart).
     fn on_start(&self, pid: Pid) -> Self::Private;
@@ -214,20 +215,15 @@ pub trait ExecutionModel {
     fn checkpoint_budget(&self) -> (usize, usize);
 }
 
-/// The three per-tick hooks a run backend supplies to [`Core::run_loop`]:
-/// how the completion tracker is primed at run entry, how the tentative
-/// phase executes, and how the tick's decisions are applied. The defaults
-/// are the sequential reference paths; the word machine's pooled backends
-/// (see `crate::machine`) override them with the worker-pool phases. Every
-/// override must be observationally identical to the default — event
-/// streams, stats, memory, and the index are pinned byte-identical by the
+/// The two per-tick hooks a run backend supplies to [`Core::run_loop`]:
+/// how the tentative phase executes, and how the tick's decisions are
+/// applied. The default `apply` is the sequential reference path; the
+/// word machine's pooled backends (see `crate::machine`) override the
+/// hooks with the worker-pool phases. Every override must be
+/// observationally identical to the default — event streams, stats,
+/// memory, and the completion tracker are pinned byte-identical by the
 /// golden and differential tests.
 pub(crate) trait Backend<M: ExecutionModel> {
-    /// Prime the completion tracker at run entry.
-    fn prime(&mut self, model: &M, core: &mut Core<M::Private>) {
-        core.init_tracker(model);
-    }
-
     /// Phase 1: fill `core.tentative[i]` for every alive processor.
     ///
     /// # Errors
@@ -279,9 +275,11 @@ pub struct Core<Pv> {
     pub(crate) stats: WorkStats,
     pub(crate) pattern: FailurePattern,
     // Incremental completion tracker (see `ExecutionModel::completion_hint`):
-    // whether the model opted in, and the index of outstanding cells.
+    // whether the model opted in, how many cells are outstanding, and —
+    // when the model keeps one (`KEEPS_INDEX`) — the index of those cells.
     // Primed at construction and re-primed at every run entry.
     pub(crate) tracked: bool,
+    pub(crate) outstanding: usize,
     pub(crate) unvisited: UnvisitedIndex,
     /// Lane width of the batched kernels. The default
     /// ([`DEFAULT_BATCH_WIDTH`]) selects the lane-mask batched paths and
@@ -312,16 +310,11 @@ pub struct Core<Pv> {
 
 /// Default lane width of the batched tentative-phase kernels: one `u64`
 /// mask worth of cells.
-pub const DEFAULT_BATCH_WIDTH: usize = crate::unvisited::LANE_WIDTH;
+pub const DEFAULT_BATCH_WIDTH: usize = LANE_WIDTH;
 
 /// Pooled chunk alignment is capped so huge `batch_width × interleave`
 /// combinations cannot serialize a run into one chunk.
 const MAX_CHUNK_ALIGN: usize = 1 << 16;
-
-/// Smallest address space worth sharding the index rebuild over the pool:
-/// below this the sequential rebuild finishes before the workers would wake
-/// up. Tests force the sharded path regardless via `RFSP_POOL_INLINE_NS=0`.
-const SHARDED_REBUILD_MIN: usize = 1 << 20;
 
 fn gcd(a: usize, b: usize) -> usize {
     let (mut a, mut b) = (a, b);
@@ -366,6 +359,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             stats: WorkStats::default(),
             pattern: FailurePattern::new(),
             tracked: false,
+            outstanding: 0,
             unvisited: UnvisitedIndex::new(0),
             batch_width: DEFAULT_BATCH_WIDTH,
             tentative: vec![None; processors],
@@ -385,53 +379,82 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// Classify every shared cell via [`ExecutionModel::completion_hint`]
-    /// and prime the unvisited index. The model is *tracked* iff it reports
-    /// at least one tracked cell; untracked models keep the full-scan
-    /// completion check and get no index.
+    /// and prime the completion tracker: the outstanding count, and the
+    /// unvisited index when the model keeps one. The model is *tracked*
+    /// iff it reports at least one tracked cell; untracked models keep the
+    /// full-scan completion check.
     pub(crate) fn init_tracker<M: ExecutionModel<Private = Pv>>(&mut self, model: &M) {
         let mem = &self.mem;
-        // Both paths walk the memory in bank-aligned chunks: each chunk is
-        // one contiguous slice of its bank, so a banked layout is
-        // classified without the per-address bank mapping.
+        let size = mem.size();
         if self.batch_width > 1 {
-            // Batched path: 64-cell lanes classified into bit masks by
+            // Batched path: the 64-cell lanes of each bank-aligned chunk
+            // (one contiguous slice of its bank, so a banked layout needs
+            // no per-address bank mapping) classified into bit masks by
             // `completion_masks`, whose hot implementations are
-            // branch-free (see `WriteAllTasks::completion_masks`).
+            // branch-free (see `WriteAllTasks::completion_masks`). The
+            // count is the masks' popcount; an index ORs them in whole.
             let mut tracked_bits = 0u64;
-            self.unvisited.rebuild_from_chunks_batched(mem.size(), mem.chunks(), |base, lane| {
-                let (outstanding, tracked) = model.completion_masks(base, lane);
-                #[cfg(debug_assertions)]
-                {
-                    let expected = crate::fold_completion_masks(base, lane, |addr, value| {
-                        model.completion_hint(addr, value)
-                    });
-                    assert_eq!(
-                        (outstanding, tracked),
-                        expected,
-                        "completion_masks disagrees with completion_hint on lane at {base}",
-                    );
-                }
-                tracked_bits |= tracked;
-                outstanding
-            });
+            let mut outstanding = 0;
+            let lanes = mem
+                .chunks()
+                .flat_map(|(base, cells)| {
+                    cells
+                        .chunks(LANE_WIDTH)
+                        .enumerate()
+                        .map(move |(k, lane)| (base + k * LANE_WIDTH, lane))
+                })
+                .map(|(base, lane)| {
+                    let (mask, tracked) = model.completion_masks(base, lane);
+                    #[cfg(debug_assertions)]
+                    {
+                        let expected = crate::fold_completion_masks(base, lane, |addr, value| {
+                            model.completion_hint(addr, value)
+                        });
+                        assert_eq!(
+                            (mask, tracked),
+                            expected,
+                            "completion_masks disagrees with completion_hint on lane at {base}",
+                        );
+                    }
+                    tracked_bits |= tracked;
+                    outstanding += mask.count_ones() as usize;
+                    (base, mask)
+                });
+            if M::KEEPS_INDEX {
+                self.unvisited.rebuild_from_lanes(size, lanes);
+            } else {
+                lanes.for_each(drop);
+            }
             self.tracked = tracked_bits != 0;
+            self.outstanding = outstanding;
         } else {
-            // Scalar reference path (`batch_width == 1`), kept verbatim for
-            // the batched-vs-scalar differential proptests.
+            // Scalar reference path (`batch_width == 1`): one
+            // `completion_hint` per cell of the same chunks, kept for the
+            // batched-vs-scalar differential proptests.
             let mut any_tracked = false;
-            self.unvisited.rebuild_from_chunks(mem.size(), mem.chunks(), |addr, value| match model
-                .completion_hint(addr, value)
-            {
-                CompletionHint::Untracked => false,
-                CompletionHint::Outstanding => {
-                    any_tracked = true;
-                    true
-                }
-                CompletionHint::Satisfied => {
-                    any_tracked = true;
-                    false
-                }
-            });
+            let outstanding = mem
+                .chunks()
+                .flat_map(|(base, cells)| {
+                    cells.iter().enumerate().map(move |(off, &value)| (base + off, value))
+                })
+                .filter(|&(addr, value)| match model.completion_hint(addr, value) {
+                    CompletionHint::Untracked => false,
+                    CompletionHint::Outstanding => {
+                        any_tracked = true;
+                        true
+                    }
+                    CompletionHint::Satisfied => {
+                        any_tracked = true;
+                        false
+                    }
+                })
+                .map(|(addr, _)| addr);
+            self.outstanding = if M::KEEPS_INDEX {
+                self.unvisited.rebuild(size, outstanding);
+                self.unvisited.len()
+            } else {
+                outstanding.count()
+            };
             self.tracked = any_tracked;
         }
     }
@@ -451,19 +474,19 @@ impl<Pv: Clone + Send> Core<Pv> {
         align.min(MAX_CHUNK_ALIGN)
     }
 
-    /// O(1) completion test for tracked models (the index is empty), full
-    /// scan otherwise. Debug builds cross-check the index against
+    /// O(1) completion test for tracked models (no cell is outstanding),
+    /// full scan otherwise. Debug builds cross-check the count against
     /// `is_complete`.
     fn completion_reached<M: ExecutionModel<Private = Pv>>(&self, model: &M) -> bool {
         if self.tracked {
-            let done = self.unvisited.is_empty();
+            let done = self.outstanding == 0;
             debug_assert_eq!(
                 done,
                 model.is_complete(&self.mem),
                 "completion tracker diverged from is_complete at tick {} \
                  ({} cells outstanding) — the hint contract is violated",
                 self.cycle,
-                self.unvisited.len(),
+                self.outstanding,
             );
             done
         } else {
@@ -505,11 +528,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             mem: &self.mem,
             procs: &self.meta,
             tentative: &self.tentative,
-            unvisited: if M::ADVERSARY_SEES_INDEX && self.tracked {
-                Some(&self.unvisited)
-            } else {
-                None
-            },
+            unvisited: if M::KEEPS_INDEX && self.tracked { Some(&self.unvisited) } else { None },
         };
         adversary.decide(&view)
     }
@@ -565,7 +584,9 @@ impl<Pv: Clone + Send> Core<Pv> {
         A: Adversary + ?Sized,
         B: Backend<M>,
     {
-        backend.prime(model, self);
+        // Re-prime at every run entry: `Machine::memory_mut` lets callers
+        // poke memory between runs, behind the tracker's back.
+        self.init_tracker(model);
         loop {
             if self.completion_reached(model) {
                 observer.event(TraceEvent::Completed { cycle: self.cycle });
@@ -671,7 +692,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// Phase 3: charge work, update processor states, record the failure
-    /// pattern, advance the clock, restore the index's dense form.
+    /// pattern, advance the clock.
     fn charge_and_finish<M>(&mut self, model: &M, observer: &mut dyn Observer)
     where
         M: ExecutionModel<Private = Pv>,
@@ -742,27 +763,33 @@ impl<Pv: Clone + Send> Core<Pv> {
         self.cycle += 1;
         self.stats.parallel_time = self.cycle;
 
-        // Restore the index's dense form for the next tick's views — but
-        // only when the model has a reader: the snapshot model selects
-        // from the index during its tentative phase and exposes it to the
-        // adversary, so it must be dense at every tick boundary. The word
-        // model only folds O(1) updates in and tests emptiness, and
-        // compacting its tombstones every tick would put an O(N) scan on
-        // the hot path — its index stays lazily dirty instead. Debug
-        // builds always compact so the ground-truth cross-check below can
-        // run.
-        if self.tracked {
-            if M::ADVERSARY_SEES_INDEX || cfg!(debug_assertions) {
-                self.unvisited.ensure_clean();
-            }
-            debug_assert!(
-                self.unvisited.matches(self.mem.size(), |addr| matches!(
+        // Debug builds cross-check the tracker against a full scan after
+        // every tick: the index bit for bit when the model keeps one, the
+        // count by a recount otherwise.
+        if cfg!(debug_assertions) && self.tracked {
+            let size = self.mem.size();
+            let is_outstanding = |addr| {
+                matches!(
                     model.completion_hint(addr, self.mem.peek(addr)),
                     CompletionHint::Outstanding
-                )),
-                "unvisited index diverged from the full scan after tick {}",
-                self.cycle - 1,
-            );
+                )
+            };
+            if M::KEEPS_INDEX {
+                assert!(
+                    self.unvisited.matches(size, is_outstanding),
+                    "unvisited index diverged from the full scan after tick {}",
+                    self.cycle - 1,
+                );
+                assert_eq!(self.unvisited.len(), self.outstanding, "index and count diverged");
+            } else {
+                let recount = (0..size).filter(|&addr| is_outstanding(addr)).count();
+                assert_eq!(
+                    self.outstanding,
+                    recount,
+                    "outstanding count diverged from a recount after tick {}",
+                    self.cycle - 1,
+                );
+            }
         }
     }
 
@@ -809,16 +836,22 @@ impl<Pv: Clone + Send> Core<Pv> {
                 j += 1;
             }
             if self.tracked {
-                // Fold the committed write into the unvisited index
+                // Fold the committed write into the completion tracker
                 // *before* the store (the old value is still visible).
                 let old = model.completion_hint(addr, self.mem.peek(addr));
                 let new = model.completion_hint(addr, chosen.1);
                 match (old, new) {
                     (CompletionHint::Outstanding, CompletionHint::Satisfied) => {
-                        self.unvisited.remove(addr);
+                        self.outstanding -= 1;
+                        if M::KEEPS_INDEX {
+                            self.unvisited.remove(addr);
+                        }
                     }
                     (CompletionHint::Satisfied, CompletionHint::Outstanding) => {
-                        self.unvisited.insert(addr);
+                        self.outstanding += 1;
+                        if M::KEEPS_INDEX {
+                            self.unvisited.insert(addr);
+                        }
                     }
                     _ => {}
                 }
@@ -835,12 +868,14 @@ impl<Pv: Clone + Send> Core<Pv> {
     /// Observationally identical to the sequential apply on every
     /// successful tick: same memory image, same `Commit` event stream (the
     /// deterministic rank-ordered merge reproduces the slot-major,
-    /// address-ascending order), same stats and bank counters, same index
-    /// membership. On a CRCW conflict it reports the same error the
-    /// sequential scan would hit first; the machine state after an error is
-    /// unspecified under both backends (the sequential engine stops
-    /// mid-commit, this one withholds the whole tick's stores except those
-    /// of already-finished partitions — see DESIGN.md §15).
+    /// address-ascending order), same stats and bank counters, same
+    /// outstanding count. Only models without an index run it: the store
+    /// pass folds the count, not index operations. On a CRCW conflict it
+    /// reports the same error the sequential scan would hit first; the
+    /// machine state after an error is unspecified under both backends (the
+    /// sequential engine stops mid-commit, this one withholds the whole
+    /// tick's stores except those of already-finished partitions — see
+    /// DESIGN.md §15).
     ///
     /// # Errors
     ///
@@ -878,14 +913,15 @@ impl<Pv: Clone + Send> Core<Pv> {
     ///    group, recording per-bank write deltas; conflicts are recorded,
     ///    not applied.
     /// 3. **Store** — each partition k-way-merges its per-slot winner lists
-    ///    by address, folds the completion-hint chain, and writes the final
-    ///    value per address through raw bank pointers. Runs only if no
-    ///    partition recorded a conflict.
+    ///    by address, folds the completion-hint chain into a signed change
+    ///    of the outstanding count, and writes the final value per address
+    ///    through raw bank pointers. Runs only if no partition recorded a
+    ///    conflict.
     ///
     /// The coordinator then merges the accounting deltas, replays the
     /// `Commit` events in slot-major rank order (partitions are contiguous
     /// ascending address ranges, so this is exactly the sequential order),
-    /// and applies the net index operations.
+    /// and adds the partitions' count changes.
     fn commit_pooled<M>(
         &mut self,
         model: &M,
@@ -896,6 +932,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     where
         M: ExecutionModel<Private = Pv> + Sync,
     {
+        const { assert!(!M::KEEPS_INDEX, "the pooled store pass folds only the outstanding count") };
         let groups = pool.threads();
         let parts = pool.threads();
         let p = self.procs.len();
@@ -1069,13 +1106,10 @@ impl<Pv: Clone + Send> Core<Pv> {
         {
             let winners = &self.commit.winners;
             let bank_ptrs = &self.commit.bank_ptrs;
-            let ops_ptr = SendPtr::new(self.commit.index_ops.as_mut_ptr());
+            let changes_ptr = SendPtr::new(self.commit.outstanding_changes.as_mut_ptr());
             let store = move |w0: usize, w1: usize| -> Result<()> {
                 for w in w0..w1 {
-                    // SAFETY: index_ops[w] is owned exclusively by
-                    // partition w.
-                    let ops = unsafe { &mut *ops_ptr.ptr().add(w) };
-                    ops.clear();
+                    let mut change = 0isize;
                     let rows = &winners[w * stride..w * stride + max_slots];
                     let mut heads = [0usize; MAX_WRITES];
                     loop {
@@ -1094,16 +1128,11 @@ impl<Pv: Clone + Send> Core<Pv> {
                         let initial = unsafe { *cell };
                         // Fold the slot chain exactly like the sequential
                         // engine: each store's "old" value is the previous
-                        // slot's winner. Successive index operations for
-                        // one address strictly alternate remove/insert, so
-                        // membership after the chain equals membership
-                        // after the *last* operation alone — and insert/
-                        // remove are idempotent on membership, so the
-                        // coordinator applies just that one.
+                        // slot's winner, and each transition moves the
+                        // count by one.
                         let mut cur =
                             if tracked { Some(model.completion_hint(addr, initial)) } else { None };
                         let mut value = initial;
-                        let mut net: Option<bool> = None;
                         for (s, row) in rows.iter().enumerate() {
                             if let Some(wn) = row.get(heads[s]) {
                                 if wn.addr == addr {
@@ -1115,11 +1144,11 @@ impl<Pv: Clone + Send> Core<Pv> {
                                             (
                                                 CompletionHint::Outstanding,
                                                 CompletionHint::Satisfied,
-                                            ) => net = Some(false),
+                                            ) => change -= 1,
                                             (
                                                 CompletionHint::Satisfied,
                                                 CompletionHint::Outstanding,
-                                            ) => net = Some(true),
+                                            ) => change += 1,
                                             _ => {}
                                         }
                                         cur = Some(new);
@@ -1129,10 +1158,10 @@ impl<Pv: Clone + Send> Core<Pv> {
                         }
                         // SAFETY: as above — exclusive by address partition.
                         unsafe { *cell = value };
-                        if let Some(insert) = net {
-                            ops.push((addr, insert));
-                        }
                     }
+                    // SAFETY: outstanding_changes[w] is owned exclusively
+                    // by partition w.
+                    unsafe { *changes_ptr.ptr().add(w) = change };
                 }
                 Ok(())
             };
@@ -1156,143 +1185,9 @@ impl<Pv: Clone + Send> Core<Pv> {
                 }
             }
         }
-        if tracked {
-            let commit = &self.commit;
-            let unvisited = &mut self.unvisited;
-            for w in 0..parts {
-                for &(addr, insert) in &commit.index_ops[w] {
-                    if insert {
-                        unvisited.insert(addr);
-                    } else {
-                        unvisited.remove(addr);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Core::init_tracker`] with the rebuild sharded across the pool when
-    /// the address space is large enough to pay for it (always, when the
-    /// tests force the parallel path). Falls back to the sequential rebuild
-    /// if a worker panics mid-fill (the classifier is model code).
-    pub(crate) fn init_tracker_pooled<M>(&mut self, model: &M, pool: &TickPool)
-    where
-        M: ExecutionModel<Private = Pv> + Sync,
-    {
-        let sharded = self.batch_width > 1
-            && (pool.force_parallel()
-                || (pool.multicore() && self.mem.size() >= SHARDED_REBUILD_MIN));
-        if !sharded || self.try_sharded_rebuild(model, pool).is_err() {
-            self.init_tracker(model);
-        }
-    }
-
-    /// The sharded rebuild: count outstanding cells per chunk-aligned
-    /// address partition, prefix-sum the counts into dense-items offsets in
-    /// rank order, then let each partition fill its own disjoint slice of
-    /// the index's dense form directly. The rank-ordered stitch is implicit
-    /// in the offsets: concatenating the partitions is exactly the
-    /// ascending dense form a sequential rebuild produces.
-    fn try_sharded_rebuild<M>(&mut self, model: &M, pool: &TickPool) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv> + Sync,
-    {
-        let parts = pool.threads();
-        let size = self.mem.size();
-        let align = self.chunk_align();
-        let part = size.div_ceil(parts).max(1).next_multiple_of(align);
-        let bounds = |w: usize| ((w * part).min(size), ((w + 1) * part).min(size));
-
-        // --- Pass 1: count outstanding cells and OR tracked bits per
-        // partition.
-        let mut counts: Vec<(usize, bool)> = vec![(0, false); parts];
-        {
-            let mem = &self.mem;
-            let counts_ptr = SendPtr::new(counts.as_mut_ptr());
-            let count = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    let (lo, hi) = bounds(w);
-                    let mut outstanding_total = 0usize;
-                    let mut tracked_bits = 0u64;
-                    for (chunk_base, cells) in mem.chunks_in(lo, hi) {
-                        let mut base = chunk_base;
-                        for lane in cells.chunks(crate::unvisited::LANE_WIDTH) {
-                            let (outstanding, tracked) = model.completion_masks(base, lane);
-                            #[cfg(debug_assertions)]
-                            {
-                                let expected =
-                                    crate::fold_completion_masks(base, lane, |addr, value| {
-                                        model.completion_hint(addr, value)
-                                    });
-                                assert_eq!(
-                                    (outstanding, tracked),
-                                    expected,
-                                    "completion_masks disagrees with completion_hint at {base}",
-                                );
-                            }
-                            outstanding_total += outstanding.count_ones() as usize;
-                            tracked_bits |= tracked;
-                            base += lane.len();
-                        }
-                    }
-                    // SAFETY: counts[w] is owned exclusively by partition w;
-                    // the pool barrier publishes the writes.
-                    unsafe { *counts_ptr.ptr().add(w) = (outstanding_total, tracked_bits != 0) };
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_REBUILD, parts, 1, &count)?;
-        }
-        let mut offsets = Vec::with_capacity(parts);
-        let mut total = 0usize;
-        for &(n, _) in &counts {
-            offsets.push(total);
-            total += n;
-        }
-
-        // --- Pass 2: raw fill. Partition w owns pos[lo..hi] and items
-        // slots [offsets[w], offsets[w] + counts[w]).
-        let raw = self.unvisited.begin_sharded_rebuild(size, total);
-        {
-            let mem = &self.mem;
-            let offsets = &offsets;
-            let counts = &counts;
-            let fill = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    let (lo, hi) = bounds(w);
-                    // SAFETY: disjoint per-partition ranges, in bounds.
-                    unsafe { raw.clear_pos(lo, hi) };
-                    let mut slot = offsets[w];
-                    for (chunk_base, cells) in mem.chunks_in(lo, hi) {
-                        let mut base = chunk_base;
-                        for lane in cells.chunks(crate::unvisited::LANE_WIDTH) {
-                            let (mut mask, _) = model.completion_masks(base, lane);
-                            // Ascending set bits keep the partition's slice
-                            // of the dense form address-ordered.
-                            while mask != 0 {
-                                let j = mask.trailing_zeros() as usize;
-                                mask &= mask - 1;
-                                // SAFETY: slot stays inside the partition's
-                                // items range (pass 1 counted these bits).
-                                unsafe { raw.set(slot, base + j) };
-                                slot += 1;
-                            }
-                            base += lane.len();
-                        }
-                    }
-                    let _counted = counts[w].0;
-                    debug_assert_eq!(slot - offsets[w], _counted);
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_REBUILD, parts, 1, &fill)?;
-        }
-        // SAFETY: every pos cell in [0, size) and items slot in [0, total)
-        // was written by exactly one partition; the pool barrier
-        // synchronized the writes.
-        unsafe { self.unvisited.finish_sharded_rebuild(size, total) };
-        self.tracked = counts.iter().any(|&(_, t)| t);
+        let change: isize = self.commit.outstanding_changes[..parts].iter().sum();
+        self.outstanding =
+            self.outstanding.checked_add_signed(change).expect("outstanding count stays in range");
         Ok(())
     }
 }

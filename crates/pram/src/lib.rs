@@ -100,7 +100,7 @@ pub use trace::{
     MetricsObserver, NoopObserver, Observer, RunSeries, Tee, TickMetrics, TraceEvent,
     TraceRecorder, WastedWork,
 };
-pub use unvisited::{AddrSlice, UnvisitedIndex, LANE_WIDTH};
+pub use unvisited::{IterIn, UnvisitedIndex, LANE_WIDTH};
 pub use word::{Pid, Word};
 
 /// Crate-level result alias.

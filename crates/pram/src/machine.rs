@@ -23,9 +23,8 @@
 //! the charged read phase with its plan chain ([`tentative_for`]), the
 //! [`CycleBudget`] enforcement, and the pooled/panic-isolated backends.
 //! The pooled backend farms the **whole tick** out to a persistent
-//! [`TickPool`] of workers: the tentative phase, the three-pass parallel
-//! commit (`Core::apply_pooled`) and the sharded completion-index rebuild
-//! (`Core::init_tracker_pooled`) all run on the same pool, with
+//! [`TickPool`] of workers: the tentative phase and the three-pass
+//! parallel commit (`Core::apply_pooled`) run on the same pool, with
 //! rank-ordered merges keeping every observable byte identical to the
 //! sequential engine.
 //!
@@ -40,8 +39,9 @@
 //! allocation and no thread spawn**: all per-tick buffers live in the core
 //! and are reused; the threaded backend parks its worker pool for the whole
 //! run; and programs that implement [`Program::completion_hint`] replace
-//! the per-tick O(memory) completion scan with an O(1) emptiness test on
-//! the incremental unvisited index.
+//! the per-tick O(memory) completion scan with an O(1) test of an
+//! outstanding-cell counter. The word model keeps no index of those cells:
+//! nothing in it asks which cells they are.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -108,9 +108,9 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
     type Private = P::Private;
 
     const MODEL: &'static str = "word";
-    // The word adversary's view predates the unvisited index and stays
-    // stable: `MachineView::unvisited` is always `None` here.
-    const ADVERSARY_SEES_INDEX: bool = false;
+    // Completion only asks whether the outstanding count is zero, so the
+    // word model keeps no index and `MachineView::unvisited` is `None`.
+    const KEEPS_INDEX: bool = false;
 
     fn on_start(&self, pid: Pid) -> P::Private {
         self.program.on_start(pid)
@@ -525,8 +525,8 @@ where
     })
 }
 
-/// The fully pooled word backend: tentative phase, three-pass parallel
-/// commit and sharded index rebuild all run on the same worker pool.
+/// The fully pooled word backend: the tentative phase and the three-pass
+/// parallel commit run on the same worker pool.
 /// Results are pinned byte-identical to [`SeqBackend`] by the golden and
 /// differential tests.
 struct PooledBackend<'a> {
@@ -538,10 +538,6 @@ where
     P: Program + Sync,
     P::Private: Send,
 {
-    fn prime(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) {
-        core.init_tracker_pooled(model, self.pool);
-    }
-
     fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
         tentative_pooled::<P, false>(model.program, model.budget, core, self.pool)
     }
@@ -574,10 +570,10 @@ impl<'p, P: Program> Backend<WordModel<'p, P>> for CaughtBackend {
 /// degrades permanently to the sequential caught engine per the
 /// [`PanicPolicy`].
 ///
-/// Commit and rebuild deliberately keep the **sequential** defaults: the
-/// parallel commit stores through raw bank pointers and calls user
-/// completion hints, so a panic there could not be unwound to a clean tick
-/// boundary the way the tentative phase can.
+/// The commit deliberately keeps the **sequential** default: the parallel
+/// commit stores through raw bank pointers and calls user completion
+/// hints, so a panic there could not be unwound to a clean tick boundary
+/// the way the tentative phase can.
 struct IsolatedBackend<'a, S> {
     pool: &'a TickPool,
     policy: PanicPolicy,
@@ -639,8 +635,8 @@ where
     ///
     /// Every row produces the identical event stream, accounting, failure
     /// pattern and memory. The pooled rows farm every heavy phase of the
-    /// tick — tentative phase, commit, completion-index rebuild — out to
-    /// the workers, whose chunks are merged in rank order; a private pool
+    /// tick — tentative phase and commit — out to the workers, whose
+    /// chunks are merged in rank order; a private pool
     /// is spawned once per call and parked between ticks, so a
     /// steady-state tick performs no thread spawns. A shared pool's turn
     /// lock is held for the whole call, so concurrent callers serialize;
@@ -1240,8 +1236,8 @@ mod tests {
     }
 
     /// The tracked engine must behave exactly like the full-scan engine
-    /// (the run-loop debug_assert also cross-checks the index against
-    /// `is_complete` every tick).
+    /// (the run-loop debug_assert also cross-checks the outstanding count
+    /// against `is_complete` every tick).
     #[test]
     fn completion_hint_matches_full_scan() {
         let plain = Counter { n: 4, target: 3 };

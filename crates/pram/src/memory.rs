@@ -339,16 +339,7 @@ impl SharedMemory {
     /// a contiguous slice of its bank. This is the allocation-free way to
     /// scan memory without paying the per-address bank mapping.
     pub fn chunks(&self) -> CellChunks<'_> {
-        CellChunks { mem: self, next_base: 0, end: self.size }
-    }
-
-    /// [`SharedMemory::chunks`] restricted to the address range
-    /// `[start, end)` — the sharded index rebuild hands each worker its own
-    /// partition of the address space this way. An arbitrary `start` may
-    /// fall mid-block on a banked layout; the first chunk is then the tail
-    /// of that block.
-    pub(crate) fn chunks_in(&self, start: usize, end: usize) -> CellChunks<'_> {
-        CellChunks { mem: self, next_base: start, end: end.min(self.size) }
+        CellChunks { mem: self, next_base: 0 }
     }
 
     /// Raw mutable pointers to each bank's cell storage, in bank order.
@@ -406,25 +397,22 @@ fn bank_len(size: usize, banks: usize, interleave: usize, b: usize) -> usize {
 pub struct CellChunks<'a> {
     mem: &'a SharedMemory,
     next_base: usize,
-    end: usize,
 }
 
 impl<'a> Iterator for CellChunks<'a> {
     type Item = (usize, &'a [Word]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let base = self.next_base;
-        if base >= self.end {
+        let (base, end) = (self.next_base, self.mem.size);
+        if base >= end {
             return None;
         }
         let (bank, slot) = self.mem.locate(base);
         let len = match self.mem.layout {
-            MemoryLayout::Flat => self.end - base,
-            // Stay inside `base`'s interleave block (an arbitrary range
-            // start may land mid-block) and inside the range.
-            MemoryLayout::Banked { interleave, .. } => {
-                (interleave - base % interleave).min(self.end - base)
-            }
+            MemoryLayout::Flat => end - base,
+            // Chunks start on block boundaries, so each is one whole
+            // interleave block (the last one possibly cut short).
+            MemoryLayout::Banked { interleave, .. } => interleave.min(end - base),
         };
         self.next_base = base + len;
         Some((base, &self.mem.banks[bank].cells[slot..slot + len]))
@@ -533,30 +521,6 @@ mod tests {
         }
         assert_eq!(next, 10);
         assert_eq!(seen, (0..10).collect::<Vec<Word>>());
-    }
-
-    /// Range-limited chunk iteration covers exactly `[start, end)` even
-    /// when the range starts or ends mid interleave block.
-    #[test]
-    fn chunks_in_covers_arbitrary_ranges() {
-        let layout = MemoryLayout::Banked { banks: 2, interleave: 3 };
-        let mut m = SharedMemory::with_layout(11, layout).unwrap();
-        for addr in 0..11 {
-            m.poke(addr, addr as Word);
-        }
-        for start in 0..=11 {
-            for end in start..=11 {
-                let mut next = start;
-                let mut seen = Vec::new();
-                for (base, cells) in m.chunks_in(start, end) {
-                    assert_eq!(base, next, "range [{start},{end})");
-                    next += cells.len();
-                    seen.extend_from_slice(cells);
-                }
-                assert_eq!(next, end, "range [{start},{end})");
-                assert_eq!(seen, (start..end).map(|a| a as Word).collect::<Vec<_>>());
-            }
-        }
     }
 
     /// Bank sizing handles a tail that doesn't fill a full round.

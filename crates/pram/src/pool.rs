@@ -13,7 +13,7 @@
 //!   reclaims exclusive access to the machine.
 //!
 //! The pool runs several job *classes* per tick (tentative phase, commit
-//! scan, commit merge, commit store, index rebuild), so the handoff latency
+//! scan, commit merge, commit store), so the handoff latency
 //! is paid several times per tick and has to be cheap:
 //!
 //! * **spin-then-park barrier** — both sides spin on an atomic for a bounded
@@ -79,7 +79,7 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// A raw pointer that may cross thread boundaries.
 ///
 /// The pooled kernels hand each worker a disjoint region of one allocation
-/// (processor states, commit buckets, index storage); the pool's barrier
+/// (processor states, commit buckets); the pool's barrier
 /// bounds every access, and disjointness is each call site's proof
 /// obligation — stated at the `unsafe` dereference, not here.
 pub(crate) struct SendPtr<T>(*mut T);
@@ -152,14 +152,14 @@ unsafe impl Sync for JobCell {}
 
 /// Job classes with independent cost models for the adaptive inline
 /// decision: items of different classes differ by orders of magnitude
-/// (a tentative item is one processor's update cycle, a rebuild item is
-/// one memory cell), so they must not share an EWMA.
+/// (a tentative item is one processor's update cycle, a commit item is
+/// one processor group's or address partition's share of the tick's
+/// writes), so they must not share an EWMA.
 pub(crate) const CLASS_TENTATIVE: usize = 0;
 pub(crate) const CLASS_COMMIT_SCAN: usize = 1;
 pub(crate) const CLASS_COMMIT_MERGE: usize = 2;
 pub(crate) const CLASS_COMMIT_STORE: usize = 3;
-pub(crate) const CLASS_REBUILD: usize = 4;
-const NUM_CLASSES: usize = 5;
+const NUM_CLASSES: usize = 4;
 
 /// Tuning knobs for the pool's barrier and inline degrade, normally read
 /// from the environment (tests construct them directly via

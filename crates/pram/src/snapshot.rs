@@ -32,13 +32,16 @@
 //! live in the core and are reused, private states advance in place, and
 //! the [`FailurePattern`](crate::FailurePattern) is returned by move.
 //! Programs that implement [`SnapshotProgram::completion_hint`]
-//! additionally get an incremental [`UnvisitedIndex`] over the outstanding
-//! cells, maintained from committed writes in O(writes) per tick. The index
-//! replaces the O(N) `is_complete` scan with an O(1) emptiness test and is
-//! exposed to programs through the [`SnapshotView`] (and to adversaries
-//! through [`MachineView::unvisited`](crate::MachineView)), so the §3
-//! algorithms and adversaries stop rescanning memory every tick. Debug
-//! builds cross-check the index against the full scan after every tick.
+//! additionally get an outstanding-cell count, which replaces the O(N)
+//! `is_complete` scan with an O(1) zero test, and an incremental
+//! [`UnvisitedIndex`] over the outstanding cells: a bitset with a Fenwick
+//! tree over its words, maintained from committed writes in O(log N) per
+//! write. The index is exposed to programs through the [`SnapshotView`]
+//! (and to adversaries through
+//! [`MachineView::unvisited`](crate::MachineView)), so the §3 algorithms
+//! and adversaries rank and select unvisited cells in O(log N) instead of
+//! rescanning memory every tick. Debug builds cross-check the index
+//! against the full scan after every tick.
 
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +51,7 @@ use crate::checkpoint::Checkpoint;
 use crate::cycle::{Step, WriteSet};
 use crate::error::{BudgetKind, PramError};
 use crate::exec::{completed, Core, ExecutionModel, RunControl, RunLimits, RunStatus, SeqBackend};
-use crate::machine::RunSpec;
+use crate::machine::{ExecMode, RunSpec};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
 use crate::trace::{NoopObserver, Observer};
@@ -65,7 +68,7 @@ pub mod reference;
 /// The convenience accessors [`unvisited_count_in`](SnapshotView::unvisited_count_in)
 /// and [`nth_unvisited_in`](SnapshotView::nth_unvisited_in) answer the §3
 /// algorithms' per-cycle question — "how many unvisited cells remain in the
-/// region, and which is the k-th?" — in O(log N)/O(1) with the index, and
+/// region, and which is the k-th?" — in O(log N) with the index, and
 /// by an allocation-free O(N) scan without it. The scan defines *unvisited*
 /// as the Write-All convention `cell == 0`; an indexed program must
 /// classify cells the same way in its
@@ -83,8 +86,8 @@ impl<'a> SnapshotView<'a> {
         SnapshotView { mem, unvisited: None }
     }
 
-    /// A view backed by an unvisited-cell index (must be clean and
-    /// consistent with `mem`).
+    /// A view backed by an unvisited-cell index (must be consistent with
+    /// `mem`).
     pub fn with_index(mem: &'a SharedMemory, index: &'a UnvisitedIndex) -> Self {
         SnapshotView { mem, unvisited: Some(index) }
     }
@@ -130,12 +133,14 @@ impl<'a> SnapshotView<'a> {
     }
 
     /// Address of the `k`-th unvisited (`== 0`) cell of `region` in
-    /// position order, if it exists: O(1) with the index (after the range
-    /// lookup), O(region) scan without.
+    /// position order, if it exists: O(log N) with the index (a select
+    /// offset by the rank of the region's base), O(region) scan without.
     pub fn nth_unvisited_in(&self, region: crate::Region, k: usize) -> Option<usize> {
         match self.unvisited {
             Some(idx) => {
-                let got = idx.slice_in(region).get(k);
+                let first = idx.rank(region.base());
+                let count = idx.rank(region.base() + region.len()) - first;
+                let got = (k < count).then(|| idx.select(first + k));
                 debug_assert_eq!(
                     got,
                     self.scan_nth(region, k),
@@ -257,9 +262,10 @@ impl<'p, P: SnapshotProgram> ExecutionModel for SnapModel<'p, P> {
     type Private = P::Private;
 
     const MODEL: &'static str = "snapshot";
-    // The §3 adversaries are defined on the unvisited set; expose the
-    // tracker's index through `MachineView::unvisited`.
-    const ADVERSARY_SEES_INDEX: bool = true;
+    // The §3 programs and adversaries number the unvisited cells by
+    // position; keep the index and expose it through `SnapshotView` and
+    // `MachineView::unvisited`.
+    const KEEPS_INDEX: bool = true;
 
     fn on_start(&self, pid: Pid) -> P::Private {
         self.program.on_start(pid)
@@ -444,9 +450,16 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
     /// tick boundary — the snapshot counterpart of
     /// [`Machine::run_with`](crate::Machine::run_with), with the same
     /// pause/checkpoint/resume contract. The snapshot engine is
-    /// sequential-only and plays no processor under `catch_unwind`, so
-    /// every spec runs on the sequential engine and only `spec.limits` is
-    /// honoured.
+    /// sequential-only:
+    ///
+    /// | `spec.exec` | result |
+    /// |---|---|
+    /// | `Sequential`, `Threads(1)` | sequential |
+    /// | `Threads(0)` | [`PramError::InvalidConfig`], as on the word machine |
+    /// | `Threads(n ≥ 2)`, `Pool(_)` | [`PramError::InvalidConfig`] |
+    ///
+    /// A refused spec leaves the machine untouched. The engine plays no
+    /// processor under `catch_unwind`, so `spec.panic` is ignored.
     ///
     /// # Errors
     ///
@@ -458,6 +471,19 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         observer: &mut dyn Observer,
         control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus> {
+        match spec.exec {
+            ExecMode::Sequential | ExecMode::Threads(1) => {}
+            ExecMode::Threads(0) => {
+                return Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
+            }
+            ExecMode::Threads(_) | ExecMode::Pool(_) => {
+                return Err(PramError::InvalidConfig {
+                    detail: "the snapshot engine is sequential-only; run it with \
+                             ExecMode::Sequential or Threads(1)"
+                        .into(),
+                })
+            }
+        }
         let SnapshotMachine { model, core } = self;
         core.run_loop(model, adversary, spec.limits, observer, &mut SeqBackend, control)
     }
@@ -663,6 +689,41 @@ mod tests {
         // read counter stays untouched (the word machine does charge).
         assert_eq!(m.memory().read_count(), 0);
         assert_eq!(m.memory().write_count(), 8);
+    }
+
+    /// Only the sequential specs run; every other engine is refused before
+    /// anything moves.
+    #[test]
+    fn run_with_refuses_engines_it_cannot_run() {
+        let prog = Hinted { n: 12 };
+        let pool = crate::SharedPool::new(2).unwrap();
+        let refused = [
+            ExecMode::Threads(0),
+            ExecMode::Threads(2),
+            ExecMode::Threads(4),
+            ExecMode::Pool(&pool),
+        ];
+        for exec in refused {
+            let mut m = SnapshotMachine::new(&prog, 3, 1).unwrap();
+            let spec = RunSpec { exec, ..RunSpec::default() };
+            let result =
+                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue);
+            assert!(
+                matches!(result, Err(PramError::InvalidConfig { .. })),
+                "{exec:?} was not refused"
+            );
+            assert_eq!(m.cycle(), 0, "{exec:?} ran a tick");
+            assert!(m.memory().as_slice().iter().all(|&v| v == 0), "{exec:?} wrote memory");
+        }
+        let run = |exec| {
+            let mut m = SnapshotMachine::new(&prog, 3, 1).unwrap();
+            let spec = RunSpec { exec, ..RunSpec::default() };
+            let status =
+                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue);
+            let RunStatus::Completed(report) = status.unwrap() else { panic!("{exec:?} paused") };
+            (report.stats, report.per_processor, m.memory().to_vec())
+        };
+        assert_eq!(run(ExecMode::Threads(1)), run(ExecMode::Sequential));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! sequential engine must allocate *exactly zero* times across a batch of
 //! steady-state ticks, and a pooled run's allocation total must not grow
 //! with the number of ticks — including with the adaptive inline degrade
-//! disabled, so the spin-then-park barrier, the per-worker commit
-//! buffers and the sharded index rebuild are all inside the measurement.
+//! disabled, so the spin-then-park barrier and the per-worker commit
+//! buffers are inside the measurement.
 //!
 //! The sequential and snapshot engines run wholly on the calling thread,
 //! so their measurements read a per-thread counter: the test harness's
@@ -29,9 +29,9 @@ use rfsp_pram::{
     ReadSet, Region, RunLimits, SharedMemory, Step, Word, WriteSet,
 };
 
-/// [`Grind`] with completion hints, so the pooled run builds the
-/// completion index (sharded rebuild at run entry) and the parallel
-/// commit exercises its net index-op path every tick.
+/// [`Grind`] with completion hints, so the pooled run primes the
+/// outstanding-cell count at run entry and the parallel commit folds it
+/// every tick.
 struct HintedGrind {
     n: usize,
     target: Word,
@@ -169,8 +169,8 @@ fn sequential_steady_state_ticks_do_not_allocate() {
 /// entirely through the machine-maintained unvisited index: no scans, no
 /// scratch vectors. Opting into `completion_hint` is what makes the machine
 /// build the index and remove one cell per committed write — the exact
-/// steady-state churn (tombstone + compaction per tick) the allocation
-/// test needs to exercise.
+/// steady-state churn (bit flips and Fenwick updates every tick) the
+/// allocation test needs to exercise.
 struct SnapWriteAll {
     x: Region,
     p: usize,
@@ -218,8 +218,7 @@ fn snapshot_steady_state_ticks_do_not_allocate() {
     let _guard = measure_lock();
     let p = 16;
     // 80 full-width ticks of work: warm-up (8) + measurement (64) stay
-    // strictly inside the run, and every tick commits p index removals
-    // followed by a compaction in `ensure_clean`.
+    // strictly inside the run, and every tick commits p index removals.
     let n = 80 * p;
     let mut layout = LayoutBuilder::new();
     let x = layout.alloc(n);
@@ -261,11 +260,11 @@ fn pooled_allocations_do_not_grow_with_tick_count() {
 }
 
 /// The forced-parallel engine — spin-then-park barrier, per-worker commit
-/// buffers (scan/merge/store), net index ops and the sharded rebuild —
-/// must also reach an allocation-free steady state. `RFSP_POOL_INLINE_NS=0`
+/// buffers (scan/merge/store) and the outstanding-count fold — must also
+/// reach an allocation-free steady state. `RFSP_POOL_INLINE_NS=0`
 /// disables the adaptive inline degrade so every tick actually crosses
 /// the barrier and runs the three commit passes; a tracked program makes
-/// the commit maintain the unvisited index too. The per-worker rows of
+/// the commit fold the outstanding-cell count too. The per-worker rows of
 /// `CommitScratch` grow to their working sizes during the first ticks and
 /// are reused verbatim afterwards, so allocations must not scale with
 /// tick count.

@@ -13,10 +13,10 @@
 //! The word-model property pins `RFSP_POOL_INLINE_NS=0` for the whole
 //! process: the pool's adaptive degrade would otherwise run every pooled
 //! tick inline on a small host, and the **parallel commit** (per-worker
-//! scan/merge/store with a rank-ordered coordinator merge) and the
-//! **sharded index rebuild** would never execute. Forcing the pooled path
-//! makes every pooled run here a true differential test of those kernels
-//! against the sequential slot-by-slot apply. The snapshot model has no
+//! scan/merge/store with a rank-ordered coordinator merge, folding the
+//! outstanding-cell count per partition) would never execute. Forcing the
+//! pooled path makes every pooled run here a true differential test of
+//! that kernel against the sequential slot-by-slot apply. The snapshot model has no
 //! pooled engine — its rows stay a batched-vs-scalar comparison only.
 
 use proptest::prelude::*;
@@ -174,8 +174,7 @@ fn word_run(
     batch_width: usize,
 ) -> Observables {
     // Disable the adaptive inline degrade so pooled runs genuinely
-    // exercise the parallel commit and the sharded rebuild (see the
-    // module docs). `set_var` is idempotent and the snapshot machine
+    // exercise the parallel commit (see the module docs). `set_var` is idempotent and the snapshot machine
     // never constructs a pool, so the process-global override is safe.
     std::env::set_var("RFSP_POOL_INLINE_NS", "0");
     let limits = RunLimits { max_cycles: 1_000_000 };
@@ -245,8 +244,7 @@ proptest! {
         assert_same(&scalar_seq, &batched_pool)?;
 
         // Scalar kernels on the forced pool: the parallel commit must be
-        // invisible even without lane batching (and without the sharded
-        // rebuild, which needs `batch_width > 1`).
+        // invisible even without lane batching.
         let scalar_pool = word_run(MemoryLayout::Flat, &prog, &pattern, Some(threads), 1);
         assert_same(&scalar_seq, &scalar_pool)?;
 
