@@ -125,8 +125,8 @@ fn small_sizes() -> Vec<usize> {
 /// Sizes for the snapshot model. Its tentative phase ranks and `select`s
 /// in the unvisited index every tick, at O(log N) per processor, so the
 /// run costs `O(N log N)` whatever the cells per processor. The sweep
-/// stays at two sizes because the snapshot machine has no pooled engine
-/// and so no thread axis.
+/// times the snapshot machine sequentially, so it has no thread axis and
+/// stays at two sizes.
 fn snapshot_sizes() -> Vec<usize> {
     if quick() {
         vec![1 << 12]
@@ -259,7 +259,7 @@ fn main() {
         }
     }
 
-    // Snapshot model: sequential only (no pooled engine), both layouts.
+    // Snapshot model: timed sequentially, both layouts.
     for layout in [MemoryLayout::Flat, banked_layout()] {
         for n in snapshot_sizes() {
             let p = (n / CELLS_PER_PROC).max(1);

@@ -140,8 +140,8 @@ where
 
         fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
         where
-            P: Program + Sync,
-            P::Private: Send + Serialize + Deserialize,
+            P: Program,
+            P::Private: Serialize + Deserialize,
         {
             let mut adversary = (self.make_adversary)(setup);
             let mut m = Machine::with_layout(prog, self.spec.p, budget, self.spec.layout)?;
@@ -179,8 +179,8 @@ pub trait WriteAllVisitor {
     /// the interleaved algorithm).
     fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
     where
-        P: Program + Sync,
-        P::Private: Send + Serialize + Deserialize;
+        P: Program,
+        P::Private: Serialize + Deserialize;
 }
 
 /// Build the Write-All program `spec` names — from its algorithm, instance

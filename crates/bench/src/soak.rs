@@ -21,12 +21,13 @@
 //! [`run_case`] on the parsed file reproduces the failure with no other
 //! state.
 //!
-//! Since the unified execution core, the harness also fuzzes the §3
-//! **snapshot machine** ([`SoakAlgo::Snapshot`]): those cases run the
-//! balanced-allocation algorithm under seeded random churn and cross-check
-//! the reference run against a kill/checkpoint/resume run through the same
-//! shared-core machinery (the snapshot engine is sequential-only, so the
-//! pooled and panic checks do not apply).
+//! The harness also fuzzes the §3 **snapshot machine**
+//! ([`SoakAlgo::Snapshot`]): those cases run the balanced-allocation
+//! algorithm under seeded random churn and cross-check the reference run
+//! against a replay on the worker pool and a kill/checkpoint/resume run,
+//! through the same run table and checkpoint codec the word model uses
+//! (the panic check wraps word-model programs only, so it does not
+//! apply).
 
 // `SoakFailure` carries the whole offending case by value — it is the
 // replay artifact, and the error path is cold (one failure ends the
@@ -41,10 +42,10 @@ use rfsp_adversary::RandomFaults;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{
-    Adversary, CompletionHint, CycleBudget, DecisionRecorder, ExecMode, FailurePattern,
-    LayoutBuilder, Machine, NoopObserver, PanicPolicy, Pid, PolicyKind, PramError, Program,
-    ReadSet, RunControl, RunLimits, RunSpec, RunStatus, ScheduledAdversary, SharedMemory, Step,
-    Word, WriteSet,
+    Adversary, CompletionHint, CycleBudget, DecisionRecorder, ExecMode, ExecutionModel,
+    FailurePattern, LayoutBuilder, Machine, NoopObserver, PanicPolicy, Pid, PolicyKind, Pram,
+    PramError, Program, ReadSet, RunControl, RunLimits, RunReport, RunSpec, RunStatus,
+    ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
 };
 use rfsp_run::run_with_cut;
 use serde::{Deserialize, Serialize};
@@ -74,9 +75,9 @@ pub enum SoakAlgo {
         seed: u64,
     },
     /// The §3 snapshot-model balanced-allocation algorithm on
-    /// [`SnapshotMachine`]. The snapshot engine is sequential-only, so
-    /// these cases check the reference run against kill/checkpoint/resume
-    /// (the `threads` and `panic` fields are ignored).
+    /// [`SnapshotMachine`]. These cases check the reference run against a
+    /// replay on `threads` workers (when `threads > 1`) and against
+    /// kill/checkpoint/resume; the `panic` field is ignored.
     Snapshot,
 }
 
@@ -134,11 +135,12 @@ pub struct SoakCase {
     /// Simulated kill: pause at this tick, checkpoint, resume in a fresh
     /// machine. `None` (and always for ACC) skips the check.
     pub kill_at: Option<u64>,
-    /// Also run the kill/resume check with an adaptive [`PolicyEngine`]
-    /// riding the checkpoint: the restored engine must land in exactly
-    /// the serialized state the uninterrupted engine reaches — the policy
-    /// determinism claim (decisions are a pure function of the event
-    /// stream), certified through the v4 codec's policy payload.
+    /// Also run the kill/resume check with an adaptive
+    /// [`PolicyEngine`](rfsp_pram::PolicyEngine) riding the checkpoint: the
+    /// restored engine must land in exactly the serialized state the
+    /// uninterrupted engine reaches — the policy determinism claim
+    /// (decisions are a pure function of the event stream), certified
+    /// through the v4 codec's policy payload.
     pub adaptive_policy: bool,
     /// Tick budget; a reference run that exceeds it is *skipped*, not
     /// failed (the random churn merely outlasted the budget).
@@ -208,6 +210,23 @@ struct RunData {
     /// state from the uninterrupted run and from the kill/resume run
     /// (`None` if the run completed before the kill tick).
     policy_states: Option<(String, String)>,
+}
+
+impl RunData {
+    /// What a finished run of `m` produced, with the Write-All
+    /// postcondition checked against `tasks`.
+    fn of<M: ExecutionModel>(report: RunReport, m: &Pram<M>, tasks: WriteAllTasks) -> Self {
+        RunData {
+            stats: report.stats,
+            per_processor: report.per_processor,
+            pattern: report.pattern,
+            mem: m.memory().as_slice().to_vec(),
+            verified: tasks.all_written(m.memory()),
+            log: None,
+            panic_fired: false,
+            policy_states: None,
+        }
+    }
 }
 
 /// Chaos wrapper program: delegates to `inner`, but the victim
@@ -310,24 +329,11 @@ impl WriteAllVisitor for CaseRunner<'_> {
 
     fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
     where
-        P: Program + Sync,
-        P::Private: Send + Serialize + Deserialize,
+        P: Program,
+        P::Private: Serialize + Deserialize,
     {
         let c = self.case;
         let limits = RunLimits { max_cycles: c.max_cycles };
-        let collect = |report: rfsp_pram::RunReport,
-                       m: &Machine<'_, P>,
-                       log: Option<FailurePattern>,
-                       panic_fired: bool| RunData {
-            stats: report.stats,
-            per_processor: report.per_processor,
-            pattern: report.pattern,
-            mem: m.memory().as_slice().to_vec(),
-            verified: setup.tasks.all_written(m.memory()),
-            log,
-            panic_fired,
-            policy_states: None,
-        };
         match self.mode {
             Mode::Reference => {
                 let mut m = Machine::new(prog, c.p, budget)?;
@@ -337,15 +343,15 @@ impl WriteAllVisitor for CaseRunner<'_> {
                     c.adversary_seed,
                 ));
                 let report = m.run_observed(&mut rec, limits, &mut NoopObserver)?;
-                let log = rec.into_pattern();
-                Ok(collect(report, &m, Some(log), false))
+                let log = Some(rec.into_pattern());
+                Ok(RunData { log, ..RunData::of(report, &m, setup.tasks) })
             }
             Mode::Pooled(log) => {
                 let mut m = Machine::new(prog, c.p, budget)?;
                 let mut adv = ScheduledAdversary::new(log.clone());
                 let report =
                     m.run_threaded_observed(&mut adv, limits, c.threads, &mut NoopObserver)?;
-                Ok(collect(report, &m, None, false))
+                Ok(RunData::of(report, &m, setup.tasks))
             }
             Mode::PanicChaos(log, spec) => {
                 let chaos = PanicOnce::new(prog, Pid(spec.pid), spec.on_call);
@@ -361,17 +367,7 @@ impl WriteAllVisitor for CaseRunner<'_> {
                 else {
                     unreachable!("the control callback never pauses")
                 };
-                let fired = chaos.fired();
-                Ok(RunData {
-                    stats: report.stats,
-                    per_processor: report.per_processor,
-                    pattern: report.pattern,
-                    mem: m.memory().as_slice().to_vec(),
-                    verified: setup.tasks.all_written(m.memory()),
-                    log: None,
-                    panic_fired: fired,
-                    policy_states: None,
-                })
+                Ok(RunData { panic_fired: chaos.fired(), ..RunData::of(report, &m, setup.tasks) })
             }
             // Both crash-recovery lanes route through the session layer's
             // `run_with_cut`: kill at a tick boundary, checkpoint through
@@ -386,7 +382,7 @@ impl WriteAllVisitor for CaseRunner<'_> {
                     kill_at,
                     None,
                 )?;
-                Ok(collect(cut.report, &cut.machine, None, false))
+                Ok(RunData::of(cut.report, &cut.machine, setup.tasks))
             }
             Mode::PolicyResume(log, kill_at) => {
                 // With a policy set, `run_with_cut` also drives an
@@ -400,9 +396,8 @@ impl WriteAllVisitor for CaseRunner<'_> {
                     kill_at,
                     Some(PolicyKind::Adaptive),
                 )?;
-                let mut data = collect(cut.report, &cut.machine, None, false);
-                data.policy_states = cut.policy_states;
-                Ok(data)
+                let policy_states = cut.policy_states;
+                Ok(RunData { policy_states, ..RunData::of(cut.report, &cut.machine, setup.tasks) })
             }
         }
     }
@@ -434,13 +429,52 @@ fn compare(
     Ok(())
 }
 
+/// The checks every reference run must pass on its own: the
+/// postcondition, the paper's accounting invariants, and a decision log
+/// equal to the machine's recorded pattern.
+fn check_reference(case: &SoakCase, reference: &RunData) -> Result<(), SoakFailure> {
+    let fail = |check: &str, detail: String| {
+        Err(SoakFailure { case: case.clone(), check: check.to_string(), detail })
+    };
+    if !reference.verified {
+        return fail("postcondition", "array not fully written".to_string());
+    }
+    let stats = &reference.stats;
+    if stats.interrupted_cycles > stats.failures {
+        return fail(
+            "accounting",
+            format!(
+                "S' - S = {} interrupted cycles exceeds |failures| = {} (Remark 2 bound)",
+                stats.interrupted_cycles, stats.failures
+            ),
+        );
+    }
+    if stats.pattern_size() != reference.pattern.size() as u64 {
+        return fail(
+            "accounting",
+            "pattern size counter disagrees with the recorded pattern".to_string(),
+        );
+    }
+    if reference.per_processor.iter().sum::<u64>() != stats.completed_cycles {
+        return fail("accounting", "per-processor work does not sum to S".to_string());
+    }
+    if reference.log.as_ref() != Some(&reference.pattern) {
+        return fail(
+            "recorder",
+            "decision log diverges from the machine's recorded pattern".to_string(),
+        );
+    }
+    Ok(())
+}
+
 /// The snapshot-machine lane: reference run under recorded [`RandomFaults`]
-/// cross-checked against a kill/checkpoint/resume run — the two must agree
-/// on stats, pattern, per-processor work, and final memory, and the
-/// reference must satisfy the postcondition and accounting invariants.
-/// Both runs go through the unified execution core's shared run loop and
-/// checkpoint codec, so this certifies the snapshot side of that machinery
-/// the same way the word-model lane certifies its side.
+/// cross-checked against a replay of its decisions on the worker pool and
+/// against a kill/checkpoint/resume run — each must agree with the
+/// reference on stats, pattern, per-processor work, and final memory, and
+/// the reference must satisfy the postcondition and accounting invariants.
+/// Every run goes through the shared run table, run loop and checkpoint
+/// codec, so this certifies the snapshot side of that machinery the same
+/// way the word-model lane certifies its side.
 fn run_snapshot_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
     let fail = |check: &str, detail: String| SoakFailure {
         case: case.clone(),
@@ -461,7 +495,7 @@ fn run_snapshot_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
         case.adversary_seed,
     ));
     let reference = match m.run_observed(&mut rec, limits, &mut NoopObserver) {
-        Ok(report) => report,
+        Ok(report) => RunData { log: Some(rec.into_pattern()), ..RunData::of(report, &m, tasks) },
         Err(PramError::CycleLimit { .. }) => {
             return Ok(CaseOutcome::Skipped(format!(
                 "reference run exceeded {} cycles",
@@ -470,39 +504,24 @@ fn run_snapshot_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
         }
         Err(e) => return Err(fail("reference", e.to_string())),
     };
-    let log = rec.into_pattern();
-    let ref_mem = m.memory().as_slice().to_vec();
+    let log = reference.log.clone().expect("the reference run records a log");
 
     // 2. Postcondition and accounting invariants on the reference report.
-    if !tasks.all_written(m.memory()) {
-        return Err(fail("postcondition", "array not fully written".to_string()));
-    }
-    if reference.stats.interrupted_cycles > reference.stats.failures {
-        return Err(fail(
-            "accounting",
-            format!(
-                "S' - S = {} interrupted cycles exceeds |failures| = {} (Remark 2 bound)",
-                reference.stats.interrupted_cycles, reference.stats.failures
-            ),
-        ));
-    }
-    if reference.stats.pattern_size() != reference.pattern.size() as u64 {
-        return Err(fail(
-            "accounting",
-            "pattern size counter disagrees with the recorded pattern".to_string(),
-        ));
-    }
-    if reference.per_processor.iter().sum::<u64>() != reference.stats.completed_cycles {
-        return Err(fail("accounting", "per-processor work does not sum to S".to_string()));
-    }
-    if log != reference.pattern {
-        return Err(fail(
-            "recorder",
-            "decision log diverges from the machine's recorded pattern".to_string(),
-        ));
+    check_reference(case, &reference)?;
+
+    // 3. Engine equivalence: replay the recorded decisions on the worker
+    // pool, as the word-model lane does.
+    if case.threads > 1 {
+        let mut pooled =
+            SnapshotMachine::new(&prog, case.p, 1).map_err(|e| fail("pooled", e.to_string()))?;
+        let mut adv = ScheduledAdversary::new(log.clone());
+        let report = pooled
+            .run_threaded_observed(&mut adv, limits, case.threads, &mut NoopObserver)
+            .map_err(|e| fail("pooled", e.to_string()))?;
+        compare(case, "pooled-equivalence", &reference, &RunData::of(report, &pooled, tasks))?;
     }
 
-    // 3. Crash recovery: kill at a tick boundary, checkpoint, resume —
+    // 4. Crash recovery: kill at a tick boundary, checkpoint, resume —
     // through the session layer's shared `run_with_cut`, same as the
     // word-model lane.
     if let Some(kill_at) = case.kill_at {
@@ -514,21 +533,8 @@ fn run_snapshot_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
             None,
         )
         .map_err(|e| fail("kill-resume", e.to_string()))?;
-        let resumed = cut.report;
-        let mem = cut.machine.memory().as_slice().to_vec();
-        let mismatch = |what: &str| fail("kill-resume-equivalence", format!("{what} diverge"));
-        if resumed.stats != reference.stats {
-            return Err(mismatch("stats"));
-        }
-        if resumed.pattern != reference.pattern {
-            return Err(mismatch("recorded failure patterns"));
-        }
-        if resumed.per_processor != reference.per_processor {
-            return Err(mismatch("per-processor work decompositions"));
-        }
-        if mem != ref_mem {
-            return Err(mismatch("final shared memories"));
-        }
+        let resumed = RunData::of(cut.report, &cut.machine, tasks);
+        compare(case, "kill-resume-equivalence", &reference, &resumed)?;
     }
 
     Ok(CaseOutcome::Passed { panic_fired: false })
@@ -567,35 +573,8 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, SoakFailure> {
         };
     let log = reference.log.clone().expect("reference mode records a log");
 
-    // 2. Accounting invariants on the reference report.
-    if !reference.verified {
-        return Err(fail("postcondition", "array not fully written".to_string()));
-    }
-    if reference.stats.interrupted_cycles > reference.stats.failures {
-        return Err(fail(
-            "accounting",
-            format!(
-                "S' - S = {} interrupted cycles exceeds |failures| = {} (Remark 2 bound)",
-                reference.stats.interrupted_cycles, reference.stats.failures
-            ),
-        ));
-    }
-    if reference.stats.pattern_size() != reference.pattern.size() as u64 {
-        return Err(fail(
-            "accounting",
-            "pattern size counter disagrees with the recorded pattern".to_string(),
-        ));
-    }
-    if reference.per_processor.iter().sum::<u64>() != reference.stats.completed_cycles {
-        return Err(fail("accounting", "per-processor work does not sum to S".to_string()));
-    }
-    // The recorder's log must be exactly the machine's recorded pattern.
-    if log != reference.pattern {
-        return Err(fail(
-            "recorder",
-            "decision log diverges from the machine's recorded pattern".to_string(),
-        ));
-    }
+    // 2. Postcondition and accounting invariants on the reference report.
+    check_reference(case, &reference)?;
 
     // 3. Engine equivalence: replay on the worker pool.
     let pooled = with_write_all_program(&program, CaseRunner { case, mode: Mode::Pooled(&log) })

@@ -5,7 +5,7 @@
 //! writes `BENCH_<exp>.json` into that directory: one [`BenchArtifact`]
 //! holding, for each measured run, the machine's [`WorkStats`] plus the
 //! full per-tick [`RunSeries`] collected by a
-//! [`MetricsObserver`](rfsp_pram::MetricsObserver) attached to the run.
+//! [`MetricsObserver`] attached to the run.
 //! With the variable unset the sink is inert and runs execute with a
 //! no-op observer — the tables are unchanged either way.
 //!

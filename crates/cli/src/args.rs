@@ -90,6 +90,19 @@ impl Args {
             Some(v) => v.parse().map_err(|_| ArgError(format!("invalid value '{v}' for --{key}"))),
         }
     }
+
+    /// A size option (`--n`, `--p`) with a default: like
+    /// [`get_parsed`](Args::get_parsed), but zero is refused too.
+    ///
+    /// # Errors
+    ///
+    /// Reports unparseable values and zero with the offending key.
+    pub fn get_size(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        match self.get_parsed(key, default)? {
+            0 => Err(ArgError(format!("--{key} must be at least 1"))),
+            size => Ok(size),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +126,10 @@ mod tests {
         assert_eq!(a.get_parsed("p", 5usize).unwrap(), 5);
         let a = Args::parse(["run", "--n", "abc"]).unwrap();
         assert!(a.get_parsed::<usize>("n", 0).is_err());
+        assert!(a.get_size("n", 5).is_err());
+        let a = Args::parse(["run", "--n", "0"]).unwrap();
+        assert_eq!(a.get_size("n", 5).unwrap_err().0, "--n must be at least 1");
+        assert_eq!(a.get_size("p", 5).unwrap(), 5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `rfsp experiment` — run one of the paper-reproduction experiments, or
 //! (with `--run` / `--resume`) the crash-safe long-run mode of
-//! [`longrun`](crate::commands::longrun).
+//! [`longrun`].
 
 use rfsp_bench::experiments;
 

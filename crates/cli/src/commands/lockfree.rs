@@ -12,7 +12,7 @@ use crate::args::{ArgError, Args};
 ///
 /// Reports bad arguments as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n: usize = args.get_parsed("n", 65_536)?;
+    let n = args.get_size("n", 65_536)?;
     let threads: usize = args.get_parsed("threads", 4)?;
     let fault_rate: f64 = args.get_parsed("fault-rate", 0.0)?;
     let seed: u64 = args.get_parsed("seed", 0)?;

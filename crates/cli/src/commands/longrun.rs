@@ -65,8 +65,8 @@ impl WriteAllVisitor for LongRun<'_> {
 
     fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
     where
-        P: Program + Sync,
-        P::Private: Send + Serialize + Deserialize,
+        P: Program,
+        P::Private: Serialize + Deserialize,
     {
         let cfg = self.cfg;
         let procs = cfg.p as usize;

@@ -1,9 +1,10 @@
 //! `rfsp serve` — the multi-tenant experiment daemon — and its client
 //! subcommands `submit`, `jobs`, and `cancel`.
 //!
-//! The daemon multiplexes many crash-safe [`RunSession`]s over one
-//! process: a FIFO round-robin [`Scheduler`] hands out the run turn one
-//! quantum at a time, jobs are preempted only at checkpoint boundaries
+//! The daemon multiplexes many crash-safe
+//! [`RunSession`](rfsp_run::RunSession)s over one process: a FIFO
+//! round-robin [`Scheduler`](rfsp_run::Scheduler) hands out the run turn
+//! one quantum at a time, jobs are preempted only at checkpoint boundaries
 //! (every preemption pause publishes a durable checkpoint, so the spool
 //! is always resumable), and pooled jobs share a single
 //! [`SharedPool`](rfsp_pram::SharedPool) of tick workers.
@@ -265,8 +266,8 @@ mod imp {
 
         fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
         where
-            P: Program + Sync,
-            P::Private: Send + Serialize + Deserialize,
+            P: Program,
+            P::Private: Serialize + Deserialize,
         {
             let JobVisitor { daemon, job, cfg, resume, cancel, fan } = self;
             let procs = cfg.p as usize;
@@ -397,19 +398,21 @@ mod imp {
         lock(&daemon.handles).push(handle);
     }
 
-    /// Admit a submitted config: validate, spool it, spawn the job.
+    /// Admit a submitted config: validate it as it will be spooled, spool
+    /// it, spawn the job. A refused config touches neither the spool nor
+    /// the job counter, so no restart can re-adopt it.
     fn admit(daemon: &Arc<Daemon>, config: RunConfig) -> Result<u64, ArgError> {
         parse_algo(&config.algo)?;
-        let job = {
+        let (job, cfg) = {
             let mut next = lock(&daemon.next_id);
-            let id = *next;
+            // Validate with the spool paths in place: the checkpoint path
+            // is what rejects non-checkpointable algorithms (acc).
+            let cfg = daemon.spool.job_config(*next, config);
+            cfg.validate()?;
             *next += 1;
-            id
+            (*next - 1, cfg)
         };
-        let cfg = daemon.spool.create_job(job, config)?;
-        // Validate with the spool paths in place: this is what rejects
-        // non-checkpointable algorithms (acc) at the door.
-        cfg.validate()?;
+        daemon.spool.create_job(job, &cfg)?;
         spawn_job(daemon, job, cfg, None, JobState::Queued);
         Ok(job)
     }

@@ -20,7 +20,7 @@ fn parse_engine(name: &str) -> Result<Engine, ArgError> {
 }
 
 fn run_kernel<P: SimProgram + Sync + Clone>(prog: P, args: &Args) -> Result<SimReport, ArgError> {
-    let p: usize = args.get_parsed("p", 16)?;
+    let p = args.get_size("p", 16)?;
     let engine = parse_engine(args.get_or("engine", "vx"))?;
     let expected = reference_run(&prog);
     let report = match args.get_or("adversary", "random") {
@@ -47,7 +47,7 @@ fn run_kernel<P: SimProgram + Sync + Clone>(prog: P, args: &Args) -> Result<SimR
 ///
 /// Reports bad arguments and verification failures as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n: usize = args.get_parsed("n", 256)?;
+    let n = args.get_size("n", 256)?;
     let kernel = args.get_or("kernel", "prefix");
     let report = match kernel {
         "prefix" => run_kernel(PrefixSums::new((0..n as u32).map(|i| i % 9).collect()), args)?,

@@ -72,8 +72,8 @@ fn run_snapshot(
 ///
 /// Reports bad arguments, I/O problems, and machine errors as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n: usize = args.get_parsed("n", 1024)?;
-    let p: usize = args.get_parsed("p", 64)?;
+    let n = args.get_size("n", 1024)?;
+    let p = args.get_size("p", 64)?;
     let model = args.get_or("model", "word");
     if model != "word" && model != "snapshot" {
         return Err(crate::unknown("--model", model, &["word", "snapshot"]));

@@ -120,8 +120,8 @@ pub(crate) fn build_adversary(
 ///
 /// Reports bad arguments, I/O problems, and machine errors as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n: usize = args.get_parsed("n", 1024)?;
-    let p: usize = args.get_parsed("p", 64)?;
+    let n = args.get_size("n", 1024)?;
+    let p = args.get_size("p", 64)?;
     let algo = parse_algo(args.get_or("algo", "x"))?;
     let max_cycles: u64 = args.get_parsed("max-cycles", RunLimits::default().max_cycles)?;
     let threads: usize = args.get_parsed("threads", 1)?;

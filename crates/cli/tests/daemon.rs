@@ -11,7 +11,9 @@
 //! check that a watched stream is the tail of the job's spooled events,
 //! through completion and through cancellation, with EOF right after; and
 //! stall a watcher and demand that the daemon keeps answering and every
-//! other job keeps running.
+//! other job keeps running; and submit configs no job can run, and demand
+//! that the daemon refuses them without spooling anything a restart could
+//! re-adopt.
 
 #![cfg(unix)]
 
@@ -21,6 +23,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+use rfsp_run::{Request, RunConfig};
 
 const BIN: &str = env!("CARGO_BIN_EXE_rfsp");
 
@@ -321,15 +325,64 @@ impl Scene {
             .expect("submit --watch")
     }
 
-    fn shut_down(mut self) {
+    /// Ask the daemon to shut down and wait for its clean exit.
+    fn stop(&mut self) {
         let status = Command::new(BIN)
             .args(["cancel", "--socket", self.socket_str(), "--shutdown"])
             .status()
             .expect("shutdown request");
         assert!(status.success());
         wait_for_clean_exit(&mut self.daemon);
+    }
+
+    /// Shut the daemon down and start a new one on the same spool.
+    fn restart(&mut self) {
+        self.stop();
+        self.daemon = spawn_daemon(self.base.to_str().unwrap(), self.socket_str(), Stdio::null());
+        wait_for("daemon socket", Duration::from_secs(30), || self.socket.exists());
+    }
+
+    fn shut_down(mut self) {
+        self.stop();
         let _ = std::fs::remove_dir_all(&self.base);
     }
+}
+
+/// Submit `config` raw, demand an `Err` reply containing `needle`, and
+/// demand that nothing was spooled: `Jobs` answers with no jobs, no job
+/// directory exists, and a daemon restarted on the spool adopts nothing.
+fn assert_refused_without_trace(name: &str, config: RunConfig, needle: &str) {
+    let mut scene = Scene::start(name, Stdio::null());
+    let mut line = Vec::new();
+    rfsp_run::write_line(&mut line, &Request::Submit { config }).unwrap();
+    let reply = scene.reply(std::str::from_utf8(&line).unwrap(), Duration::from_secs(30));
+    assert!(reply.contains("\"Err\"") && reply.contains(needle), "{reply}");
+    let no_jobs = r#"{"JobList":{"jobs":[]}}"#;
+    assert_eq!(scene.reply("\"Jobs\"\n", Duration::from_secs(30)).trim(), no_jobs);
+    let job_dirs = std::fs::read_dir(&scene.base)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("job-"))
+        .count();
+    assert_eq!(job_dirs, 0, "the refused submit left a job directory");
+    scene.restart();
+    assert_eq!(scene.reply("\"Jobs\"\n", Duration::from_secs(30)).trim(), no_jobs);
+    scene.shut_down();
+}
+
+/// `acc` cannot be checkpointed and every daemon job is: the refusal must
+/// come before the spool, or a restart runs the refused job anyway.
+#[test]
+fn a_refused_submit_is_not_run_after_a_restart() {
+    let config = RunConfig { algo: "acc".into(), n: 64, p: 4, ..RunConfig::default() };
+    assert_refused_without_trace("daemon-refuse-acc", config, "acc");
+}
+
+/// An instance far too large to allocate is refused at admission instead
+/// of aborting the daemon, and on every restart after it.
+#[test]
+fn an_oversized_submit_gets_an_error_not_an_abort() {
+    let config = RunConfig { n: 1 << 40, p: 4, ..RunConfig::default() };
+    assert_refused_without_trace("daemon-refuse-huge", config, "--n");
 }
 
 /// Strip the `{"job":N,"event":…}` envelope from watched lines, and demand

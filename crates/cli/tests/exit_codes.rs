@@ -31,6 +31,11 @@ fn codes_zero_one_and_two_against_the_binary() {
     // Runtime errors: known command that fails while running.
     assert_eq!(code(&["writeall", "--algo", "zzz"]), 1);
     assert_eq!(code(&["experiment", "--resume", "/no/such/ck.json"]), 1);
+    // Zero sizes are refused with a message, not a panic (exit 101).
+    for size in ["--n", "--p"] {
+        assert_eq!(code(&["writeall", size, "0"]), 1, "writeall {size} 0");
+        assert_eq!(code(&["experiment", "--run", "writeall", size, "0"]), 1, "experiment {size} 0");
+    }
 }
 
 #[cfg(unix)]

@@ -14,7 +14,7 @@
 //! Serialization goes through the in-tree serde shim's JSON renderer; the
 //! format is versioned ([`CHECKPOINT_VERSION`]) and restore rejects
 //! mismatched versions, machine shapes, budgets and write modes with
-//! [`PramError::Checkpoint`](crate::PramError::Checkpoint) instead of
+//! [`PramError::Checkpoint`] instead of
 //! resuming nondeterministically.
 
 use serde::{json, Deserialize, Serialize, Value};
@@ -30,8 +30,8 @@ use crate::word::Word;
 /// Format version written into every checkpoint. Bump on any breaking
 /// layout change; restore refuses other versions.
 ///
-/// Version history: v1 — word machine only; v2 — adds the [`model`]
-/// tag (`Checkpoint::model`) so checkpoints from the word and snapshot
+/// Version history: v1 — word machine only; v2 — adds the
+/// [`model`](Checkpoint::model) tag so checkpoints from the word and snapshot
 /// machines cannot be restored into each other; v3 — records the
 /// [`MemoryLayout`] and replaces the two global read/write counters with
 /// per-bank counter vectors (restore refuses cross-layout resumes); v4 —

@@ -8,18 +8,19 @@
 //! slot under CRCW semantics, charge completed work, record the failure
 //! pattern, and apply restarts at the next tick boundary. [`Core`]
 //! implements that structure once; a model plugs in the parts that differ
-//! through the [`ExecutionModel`] trait (how a tentative cycle is computed,
-//! how interrupted work is charged, what its checkpoints look like).
+//! through the [`ExecutionModel`] trait (how one processor plays its
+//! cycle, how interrupted work is charged, what its checkpoints look like).
 //!
-//! Everything the engines had grown separately is therefore available to
-//! **every** model:
+//! Every model therefore gets the same machinery:
 //!
+//! * the sequential and pooled tentative loops, which skip processors that
+//!   are not alive, let the model play each alive processor's cycle, and
+//!   check its writes against the write budget and the memory;
 //! * the run loop with [`RunLimits`], completion detection, and the
 //!   [`RunControl`] pause hook for checkpointed long runs;
 //! * [`Observer`] event emission — one stream, so word-model and
 //!   snapshot-model runs trace identically;
-//! * adversary-decision validation (shared with the models via
-//!   [`crate::decisions`]);
+//! * adversary-decision validation (the crate's `decisions` module);
 //! * the incremental completion tracker: an outstanding-cell count primed
 //!   from [`ExecutionModel::completion_masks`] and folded on every
 //!   committed write, replacing the O(N) `is_complete` scan with an O(1)
@@ -33,12 +34,15 @@
 //! The core stays **allocation-free in steady state**: all per-tick buffers
 //! (tentative cycles, fates, slot merges, failure scratch) live in the
 //! [`Core`] and are reused; tracker maintenance is O(1) per committed write
-//! for the count and O(log N) for the index. Backends implement the
-//! [`Backend`] hooks passed into [`Core::run_loop`] — the word machine's
-//! persistent worker pool farms the tentative phase and the commit merge
-//! out to real threads, the sequential engines play every phase inline —
-//! so the event stream and all accounting are byte-identical across
-//! backends *by construction* (pinned by `tests/golden_equivalence.rs`).
+//! for the count and O(log N) for the index. A run backend supplies only
+//! two hooks to the run loop — how the tentative phase executes and how
+//! the tick's decisions are applied: the sequential backends play every
+//! phase inline, the pooled ones farm the tentative phase and the commit
+//! out to a persistent worker pool. The event stream and all accounting
+//! are therefore byte-identical across backends *by construction* (pinned
+//! by `tests/golden_equivalence.rs`).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 
@@ -48,13 +52,17 @@ use crate::adversary::{
 };
 use crate::checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
 use crate::commit::{CommitEntry, CommitScratch, SlotWinner};
-use crate::cycle::MAX_WRITES;
+use crate::cycle::{Step, MAX_WRITES};
 use crate::decisions::{resolve, CycleFate};
-use crate::error::PramError;
+use crate::error::{BudgetKind, PramError};
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
+use crate::machine::Pram;
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE};
+use crate::pool::{
+    panic_detail, SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE,
+    CLASS_TENTATIVE,
+};
 use crate::trace::{Observer, TraceEvent};
 use crate::unvisited::{UnvisitedIndex, LANE_WIDTH};
 use crate::word::{Pid, Word};
@@ -76,7 +84,7 @@ impl Default for RunLimits {
 }
 
 /// Verdict of a run's control callback (see
-/// [`Machine::run_with`](crate::Machine::run_with)), consulted once per
+/// [`Pram::run_with`](crate::Pram::run_with)), consulted once per
 /// tick at the tick boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunControl {
@@ -150,13 +158,13 @@ impl<S> ProcSoA<S> {
 }
 
 /// The parts of a machine model the shared [`Core`] cannot know: how one
-/// tentative cycle is computed, how interrupted work is charged, and how
-/// the model identifies itself in checkpoints.
+/// processor plays its update cycle, how interrupted work is charged, and
+/// how the model identifies itself in checkpoints.
 ///
-/// Implemented by the word model (inside [`crate::machine`]) and the
-/// snapshot model (inside [`crate::snapshot`]); the public machines are
-/// thin wrappers pairing a model value with a [`Core`].
-pub trait ExecutionModel {
+/// The word model ([`WordModel`](crate::machine::WordModel)) and the
+/// snapshot model ([`SnapModel`](crate::snapshot::SnapModel)) implement
+/// it; [`Pram`] pairs a model value with a [`Core`].
+pub trait ExecutionModel: Sync {
     /// Per-processor private memory; lost on failure.
     type Private: Clone + Send;
 
@@ -193,15 +201,25 @@ pub trait ExecutionModel {
         crate::fold_completion_masks(base, values, |addr, value| self.completion_hint(addr, value))
     }
 
-    /// Phase 1 (sequential reference implementation): fill
-    /// `core.tentative[i]` for every alive processor from the tick-start
-    /// memory, advancing private states in place. Pooled backends substitute
-    /// their own phase via [`Core::run_loop`]'s `tentative` parameter.
+    /// Play alive processor `pid`'s update cycle of tick `cycle` against
+    /// the tick-start memory `mem`: fill `t`'s reads, values and writes
+    /// (all cleared on entry) and advance `state` in place. `index` is the
+    /// unvisited-cell index when the model keeps one and the program is
+    /// tracked. The caller checks the writes against the write budget and
+    /// the memory bounds, and records whether the step halts.
     ///
     /// # Errors
     ///
-    /// See [`PramError`] — typically budget or bounds violations.
-    fn tentative(&self, core: &mut Core<Self::Private>) -> Result<()>;
+    /// See [`PramError`] — a read-budget or read-address violation.
+    fn play(
+        &self,
+        mem: &SharedMemory,
+        index: Option<&UnvisitedIndex>,
+        cycle: u64,
+        pid: Pid,
+        state: &mut Self::Private,
+        t: &mut TentativeCycle,
+    ) -> Result<Step>;
 
     /// `S'` charge for a cycle interrupted after its reads with
     /// `committed_writes` of its writes committed. The word model charges
@@ -217,12 +235,10 @@ pub trait ExecutionModel {
 
 /// The two per-tick hooks a run backend supplies to [`Core::run_loop`]:
 /// how the tentative phase executes, and how the tick's decisions are
-/// applied. The default `apply` is the sequential reference path; the
-/// word machine's pooled backends (see `crate::machine`) override the
-/// hooks with the worker-pool phases. Every override must be
-/// observationally identical to the default — event streams, stats,
-/// memory, and the completion tracker are pinned byte-identical by the
-/// golden and differential tests.
+/// applied. The default `apply` is the sequential reference path. Every
+/// backend must be observationally identical to [`SeqBackend`] — event
+/// streams, stats, memory, and the completion tracker are pinned
+/// byte-identical by the golden and differential tests.
 pub(crate) trait Backend<M: ExecutionModel> {
     /// Phase 1: fill `core.tentative[i]` for every alive processor.
     ///
@@ -247,13 +263,207 @@ pub(crate) trait Backend<M: ExecutionModel> {
     }
 }
 
-/// The sequential backend: every phase plays inline through the reference
-/// implementations.
-pub(crate) struct SeqBackend;
+/// Play one processor's tentative cycle into its slot: `None` unless the
+/// processor is alive; otherwise the slot's inline buffers are refilled in
+/// place (no allocation, see [`crate::cycle`]), the model plays the cycle,
+/// and its writes are checked against the write budget and the memory.
+/// The private state advances **in place**: the commit either adopts it
+/// (cycle completed) or discards it (a stopped processor loses its private
+/// memory), so the pre-cycle state is never needed.
+///
+/// `inline(always)`: with plain `#[inline]` the compiler leaves it out of
+/// line, which puts a call per processor on the hottest path of a tick.
+#[allow(clippy::too_many_arguments)] // the split-borrowed SoA fields arrive separately by design
+#[inline(always)]
+fn play_slot<M: ExecutionModel>(
+    model: &M,
+    mem: &SharedMemory,
+    index: Option<&UnvisitedIndex>,
+    write_slots: usize,
+    cycle: u64,
+    pid: Pid,
+    status: ProcStatus,
+    state: &mut Option<M::Private>,
+    out: &mut Option<TentativeCycle>,
+) -> Result<()> {
+    if status != ProcStatus::Alive {
+        *out = None;
+        return Ok(());
+    }
+    let state = state.as_mut().expect("alive processor must have private state");
+    let t = out.get_or_insert_with(TentativeCycle::default);
+    t.reads.clear();
+    t.values.clear();
+    t.writes.clear();
+    t.halts = false;
+    let step = model.play(mem, index, cycle, pid, state, t)?;
+    if t.writes.len() > write_slots {
+        return Err(PramError::BudgetExceeded {
+            pid,
+            cycle,
+            kind: BudgetKind::Writes,
+            used: t.writes.len(),
+            limit: write_slots,
+        });
+    }
+    for &(addr, _) in t.writes.writes() {
+        if addr >= mem.size() {
+            return Err(PramError::AddressOutOfBounds { addr, size: mem.size() });
+        }
+    }
+    t.halts = matches!(step, Step::Halt);
+    Ok(())
+}
 
-impl<M: ExecutionModel> Backend<M> for SeqBackend {
+/// Run one processor's tentative cycle `f`, under `catch_unwind` when
+/// `CATCH` is set so a panic in program code surfaces as
+/// [`PramError::WorkerPanic`] naming `pid`. With `CATCH == false` this
+/// compiles to the bare call.
+#[inline(always)]
+fn guarded<const CATCH: bool>(pid: Pid, f: impl FnOnce() -> Result<()>) -> Result<()> {
+    if !CATCH {
+        return f();
+    }
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(PramError::WorkerPanic { pid: Some(pid), detail: panic_detail(payload.as_ref()) })
+    })
+}
+
+/// The sequential tentative phase: the calling thread plays every
+/// processor's cycle in PID order ([`guarded`] by `CATCH`).
+fn tentative_seq<M: ExecutionModel, const CATCH: bool>(
+    model: &M,
+    core: &mut Core<M::Private>,
+) -> Result<()> {
+    let (mem, cycle, write_slots) = (&core.mem, core.cycle, core.write_slots);
+    let index = if M::KEEPS_INDEX && core.tracked { Some(&core.unvisited) } else { None };
+    let statuses = &core.procs.status;
+    for (i, (state, out)) in core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
+    {
+        guarded::<CATCH>(Pid(i), || {
+            play_slot(model, mem, index, write_slots, cycle, Pid(i), statuses[i], state, out)
+        })?;
+    }
+    Ok(())
+}
+
+/// The pooled tentative phase: pool workers claim chunks of the processor
+/// range from the shared cursor and fill the corresponding tentative slots
+/// ([`guarded`] by `CATCH`). With the structure-of-arrays processor state
+/// only the private states need a raw [`SendPtr`]: statuses are read-only
+/// during the tentative phase and are shared as a plain slice.
+fn tentative_pooled<M: ExecutionModel, const CATCH: bool>(
+    model: &M,
+    core: &mut Core<M::Private>,
+    pool: &TickPool,
+) -> Result<()> {
+    let p = core.procs.len();
+    // Align worker chunks to the batch width (× bank interleave on banked
+    // layouts): whole lanes per worker, no lane split across banks.
+    let align = core.chunk_align();
+    let (mem, cycle, write_slots) = (&core.mem, core.cycle, core.write_slots);
+    let index = if M::KEEPS_INDEX && core.tracked { Some(&core.unvisited) } else { None };
+    let statuses: &[ProcStatus] = &core.procs.status;
+    let states = SendPtr::new(core.procs.state.as_mut_ptr());
+    let tentative = SendPtr::new(core.tentative.as_mut_ptr());
+    pool.run_tick(CLASS_TENTATIVE, p, align, &move |start: usize, end: usize| {
+        #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
+        for i in start..end {
+            // SAFETY: the pool's cursor hands out disjoint [start, end)
+            // chunks within 0..p, so slot `i` is touched by exactly one
+            // worker this tick; `run_tick` blocks until every worker is
+            // done, so the pointers outlive all dereferences.
+            let state = unsafe { &mut *states.ptr().add(i) };
+            let out = unsafe { &mut *tentative.ptr().add(i) };
+            guarded::<CATCH>(Pid(i), || {
+                play_slot(model, mem, index, write_slots, cycle, Pid(i), statuses[i], state, out)
+            })?;
+        }
+        Ok(())
+    })
+}
+
+/// The sequential backend: every phase plays inline on the calling thread.
+/// With `CATCH` set every processor's cycle runs under `catch_unwind`; that
+/// variant serves sequential runs with a panic policy and is the degraded
+/// mode of [`IsolatedBackend`].
+pub(crate) struct SeqBackend<const CATCH: bool>;
+
+impl<M: ExecutionModel, const CATCH: bool> Backend<M> for SeqBackend<CATCH> {
     fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
-        model.tentative(core)
+        tentative_seq::<M, CATCH>(model, core)
+    }
+}
+
+/// The pooled backend: the tentative phase and the three-pass parallel
+/// commit run on the same worker pool.
+pub(crate) struct PooledBackend<'a> {
+    pub(crate) pool: &'a TickPool,
+}
+
+impl<M: ExecutionModel> Backend<M> for PooledBackend<'_> {
+    fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
+        tentative_pooled::<M, false>(model, core, self.pool)
+    }
+
+    fn apply(
+        &mut self,
+        model: &M,
+        core: &mut Core<M::Private>,
+        decisions: Decisions,
+        observer: &mut dyn Observer,
+    ) -> Result<()> {
+        core.apply_pooled(model, decisions, observer, self.pool)
+    }
+}
+
+/// The pooled backend with per-processor panic isolation: each tick backs
+/// up every private state before the pooled tentative phase, restores them
+/// if a worker catches a panic, and then either surfaces the error or
+/// degrades permanently to the sequential caught engine per the
+/// [`PanicPolicy`].
+///
+/// The commit deliberately keeps the **sequential** default: the parallel
+/// commit stores through raw bank pointers and calls user completion
+/// hints, so a panic there could not be unwound to a clean tick boundary
+/// the way the tentative phase can.
+pub(crate) struct IsolatedBackend<'a, S> {
+    pub(crate) pool: &'a TickPool,
+    pub(crate) policy: PanicPolicy,
+    /// One slot per processor.
+    pub(crate) backup: Vec<Option<S>>,
+    pub(crate) degraded: bool,
+}
+
+impl<M: ExecutionModel> Backend<M> for IsolatedBackend<'_, M::Private> {
+    fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
+        if self.degraded {
+            return tentative_seq::<M, true>(model, core);
+        }
+        // Snapshot every private state: the tentative phase advances
+        // states in place, so recovering from a panic mid-phase needs the
+        // pre-tick originals.
+        for (saved, state) in self.backup.iter_mut().zip(core.procs.state.iter()) {
+            saved.clone_from(state);
+        }
+        match tentative_pooled::<M, true>(model, core, self.pool) {
+            Err(PramError::WorkerPanic { pid, detail }) => {
+                for (state, saved) in core.procs.state.iter_mut().zip(self.backup.iter()) {
+                    state.clone_from(saved);
+                }
+                match self.policy {
+                    PanicPolicy::Surface => Err(PramError::WorkerPanic { pid, detail }),
+                    PanicPolicy::FallbackSequential => {
+                        self.degraded = true;
+                        // Replay the whole tick sequentially from the
+                        // restored pre-tick states — nothing had committed,
+                        // so the replay is identical to a clean tick.
+                        tentative_seq::<M, true>(model, core)
+                    }
+                }
+            }
+            other => other,
+        }
     }
 }
 
@@ -261,9 +471,8 @@ impl<M: ExecutionModel> Backend<M> for SeqBackend {
 ///
 /// A `Core` is the entire mutable state of a machine — shared memory,
 /// processor slots, accounting, the completion tracker, and every reused
-/// per-tick buffer. The public machines ([`Machine`](crate::Machine),
-/// [`SnapshotMachine`](crate::SnapshotMachine)) wrap a `Core` together with
-/// their [`ExecutionModel`] and delegate the phase structure here.
+/// per-tick buffer. [`Pram`] pairs a `Core` with its
+/// [`ExecutionModel`] and delegates the phase structure here.
 #[derive(Debug)]
 pub struct Core<Pv> {
     pub(crate) mem: SharedMemory,
@@ -558,7 +767,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// The single run loop behind every public entry point of both
-    /// machines. Backends differ only in the [`Backend`] hooks they pass
+    /// models. Backends differ only in the [`Backend`] hooks they pass
     /// in, so the event stream and all accounting are shared by
     /// construction. The `control` callback runs at the tick boundary —
     /// after the completion and cycle-limit checks, before the tick's
@@ -584,7 +793,7 @@ impl<Pv: Clone + Send> Core<Pv> {
         A: Adversary + ?Sized,
         B: Backend<M>,
     {
-        // Re-prime at every run entry: `Machine::memory_mut` lets callers
+        // Re-prime at every run entry: `Pram::memory_mut` lets callers
         // poke memory between runs, behind the tracker's back.
         self.init_tracker(model);
         loop {
@@ -869,8 +1078,9 @@ impl<Pv: Clone + Send> Core<Pv> {
     /// successful tick: same memory image, same `Commit` event stream (the
     /// deterministic rank-ordered merge reproduces the slot-major,
     /// address-ascending order), same stats and bank counters, same
-    /// outstanding count. Only models without an index run it: the store
-    /// pass folds the count, not index operations. On a CRCW conflict it
+    /// outstanding count. A model that keeps an index commits through the
+    /// sequential [`Core::apply`] instead: the store pass folds the count,
+    /// not index operations. On a CRCW conflict it
     /// reports the same error the sequential scan would hit first; the
     /// machine state after an error is unspecified under both backends (the
     /// sequential engine stops mid-commit, this one withholds the whole
@@ -888,12 +1098,12 @@ impl<Pv: Clone + Send> Core<Pv> {
         pool: &TickPool,
     ) -> Result<()>
     where
-        M: ExecutionModel<Private = Pv> + Sync,
+        M: ExecutionModel<Private = Pv>,
     {
         // On a host that cannot run workers concurrently the bucket/merge
         // dance is pure overhead — fall back to the serial commit unless
         // the tests force the parallel path.
-        if !pool.force_parallel() && !pool.multicore() {
+        if M::KEEPS_INDEX || (!pool.force_parallel() && !pool.multicore()) {
             return self.apply(model, decisions, observer);
         }
         let max_slots = self.resolve_and_prepass(decisions)?;
@@ -930,9 +1140,9 @@ impl<Pv: Clone + Send> Core<Pv> {
         pool: &TickPool,
     ) -> Result<()>
     where
-        M: ExecutionModel<Private = Pv> + Sync,
+        M: ExecutionModel<Private = Pv>,
     {
-        const { assert!(!M::KEEPS_INDEX, "the pooled store pass folds only the outstanding count") };
+        debug_assert!(!M::KEEPS_INDEX, "the pooled store pass folds only the outstanding count");
         let groups = pool.threads();
         let parts = pool.threads();
         let p = self.procs.len();
@@ -1192,54 +1402,62 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 }
 
-impl<Pv> Core<Pv>
+// `Pram`'s checkpoint methods live beside the core state they encode.
+impl<M> Pram<M>
 where
-    Pv: Clone + Send + Serialize + Deserialize,
+    M: ExecutionModel,
+    M::Private: Serialize + Deserialize,
 {
-    /// Snapshot the core (and `adversary`) at the current tick boundary
-    /// into a versioned [`Checkpoint`] tagged with the model's name.
+    /// Snapshot the machine (and `adversary`) at the current tick boundary
+    /// into a versioned [`Checkpoint`] tagged with the model's name, so a
+    /// word checkpoint cannot be restored into a snapshot machine or vice
+    /// versa.
+    ///
+    /// Call only between run calls — e.g. after [`Pram::run_with`]
+    /// returned [`RunStatus::Paused`] — so the machine holds no transient
+    /// tick state. Restoring the checkpoint into a freshly built machine
+    /// of the same program, size, budget and write mode (plus a freshly
+    /// built adversary of the same kind and configuration) resumes the run
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
     /// [`PramError::Checkpoint`] if the adversary is not checkpointable
     /// ([`Adversary::save_state`] returned `None`).
-    pub(crate) fn save_checkpoint<M, A>(&self, model: &M, adversary: &A) -> Result<Checkpoint>
-    where
-        M: ExecutionModel<Private = Pv>,
-        A: Adversary + ?Sized,
-    {
+    pub fn save_checkpoint<A: Adversary + ?Sized>(&self, adversary: &A) -> Result<Checkpoint> {
+        let Pram { model, core } = self;
         let adversary = adversary.save_state().ok_or_else(|| PramError::Checkpoint {
             detail: "the adversary is not checkpointable (save_state returned None)".into(),
         })?;
         let (budget_reads, budget_writes) = model.checkpoint_budget();
-        let (bank_reads, bank_writes) = self.mem.bank_counters().into_iter().unzip();
+        let (bank_reads, bank_writes) = core.mem.bank_counters().into_iter().unzip();
         Ok(Checkpoint {
             version: CHECKPOINT_VERSION,
             model: M::MODEL.to_string(),
-            cycle: self.cycle,
-            mode: self.mode,
+            cycle: core.cycle,
+            mode: core.mode,
             budget_reads,
             budget_writes,
-            layout: self.mem.layout(),
+            layout: core.mem.layout(),
             // The merged, address-ordered image — the same bytes whatever
             // the physical layout.
-            mem: self.mem.to_vec(),
+            mem: core.mem.to_vec(),
             bank_reads,
             bank_writes,
-            stats: self.stats,
-            procs: self
+            stats: core.stats,
+            procs: core
                 .procs
                 .status
                 .iter()
-                .zip(&self.procs.completed)
-                .zip(&self.procs.state)
+                .zip(&core.procs.completed)
+                .zip(&core.procs.state)
                 .map(|((&status, &completed), state)| ProcCheckpoint {
                     status,
                     completed,
                     state: state.as_ref().map_or(serde::Value::Null, |st| st.to_value()),
                 })
                 .collect(),
-            pattern: self.pattern.clone(),
+            pattern: core.pattern.clone(),
             adversary,
             // Policy state is runner-level: a policy-driven runner fills
             // this in after saving (see `crate::policy`); the core has no
@@ -1248,9 +1466,13 @@ where
         })
     }
 
-    /// Load `ck` into this core and `adversary`, resuming the checkpointed
-    /// run at its tick boundary. Everything is validated **before**
-    /// anything is mutated, so a failed restore leaves core and adversary
+    /// Load `ck` into this machine and `adversary`, resuming the
+    /// checkpointed run at its tick boundary.
+    ///
+    /// The machine must be built for the same program shape the checkpoint
+    /// was taken from: same model, memory size, processor count, cycle
+    /// budget and write mode. Everything is validated **before** anything
+    /// is mutated, so a failed restore leaves machine and adversary
     /// untouched.
     ///
     /// # Errors
@@ -1258,16 +1480,12 @@ where
     /// [`PramError::Checkpoint`] on a version, model or shape mismatch, an
     /// undecodable private state, an illegal recorded failure pattern, or
     /// an adversary that refuses the saved state.
-    pub(crate) fn restore_checkpoint<M, A>(
+    pub fn restore_checkpoint<A: Adversary + ?Sized>(
         &mut self,
-        model: &M,
         ck: &Checkpoint,
         adversary: &mut A,
-    ) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv>,
-        A: Adversary + ?Sized,
-    {
+    ) -> Result<()> {
+        let Pram { model, core } = self;
         let fail = |detail: String| PramError::Checkpoint { detail };
         if ck.version != CHECKPOINT_VERSION {
             return Err(fail(format!(
@@ -1282,27 +1500,27 @@ where
                 M::MODEL
             )));
         }
-        if ck.layout != self.mem.layout() {
+        if ck.layout != core.mem.layout() {
             return Err(fail(format!(
                 "checkpoint was taken under the {} memory layout but this machine uses {} — \
                  cross-layout restore is not supported; rebuild the machine with the \
                  checkpoint's layout",
                 ck.layout,
-                self.mem.layout()
+                core.mem.layout()
             )));
         }
-        if ck.mem.len() != self.mem.size() {
+        if ck.mem.len() != core.mem.size() {
             return Err(fail(format!(
                 "checkpoint has {} memory cells but the machine has {}",
                 ck.mem.len(),
-                self.mem.size()
+                core.mem.size()
             )));
         }
-        if ck.procs.len() != self.procs.len() {
+        if ck.procs.len() != core.procs.len() {
             return Err(fail(format!(
                 "checkpoint has {} processors but the machine has {}",
                 ck.procs.len(),
-                self.procs.len()
+                core.procs.len()
             )));
         }
         let (budget_reads, budget_writes) = model.checkpoint_budget();
@@ -1313,23 +1531,23 @@ where
                 ck.budget_reads, ck.budget_writes, budget_reads, budget_writes
             )));
         }
-        if ck.mode != self.mode {
+        if ck.mode != core.mode {
             return Err(fail(format!(
                 "checkpoint write mode {} differs from the machine's {}",
-                ck.mode, self.mode
+                ck.mode, core.mode
             )));
         }
         ck.pattern
-            .validate(Some(self.procs.len()))
+            .validate(Some(core.procs.len()))
             .map_err(|e| fail(format!("recorded pattern: {e}")))?;
-        let mut states: Vec<Option<Pv>> = Vec::with_capacity(ck.procs.len());
+        let mut states: Vec<Option<M::Private>> = Vec::with_capacity(ck.procs.len());
         for (i, pc) in ck.procs.iter().enumerate() {
             let state = match pc.status {
                 // A failed processor has no private memory; whatever the
                 // checkpoint stores for it is ignored.
                 ProcStatus::Failed => None,
                 ProcStatus::Alive | ProcStatus::Halted => Some(
-                    Pv::from_value(&pc.state)
+                    M::Private::from_value(&pc.state)
                         .map_err(|e| fail(format!("P{i}'s private state does not decode: {e}")))?,
                 ),
             };
@@ -1340,7 +1558,7 @@ where
         // failure there must leave everything untouched.
         let mem = SharedMemory::from_parts(
             ck.layout,
-            self.mem.size(),
+            core.mem.size(),
             &ck.mem,
             &ck.bank_reads,
             &ck.bank_writes,
@@ -1348,19 +1566,19 @@ where
         adversary
             .restore_state(&ck.adversary)
             .map_err(|e| fail(format!("adversary restore failed: {e}")))?;
-        self.mem = mem;
+        core.mem = mem;
         for (i, (pc, state)) in ck.procs.iter().zip(states).enumerate() {
-            self.procs.status[i] = pc.status;
-            self.procs.completed[i] = pc.completed;
-            self.procs.state[i] = state;
+            core.procs.status[i] = pc.status;
+            core.procs.completed[i] = pc.completed;
+            core.procs.state[i] = state;
         }
-        self.cycle = ck.cycle;
-        self.stats = ck.stats;
-        self.pattern = ck.pattern.clone();
+        core.cycle = ck.cycle;
+        core.stats = ck.stats;
+        core.pattern = ck.pattern.clone();
         // Re-prime the completion tracker from the restored memory: a stale
         // index must never survive a restore (and lock-step `tick` use may
         // not pass through a run entry).
-        self.init_tracker(model);
+        core.init_tracker(model);
         Ok(())
     }
 }

@@ -89,7 +89,7 @@ pub use failure::{
     DecisionRecorder, FailureEvent, FailureKind, FailurePattern, PatternError, ScheduledAdversary,
 };
 pub use machine::{
-    ExecMode, Machine, PanicPolicy, RunControl, RunLimits, RunSpec, RunStatus, SharedPool,
+    ExecMode, Machine, PanicPolicy, Pram, RunControl, RunLimits, RunSpec, RunStatus, SharedPool,
 };
 pub use memory::{CellChunks, MemoryLayout, SharedMemory};
 pub use mode::WriteMode;
@@ -155,7 +155,10 @@ pub enum CompletionHint {
 ///    charged*;
 /// 5. commits the surviving writes with CRCW conflict resolution and charges
 ///    one completed update cycle.
-pub trait Program {
+///
+/// Programs are `Sync`: the pooled engines of [`Pram::run_with`] play
+/// processors' cycles on several threads against one shared program.
+pub trait Program: Sync {
     /// Per-processor private memory; lost on failure.
     type Private: Clone + Send;
 

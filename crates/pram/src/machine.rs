@@ -1,11 +1,12 @@
-//! The word-model restartable fail-stop machine executor.
+//! The machine: [`Pram`], one restartable fail-stop PRAM over any
+//! [`ExecutionModel`], and the word model that [`Machine`] runs.
 //!
 //! Each tick the machine plays one update cycle for every alive processor:
 //!
-//! 1. **Tentative phase** — every alive processor plans its reads, reads the
-//!    memory state from the start of the tick (synchronous PRAM: nobody sees
-//!    this tick's writes), and computes its writes by advancing its private
-//!    state in place.
+//! 1. **Tentative phase** — every alive processor reads the memory state
+//!    from the start of the tick (synchronous PRAM: nobody sees this tick's
+//!    writes) and computes its writes by advancing its private state in
+//!    place.
 //! 2. **Adversary phase** — the on-line adversary inspects the whole machine
 //!    (including every tentative cycle) and stops/restarts processors.
 //! 3. **Commit phase** — surviving write prefixes are merged slot by slot
@@ -16,54 +17,50 @@
 //! model's progress condition (§2.1 2(i)) is enforced: every tick with any
 //! activity must include at least one completed update cycle.
 //!
-//! Since PR 5 the phase structure itself — run loop, adversary validation,
-//! commit merging, accounting, observers, checkpoints — lives in the
-//! model-generic [`Core`](crate::exec::Core) (see [`crate::exec`]), shared
-//! with the snapshot machine. This module contributes the *word model*:
-//! the charged read phase with its plan chain ([`tentative_for`]), the
-//! [`CycleBudget`] enforcement, and the pooled/panic-isolated backends.
-//! The pooled backend farms the **whole tick** out to a persistent
-//! [`TickPool`] of workers: the tentative phase and the three-pass
-//! parallel commit (`Core::apply_pooled`) run on the same pool, with
-//! rank-ordered merges keeping every observable byte identical to the
-//! sequential engine.
+//! A [`Pram`] pairs a model with the model-generic [`Core`], which owns
+//! that phase structure for every model (see [`crate::exec`]). The paper's
+//! two machines differ only in the model, and each has an alias:
+//! [`Machine`] runs a [`Program`] under the word model ([`WordModel`]),
+//! whose read phase is a charged plan chain bounded by a [`CycleBudget`];
+//! [`SnapshotMachine`](crate::SnapshotMachine) runs a
+//! [`SnapshotProgram`](crate::SnapshotProgram) under the §3 snapshot model,
+//! whose read phase is a free read of all of memory.
 //!
-//! Every run enters through one method, [`Machine::run_with`]: a
-//! [`RunSpec`] names the tick engine ([`ExecMode`]), the optional
-//! [`PanicPolicy`] and the [`RunLimits`], and `run_with` holds the only
-//! table that maps a spec to a backend. [`Machine::run`],
-//! [`Machine::run_observed`] and [`Machine::run_threaded_observed`] are
-//! one-line conveniences over the same table.
+//! Every run enters through one method, [`Pram::run_with`]: a [`RunSpec`]
+//! names the tick engine ([`ExecMode`]), the optional [`PanicPolicy`] and
+//! the [`RunLimits`], and `run_with` holds the only table that maps a spec
+//! to a backend, for both models. [`Pram::run`], [`Pram::run_observed`] and
+//! [`Pram::run_threaded_observed`] are one-line forms of it. The pooled
+//! rows farm the whole tick out to a persistent worker pool — the
+//! tentative phase and the three-pass parallel commit — with rank-ordered
+//! merges keeping every observable byte identical to the sequential
+//! engine.
 //!
-//! The engine remains built so a **steady-state tick performs no heap
-//! allocation and no thread spawn**: all per-tick buffers live in the core
-//! and are reused; the threaded backend parks its worker pool for the whole
-//! run; and programs that implement [`Program::completion_hint`] replace
-//! the per-tick O(memory) completion scan with an O(1) test of an
-//! outstanding-cell counter. The word model keeps no index of those cells:
-//! nothing in it asks which cells they are.
+//! A **steady-state tick performs no heap allocation and no thread
+//! spawn**: all per-tick buffers live in the core and are reused; a pooled
+//! run parks its workers between ticks; and programs that implement
+//! [`Program::completion_hint`] replace the per-tick O(memory) completion
+//! scan with an O(1) test of an outstanding-cell counter. The word model
+//! keeps no index of those cells: nothing in it asks which cells they are.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
-use crate::accounting::RunReport;
-use crate::adversary::{Adversary, Decisions, ProcStatus, TentativeCycle};
-use crate::checkpoint::Checkpoint;
+use crate::accounting::{RunReport, WorkStats};
+use crate::adversary::{Adversary, ProcStatus, TentativeCycle};
 use crate::cycle::{CycleBudget, ReadSet, Step, MAX_READS, MAX_WRITES};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{completed, Backend, Core, ExecutionModel, SeqBackend};
+use crate::exec::{completed, Core, ExecutionModel, IsolatedBackend, PooledBackend, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{panic_detail, PoolShutdown, SendPtr, TickPool, CLASS_TENTATIVE};
+use crate::pool::{PoolShutdown, TickPool};
 use crate::trace::{NoopObserver, Observer};
+use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Program, Result};
 
 pub use crate::exec::{PanicPolicy, RunControl, RunLimits, RunStatus};
 
-/// Which tick engine a run uses (see [`Machine::run_with`]).
+/// Which tick engine a run uses (see [`Pram::run_with`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub enum ExecMode<'a> {
     /// The sequential engine: the calling thread plays every phase.
@@ -81,7 +78,7 @@ pub enum ExecMode<'a> {
 /// How one run executes: the tick engine, panic isolation, and limits.
 ///
 /// The default is the plain sequential engine with default limits — what
-/// [`Machine::run`] uses.
+/// [`Pram::run`] uses.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunSpec<'a> {
     /// The tick engine.
@@ -99,7 +96,7 @@ pub struct RunSpec<'a> {
 /// The word model's [`ExecutionModel`]: a charged, budgeted read phase
 /// (the plan chain) followed by a budgeted write phase.
 #[derive(Debug)]
-struct WordModel<'p, P: Program> {
+pub struct WordModel<'p, P: Program> {
     program: &'p P,
     budget: CycleBudget,
 }
@@ -128,8 +125,43 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
         self.program.completion_masks(base, values)
     }
 
-    fn tentative(&self, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_seq::<P, false>(self.program, self.budget, core)
+    /// Drive the plan chain — reads within a cycle may depend on values
+    /// read earlier in the same cycle (ordinary sequential instructions) —
+    /// within the read budget, then execute.
+    #[inline]
+    fn play(
+        &self,
+        mem: &SharedMemory,
+        _index: Option<&UnvisitedIndex>,
+        cycle: u64,
+        pid: Pid,
+        state: &mut P::Private,
+        t: &mut TentativeCycle,
+    ) -> Result<Step> {
+        loop {
+            let mut batch = ReadSet::default();
+            self.program.plan(pid, state, &t.values, &mut batch);
+            if batch.is_empty() {
+                break;
+            }
+            if t.reads.len() + batch.len() > self.budget.reads {
+                return Err(PramError::BudgetExceeded {
+                    pid,
+                    cycle,
+                    kind: BudgetKind::Reads,
+                    used: t.reads.len() + batch.len(),
+                    limit: self.budget.reads,
+                });
+            }
+            for &addr in batch.addrs() {
+                if addr >= mem.size() {
+                    return Err(PramError::AddressOutOfBounds { addr, size: mem.size() });
+                }
+                t.values.push(mem.peek(addr));
+                t.reads.push(addr);
+            }
+        }
+        Ok(self.program.execute(pid, state, &t.values, &mut t.writes))
     }
 
     fn partial_instructions(t: &TentativeCycle, committed_writes: usize) -> u64 {
@@ -143,16 +175,24 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
     }
 }
 
-/// A restartable fail-stop CRCW PRAM running one [`Program`].
+/// A restartable fail-stop CRCW PRAM: an [`ExecutionModel`] paired with the
+/// shared execution core.
 ///
-/// See the [crate-level documentation](crate) for an end-to-end example.
+/// Code names one of its two aliases, [`Machine`] for the word model and
+/// [`SnapshotMachine`](crate::SnapshotMachine) for the snapshot model; each
+/// alias adds only its model's constructors. See the
+/// [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug)]
-pub struct Machine<'p, P: Program> {
-    model: WordModel<'p, P>,
-    core: Core<P::Private>,
+pub struct Pram<M: ExecutionModel> {
+    pub(crate) model: M,
+    pub(crate) core: Core<M::Private>,
 }
 
-impl<'p, P: Program> Machine<'p, P> {
+/// A restartable fail-stop CRCW PRAM running one [`Program`] under the word
+/// model.
+pub type Machine<'p, P> = Pram<WordModel<'p, P>>;
+
+impl<'p, P: Program> Pram<WordModel<'p, P>> {
     /// Build a machine with `processors` processors for `program`.
     ///
     /// Shared memory is allocated per [`Program::shared_size`] and
@@ -184,9 +224,6 @@ impl<'p, P: Program> Machine<'p, P> {
         budget: CycleBudget,
         layout: MemoryLayout,
     ) -> Result<Self> {
-        if processors == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one processor".into() });
-        }
         if !budget.fits_inline() {
             return Err(PramError::InvalidConfig {
                 detail: format!(
@@ -196,17 +233,42 @@ impl<'p, P: Program> Machine<'p, P> {
                 ),
             });
         }
-        let mut mem = SharedMemory::with_layout(program.shared_size(), layout)?;
-        program.init_memory(&mut mem);
         let model = WordModel { program, budget };
-        let core = Core::new(&model, processors, mem, WriteMode::Common, budget.writes);
-        Ok(Machine { model, core })
+        Pram::assemble(model, processors, WriteMode::Common, budget.writes, || {
+            let mut mem = SharedMemory::with_layout(program.shared_size(), layout)?;
+            program.init_memory(&mut mem);
+            Ok(mem)
+        })
     }
 
     /// Set the concurrent-write semantics (default: COMMON).
     pub fn set_write_mode(&mut self, mode: WriteMode) -> &mut Self {
         self.core.mode = mode;
         self
+    }
+}
+
+impl<M: ExecutionModel> Pram<M> {
+    /// Pair `model` with a fresh core of `processors` processors over the
+    /// memory `mem` builds, merging `write_slots` write slots per tick
+    /// under `mode`. The one constructor behind both models'.
+    ///
+    /// # Errors
+    ///
+    /// [`PramError::InvalidConfig`] if `processors == 0` (checked before
+    /// `mem` allocates anything), and whatever `mem` returns.
+    pub(crate) fn assemble(
+        model: M,
+        processors: usize,
+        mode: WriteMode,
+        write_slots: usize,
+        mem: impl FnOnce() -> Result<SharedMemory>,
+    ) -> Result<Self> {
+        if processors == 0 {
+            return Err(PramError::InvalidConfig { detail: "need at least one processor".into() });
+        }
+        let core = Core::new(&model, processors, mem()?, mode, write_slots);
+        Ok(Pram { model, core })
     }
 
     /// Override the batched-kernel lane width (default:
@@ -246,7 +308,7 @@ impl<'p, P: Program> Machine<'p, P> {
     }
 
     /// Accumulated work statistics.
-    pub fn stats(&self) -> &crate::accounting::WorkStats {
+    pub fn stats(&self) -> &WorkStats {
         &self.core.stats
     }
 
@@ -259,7 +321,8 @@ impl<'p, P: Program> Machine<'p, P> {
         self.core.procs.status[pid.0]
     }
 
-    /// Run to completion under `adversary` with default [`RunLimits`].
+    /// Run to completion under `adversary` on the sequential engine with
+    /// default [`RunLimits`].
     ///
     /// # Errors
     ///
@@ -271,8 +334,8 @@ impl<'p, P: Program> Machine<'p, P> {
 
     /// Run to completion on the sequential engine, streaming every machine
     /// event — cycle completions, failures, restarts, committed writes —
-    /// to `observer` (see [`crate::trace`]). The sequential row of
-    /// [`Machine::run_with`]'s table, callable without `P: Sync`.
+    /// to `observer` (see [`crate::trace`]). Both models emit the same
+    /// event vocabulary, so one trace pipeline serves both.
     ///
     /// # Errors
     ///
@@ -283,348 +346,32 @@ impl<'p, P: Program> Machine<'p, P> {
         limits: RunLimits,
         observer: &mut dyn Observer,
     ) -> Result<RunReport> {
-        completed(self.run_sequential(None, limits, adversary, observer, |_| RunControl::Continue))
+        let spec = RunSpec { limits, ..RunSpec::default() };
+        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
     }
 
-    /// The sequential rows of [`Machine::run_with`]'s table: the plain
-    /// backend, or the one that catches panics per processor. Needs no
-    /// `P: Sync`, so [`Machine::run_observed`] shares it.
-    fn run_sequential<A: Adversary + ?Sized>(
+    /// Run to completion on a private pool of `threads` workers,
+    /// streaming every event to `observer`: [`Pram::run_with`] with
+    /// [`ExecMode::Threads`] and no pause.
+    ///
+    /// # Errors
+    ///
+    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
+    /// `threads == 0`.
+    pub fn run_threaded_observed<A: Adversary>(
         &mut self,
-        panic: Option<PanicPolicy>,
+        adversary: &mut A,
         limits: RunLimits,
-        adversary: &mut A,
+        threads: usize,
         observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        let Machine { model, core } = self;
-        match panic {
-            None => core.run_loop(model, adversary, limits, observer, &mut SeqBackend, control),
-            Some(_) => {
-                core.run_loop(model, adversary, limits, observer, &mut CaughtBackend, control)
-            }
-        }
+    ) -> Result<RunReport> {
+        let spec = RunSpec { exec: ExecMode::Threads(threads), panic: None, limits };
+        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
     }
 
-    /// Execute exactly one tick under `adversary`. Exposed for fine-grained
-    /// tests and lock-step experiment drivers.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn tick<A: Adversary>(&mut self, adversary: &mut A) -> Result<()> {
-        self.tick_observed(adversary, &mut NoopObserver)
-    }
-
-    /// [`Machine::tick`] with an event stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn tick_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        self.core.tick(&self.model, adversary, observer, &mut SeqBackend)
-    }
-}
-
-impl<'p, P> Machine<'p, P>
-where
-    P: Program,
-    P::Private: Serialize + Deserialize,
-{
-    /// Snapshot the machine (and `adversary`) at the current tick boundary
-    /// into a versioned [`Checkpoint`].
-    ///
-    /// Call only between run calls — e.g. after [`Machine::run_with`]
-    /// returned [`RunStatus::Paused`] — so the machine holds no transient
-    /// tick state. Restoring the checkpoint into a freshly built machine
-    /// of the same program, size, budget and write mode (plus a freshly
-    /// built adversary of the same kind and configuration) resumes the run
-    /// bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// [`PramError::Checkpoint`] if the adversary is not checkpointable
-    /// ([`Adversary::save_state`] returned `None`).
-    pub fn save_checkpoint<A: Adversary + ?Sized>(&self, adversary: &A) -> Result<Checkpoint> {
-        self.core.save_checkpoint(&self.model, adversary)
-    }
-
-    /// Load `ck` into this machine and `adversary`, resuming the
-    /// checkpointed run at its tick boundary.
-    ///
-    /// The machine must be built for the same program shape the checkpoint
-    /// was taken from: same model, memory size, processor count, cycle
-    /// budget and write mode. Everything is validated **before** anything
-    /// is mutated, so a failed restore leaves machine and adversary
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`PramError::Checkpoint`] on a version, model or shape mismatch, an
-    /// undecodable private state, an illegal recorded failure pattern, or
-    /// an adversary that refuses the saved state.
-    pub fn restore_checkpoint<A: Adversary + ?Sized>(
-        &mut self,
-        ck: &Checkpoint,
-        adversary: &mut A,
-    ) -> Result<()> {
-        self.core.restore_checkpoint(&self.model, ck, adversary)
-    }
-}
-
-/// Tentatively play one update cycle for processor `pid` against `mem`.
-///
-/// Sets `*out` to `None` if the processor is not alive; otherwise refills
-/// the slot's [`TentativeCycle`] buffers in place (no allocation — every
-/// buffer is inline, see [`crate::cycle`]).
-///
-/// The private state is advanced **in place**: the pre-cycle state is never
-/// needed afterwards, because the commit phase either adopts the post-cycle
-/// state (cycle completed) or discards the state entirely (the adversary
-/// stopped the processor, and a stopped processor loses its private memory —
-/// the model has no partial-progress private state).
-#[allow(clippy::too_many_arguments)] // the split-borrowed SoA fields arrive separately by design
-#[inline]
-fn tentative_for<P: Program>(
-    program: &P,
-    mem: &SharedMemory,
-    budget: CycleBudget,
-    cycle: u64,
-    pid: Pid,
-    status: ProcStatus,
-    state: &mut Option<P::Private>,
-    out: &mut Option<TentativeCycle>,
-) -> Result<()> {
-    if status != ProcStatus::Alive {
-        *out = None;
-        return Ok(());
-    }
-    let state = state.as_mut().expect("alive processor must have private state");
-    let t = out.get_or_insert_with(TentativeCycle::default);
-    t.reads.clear();
-    t.values.clear();
-    t.writes.clear();
-    t.halts = false;
-    // Drive the plan chain: reads within a cycle may depend on values read
-    // earlier in the same cycle (ordinary sequential instructions).
-    loop {
-        let mut batch = ReadSet::default();
-        program.plan(pid, state, &t.values, &mut batch);
-        if batch.is_empty() {
-            break;
-        }
-        if t.reads.len() + batch.len() > budget.reads {
-            return Err(PramError::BudgetExceeded {
-                pid,
-                cycle,
-                kind: BudgetKind::Reads,
-                used: t.reads.len() + batch.len(),
-                limit: budget.reads,
-            });
-        }
-        for &addr in batch.addrs() {
-            if addr >= mem.size() {
-                return Err(PramError::AddressOutOfBounds { addr, size: mem.size() });
-            }
-            t.values.push(mem.peek(addr));
-            t.reads.push(addr);
-        }
-    }
-    let step = program.execute(pid, state, &t.values, &mut t.writes);
-    if t.writes.len() > budget.writes {
-        return Err(PramError::BudgetExceeded {
-            pid,
-            cycle,
-            kind: BudgetKind::Writes,
-            used: t.writes.len(),
-            limit: budget.writes,
-        });
-    }
-    for &(addr, _) in t.writes.writes() {
-        if addr >= mem.size() {
-            return Err(PramError::AddressOutOfBounds { addr, size: mem.size() });
-        }
-    }
-    t.halts = matches!(step, Step::Halt);
-    Ok(())
-}
-
-/// Run one processor's tentative cycle `f`, under `catch_unwind` when
-/// `CATCH` is set so a panic in program code surfaces as
-/// [`PramError::WorkerPanic`] naming `pid`. With `CATCH == false` this
-/// compiles to the bare call.
-#[inline(always)]
-fn guarded<const CATCH: bool>(pid: Pid, f: impl FnOnce() -> Result<()>) -> Result<()> {
-    if !CATCH {
-        return f();
-    }
-    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        Err(PramError::WorkerPanic { pid: Some(pid), detail: panic_detail(payload.as_ref()) })
-    })
-}
-
-/// The sequential tentative phase: the calling thread plays every
-/// processor's cycle in PID order ([`guarded`] by `CATCH`).
-fn tentative_seq<P: Program, const CATCH: bool>(
-    program: &P,
-    budget: CycleBudget,
-    core: &mut Core<P::Private>,
-) -> Result<()> {
-    let (mem, cycle) = (&core.mem, core.cycle);
-    let statuses = &core.procs.status;
-    for (i, (state, out)) in core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
-    {
-        guarded::<CATCH>(Pid(i), || {
-            tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)
-        })?;
-    }
-    Ok(())
-}
-
-/// Parallel tentative phase: pool workers claim chunks of the processor
-/// range from the shared cursor and fill the corresponding tentative slots
-/// ([`guarded`] by `CATCH`). With the structure-of-arrays processor state
-/// only the private states need a raw [`SendPtr`]: statuses are read-only
-/// during the tentative phase and are shared as a plain slice.
-fn tentative_pooled<P, const CATCH: bool>(
-    program: &P,
-    budget: CycleBudget,
-    core: &mut Core<P::Private>,
-    pool: &TickPool,
-) -> Result<()>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
-    let p = core.procs.len();
-    // Align worker chunks to the batch width (× bank interleave on banked
-    // layouts): whole lanes per worker, no lane split across banks.
-    let align = core.chunk_align();
-    let (mem, cycle) = (&core.mem, core.cycle);
-    let statuses: &[ProcStatus] = &core.procs.status;
-    let states = SendPtr::new(core.procs.state.as_mut_ptr());
-    let tentative = SendPtr::new(core.tentative.as_mut_ptr());
-    pool.run_tick(CLASS_TENTATIVE, p, align, &move |start: usize, end: usize| {
-        #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
-        for i in start..end {
-            // SAFETY: the pool's cursor hands out disjoint [start, end)
-            // chunks within 0..p, so slot `i` is touched by exactly one
-            // worker this tick; `run_tick` blocks until every worker is
-            // done, so the pointers outlive all dereferences.
-            let state = unsafe { &mut *states.ptr().add(i) };
-            let out = unsafe { &mut *tentative.ptr().add(i) };
-            guarded::<CATCH>(Pid(i), || {
-                tentative_for(program, mem, budget, cycle, Pid(i), statuses[i], state, out)
-            })?;
-        }
-        Ok(())
-    })
-}
-
-/// The fully pooled word backend: the tentative phase and the three-pass
-/// parallel commit run on the same worker pool.
-/// Results are pinned byte-identical to [`SeqBackend`] by the golden and
-/// differential tests.
-struct PooledBackend<'a> {
-    pool: &'a TickPool,
-}
-
-impl<'p, P> Backend<WordModel<'p, P>> for PooledBackend<'_>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
-    fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_pooled::<P, false>(model.program, model.budget, core, self.pool)
-    }
-
-    fn apply(
-        &mut self,
-        model: &WordModel<'p, P>,
-        core: &mut Core<P::Private>,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        core.apply_pooled(model, decisions, observer, self.pool)
-    }
-}
-
-/// The sequential panic-isolating backend: every processor's cycle runs
-/// under `catch_unwind`. Used for sequential runs with a panic policy and
-/// as the degraded mode of [`IsolatedBackend`].
-struct CaughtBackend;
-
-impl<'p, P: Program> Backend<WordModel<'p, P>> for CaughtBackend {
-    fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        tentative_seq::<P, true>(model.program, model.budget, core)
-    }
-}
-
-/// The pooled backend with per-processor panic isolation: each tick backs
-/// up every private state before the pooled tentative phase, restores them
-/// if a worker catches a panic, and then either surfaces the error or
-/// degrades permanently to the sequential caught engine per the
-/// [`PanicPolicy`].
-///
-/// The commit deliberately keeps the **sequential** default: the parallel
-/// commit stores through raw bank pointers and calls user completion
-/// hints, so a panic there could not be unwound to a clean tick boundary
-/// the way the tentative phase can.
-struct IsolatedBackend<'a, S> {
-    pool: &'a TickPool,
-    policy: PanicPolicy,
-    backup: Vec<Option<S>>,
-    degraded: bool,
-}
-
-impl<'p, P> Backend<WordModel<'p, P>> for IsolatedBackend<'_, P::Private>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
-    fn tentative(&mut self, model: &WordModel<'p, P>, core: &mut Core<P::Private>) -> Result<()> {
-        if self.degraded {
-            return tentative_seq::<P, true>(model.program, model.budget, core);
-        }
-        // Snapshot every private state: the tentative phase advances
-        // states in place, so recovering from a panic mid-phase needs the
-        // pre-tick originals.
-        for (saved, state) in self.backup.iter_mut().zip(core.procs.state.iter()) {
-            saved.clone_from(state);
-        }
-        match tentative_pooled::<P, true>(model.program, model.budget, core, self.pool) {
-            Err(PramError::WorkerPanic { pid, detail }) => {
-                for (state, saved) in core.procs.state.iter_mut().zip(self.backup.iter()) {
-                    state.clone_from(saved);
-                }
-                match self.policy {
-                    PanicPolicy::Surface => Err(PramError::WorkerPanic { pid, detail }),
-                    PanicPolicy::FallbackSequential => {
-                        self.degraded = true;
-                        // Replay the whole tick sequentially from the
-                        // restored pre-tick states — nothing had committed,
-                        // so the replay is identical to a clean tick.
-                        tentative_seq::<P, true>(model.program, model.budget, core)
-                    }
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-impl<'p, P> Machine<'p, P>
-where
-    P: Program + Sync,
-    P::Private: Send,
-{
     /// The one run entry point: run under `adversary` until the program
     /// completes **or** `control` asks for a pause at a tick boundary, on
-    /// the engine `spec` names.
+    /// the engine `spec` names. The table holds for both models:
     ///
     /// | `spec.exec` | `panic: None` | `panic: Some(policy)` |
     /// |---|---|---|
@@ -636,11 +383,13 @@ where
     /// Every row produces the identical event stream, accounting, failure
     /// pattern and memory. The pooled rows farm every heavy phase of the
     /// tick — tentative phase and commit — out to the workers, whose
-    /// chunks are merged in rank order; a private pool
-    /// is spawned once per call and parked between ticks, so a
-    /// steady-state tick performs no thread spawns. A shared pool's turn
-    /// lock is held for the whole call, so concurrent callers serialize;
-    /// pause through `control` to time-share it.
+    /// chunks are merged in rank order; a model that keeps an unvisited
+    /// index commits sequentially, since the parallel store pass folds only
+    /// the outstanding count. A private pool is spawned once per call and
+    /// parked between ticks, so a steady-state tick performs no thread
+    /// spawns. A shared pool's turn lock is held for the whole call, so
+    /// concurrent callers serialize; pause through `control` to time-share
+    /// it.
     ///
     /// An *isolated* pooled run backs up every private state before each
     /// tentative phase, so a caught panic restores the tick boundary and
@@ -653,8 +402,8 @@ where
     ///
     /// `control` receives the tick about to execute. On
     /// [`RunStatus::Paused`] the machine holds no transient state: save a
-    /// [`Checkpoint`] with [`Machine::save_checkpoint`], or call a run
-    /// method again to continue. The callback is consulted again with the
+    /// [`Checkpoint`](crate::Checkpoint) with [`Pram::save_checkpoint`], or
+    /// call a run method again to continue. The callback is consulted again with the
     /// same tick number on resume, so a "pause at tick k" predicate must be
     /// rearmed by the caller.
     ///
@@ -670,7 +419,18 @@ where
     ) -> Result<RunStatus> {
         match spec.exec {
             ExecMode::Sequential | ExecMode::Threads(1) => {
-                self.run_sequential(spec.panic, spec.limits, adversary, observer, control)
+                let Pram { model, core } = self;
+                let limits = spec.limits;
+                match spec.panic {
+                    None => {
+                        let backend = &mut SeqBackend::<false>;
+                        core.run_loop(model, adversary, limits, observer, backend, control)
+                    }
+                    Some(_) => {
+                        let backend = &mut SeqBackend::<true>;
+                        core.run_loop(model, adversary, limits, observer, backend, control)
+                    }
+                }
             }
             ExecMode::Threads(0) => {
                 Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
@@ -694,7 +454,7 @@ where
         }
     }
 
-    /// The pooled rows of [`Machine::run_with`]'s table, on a pool whose
+    /// The pooled rows of [`Pram::run_with`]'s table, on a pool whose
     /// workers are running and whose coordinator is the calling thread.
     fn run_pooled<A: Adversary + ?Sized>(
         &mut self,
@@ -704,48 +464,54 @@ where
         observer: &mut dyn Observer,
         control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus> {
-        let Machine { model, core } = self;
+        let Pram { model, core } = self;
         let limits = spec.limits;
         match spec.panic {
             None => {
-                let mut backend = PooledBackend { pool };
-                core.run_loop(model, adversary, limits, observer, &mut backend, control)
+                let backend = &mut PooledBackend { pool };
+                core.run_loop(model, adversary, limits, observer, backend, control)
             }
             Some(policy) => {
                 let backup = vec![None; core.procs.len()];
-                let mut backend = IsolatedBackend { pool, policy, backup, degraded: false };
-                core.run_loop(model, adversary, limits, observer, &mut backend, control)
+                let backend = &mut IsolatedBackend { pool, policy, backup, degraded: false };
+                core.run_loop(model, adversary, limits, observer, backend, control)
             }
         }
     }
 
-    /// Run to completion on a private pool of `threads` workers,
-    /// streaming every event to `observer`: [`Machine::run_with`] with
-    /// [`ExecMode::Threads`] and no pause.
+    /// Execute exactly one tick under `adversary` on the sequential engine
+    /// (no completion check). Exposed for fine-grained tests and lock-step
+    /// drivers; the completion tracker is kept consistent, so ticks and
+    /// runs interleave freely.
     ///
     /// # Errors
     ///
-    /// See [`PramError`]. Additionally [`PramError::InvalidConfig`] if
-    /// `threads == 0`.
-    pub fn run_threaded_observed<A: Adversary>(
+    /// See [`PramError`].
+    pub fn tick<A: Adversary>(&mut self, adversary: &mut A) -> Result<()> {
+        self.tick_observed(adversary, &mut NoopObserver)
+    }
+
+    /// [`Pram::tick`] with an event stream.
+    ///
+    /// # Errors
+    ///
+    /// See [`PramError`].
+    pub fn tick_observed<A: Adversary>(
         &mut self,
         adversary: &mut A,
-        limits: RunLimits,
-        threads: usize,
         observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
-        let spec = RunSpec { exec: ExecMode::Threads(threads), panic: None, limits };
-        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
+    ) -> Result<()> {
+        self.core.tick(&self.model, adversary, observer, &mut SeqBackend::<false>)
     }
 }
 
 /// A persistent worker pool shared across machines and run segments.
 ///
-/// [`ExecMode::Threads`] builds a private [`TickPool`] per call — right
+/// [`ExecMode::Threads`] builds a private worker pool per call — right
 /// for a single run, but wasteful (and impossible to time-share) when a
 /// daemon multiplexes many paused runs over one set of OS threads.
 /// `SharedPool` owns its workers for as long as the value lives; any
-/// thread may drive a run segment on it through [`Machine::run_with`] with
+/// thread may drive a run segment on it through [`Pram::run_with`] with
 /// [`ExecMode::Pool`], one segment at a time: an internal turn lock
 /// serializes drivers, and each driver re-binds the pool's coordinator to
 /// itself before its first tick.

@@ -44,7 +44,7 @@
 //! version gate exists to prevent.
 //!
 //! The engine also escalates the pooled engine's
-//! [`PanicPolicy`](crate::PanicPolicy): an adaptive run starts on
+//! [`PanicPolicy`]: an adaptive run starts on
 //! [`PanicPolicy::Surface`] (a worker panic aborts the tick and surfaces,
 //! leaving the machine at the tick boundary) and falls back to
 //! [`PanicPolicy::FallbackSequential`] only after repeated panics — the

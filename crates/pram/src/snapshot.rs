@@ -7,54 +7,40 @@
 //! [`SnapshotMachine`] runs [`SnapshotProgram`]s whose update cycle is
 //! *snapshot the whole memory, compute, write a bounded number of cells*.
 //!
-//! The same [`Adversary`] interface drives it (the adversary still sees the
-//! pending writes of each processor before deciding), and the same
-//! completed-work accounting applies: one completed snapshot cycle = one
-//! work unit. Snapshot reads are **uncharged** in the memory's
-//! instrumentation counters ([`SharedMemory::read_count`]): the model's
-//! whole-memory read has unit cost by assumption, so per-cell read
-//! accounting is meaningless here (the word-model [`Machine`](crate::Machine)
-//! does charge its reads).
+//! The same [`Adversary`](crate::Adversary) interface drives it (the
+//! adversary still sees the pending writes of each processor before
+//! deciding), and the same completed-work accounting applies: one completed
+//! snapshot cycle = one work unit. Snapshot reads are **uncharged** in the
+//! memory's instrumentation counters ([`SharedMemory::read_count`]): the
+//! model's whole-memory read has unit cost by assumption, so per-cell read
+//! accounting is meaningless here (the word-model
+//! [`Machine`](crate::Machine) does charge its reads).
 //!
-//! Since PR 5 the machine is a thin wrapper over the model-generic
-//! [`Core`](crate::exec::Core): this module contributes only the *snapshot
-//! model* — the free whole-memory read phase and its `S'` charging rule —
-//! while the run loop, adversary validation, COMMON write merging,
-//! accounting and failure-pattern recording are the exact same code the
-//! word machine runs. That buys the snapshot machine everything the word
-//! engine had grown separately: [`Observer`] event streams
-//! ([`SnapshotMachine::run_observed`]), pausable runs
-//! ([`SnapshotMachine::run_with`]) and versioned checkpoint
-//! save/restore — all byte-identical in behavior to the pre-unification
-//! engine (pinned by `tests/golden_equivalence.rs`).
+//! [`SnapshotMachine`] is an alias of [`Pram`] over [`SnapModel`], the
+//! model this module defines: the free whole-memory read phase and its `S'`
+//! charging rule. Everything else — the tentative loops, the run table of
+//! [`Pram::run_with`] with its pooled engines, adversary validation, COMMON
+//! write merging, accounting, observers and checkpoints — is the same code
+//! the word model runs.
 //!
-//! The engine remains allocation-free in steady state: per-tick buffers
-//! live in the core and are reused, private states advance in place, and
-//! the [`FailurePattern`](crate::FailurePattern) is returned by move.
-//! Programs that implement [`SnapshotProgram::completion_hint`]
-//! additionally get an outstanding-cell count, which replaces the O(N)
-//! `is_complete` scan with an O(1) zero test, and an incremental
-//! [`UnvisitedIndex`] over the outstanding cells: a bitset with a Fenwick
-//! tree over its words, maintained from committed writes in O(log N) per
-//! write. The index is exposed to programs through the [`SnapshotView`]
-//! (and to adversaries through
-//! [`MachineView::unvisited`](crate::MachineView)), so the §3 algorithms
-//! and adversaries rank and select unvisited cells in O(log N) instead of
-//! rescanning memory every tick. Debug builds cross-check the index
-//! against the full scan after every tick.
+//! Programs that implement [`SnapshotProgram::completion_hint`] get an
+//! outstanding-cell count, which replaces the O(N) `is_complete` scan with
+//! an O(1) zero test, and an incremental [`UnvisitedIndex`] over the
+//! outstanding cells: a bitset with a Fenwick tree over its words,
+//! maintained from committed writes in O(log N) per write. The index is
+//! exposed to programs through the [`SnapshotView`] (and to adversaries
+//! through [`MachineView::unvisited`](crate::MachineView)), so the §3
+//! algorithms and adversaries rank and select unvisited cells in O(log N)
+//! instead of rescanning memory every tick. Debug builds cross-check the
+//! index against the full scan after every tick.
 
-use serde::{Deserialize, Serialize};
-
-use crate::accounting::RunReport;
-use crate::adversary::{Adversary, TentativeCycle};
-use crate::checkpoint::Checkpoint;
+use crate::adversary::TentativeCycle;
 use crate::cycle::{Step, WriteSet};
-use crate::error::{BudgetKind, PramError};
-use crate::exec::{completed, Core, ExecutionModel, RunControl, RunLimits, RunStatus, SeqBackend};
-use crate::machine::{ExecMode, RunSpec};
+use crate::error::PramError;
+use crate::exec::ExecutionModel;
+use crate::machine::Pram;
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::trace::{NoopObserver, Observer};
 use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Result};
@@ -200,8 +186,10 @@ impl<'a> SnapshotView<'a> {
 }
 
 /// An algorithm for the snapshot model: each cycle it sees the entire
-/// shared memory and emits a bounded number of writes.
-pub trait SnapshotProgram {
+/// shared memory and emits a bounded number of writes. `Sync` for the same
+/// reason as [`Program`](crate::Program): the pooled engines share it
+/// across threads.
+pub trait SnapshotProgram: Sync {
     /// Per-processor private memory; lost on failure.
     type Private: Clone + Send;
 
@@ -253,7 +241,7 @@ pub trait SnapshotProgram {
 /// writes (the snapshot and the local computation are free until the cycle
 /// completes).
 #[derive(Debug)]
-struct SnapModel<'p, P: SnapshotProgram> {
+pub struct SnapModel<'p, P: SnapshotProgram> {
     program: &'p P,
     write_budget: usize,
 }
@@ -283,48 +271,20 @@ impl<'p, P: SnapshotProgram> ExecutionModel for SnapModel<'p, P> {
         self.program.completion_masks(base, values)
     }
 
-    /// Every alive processor tentatively plays its cycle against the
-    /// tick-start snapshot, advancing its private state **in place** (a
-    /// non-completing snapshot cycle only ever belongs to a processor the
-    /// adversary stopped, whose private state is discarded anyway).
-    fn tentative(&self, core: &mut Core<P::Private>) -> Result<()> {
-        let program = self.program;
-        let (budget, cycle, size) = (self.write_budget, core.cycle, core.mem.size());
-        let view = SnapshotView {
-            mem: &core.mem,
-            unvisited: if core.tracked { Some(&core.unvisited) } else { None },
-        };
-        let statuses = &core.procs.status;
-        for (i, (state, out)) in
-            core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
-        {
-            if statuses[i] != crate::adversary::ProcStatus::Alive {
-                *out = None;
-                continue;
-            }
-            let state = state.as_mut().expect("alive processor has private state");
-            let t = out.get_or_insert_with(TentativeCycle::default);
-            t.reads.clear();
-            t.values.clear();
-            t.writes.clear();
-            let step = program.execute(Pid(i), state, &view, &mut t.writes);
-            if t.writes.len() > budget {
-                return Err(PramError::BudgetExceeded {
-                    pid: Pid(i),
-                    cycle,
-                    kind: BudgetKind::Writes,
-                    used: t.writes.len(),
-                    limit: budget,
-                });
-            }
-            for &(addr, _) in t.writes.writes() {
-                if addr >= size {
-                    return Err(PramError::AddressOutOfBounds { addr, size });
-                }
-            }
-            t.halts = matches!(step, Step::Halt);
-        }
-        Ok(())
+    /// The processor reads all of the tick-start memory at once, through a
+    /// [`SnapshotView`], and executes.
+    #[inline]
+    fn play(
+        &self,
+        mem: &SharedMemory,
+        index: Option<&UnvisitedIndex>,
+        _cycle: u64,
+        pid: Pid,
+        state: &mut P::Private,
+        t: &mut TentativeCycle,
+    ) -> Result<Step> {
+        let view = SnapshotView { mem, unvisited: index };
+        Ok(self.program.execute(pid, state, &view, &mut t.writes))
     }
 
     fn partial_instructions(_t: &TentativeCycle, committed_writes: usize) -> u64 {
@@ -340,16 +300,12 @@ impl<'p, P: SnapshotProgram> ExecutionModel for SnapModel<'p, P> {
     }
 }
 
-/// Executor for the snapshot model. Mirrors [`Machine`](crate::Machine)
-/// with the read phase replaced by a free whole-memory snapshot; both are
-/// wrappers over the same [`Core`](crate::exec::Core).
-#[derive(Debug)]
-pub struct SnapshotMachine<'p, P: SnapshotProgram> {
-    model: SnapModel<'p, P>,
-    core: Core<P::Private>,
-}
+/// A restartable fail-stop PRAM running one [`SnapshotProgram`] under the
+/// snapshot model: [`Machine`](crate::Machine) with the read phase
+/// replaced by a free whole-memory snapshot.
+pub type SnapshotMachine<'p, P> = Pram<SnapModel<'p, P>>;
 
-impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
+impl<'p, P: SnapshotProgram> Pram<SnapModel<'p, P>> {
     /// Build a snapshot machine with `processors` processors and the given
     /// per-cycle write budget (the paper's exposition uses 2; Theorem 3.2's
     /// algorithm needs only 1).
@@ -378,176 +334,19 @@ impl<'p, P: SnapshotProgram> SnapshotMachine<'p, P> {
         write_budget: usize,
         layout: MemoryLayout,
     ) -> Result<Self> {
-        if processors == 0 {
-            return Err(PramError::InvalidConfig { detail: "need at least one processor".into() });
-        }
         if write_budget == 0 {
             return Err(PramError::InvalidConfig {
                 detail: "write budget must be positive".into(),
             });
         }
-        let mut mem = SharedMemory::with_layout(program.shared_size(), layout)?;
-        program.init_memory(&mut mem);
         let model = SnapModel { program, write_budget };
         // The §3 snapshot algorithms are COMMON-legal; the machine always
         // checks COMMON semantics.
-        let core = Core::new(&model, processors, mem, SNAPSHOT_WRITE_MODE, write_budget);
-        Ok(SnapshotMachine { model, core })
-    }
-
-    /// Override the batched-kernel lane width — the snapshot counterpart of
-    /// [`Machine::set_batch_width`](crate::Machine::set_batch_width), with
-    /// the same contract: `1` selects the scalar reference path, any other
-    /// value the lane-mask batched path; behavior is identical either way.
-    pub fn set_batch_width(&mut self, width: usize) -> &mut Self {
-        self.core.batch_width = width.max(1);
-        self
-    }
-
-    /// The shared memory (uncharged inspection).
-    pub fn memory(&self) -> &SharedMemory {
-        &self.core.mem
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &crate::accounting::WorkStats {
-        &self.core.stats
-    }
-
-    /// Current tick.
-    pub fn cycle(&self) -> u64 {
-        self.core.cycle
-    }
-
-    /// Run to completion under `adversary` with default [`RunLimits`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run<A: Adversary>(&mut self, adversary: &mut A) -> Result<RunReport> {
-        self.run_observed(adversary, RunLimits::default(), &mut NoopObserver)
-    }
-
-    /// Run to completion, streaming every machine event — cycle
-    /// completions, failures, restarts, committed writes — to `observer`
-    /// (see [`crate::trace`]). The event vocabulary is shared with the
-    /// word machine, so one trace/telemetry pipeline serves both models.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        limits: RunLimits,
-        observer: &mut dyn Observer,
-    ) -> Result<RunReport> {
-        let spec = RunSpec { limits, ..RunSpec::default() };
-        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
-    }
-
-    /// Run until completion **or** until `control` requests a pause at a
-    /// tick boundary — the snapshot counterpart of
-    /// [`Machine::run_with`](crate::Machine::run_with), with the same
-    /// pause/checkpoint/resume contract. The snapshot engine is
-    /// sequential-only:
-    ///
-    /// | `spec.exec` | result |
-    /// |---|---|
-    /// | `Sequential`, `Threads(1)` | sequential |
-    /// | `Threads(0)` | [`PramError::InvalidConfig`], as on the word machine |
-    /// | `Threads(n ≥ 2)`, `Pool(_)` | [`PramError::InvalidConfig`] |
-    ///
-    /// A refused spec leaves the machine untouched. The engine plays no
-    /// processor under `catch_unwind`, so `spec.panic` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn run_with<A: Adversary + ?Sized>(
-        &mut self,
-        spec: RunSpec<'_>,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
-        match spec.exec {
-            ExecMode::Sequential | ExecMode::Threads(1) => {}
-            ExecMode::Threads(0) => {
-                return Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
-            }
-            ExecMode::Threads(_) | ExecMode::Pool(_) => {
-                return Err(PramError::InvalidConfig {
-                    detail: "the snapshot engine is sequential-only; run it with \
-                             ExecMode::Sequential or Threads(1)"
-                        .into(),
-                })
-            }
-        }
-        let SnapshotMachine { model, core } = self;
-        core.run_loop(model, adversary, spec.limits, observer, &mut SeqBackend, control)
-    }
-
-    /// Execute exactly one tick under `adversary` (no completion check).
-    /// Exposed for fine-grained tests and lock-step drivers; the completion
-    /// tracker is kept consistent, so ticks and runs interleave freely.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn tick<A: Adversary>(&mut self, adversary: &mut A) -> Result<()> {
-        self.tick_observed(adversary, &mut NoopObserver)
-    }
-
-    /// [`SnapshotMachine::tick`] with an event stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub fn tick_observed<A: Adversary>(
-        &mut self,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        self.core.tick(&self.model, adversary, observer, &mut SeqBackend)
-    }
-}
-
-impl<'p, P> SnapshotMachine<'p, P>
-where
-    P: SnapshotProgram,
-    P::Private: Serialize + Deserialize,
-{
-    /// Snapshot the machine (and `adversary`) at the current tick boundary
-    /// into a versioned [`Checkpoint`] tagged `"snapshot"` — same format
-    /// and same contract as
-    /// [`Machine::save_checkpoint`](crate::Machine::save_checkpoint); the
-    /// model tag keeps word and snapshot checkpoints from being restored
-    /// into each other.
-    ///
-    /// # Errors
-    ///
-    /// [`PramError::Checkpoint`] if the adversary is not checkpointable.
-    pub fn save_checkpoint<A: Adversary + ?Sized>(&self, adversary: &A) -> Result<Checkpoint> {
-        self.core.save_checkpoint(&self.model, adversary)
-    }
-
-    /// Load `ck` into this machine and `adversary`, resuming the
-    /// checkpointed run at its tick boundary. Everything is validated
-    /// **before** anything is mutated, so a failed restore leaves machine
-    /// and adversary untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`PramError::Checkpoint`] on a version, model or shape mismatch, an
-    /// undecodable private state, an illegal recorded failure pattern, or
-    /// an adversary that refuses the saved state.
-    pub fn restore_checkpoint<A: Adversary + ?Sized>(
-        &mut self,
-        ck: &Checkpoint,
-        adversary: &mut A,
-    ) -> Result<()> {
-        self.core.restore_checkpoint(&self.model, ck, adversary)
+        Pram::assemble(model, processors, SNAPSHOT_WRITE_MODE, write_budget, || {
+            let mut mem = SharedMemory::with_layout(program.shared_size(), layout)?;
+            program.init_memory(&mut mem);
+            Ok(mem)
+        })
     }
 }
 
@@ -691,39 +490,66 @@ mod tests {
         assert_eq!(m.memory().write_count(), 8);
     }
 
-    /// Only the sequential specs run; every other engine is refused before
-    /// anything moves.
+    /// Fails P1 before its writes in tick 0 and restarts it for tick 2.
+    struct OneHiccup;
+    impl crate::Adversary for OneHiccup {
+        fn decide(&mut self, view: &crate::MachineView<'_>) -> crate::Decisions {
+            let mut d = crate::Decisions::none();
+            if view.cycle == 0 {
+                d.fail(Pid(1), crate::FailPoint::BeforeWrites);
+            }
+            if view.cycle == 1 {
+                d.restart(Pid(1));
+            }
+            d
+        }
+    }
+
+    /// Every row of `run_with`'s table runs the snapshot model too: each
+    /// engine, with and without a panic policy, reproduces the sequential
+    /// row's event stream, stats, per-processor work and memory, and
+    /// `Threads(0)` is refused before anything moves.
     #[test]
-    fn run_with_refuses_engines_it_cannot_run() {
-        let prog = Hinted { n: 12 };
+    fn every_run_spec_matches_sequential() {
+        use crate::machine::{ExecMode, RunSpec};
+        use crate::{PanicPolicy, RunControl, RunLimits, TraceRecorder};
+
+        let prog = Hinted { n: 24 };
+        let run = |spec: RunSpec<'_>| {
+            let mut m = SnapshotMachine::new(&prog, 5, 1).unwrap();
+            let mut trace = TraceRecorder::unbounded();
+            let status = m.run_with(spec, &mut OneHiccup, &mut trace, |_| RunControl::Continue);
+            let report = crate::exec::completed(status)?;
+            Ok::<_, PramError>((trace.to_jsonl(), report, m.memory().to_vec()))
+        };
+        let (trace, report, mem) = run(RunSpec::default()).unwrap();
+        assert!(!report.pattern.is_empty(), "the adversary failed and restarted P1");
         let pool = crate::SharedPool::new(2).unwrap();
-        let refused = [
-            ExecMode::Threads(0),
+        let execs = [
+            ExecMode::Threads(1),
             ExecMode::Threads(2),
             ExecMode::Threads(4),
             ExecMode::Pool(&pool),
         ];
-        for exec in refused {
-            let mut m = SnapshotMachine::new(&prog, 3, 1).unwrap();
-            let spec = RunSpec { exec, ..RunSpec::default() };
-            let result =
-                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue);
-            assert!(
-                matches!(result, Err(PramError::InvalidConfig { .. })),
-                "{exec:?} was not refused"
-            );
-            assert_eq!(m.cycle(), 0, "{exec:?} ran a tick");
-            assert!(m.memory().as_slice().iter().all(|&v| v == 0), "{exec:?} wrote memory");
+        let panics = [None, Some(PanicPolicy::Surface), Some(PanicPolicy::FallbackSequential)];
+        for exec in execs {
+            for panic in panics {
+                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
+                let (row_trace, row_report, row_mem) = run(spec).unwrap();
+                assert_eq!(row_trace, trace, "{spec:?}: event stream");
+                assert_eq!(row_report.stats, report.stats, "{spec:?}: stats");
+                assert_eq!(row_report.per_processor, report.per_processor, "{spec:?}: work");
+                assert_eq!(row_mem, mem, "{spec:?}: memory");
+            }
         }
-        let run = |exec| {
-            let mut m = SnapshotMachine::new(&prog, 3, 1).unwrap();
-            let spec = RunSpec { exec, ..RunSpec::default() };
-            let status =
-                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue);
-            let RunStatus::Completed(report) = status.unwrap() else { panic!("{exec:?} paused") };
-            (report.stats, report.per_processor, m.memory().to_vec())
-        };
-        assert_eq!(run(ExecMode::Threads(1)), run(ExecMode::Sequential));
+        for panic in panics {
+            let mut m = SnapshotMachine::new(&prog, 5, 1).unwrap();
+            let spec = RunSpec { exec: ExecMode::Threads(0), panic, limits: RunLimits::default() };
+            let result = m
+                .run_with(spec, &mut OneHiccup, &mut crate::NoopObserver, |_| RunControl::Continue);
+            assert!(matches!(result, Err(PramError::InvalidConfig { .. })), "{spec:?}");
+            assert_eq!(m.cycle(), 0, "{spec:?} ran a tick");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the incremental unvisited index: it allocates its working vectors every
 //! tick, clones private states through the tentative phase, decides
 //! completion with the full [`SnapshotProgram::is_complete`] scan, and
-//! clones the [`FailurePattern`](crate::failure::FailurePattern) into the
+//! clones the [`FailurePattern`] into the
 //! report. It is deliberately *not* optimised — its value is that its
 //! control flow is the old, independently-reviewed one, so the equivalence
 //! proptests in `tests/snapshot_equivalence.rs` can replay arbitrary legal

@@ -496,8 +496,8 @@ impl MetricsObserver {
     }
 
     /// The rows of every *closed* tick so far (streaming consumers can
-    /// read this between [`Machine::tick_observed`]
-    /// (crate::Machine::tick_observed) calls).
+    /// read this between [`Pram::tick_observed`](crate::Pram::tick_observed)
+    /// calls).
     pub fn ticks(&self) -> &[TickMetrics] {
         &self.ticks
     }

@@ -1,16 +1,23 @@
 //! The full run configuration — everything needed to rebuild a run's
 //! program and adversary from scratch — plus the adversary factory.
 //!
-//! [`RunConfig`] is stored verbatim inside every [`SessionCheckpoint`]
-//! (so `--resume` and the daemon's spool re-adoption need no other flags)
-//! and travels the daemon wire protocol inside
-//! [`Request::Submit`](crate::Request::Submit).
+//! [`RunConfig`] is stored verbatim inside every
+//! [`SessionCheckpoint`](crate::SessionCheckpoint) (so `--resume` and the
+//! daemon's spool re-adoption need no other flags) and travels the daemon
+//! wire protocol inside [`Request::Submit`](crate::Request::Submit).
 
 use rfsp_adversary::{BurstyFaults, RandomFaults};
 use rfsp_pram::{Adversary, NoFailures, PolicyKind, RunLimits, ScheduledAdversary};
 use serde::{Deserialize, Serialize};
 
 use crate::{io_err, pattern_io, RunError};
+
+/// The largest instance size and processor count a [`RunConfig`] accepts:
+/// 2^28, the largest N the repository sweeps. Sizes arrive from outside
+/// the program (a command line, a daemon `Submit`), so
+/// [`RunConfig::validate`] refuses larger ones before anything is
+/// allocated.
+pub const MAX_SIZE: u64 = 1 << 28;
 
 /// One crash-safe run, fully described: algorithm, instance, adversary,
 /// checkpoint policy, and where the durable artifacts live.
@@ -87,14 +94,34 @@ impl RunConfig {
         RunLimits { max_cycles: self.max_cycles }
     }
 
-    /// Reject configurations no session can honour: a zero cadence, zero
-    /// threads, or a checkpoint on an algorithm whose program-level state
-    /// a resumed run cannot recover.
+    /// Reject configurations no session can honour: a zero or oversized
+    /// instance or processor count (see [`MAX_SIZE`]), an in-place X
+    /// instance that is not a power of two ≥ 4, a zero cadence, zero
+    /// threads, or a checkpoint on an algorithm whose program-level state a
+    /// resumed run cannot recover.
     ///
     /// # Errors
     ///
     /// [`RunError`] naming the offending field.
     pub fn validate(&self) -> Result<(), RunError> {
+        for (flag, value) in [("--n", self.n), ("--p", self.p)] {
+            if value == 0 {
+                return Err(RunError(format!("{flag} must be at least 1")));
+            }
+            if value > MAX_SIZE {
+                return Err(RunError(format!(
+                    "{flag} {value} exceeds the limit 2^28 = {MAX_SIZE}"
+                )));
+            }
+        }
+        if matches!(self.algo.as_str(), "x-inplace" | "inplace")
+            && !(self.n >= 4 && self.n.is_power_of_two())
+        {
+            return Err(RunError(format!(
+                "--algo {} needs --n to be a power of two >= 4, not {}",
+                self.algo, self.n
+            )));
+        }
         if self.every == 0 {
             return Err(RunError(
                 "--every 0 is a degenerate cadence: the run would never checkpoint and a crash \
@@ -172,6 +199,30 @@ mod tests {
             ..RunConfig::default()
         };
         assert!(bad.validate().unwrap_err().0.contains("acc"));
+
+        for bad in [
+            RunConfig { n: 0, ..RunConfig::default() },
+            RunConfig { n: MAX_SIZE + 1, ..RunConfig::default() },
+            RunConfig { n: 1 << 40, ..RunConfig::default() },
+        ] {
+            assert!(bad.validate().unwrap_err().0.contains("--n"), "n = {}", bad.n);
+        }
+        for bad in [
+            RunConfig { p: 0, ..RunConfig::default() },
+            RunConfig { p: MAX_SIZE + 1, ..RunConfig::default() },
+        ] {
+            assert!(bad.validate().unwrap_err().0.contains("--p"), "p = {}", bad.p);
+        }
+        RunConfig { n: MAX_SIZE, p: MAX_SIZE, ..RunConfig::default() }.validate().unwrap();
+        for algo in ["x-inplace", "inplace"] {
+            for n in [1, 2, 3, 6, 1000] {
+                let bad = RunConfig { algo: algo.into(), n, ..RunConfig::default() };
+                assert!(bad.validate().unwrap_err().0.contains("power of two"), "{algo} n = {n}");
+            }
+            for n in [4, 1024] {
+                RunConfig { algo: algo.into(), n, ..RunConfig::default() }.validate().unwrap();
+            }
+        }
     }
 
     #[test]

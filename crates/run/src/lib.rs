@@ -1,20 +1,20 @@
 //! # rfsp-run — the crash-safe run-session layer
 //!
-//! PRs 4–9 made a *single* long run crash-safe: versioned machine
-//! checkpoints, atomic on-disk persistence, events-JSONL offset-truncate
-//! resume, adaptive checkpoint cadence, panic-isolating engines. The
-//! orchestration gluing those pieces together, however, was copy-pasted
-//! across the CLI's long-run mode, the soak harness's kill/resume lanes,
-//! and the bench runners. This crate extracts it into one place:
+//! A crash-safe run combines versioned machine checkpoints, atomic on-disk
+//! persistence, events-JSONL offset-truncate resume, an adaptive
+//! checkpoint cadence and panic-isolating engines. This crate holds that
+//! orchestration once, for the CLI's long-run mode, the soak harness's
+//! kill/resume lanes and the `rfsp serve` daemon:
 //!
-//! * [`RunSession`] — owns a machine (through the [`RunHost`] trait, so
-//!   both the word-model [`Machine`](rfsp_pram::Machine) and the §3
-//!   [`SnapshotMachine`](rfsp_pram::SnapshotMachine) qualify), its
-//!   adversary, its [`PolicyEngine`](rfsp_pram::PolicyEngine), its events
-//!   log and its durable checkpoints, and implements the *one* crash-safe
-//!   run loop: pause at tick boundaries, checkpoint on the policy's
-//!   cadence (and on demand), rewind-and-replay after surfaced worker
-//!   panics, stream every event to the log and to a caller observer.
+//! * [`RunSession`] — owns a machine (a [`Pram`](rfsp_pram::Pram) over
+//!   either model, so both the word-model [`Machine`](rfsp_pram::Machine)
+//!   and the §3 [`SnapshotMachine`](rfsp_pram::SnapshotMachine) qualify),
+//!   its adversary, its [`PolicyEngine`](rfsp_pram::PolicyEngine), its
+//!   events log and its durable checkpoints, and implements the *one*
+//!   crash-safe run loop: pause at tick boundaries, checkpoint on the
+//!   policy's cadence (and on demand), rewind-and-replay after surfaced
+//!   worker panics, stream every event to the log and to a caller
+//!   observer.
 //! * [`run_with_cut`] — the in-memory kill/checkpoint/JSON-round-trip/
 //!   restore/resume cross-check used by the soak harness's crash-recovery
 //!   lanes.
@@ -34,7 +34,6 @@ pub mod atomic;
 pub mod checkpoint;
 pub mod config;
 pub mod events;
-pub mod host;
 pub mod pattern_io;
 pub mod protocol;
 pub mod sched;
@@ -43,9 +42,8 @@ pub mod spool;
 
 pub use atomic::write_atomic;
 pub use checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
-pub use config::{build_adversary, RunConfig};
+pub use config::{build_adversary, RunConfig, MAX_SIZE};
 pub use events::{count_tick_starts, EventLog};
-pub use host::RunHost;
 pub use protocol::{
     read_line, read_request, write_line, JobInfo, JobState, Request, Response, MAX_REQUEST_BYTES,
 };

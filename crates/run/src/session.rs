@@ -20,16 +20,15 @@
 use std::time::Instant;
 
 use rfsp_pram::{
-    Adversary, ExecMode, NoopObserver, Observer, PolicyEngine, PolicyKind, PramError, RunControl,
-    RunLimits, RunReport, RunSpec, RunStatus, SharedMemory, Tee, WastedWork,
+    Adversary, ExecMode, ExecutionModel, NoopObserver, Observer, PolicyEngine, PolicyKind, Pram,
+    PramError, RunControl, RunLimits, RunReport, RunSpec, RunStatus, SharedMemory, Tee, WastedWork,
 };
 
 use crate::checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 use crate::config::{build_adversary, RunConfig};
 use crate::events::EventLog;
-use crate::host::RunHost;
 use crate::{machine_err, RunError};
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize};
 
 /// What the caller decides at a pause.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,13 +69,13 @@ pub enum SessionEnd {
 /// One crash-safe run: machine + adversary + policy engine + events log +
 /// durable checkpoints, driven by the canonical session loop.
 ///
-/// Generic over the machine shape (see [`RunHost`]) and parameterized by
-/// an [`ExecMode`] naming the tick engine. The `rebuild` factory recreates
-/// the machine from scratch — the from-scratch leg of panic recovery when
-/// no checkpoint exists yet.
-pub struct RunSession<'a, M: RunHost> {
+/// Generic over the machine's [`ExecutionModel`], so either model
+/// qualifies, and parameterized by an [`ExecMode`] naming the tick engine.
+/// The `rebuild` factory recreates the machine from scratch — the
+/// from-scratch leg of panic recovery when no checkpoint exists yet.
+pub struct RunSession<'a, M: ExecutionModel> {
     cfg: RunConfig,
-    machine: M,
+    machine: Pram<M>,
     adversary: Box<dyn Adversary>,
     engine: PolicyEngine,
     events: EventLog,
@@ -86,10 +85,14 @@ pub struct RunSession<'a, M: RunHost> {
     last_saved: Option<SessionCheckpoint>,
     last_pause: Option<u64>,
     exec: ExecMode<'a>,
-    rebuild: Box<dyn FnMut() -> Result<M, PramError> + 'a>,
+    rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
 }
 
-impl<'a, M: RunHost> RunSession<'a, M> {
+impl<'a, M> RunSession<'a, M>
+where
+    M: ExecutionModel,
+    M::Private: Serialize + Deserialize,
+{
     /// Start a fresh session from `cfg`. `rebuild` constructs the machine
     /// (it is called once now, and again if a panic forces a from-scratch
     /// restart before the first checkpoint).
@@ -100,7 +103,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
     pub fn new(
         cfg: RunConfig,
         exec: ExecMode<'a>,
-        mut rebuild: Box<dyn FnMut() -> Result<M, PramError> + 'a>,
+        mut rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
     ) -> Result<Self, RunError> {
         let machine = rebuild().map_err(|e| machine_err(&e))?;
         let adversary = build_adversary(&cfg)?;
@@ -132,7 +135,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
     pub fn resume(
         ck: SessionCheckpoint,
         exec: ExecMode<'a>,
-        mut rebuild: Box<dyn FnMut() -> Result<M, PramError> + 'a>,
+        mut rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
     ) -> Result<Self, RunError> {
         let cfg = ck.config.clone();
         let mut machine = rebuild().map_err(|e| machine_err(&e))?;
@@ -143,9 +146,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
         // Engine first: its restore refuses cross-policy checkpoints
         // before anything is mutated.
         engine.restore_state(&ck.machine.policy).map_err(|e| machine_err(&e))?;
-        machine
-            .host_restore_checkpoint(&ck.machine, &mut *adversary)
-            .map_err(|e| machine_err(&e))?;
+        machine.restore_checkpoint(&ck.machine, &mut *adversary).map_err(|e| machine_err(&e))?;
         let mut wasted = ck.wasted;
         wasted.restores += 1;
         wasted.replayed_ticks += replayed_tail;
@@ -174,7 +175,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
 
     /// The machine's current tick.
     pub fn cycle(&self) -> u64 {
-        self.machine.host_cycle()
+        self.machine.cycle()
     }
 
     /// Cumulative fault-tolerance overhead.
@@ -189,7 +190,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
 
     /// The machine's shared memory (for postcondition checks).
     pub fn memory(&self) -> &SharedMemory {
-        self.machine.host_memory()
+        self.machine.memory()
     }
 
     /// Drive the session until completion or a caller-requested stop.
@@ -234,7 +235,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
             let status = {
                 let mut inner = Tee(&mut self.events, &mut self.engine);
                 let mut observer = Tee(&mut inner, telemetry);
-                self.machine.host_run(spec, &mut *self.adversary, &mut observer, &mut |cycle| {
+                self.machine.run_with(spec, &mut *self.adversary, &mut observer, |cycle| {
                     let ext = pause_when(cycle);
                     if (ext || (cadence && cycle >= due_at)) && lp != Some(cycle) {
                         external = ext;
@@ -281,7 +282,7 @@ impl<'a, M: RunHost> RunSession<'a, M> {
         }
         let started = Instant::now();
         let mut machine_ck =
-            self.machine.host_save_checkpoint(&*self.adversary).map_err(|e| machine_err(&e))?;
+            self.machine.save_checkpoint(&*self.adversary).map_err(|e| machine_err(&e))?;
         // Feed the cost model the machine snapshot alone (policy field
         // still Null): a pure function of machine state, identical in a
         // resumed and an uninterrupted run.
@@ -310,13 +311,13 @@ impl<'a, M: RunHost> RunSession<'a, M> {
     /// after enough repeats it escalates to the sequential fallback.
     fn recover_from_panic(&mut self, e: &PramError) -> Result<(), RunError> {
         let escalated = self.engine.record_panic();
-        let panicked_at = self.machine.host_cycle();
+        let panicked_at = self.machine.cycle();
         self.wasted.restores += 1;
         match &self.last_saved {
             Some(saved) => {
                 self.engine.restore_state(&saved.machine.policy).map_err(|e| machine_err(&e))?;
                 self.machine
-                    .host_restore_checkpoint(&saved.machine, &mut *self.adversary)
+                    .restore_checkpoint(&saved.machine, &mut *self.adversary)
                     .map_err(|e| machine_err(&e))?;
                 self.events.rewind_to(saved.events_offset)?;
                 self.wasted.replayed_ticks += panicked_at.saturating_sub(saved.machine.cycle);
@@ -343,11 +344,11 @@ impl<'a, M: RunHost> RunSession<'a, M> {
 }
 
 /// Outcome of a [`run_with_cut`] kill/checkpoint/resume cross-check.
-pub struct CutOutcome<M> {
+pub struct CutOutcome<M: ExecutionModel> {
     /// The (resumed or uninterrupted) run's report.
     pub report: RunReport,
     /// The machine that produced it, for memory/postcondition inspection.
-    pub machine: M,
+    pub machine: Pram<M>,
     /// Adaptive-policy cuts only: the uninterrupted and the resumed
     /// engine's serialized final states (`None` if the run completed
     /// before the kill tick — nothing was cut).
@@ -357,7 +358,7 @@ pub struct CutOutcome<M> {
 /// Kill a run at a tick boundary, checkpoint it **through the JSON
 /// codec** (the on-disk format is part of what callers certify), restore
 /// into a freshly built machine + adversary, and run to completion — the
-/// soak harness's crash-recovery lane, for any [`RunHost`].
+/// soak harness's crash-recovery lane, for either model.
 ///
 /// With `policy` set, an adaptive [`PolicyEngine`] of that kind observes
 /// an uninterrupted reference run and the killed/resumed run; the engine
@@ -368,13 +369,17 @@ pub struct CutOutcome<M> {
 /// # Errors
 ///
 /// See [`PramError`].
-pub fn run_with_cut<M: RunHost>(
-    mut build: impl FnMut() -> Result<M, PramError>,
+pub fn run_with_cut<M>(
+    mut build: impl FnMut() -> Result<Pram<M>, PramError>,
     mut make_adversary: impl FnMut() -> Box<dyn Adversary>,
     limits: RunLimits,
     kill_at: u64,
     policy: Option<PolicyKind>,
-) -> Result<CutOutcome<M>, PramError> {
+) -> Result<CutOutcome<M>, PramError>
+where
+    M: ExecutionModel,
+    M::Private: Serialize + Deserialize,
+{
     let spec = RunSpec { limits, ..RunSpec::default() };
     let mut ref_engine = policy.map(PolicyEngine::new);
     if let Some(engine) = &mut ref_engine {
@@ -382,7 +387,7 @@ pub fn run_with_cut<M: RunHost>(
         // decision-stream reference.
         let mut straight = build()?;
         let mut adv = make_adversary();
-        straight.host_run(spec, &mut *adv, engine, &mut |_| RunControl::Continue)?;
+        straight.run_with(spec, &mut *adv, engine, |_| RunControl::Continue)?;
     }
 
     let mut first = build()?;
@@ -398,8 +403,8 @@ pub fn run_with_cut<M: RunHost>(
         }
     };
     let status = match &mut engine {
-        Some(e) => first.host_run(spec, &mut *adv, e, &mut control)?,
-        None => first.host_run(spec, &mut *adv, &mut NoopObserver, &mut control)?,
+        Some(e) => first.run_with(spec, &mut *adv, e, &mut control)?,
+        None => first.run_with(spec, &mut *adv, &mut NoopObserver, &mut control)?,
     };
     match status {
         // Finished before the kill tick: nothing to resume.
@@ -407,7 +412,7 @@ pub fn run_with_cut<M: RunHost>(
             Ok(CutOutcome { report, machine: first, policy_states: None })
         }
         RunStatus::Paused { .. } => {
-            let mut ck = first.host_save_checkpoint(&adv)?;
+            let mut ck = first.save_checkpoint(&*adv)?;
             if let Some(e) = &engine {
                 ck.policy = e.save_state();
             }
@@ -425,11 +430,11 @@ pub fn run_with_cut<M: RunHost>(
             if let Some(e) = &mut resumed_engine {
                 e.restore_state(&ck.policy)?;
             }
-            second.host_restore_checkpoint(&ck, &mut *adv2)?;
+            second.restore_checkpoint(&ck, &mut *adv2)?;
             let mut to_end = |_| RunControl::Continue;
             let status = match &mut resumed_engine {
-                Some(e) => second.host_run(spec, &mut *adv2, e, &mut to_end)?,
-                None => second.host_run(spec, &mut *adv2, &mut NoopObserver, &mut to_end)?,
+                Some(e) => second.run_with(spec, &mut *adv2, e, &mut to_end)?,
+                None => second.run_with(spec, &mut *adv2, &mut NoopObserver, &mut to_end)?,
             };
             let RunStatus::Completed(report) = status else {
                 unreachable!("the control callback never pauses")

@@ -79,25 +79,31 @@ impl Spool {
         self.job_dir(job).join("events.jsonl").display().to_string()
     }
 
-    /// Materialize a new job directory: rewrite the config's artifact
-    /// paths into the spool and durably publish `config.json`. Returns
-    /// the rewritten config the job must run with.
+    /// The config job `job` runs with: `config` with its artifact paths
+    /// rewritten into the job's spool directory. Nothing touches the disk,
+    /// so a caller can validate the result before [`Spool::create_job`].
+    pub fn job_config(&self, job: u64, mut config: RunConfig) -> RunConfig {
+        config.checkpoint = Some(self.checkpoint_path(job));
+        config.events = Some(self.events_path(job));
+        config
+    }
+
+    /// Materialize job `job`'s directory and durably publish `config` —
+    /// the result of [`Spool::job_config`] — as its `config.json`.
     ///
     /// # Errors
     ///
     /// I/O failures.
-    pub fn create_job(&self, job: u64, mut config: RunConfig) -> Result<RunConfig, RunError> {
+    pub fn create_job(&self, job: u64, config: &RunConfig) -> Result<(), RunError> {
         let dir = self.job_dir(job);
         std::fs::create_dir_all(&dir)
             .map_err(|e| io_err("create job directory", &dir.display().to_string(), &e))?;
-        config.checkpoint = Some(self.checkpoint_path(job));
-        config.events = Some(self.events_path(job));
         let path = dir.join("config.json");
         write_atomic(
             path.to_str().ok_or_else(|| RunError("non-UTF-8 spool path".into()))?,
             &serde::json::to_string_pretty(&config.to_value()),
         )?;
-        Ok(config)
+        Ok(())
     }
 
     /// Durably publish a job's terminal marker.
@@ -208,10 +214,12 @@ mod tests {
         assert_eq!(spool.next_job_id().unwrap(), 1);
         assert!(spool.scan().unwrap().is_empty());
 
-        let cfg = spool.create_job(1, RunConfig::default()).unwrap();
+        let cfg = spool.job_config(1, RunConfig::default());
         assert_eq!(cfg.checkpoint.as_deref(), Some(spool.checkpoint_path(1).as_str()));
         assert_eq!(cfg.events.as_deref(), Some(spool.events_path(1).as_str()));
-        spool.create_job(2, RunConfig::default()).unwrap();
+        assert!(spool.scan().unwrap().is_empty(), "job_config touched the spool");
+        spool.create_job(1, &cfg).unwrap();
+        spool.create_job(2, &spool.job_config(2, RunConfig::default())).unwrap();
         spool.mark_done(2, "completed", "all cells written").unwrap();
         assert_eq!(spool.next_job_id().unwrap(), 3);
 

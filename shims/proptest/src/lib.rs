@@ -239,7 +239,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,
