@@ -12,8 +12,10 @@
 //! 1. **Record** — a real machine run: Algorithm X under
 //!    [`BurstyFaults`] (Markov-modulated calm/burst churn) at the swept
 //!    burst intensity, with an observer collecting the per-tick failure
-//!    counts and a mid-run machine checkpoint measured for its serialized
-//!    byte size. Everything the policy engine is allowed to see.
+//!    counts and a mid-run machine checkpoint priced by its shape
+//!    ([`Checkpoint::cost_bytes`](rfsp_pram::Checkpoint::cost_bytes), the
+//!    input the crash-safe runner feeds the engine). Everything the policy
+//!    engine is allowed to see.
 //! 2. **Simulate** — a deterministic crash/replay simulation over that
 //!    recorded series (tiled to a fixed horizon), one pass per policy:
 //!    `fixed:8`, `fixed:2048`, and `adaptive`. The engine under test is
@@ -131,7 +133,7 @@ fn record(intensity: f64, seed: u64) -> (Vec<u64>, u64) {
         let lp = last_pause;
         let status = m
             .run_with(RunSpec::default(), &mut adv, &mut series, |cycle| {
-                // One pause to measure a live checkpoint's byte size.
+                // One pause to price a live checkpoint.
                 if cycle >= 32 && lp.is_none() {
                     RunControl::Pause
                 } else {
@@ -144,7 +146,7 @@ fn record(intensity: f64, seed: u64) -> (Vec<u64>, u64) {
             RunStatus::Paused { cycle } => {
                 last_pause = Some(cycle);
                 let ck = m.save_checkpoint(&adv).expect("measure checkpoint");
-                ck_bytes = ck.to_json().len() as u64;
+                ck_bytes = ck.cost_bytes();
             }
         }
     }
@@ -231,7 +233,7 @@ fn simulate(series: &[u64], crashes: &[usize], kind: PolicyKind, ck_bytes: u64) 
     let config = engine_config(ck_bytes);
     let mut engine = PolicyEngine::with_config(kind, config);
     // The last checkpoint: rewind target position + engine snapshot, the
-    // in-simulation analogue of the v4 checkpoint's policy payload.
+    // in-simulation analogue of the checkpoint's policy payload.
     let mut saved: Option<(usize, PolicyEngine)> = None;
     let mut pos = 0usize;
     let mut high_water = 0usize;

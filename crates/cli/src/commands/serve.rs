@@ -369,12 +369,17 @@ mod imp {
             Ok(JobEnd::Shutdown) => (JobState::Stopped, None),
             Err(e) => (JobState::Failed, Some(("failed", e.0.clone()))),
         };
-        lock(&daemon.registry).get_mut(&job).expect("registered").state = state;
+        let tick = {
+            let mut reg = lock(&daemon.registry);
+            let entry = reg.get_mut(&job).expect("registered");
+            entry.state = state;
+            entry.cycle
+        };
         // Closing the watch list is the subscribers' EOF: a `submit
         // --watch` client exits once its job is terminal.
         fan.close();
         if let Some((tag, detail)) = marker {
-            if let Err(e) = daemon.spool.mark_done(job, tag, &detail) {
+            if let Err(e) = daemon.spool.mark_done(job, tag, &detail, tick) {
                 eprintln!("job {job}: cannot record terminal state: {e}");
             }
         }
@@ -534,8 +539,8 @@ mod imp {
                         "failed" => JobState::Failed,
                         _ => JobState::Stopped,
                     };
-                    let cycle = sj.resume.as_ref().map_or(0, |ck| ck.machine.cycle);
-                    lock(&daemon.registry).insert(sj.job, JobEntry::new(&sj.config, state, cycle));
+                    lock(&daemon.registry)
+                        .insert(sj.job, JobEntry::new(&sj.config, state, marker.tick));
                 }
                 None => {
                     let resumed = sj.resume.is_some();

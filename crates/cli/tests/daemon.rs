@@ -441,6 +441,31 @@ fn watched_stream_is_the_spool_tail_through_completion() {
     scene.shut_down();
 }
 
+/// A finished job is listed at the tick it ended at, before a restart and
+/// after it: the restarted daemon takes the tick from the done marker,
+/// not from the job's last checkpoint.
+#[test]
+fn a_finished_job_keeps_its_tick_across_a_restart() {
+    let mut scene = Scene::start("daemon-done-tick", Stdio::null());
+    let job = scene.submit("1024", "3");
+    let marker = scene.done_marker(job);
+    let tau = marker
+        .split(|c: char| !c.is_ascii_alphanumeric() && c != '=')
+        .find_map(|w| w.strip_prefix("tau="))
+        .unwrap_or_else(|| panic!("no tau in {marker}"));
+    assert_ne!(tau.parse::<u64>().unwrap() % 200, 0, "the job ended on a checkpoint tick");
+    let row = |scene: &Scene| {
+        let jobs = scene.reply("\"Jobs\"\n", Duration::from_secs(30));
+        assert!(jobs.contains("\"Completed\""), "{jobs}");
+        jobs
+    };
+    let before = row(&scene);
+    assert!(before.contains(&format!("\"cycle\":{tau},")), "tau={tau}: {before}");
+    scene.restart();
+    assert_eq!(row(&scene), before);
+    scene.shut_down();
+}
+
 #[test]
 fn watched_stream_is_the_spool_tail_through_cancellation() {
     let scene = Scene::start("daemon-watch-cancel", Stdio::null());

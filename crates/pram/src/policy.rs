@@ -26,9 +26,10 @@
 //! could never demand bit-identical behavior. The engine therefore does
 //! all arithmetic in integers (no float accumulation order to worry
 //! about) and feeds its cost model only deterministic inputs: the
-//! configured prior and the *byte size* of each machine checkpoint —
-//! never the measured wall-clock save time. For the same reason the
-//! engine carries **no telemetry**: wasted-work accounting
+//! configured prior and each machine checkpoint's priced size,
+//! [`Checkpoint::cost_bytes`](crate::Checkpoint::cost_bytes), a function
+//! of its shape alone — never the measured wall-clock save time. For the
+//! same reason the engine carries **no telemetry**: wasted-work accounting
 //! ([`WastedWork`](crate::trace::WastedWork)) lives with the runner,
 //! outside the policy state, so a resumed run (whose restore/replay
 //! counters necessarily differ from the uninterrupted run's) still
@@ -36,8 +37,8 @@
 //! identical ticks.
 //!
 //! The engine's full state serializes to a [`Value`] that rides inside
-//! the v4 [`Checkpoint`](crate::Checkpoint) (its `policy` field), so a
-//! resumed run continues the *same* policy trajectory. Restoring refuses
+//! the [`Checkpoint`](crate::Checkpoint) (its `policy` field, since v4),
+//! so a resumed run continues the *same* policy trajectory. Restoring refuses
 //! state saved under a different policy kind or tuning — resuming a
 //! `fixed:500` run under `adaptive` would silently change where
 //! checkpoints land, which is exactly the nondeterminism the codec
@@ -117,7 +118,7 @@ impl std::fmt::Display for PolicyKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PolicyConfig {
     /// Prior checkpoint cost `C` in tick units (refined online from
-    /// checkpoint byte sizes).
+    /// checkpoints' priced sizes).
     pub cost_ticks: u64,
     /// Lower clamp on the interval.
     pub k_min: u64,
@@ -157,8 +158,8 @@ impl Default for PolicyConfig {
 /// the run already uses, ask [`PolicyEngine::checkpoint_due`] inside the
 /// run-control callback, and call [`PolicyEngine::record_checkpoint`]
 /// after each checkpoint actually written. [`PolicyEngine::save_state`] /
-/// [`PolicyEngine::restore_state`] move the engine through the v4
-/// checkpoint codec.
+/// [`PolicyEngine::restore_state`] move the engine through the checkpoint
+/// codec.
 #[derive(Clone, Debug)]
 pub struct PolicyEngine {
     kind: PolicyKind,
@@ -296,9 +297,10 @@ impl PolicyEngine {
     }
 
     /// Record a checkpoint actually written at tick boundary `cycle`.
-    /// `bytes` is the serialized *machine* checkpoint size, which refines
-    /// the cost model — a deterministic input, unlike wall-clock save
-    /// time, which the engine refuses to know about.
+    /// `bytes` is the machine checkpoint's priced size
+    /// ([`Checkpoint::cost_bytes`](crate::Checkpoint::cost_bytes)), which
+    /// refines the cost model — a deterministic input, unlike wall-clock
+    /// save time, which the engine refuses to know about.
     pub fn record_checkpoint(&mut self, cycle: u64, bytes: u64) {
         // EWMA the byte-derived cost toward the observed size (same
         // window as the intensity estimate).

@@ -10,14 +10,15 @@
 //! half of the `BENCH_SCALE.json` optimization: the golden fixtures pin
 //! the default configuration, these properties pin the toggle itself.
 //!
-//! The word-model property pins `RFSP_POOL_INLINE_NS=0` for the whole
-//! process: the pool's adaptive degrade would otherwise run every pooled
-//! tick inline on a small host, and the **parallel commit** (per-worker
-//! scan/merge/store with a rank-ordered coordinator merge, folding the
-//! outstanding-cell count per partition) would never execute. Forcing the
-//! pooled path makes every pooled run here a true differential test of
-//! that kernel against the sequential slot-by-slot apply. The snapshot model has no
-//! pooled engine — its rows stay a batched-vs-scalar comparison only.
+//! Both properties pin `RFSP_POOL_INLINE_NS=0` for the whole process: the
+//! pool's adaptive degrade would otherwise run every pooled tick inline on
+//! a small host, and the **parallel commit** (per-worker scan/merge/store
+//! with a rank-ordered coordinator merge, folding the outstanding-cell
+//! count per partition) would never execute. Forcing the pooled path
+//! makes every pooled run here a true differential test of that kernel
+//! against the sequential slot-by-slot apply. The snapshot model runs on
+//! the same pool, so its property has batched-pooled and scalar-pooled
+//! rows too, each checked against the scalar sequential run.
 
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
@@ -166,6 +167,14 @@ fn assert_same(a: &Observables, b: &Observables) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Disable the pool's adaptive inline degrade so pooled runs genuinely
+/// exercise the parallel commit (see the module docs). `set_var` is
+/// idempotent and every run in this file wants the same override, so the
+/// process-global setting is safe.
+fn force_pooled_path() {
+    std::env::set_var("RFSP_POOL_INLINE_NS", "0");
+}
+
 fn word_run(
     layout: MemoryLayout,
     prog: &Blocks,
@@ -173,10 +182,7 @@ fn word_run(
     threads: Option<usize>,
     batch_width: usize,
 ) -> Observables {
-    // Disable the adaptive inline degrade so pooled runs genuinely
-    // exercise the parallel commit (see the module docs). `set_var` is idempotent and the snapshot machine
-    // never constructs a pool, so the process-global override is safe.
-    std::env::set_var("RFSP_POOL_INLINE_NS", "0");
+    force_pooled_path();
     let limits = RunLimits { max_cycles: 1_000_000 };
     let mut m = Machine::with_layout(prog, prog.p, CycleBudget::PAPER, layout).unwrap();
     m.set_batch_width(batch_width);
@@ -199,14 +205,19 @@ fn snapshot_run(
     prog: &SnapHinted,
     p: usize,
     pattern: &FailurePattern,
+    threads: Option<usize>,
     width: usize,
 ) -> Observables {
+    force_pooled_path();
     let limits = RunLimits { max_cycles: 1_000_000 };
     let mut m = SnapshotMachine::new(prog, p, 1).unwrap();
     m.set_batch_width(width);
     let mut adv = ScheduledAdversary::new(pattern.clone());
     let mut trace = TraceRecorder::unbounded();
-    let report = m.run_observed(&mut adv, limits, &mut trace).unwrap();
+    let report = match threads {
+        None => m.run_observed(&mut adv, limits, &mut trace).unwrap(),
+        Some(t) => m.run_threaded_observed(&mut adv, limits, t, &mut trace).unwrap(),
+    };
     Observables {
         events: trace.to_jsonl(),
         report,
@@ -255,19 +266,27 @@ proptest! {
 
     /// Snapshot model: the same property through the unified core's
     /// snapshot path (the batched tracker init feeds the index the
-    /// snapshot tentative phase selects from every tick).
+    /// snapshot tentative phase selects from every tick), sequentially and
+    /// on the pool.
     #[test]
     fn snapshot_batched_is_bit_identical_to_scalar(
         n in 1usize..40,
         p in 1usize..8,
         width in 2usize..130,
+        threads in 2usize..4,
         raw in proptest::collection::vec((1usize..8, any::<bool>()), 0..32),
     ) {
         let pattern = legal_schedule(p, raw);
         let prog = SnapHinted { n };
 
-        let scalar = snapshot_run(&prog, p, &pattern, 1);
-        let batched = snapshot_run(&prog, p, &pattern, width);
-        assert_same(&scalar, &batched)?;
+        let scalar_seq = snapshot_run(&prog, p, &pattern, None, 1);
+        let batched_seq = snapshot_run(&prog, p, &pattern, None, width);
+        assert_same(&scalar_seq, &batched_seq)?;
+
+        let batched_pool = snapshot_run(&prog, p, &pattern, Some(threads), width);
+        assert_same(&scalar_seq, &batched_pool)?;
+
+        let scalar_pool = snapshot_run(&prog, p, &pattern, Some(threads), 1);
+        assert_same(&scalar_seq, &scalar_pool)?;
     }
 }

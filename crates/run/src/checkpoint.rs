@@ -16,7 +16,9 @@ use crate::{atomic::write_atomic, io_err, RunConfig, RunError};
 /// * v1 — config + events offset + machine snapshot.
 /// * v2 — adds cumulative [`WastedWork`] telemetry; the wrapped machine
 ///   checkpoint is v4 and carries the policy-engine state.
-pub const SESSION_CHECKPOINT_VERSION: u32 = 2;
+/// * v3 — one compact JSON line; the wrapped machine checkpoint is v5,
+///   whose failure pattern is a flat integer array.
+pub const SESSION_CHECKPOINT_VERSION: u32 = 3;
 
 /// What a checkpoint file holds: everything a resumed process needs —
 /// config, machine snapshot, and how many event bytes had been flushed
@@ -38,33 +40,39 @@ pub struct SessionCheckpoint {
 }
 
 impl SessionCheckpoint {
-    /// Publish to `path` via [`write_atomic`]. Returns the size in bytes.
+    /// Publish to `path` as one compact JSON document via
+    /// [`write_atomic`]. Returns the size in bytes.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn store(&self, path: &str) -> Result<u64, RunError> {
-        write_atomic(path, &serde::json::to_string_pretty(&self.to_value()))
+        write_atomic(path, &serde::json::to_string(self))
     }
 
     /// Read and validate a checkpoint file.
+    ///
+    /// The version is checked before the rest is decoded, so a file from
+    /// an older format gets the version refusal rather than a shape error.
     ///
     /// # Errors
     ///
     /// Unreadable files, malformed JSON, and version mismatches.
     pub fn load(path: &str) -> Result<Self, RunError> {
         let text = std::fs::read_to_string(path).map_err(|e| io_err("read", path, &e))?;
-        let value = serde::json::from_str(&text)
+        let value = serde::json::parse(&text)
             .map_err(|e| RunError(format!("{path}: not valid JSON: {e}")))?;
-        let ck = SessionCheckpoint::from_value(&value)
-            .map_err(|e| RunError(format!("{path}: malformed checkpoint: {e}")))?;
-        if ck.version != SESSION_CHECKPOINT_VERSION {
-            return Err(RunError(format!(
-                "{path}: checkpoint version {} (this build reads {SESSION_CHECKPOINT_VERSION})",
-                ck.version
-            )));
+        match value.get("version").and_then(serde::Value::as_u64) {
+            Some(version) if version != u64::from(SESSION_CHECKPOINT_VERSION) => {
+                return Err(RunError(format!(
+                    "{path}: checkpoint version {version} (this build reads \
+                     {SESSION_CHECKPOINT_VERSION})"
+                )));
+            }
+            _ => {}
         }
-        Ok(ck)
+        SessionCheckpoint::from_value(&value)
+            .map_err(|e| RunError(format!("{path}: malformed checkpoint: {e}")))
     }
 }
 
@@ -82,8 +90,15 @@ mod tests {
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("cannot read"));
         std::fs::write(&path, "{not json").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("not valid JSON"));
-        std::fs::write(&path, "{\"version\":1}").unwrap();
+        std::fs::write(&path, "{\"version\":3}").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("malformed"));
+        std::fs::write(&path, "{\"version\":\"3\"}").unwrap();
+        assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("malformed"));
+        // An older file is refused by version before its shape is read:
+        // a v2 file's pattern is a map the v3 decoder cannot read.
+        std::fs::write(&path, "{\"version\":2,\"machine\":{\"pattern\":{\"events\":[]}}}").unwrap();
+        let err = SessionCheckpoint::load(path_s).unwrap_err().0;
+        assert!(err.ends_with("checkpoint version 2 (this build reads 3)"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -122,6 +122,22 @@ impl EventLog {
         }
     }
 
+    /// Flush, force the flushed bytes to stable storage, and report the
+    /// offset (0 when no file). Whatever vouches for the events — a
+    /// checkpoint recording this offset, a done marker for a finished
+    /// run — is published only after this returns, so a power cut cannot
+    /// keep the voucher and lose the bytes it points to.
+    ///
+    /// # Errors
+    ///
+    /// Deferred write errors, and fsync failures.
+    pub fn durable_offset(&mut self) -> Result<u64, RunError> {
+        let Some(w) = &mut self.0 else { return Ok(0) };
+        let offset = w.flush()?;
+        w.out.get_ref().sync_data().map_err(|e| io_err("fsync", &w.path, &e))?;
+        Ok(offset)
+    }
+
     /// Drop everything past `offset` — the in-process analogue of the
     /// resume-time truncation, used when a surfaced worker panic rewinds
     /// the run to its last checkpoint.
@@ -172,7 +188,8 @@ mod tests {
         assert_eq!(replayed, 0);
         log.event(TraceEvent::TickStart { cycle: 0 });
         log.event(TraceEvent::TickStart { cycle: 1 });
-        let offset = log.checkpointable_offset().unwrap();
+        let offset = log.durable_offset().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), offset);
         log.event(TraceEvent::TickStart { cycle: 2 });
         log.checkpointable_offset().unwrap();
         drop(log);
@@ -195,6 +212,7 @@ mod tests {
         assert_eq!(replayed, 0);
         log.event(TraceEvent::TickStart { cycle: 0 });
         assert_eq!(log.checkpointable_offset().unwrap(), 0);
+        assert_eq!(log.durable_offset().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,7 +10,8 @@
 //!    due, a caller pause fires (SIGINT, preemption quantum,
 //!    cancellation), or the run completes;
 //! 2. at each pause, flush the events log and — when the cadence or an
-//!    external pause demands it — publish a durable checkpoint atomically;
+//!    external pause demands it — fsync it and publish a durable
+//!    checkpoint atomically;
 //! 3. hand control to the caller (`on_pause`), who may stop the session
 //!    (checkpointed, resumable) or let it continue;
 //! 4. on a surfaced worker panic, rewind machine + adversary + policy
@@ -255,7 +256,9 @@ where
             };
             match status {
                 RunStatus::Completed(report) => {
-                    self.events.checkpointable_offset()?;
+                    // A caller may now vouch for the whole stream (the
+                    // daemon writes its done marker), so make it durable.
+                    self.events.durable_offset()?;
                     return Ok(SessionEnd::Completed(report));
                 }
                 RunStatus::Paused { cycle } => {
@@ -275,19 +278,21 @@ where
     /// unconditionally when the pause was `forced` externally — and keep
     /// it in memory as the panic-rewind target.
     fn checkpoint_if_due(&mut self, cycle: u64, forced: bool) -> Result<bool, RunError> {
-        let offset = self.events.checkpointable_offset()?;
-        let Some(path) = self.cfg.checkpoint.as_deref() else { return Ok(false) };
-        if !(self.engine.checkpoint_due(cycle) || forced) {
+        let due = self.engine.checkpoint_due(cycle) || forced;
+        let Some(path) = self.cfg.checkpoint.as_deref().filter(|_| due) else {
+            self.events.checkpointable_offset()?;
             return Ok(false);
-        }
+        };
         let started = Instant::now();
+        // The checkpoint vouches for the events up to its offset: those
+        // bytes reach the disk before the checkpoint does.
+        let offset = self.events.durable_offset()?;
         let mut machine_ck =
             self.machine.save_checkpoint(&*self.adversary).map_err(|e| machine_err(&e))?;
-        // Feed the cost model the machine snapshot alone (policy field
-        // still Null): a pure function of machine state, identical in a
-        // resumed and an uninterrupted run.
-        let machine_bytes = serde::json::to_string(&machine_ck.to_value()).len() as u64;
-        self.engine.record_checkpoint(cycle, machine_bytes);
+        // The cost model prices the checkpoint by its shape: a pure
+        // function of machine state, identical in a resumed and an
+        // uninterrupted run, that needs no encode.
+        self.engine.record_checkpoint(cycle, machine_ck.cost_bytes());
         machine_ck.policy = self.engine.save_state();
         let ck = SessionCheckpoint {
             version: SESSION_CHECKPOINT_VERSION,

@@ -26,11 +26,11 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&parse(s)?)
 }
 
-/// How deeply arrays and objects may nest in parsed text. The deepest
-/// documents the workspace writes, session checkpoints, nest 8 levels (at
-/// `machine.pattern.events[i].kind.Failure.point`); the golden event
-/// fixtures nest 3. Anything past this limit is refused with an [`Error`]
-/// rather than recursed into until the stack overflows.
+/// How deeply arrays and objects may nest in parsed text. Session
+/// checkpoints nest 4 levels for the shipped programs (at
+/// `machine.procs[i]`), plus the depth of a processor's private state;
+/// the golden event fixtures nest 3. Anything past this limit is refused
+/// with an [`Error`] rather than recursed into until the stack overflows.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parse JSON text into a [`Value`], in time linear in the text's length.
@@ -54,8 +54,13 @@ fn write_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::UInt(u) => push_uint(*u, out),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            push_uint(i.unsigned_abs(), out);
+        }
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => {
@@ -80,6 +85,24 @@ fn write_value(v: &Value, out: &mut String) {
             }
             out.push('}');
         }
+    }
+}
+
+/// `value` in decimal, formatted on the stack rather than through a
+/// `String` per integer.
+fn push_uint(mut value: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
     }
 }
 
@@ -507,9 +530,9 @@ mod tests {
         assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
-    /// A document with the shape of a machine checkpoint: memory cells,
-    /// per-processor state, and a failure pattern of small tagged maps,
-    /// about a fifth of its bytes inside strings as in a real one.
+    /// A document with the shape of a v4 machine checkpoint: memory
+    /// cells, per-processor state, and a failure pattern of small tagged
+    /// maps, about a fifth of its bytes inside strings.
     fn checkpoint_shaped(events: u64) -> Value {
         let str = |s: &str| Value::Str(s.into());
         let event = |i: u64| {
@@ -565,6 +588,18 @@ mod tests {
             let took = start.elapsed();
             assert!(back == *v, "{what}: the round trip changed the document");
             assert!(took < bound, "{what}: {} bytes took {took:?}", text.len());
+        }
+    }
+
+    #[test]
+    fn integers_render_as_std_formats_them() {
+        for u in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            assert_eq!(to_string(&Value::UInt(u)), u.to_string());
+        }
+        for i in [-1, -9, -10, -12_345, i64::MIN + 1, i64::MIN] {
+            let text = to_string(&Value::Int(i));
+            assert_eq!(text, i.to_string());
+            assert_eq!(parse(&text).unwrap(), Value::Int(i));
         }
     }
 
