@@ -23,9 +23,8 @@
 //! same process, so the ratios are host-independent even where absolute
 //! times are not.
 //!
-//! The artifact records the measuring host (logical cores, active
-//! `RFSP_*` tuning) so consumers can tell real parallelism from a host
-//! that could never express it.
+//! The artifact records the measuring host's logical cores so consumers
+//! can tell real parallelism from a host that could never express it.
 //!
 //! Set `RFSP_BENCH_QUICK=1` to shrink the sweep to seconds (CI smoke
 //! mode); in quick mode the run additionally **asserts** speedup > 1 at
@@ -74,10 +73,6 @@ struct ScaleArtifact {
     /// `threads > host_logical_cores` documents coordination overhead,
     /// not parallelism.
     host_logical_cores: u64,
-    /// `RFSP_*` tuning environment active during the measurement, as
-    /// sorted `KEY=VALUE` strings — so a blessed artifact records whether
-    /// the pool was forced, degraded or left at its defaults.
-    host_tuning: Vec<String>,
     rows: Vec<ScaleRow>,
 }
 
@@ -87,15 +82,6 @@ fn quick() -> bool {
 
 fn host_logical_cores() -> u64 {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64
-}
-
-fn host_tuning() -> Vec<String> {
-    let mut vars: Vec<String> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("RFSP_"))
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    vars.sort();
-    vars
 }
 
 /// Word-model sizes for the flat sweep (the tentpole reaches `2^28`).
@@ -273,7 +259,6 @@ fn main() {
         cells_per_proc: CELLS_PER_PROC as u64,
         quick: quick(),
         host_logical_cores: host_logical_cores(),
-        host_tuning: host_tuning(),
         rows,
     };
     let dir = std::env::var("RFSP_BENCH_DIR").unwrap_or_else(|_| ".".to_string());

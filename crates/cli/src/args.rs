@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 /// Parsed command line: a subcommand plus options.
 #[derive(Clone, Debug, Default)]
@@ -84,7 +86,7 @@ impl Args {
     /// # Errors
     ///
     /// Reports unparseable values with the offending key.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub fn get_parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ArgError(format!("invalid value '{v}' for --{key}"))),
@@ -102,6 +104,26 @@ impl Args {
             0 => Err(ArgError(format!("--{key} must be at least 1"))),
             size => Ok(size),
         }
+    }
+
+    /// A numeric option with a default that must lie in `range`: thread
+    /// counts (each one an OS thread spawned, so capped at
+    /// [`rfsp_run::MAX_THREADS`]) and fault rates (probabilities, so NaN is
+    /// refused too).
+    ///
+    /// # Errors
+    ///
+    /// Reports unparseable and out-of-range values with the offending key.
+    pub fn get_in<T>(&self, key: &str, default: T, range: RangeInclusive<T>) -> Result<T, ArgError>
+    where
+        T: FromStr + PartialOrd + fmt::Display,
+    {
+        let value = self.get_parsed(key, default)?;
+        if !range.contains(&value) {
+            let (lo, hi) = (range.start(), range.end());
+            return Err(ArgError(format!("--{key} must be between {lo} and {hi}, not {value}")));
+        }
+        Ok(value)
     }
 }
 
@@ -130,6 +152,15 @@ mod tests {
         let a = Args::parse(["run", "--n", "0"]).unwrap();
         assert_eq!(a.get_size("n", 5).unwrap_err().0, "--n must be at least 1");
         assert_eq!(a.get_size("p", 5).unwrap(), 5);
+        let a = Args::parse(["run", "--threads", "0", "--rate", "NaN", "--p", "256"]).unwrap();
+        let e = a.get_in("threads", 1, 1..=256).unwrap_err();
+        assert_eq!(e.0, "--threads must be between 1 and 256, not 0");
+        assert_eq!(a.get_in("threads", 1, 0..=256).unwrap(), 0);
+        assert_eq!(a.get_in("p", 1, 1..=256).unwrap(), 256);
+        assert!(a.get_in("p", 1, 1..=255).is_err());
+        let e = a.get_in("rate", 0.5, 0.0..=1.0).unwrap_err();
+        assert_eq!(e.0, "--rate must be between 0 and 1, not NaN");
+        assert_eq!(a.get_in("seed", 0.5, 0.0..=1.0).unwrap(), 0.5);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::time::Instant;
 
 use rfsp_core::{run_lockfree_x, LockfreeOptions};
+use rfsp_run::MAX_THREADS;
 
 use crate::args::{ArgError, Args};
 
@@ -13,7 +14,7 @@ use crate::args::{ArgError, Args};
 /// Reports bad arguments as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
     let n = args.get_size("n", 65_536)?;
-    let threads: usize = args.get_parsed("threads", 4)?;
+    let threads = args.get_in("threads", 4, 1..=MAX_THREADS)? as usize;
     let fault_rate: f64 = args.get_parsed("fault-rate", 0.0)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     if !(0.0..1.0).contains(&fault_rate) {

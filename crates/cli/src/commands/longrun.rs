@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 use rfsp_pram::{CycleBudget, Machine, NoopObserver, PolicyKind, Program, RunLimits};
-use rfsp_run::{ExecMode, PauseFlow, RunSession, SessionEnd};
+use rfsp_run::{ExecMode, PauseFlow, RunSession, SessionEnd, MAX_THREADS};
 use serde::{Deserialize, Serialize};
 
 use crate::args::{ArgError, Args};
@@ -155,7 +155,7 @@ pub(crate) fn config_from_args(args: &Args) -> Result<LongRunConfig, ArgError> {
         algo: args.get_or("algo", "x").to_string(),
         n: args.get_parsed("n", 1024u64)?,
         p: args.get_parsed("p", 64u64)?,
-        threads: args.get_parsed("threads", 1u64)?,
+        threads: args.get_in("threads", 1, 1..=MAX_THREADS)?,
         adversary: args.get_or("adversary", "none").to_string(),
         rate: args.get_parsed("rate", 0.05f64)?,
         restart_rate: args.get_parsed("restart-rate", 0.5f64)?,

@@ -98,6 +98,7 @@ mod imp {
     use rfsp_run::{
         read_line, read_request, write_line, ExecMode, JobInfo, JobState, PauseFlow, Request,
         Response, RunConfig, RunSession, Scheduler, SessionCheckpoint, SessionEnd, Spool,
+        MAX_THREADS,
     };
     use serde::{Deserialize, Serialize};
 
@@ -504,7 +505,8 @@ mod imp {
         let spool_dir = args.get_or("spool", "rfsp-spool").to_string();
         let socket =
             args.get("socket").map_or_else(|| format!("{spool_dir}/rfsp.sock"), str::to_string);
-        let workers: usize = args.get_parsed("workers", 2)?;
+        // 0 and 1 mean no shared pool: pooled jobs get a private one.
+        let workers = args.get_in("workers", 2, 0..=MAX_THREADS)? as usize;
         let quantum: u64 = args.get_parsed("quantum", 50u64)?;
         if quantum == 0 {
             return Err(ArgError("--quantum must be at least 1 tick".into()));

@@ -26,8 +26,8 @@ fn run_kernel<P: SimProgram + Sync + Clone>(prog: P, args: &Args) -> Result<SimR
     let report = match args.get_or("adversary", "random") {
         "none" => simulate(prog, p, engine, &mut NoFailures, RunLimits::default()),
         "random" => {
-            let rate: f64 = args.get_parsed("rate", 0.02)?;
-            let restart: f64 = args.get_parsed("restart-rate", 0.6)?;
+            let rate = args.get_in("rate", 0.02, 0.0..=1.0)?;
+            let restart = args.get_in("restart-rate", 0.6, 0.0..=1.0)?;
             let seed: u64 = args.get_parsed("seed", 0)?;
             let mut adv = RandomFaults::new(rate, restart, seed);
             simulate(prog, p, engine, &mut adv, RunLimits::default())

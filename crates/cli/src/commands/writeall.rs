@@ -7,6 +7,7 @@ use rfsp_bench::{run_write_all, Algo, WriteAllSetup, WriteAllSpec};
 use rfsp_pram::{
     Adversary, ExecMode, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary,
 };
+use rfsp_run::MAX_THREADS;
 
 use crate::args::{ArgError, Args};
 use crate::pattern_io;
@@ -56,13 +57,13 @@ pub(crate) fn build_adversary(
         "pigeonhole" => Box::new(Pigeonhole::new(setup.tasks.x())),
         "pigeonhole-failstop" => Box::new(Pigeonhole::fail_stop(setup.tasks.x())),
         "random" => {
-            let rate: f64 = args.get_parsed("rate", 0.05)?;
-            let restart: f64 = args.get_parsed("restart-rate", 0.5)?;
+            let rate = args.get_in("rate", 0.05, 0.0..=1.0)?;
+            let restart = args.get_in("restart-rate", 0.5, 0.0..=1.0)?;
             Box::new(RandomFaults::new(rate, restart, seed))
         }
         "offline" => {
-            let rate: f64 = args.get_parsed("rate", 0.05)?;
-            let restart: f64 = args.get_parsed("restart-rate", 0.5)?;
+            let rate = args.get_in("rate", 0.05, 0.0..=1.0)?;
+            let restart = args.get_in("restart-rate", 0.5, 0.0..=1.0)?;
             let p: usize = args.get_parsed("p", 64)?;
             Box::new(offline_random(p, 1_000_000, rate, restart, seed))
         }
@@ -124,10 +125,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let p = args.get_size("p", 64)?;
     let algo = parse_algo(args.get_or("algo", "x"))?;
     let max_cycles: u64 = args.get_parsed("max-cycles", RunLimits::default().max_cycles)?;
-    let threads: usize = args.get_parsed("threads", 1)?;
-    if threads == 0 {
-        return Err(ArgError("--threads must be at least 1".into()));
-    }
+    let threads = args.get_in("threads", 1, 1..=MAX_THREADS)? as usize;
     let mem_layout = parse_layout(args)?;
     // 0 = keep the machine default; 1 = the scalar reference path (the
     // differential-testing toggle).

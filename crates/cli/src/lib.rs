@@ -59,7 +59,7 @@ COMMANDS:
                --target CELL --no-restarts
                --record-pattern FILE --replay-pattern FILE --max-cycles C
                --threads T        tick engine: 1 = sequential (default),
-                                  T > 1 = persistent worker pool
+                                  T > 1 = persistent worker pool (T <= 256)
                --banks B          partition shared memory into B banks
                                   (default 1 = flat); runs are bit-
                                   identical across layouts
@@ -112,8 +112,9 @@ COMMANDS:
                                   a restarted daemon re-adopts all of them
                --socket PATH      Unix socket (default <spool>/rfsp.sock)
                --workers T        shared tick-pool worker threads
-                                  (default 2; jobs with --threads 1 run on
-                                  the sequential engine instead)
+                                  (default 2, at most 256; 0 or 1 = none;
+                                  jobs with --threads 1 run on the
+                                  sequential engine instead)
                --quantum K        scheduling quantum in ticks (default 50);
                                   jobs are preempted only at checkpoint
                                   boundaries, round-robin, so no job waits

@@ -385,6 +385,19 @@ fn an_oversized_submit_gets_an_error_not_an_abort() {
     assert_refused_without_trace("daemon-refuse-huge", config, "--n");
 }
 
+/// A fault rate that is not a probability, or a thread count past the
+/// cap, is refused at admission, before a job thread could panic on the
+/// rate or spawn that many workers.
+#[test]
+fn an_out_of_range_rate_or_thread_count_is_refused() {
+    let config =
+        RunConfig { adversary: "random".into(), rate: 5.0, n: 64, p: 4, ..RunConfig::default() };
+    assert_refused_without_trace("daemon-refuse-rate", config, "--rate");
+    let threads = rfsp_run::MAX_THREADS + 1;
+    let config = RunConfig { threads, n: 64, p: 4, ..RunConfig::default() };
+    assert_refused_without_trace("daemon-refuse-threads", config, "--threads");
+}
+
 /// Strip the `{"job":N,"event":…}` envelope from watched lines, and demand
 /// that what is left is the tail of the job's spooled `events.jsonl`, which
 /// ends where the watched stream ended. Returns the watched events.

@@ -36,6 +36,20 @@ fn codes_zero_one_and_two_against_the_binary() {
         assert_eq!(code(&["writeall", size, "0"]), 1, "writeall {size} 0");
         assert_eq!(code(&["experiment", "--run", "writeall", size, "0"]), 1, "experiment {size} 0");
     }
+    // So are fault rates that are not probabilities, NaN included.
+    for rate in ["5", "1.5", "nan"] {
+        for adversary in ["random", "offline"] {
+            let argv = ["writeall", "--n", "64", "--p", "4", "--adversary", adversary];
+            assert_eq!(code(&[&argv[..], &["--rate", rate]].concat()), 1, "{adversary} {rate}");
+        }
+        let argv = ["experiment", "--run", "writeall", "--adversary", "random", "--rate", rate];
+        assert_eq!(code(&argv), 1, "experiment --rate {rate}");
+        assert_eq!(code(&["simulate", "--kernel", "sum", "--n", "16", "--rate", rate]), 1);
+    }
+    // And thread counts outside 1..=256: each is an OS thread spawned.
+    assert_eq!(code(&["lockfree", "--threads", "0"]), 1);
+    assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--threads", "257"]), 1);
+    assert_eq!(code(&["experiment", "--run", "writeall", "--threads", "257"]), 1);
 }
 
 #[cfg(unix)]

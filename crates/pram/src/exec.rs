@@ -1101,9 +1101,9 @@ impl<Pv: Clone + Send> Core<Pv> {
         M: ExecutionModel<Private = Pv>,
     {
         // On a host that cannot run workers concurrently the bucket/merge
-        // dance is pure overhead — fall back to the serial commit unless
-        // the tests force the parallel path.
-        if M::KEEPS_INDEX || (!pool.force_parallel() && !pool.multicore()) {
+        // dance is pure overhead — fall back to the serial commit, except
+        // in debug builds, which pool every phase.
+        if M::KEEPS_INDEX || !pool.concurrent() {
             return self.apply(model, decisions, observer);
         }
         let max_slots = self.resolve_and_prepass(decisions)?;

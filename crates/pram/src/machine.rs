@@ -43,8 +43,6 @@
 //! scan with an O(1) test of an outstanding-cell counter. The word model
 //! keeps no index of those cells: nothing in it asks which cells they are.
 
-use std::sync::{Arc, Mutex, PoisonError};
-
 use crate::accounting::{RunReport, WorkStats};
 use crate::adversary::{Adversary, ProcStatus, TentativeCycle};
 use crate::cycle::{CycleBudget, ReadSet, Step, MAX_READS, MAX_WRITES};
@@ -52,13 +50,13 @@ use crate::error::{BudgetKind, PramError};
 use crate::exec::{completed, Core, ExecutionModel, IsolatedBackend, PooledBackend, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
-use crate::pool::{PoolShutdown, TickPool};
 use crate::trace::{NoopObserver, Observer};
 use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Program, Result};
 
 pub use crate::exec::{PanicPolicy, RunControl, RunLimits, RunStatus};
+pub use crate::pool::SharedPool;
 
 /// Which tick engine a run uses (see [`Pram::run_with`]).
 #[derive(Clone, Copy, Debug, Default)]
@@ -66,9 +64,10 @@ pub enum ExecMode<'a> {
     /// The sequential engine: the calling thread plays every phase.
     #[default]
     Sequential,
-    /// A private pool of this many worker threads, spawned when the run
-    /// starts and joined when it returns. `1` is the sequential engine;
-    /// `0` is rejected.
+    /// A private [`SharedPool`] of this many worker threads, spawned when
+    /// the run starts and joined when it returns; the run itself takes the
+    /// [`ExecMode::Pool`] row. `1` is the sequential engine; `0` is
+    /// rejected.
     Threads(usize),
     /// A caller-owned [`SharedPool`], time-shared between runs; the
     /// calling thread holds the pool's turn for the whole run.
@@ -87,7 +86,11 @@ pub struct RunSpec<'a> {
     /// `catch_unwind`, so a panic in program code surfaces as
     /// [`PramError::WorkerPanic`] naming the processor; on a pool the
     /// policy also decides whether the run surfaces the panic or finishes
-    /// sequentially. `None` lets a panic unwind through the run.
+    /// sequentially. `None` catches nothing on the sequential engine, so a
+    /// panic unwinds through the run. On a pool (`Threads(n ≥ 2)`, `Pool`)
+    /// the pool still catches it, since a worker must not die mid-epoch:
+    /// the run returns [`PramError::WorkerPanic`] with `pid: None` and
+    /// leaves the machine mid-tick, in an unspecified state.
     pub panic: Option<PanicPolicy>,
     /// Safety limits.
     pub limits: RunLimits,
@@ -375,9 +378,9 @@ impl<M: ExecutionModel> Pram<M> {
     ///
     /// | `spec.exec` | `panic: None` | `panic: Some(policy)` |
     /// |---|---|---|
-    /// | `Sequential`, `Threads(1)` | sequential | sequential, panics caught |
-    /// | `Threads(n ≥ 2)` | private `n`-worker pool | private pool, isolated |
-    /// | `Pool(shared)` | shared pool | shared pool, isolated |
+    /// | `Sequential`, `Threads(1)` | sequential, a panic unwinds | sequential, panics caught |
+    /// | `Threads(n ≥ 2)` | as `Pool`, on a private `n`-worker pool | same |
+    /// | `Pool(shared)` | pooled, a panic is `WorkerPanic { pid: None }` | pooled, isolated |
     /// | `Threads(0)` | [`PramError::InvalidConfig`] | same |
     ///
     /// Every row produces the identical event stream, accounting, failure
@@ -385,11 +388,11 @@ impl<M: ExecutionModel> Pram<M> {
     /// tick — tentative phase and commit — out to the workers, whose
     /// chunks are merged in rank order; a model that keeps an unvisited
     /// index commits sequentially, since the parallel store pass folds only
-    /// the outstanding count. A private pool is spawned once per call and
-    /// parked between ticks, so a steady-state tick performs no thread
-    /// spawns. A shared pool's turn lock is held for the whole call, so
-    /// concurrent callers serialize; pause through `control` to time-share
-    /// it.
+    /// the outstanding count. `Threads(n)` builds a [`SharedPool`] for the
+    /// call and drops it on return; either way the workers park between
+    /// ticks, so a steady-state tick performs no thread spawns. The pool's
+    /// turn lock is held for the whole call, so concurrent callers of one
+    /// shared pool serialize; pause through `control` to time-share it.
     ///
     /// An *isolated* pooled run backs up every private state before each
     /// tentative phase, so a caught panic restores the tick boundary and
@@ -398,7 +401,10 @@ impl<M: ExecutionModel> Pram<M> {
     /// [`PanicPolicy::FallbackSequential`] replays the tick sequentially
     /// and finishes the run there with results identical to an
     /// undisturbed run. The sequential engine has nothing to fall back to
-    /// and surfaces the panic under either policy.
+    /// and surfaces the panic under either policy. Without a policy a pool
+    /// still catches a program panic (a worker must not die mid-epoch) but
+    /// backs nothing up: the run returns `WorkerPanic` with `pid: None`
+    /// and leaves the machine mid-tick, in an unspecified state.
     ///
     /// `control` receives the tick about to execute. On
     /// [`RunStatus::Paused`] the machine holds no transient state: save a
@@ -417,61 +423,32 @@ impl<M: ExecutionModel> Pram<M> {
         observer: &mut dyn Observer,
         control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus> {
-        match spec.exec {
-            ExecMode::Sequential | ExecMode::Threads(1) => {
-                let Pram { model, core } = self;
-                let limits = spec.limits;
-                match spec.panic {
-                    None => {
-                        let backend = &mut SeqBackend::<false>;
-                        core.run_loop(model, adversary, limits, observer, backend, control)
-                    }
-                    Some(_) => {
-                        let backend = &mut SeqBackend::<true>;
-                        core.run_loop(model, adversary, limits, observer, backend, control)
-                    }
-                }
-            }
-            ExecMode::Threads(0) => {
-                Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
-            }
-            ExecMode::Threads(threads) => {
-                let pool = TickPool::new(threads);
-                std::thread::scope(|scope| {
-                    let _shutdown = PoolShutdown(&pool);
-                    let pool = &pool;
-                    for rank in 0..threads {
-                        scope.spawn(move || pool.worker(rank));
-                    }
-                    self.run_pooled(pool, spec, adversary, observer, control)
-                })
-            }
-            ExecMode::Pool(shared) => {
-                let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
-                shared.pool.bind_coordinator();
-                self.run_pooled(&shared.pool, spec, adversary, observer, control)
-            }
-        }
-    }
-
-    /// The pooled rows of [`Pram::run_with`]'s table, on a pool whose
-    /// workers are running and whose coordinator is the calling thread.
-    fn run_pooled<A: Adversary + ?Sized>(
-        &mut self,
-        pool: &TickPool,
-        spec: RunSpec<'_>,
-        adversary: &mut A,
-        observer: &mut dyn Observer,
-        control: impl FnMut(u64) -> RunControl,
-    ) -> Result<RunStatus> {
         let Pram { model, core } = self;
         let limits = spec.limits;
-        match spec.panic {
-            None => {
+        match (spec.exec, spec.panic) {
+            (ExecMode::Sequential | ExecMode::Threads(1), None) => {
+                let backend = &mut SeqBackend::<false>;
+                core.run_loop(model, adversary, limits, observer, backend, control)
+            }
+            (ExecMode::Sequential | ExecMode::Threads(1), Some(_)) => {
+                let backend = &mut SeqBackend::<true>;
+                core.run_loop(model, adversary, limits, observer, backend, control)
+            }
+            (ExecMode::Threads(0), _) => {
+                Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
+            }
+            (ExecMode::Threads(threads), _) => {
+                let pool = SharedPool::new(threads)?;
+                let spec = RunSpec { exec: ExecMode::Pool(&pool), ..spec };
+                self.run_with(spec, adversary, observer, control)
+            }
+            (ExecMode::Pool(shared), None) => {
+                let (_turn, pool) = shared.turn();
                 let backend = &mut PooledBackend { pool };
                 core.run_loop(model, adversary, limits, observer, backend, control)
             }
-            Some(policy) => {
+            (ExecMode::Pool(shared), Some(policy)) => {
+                let (_turn, pool) = shared.turn();
                 let backup = vec![None; core.procs.len()];
                 let backend = &mut IsolatedBackend { pool, policy, backup, degraded: false };
                 core.run_loop(model, adversary, limits, observer, backend, control)
@@ -502,69 +479,6 @@ impl<M: ExecutionModel> Pram<M> {
         observer: &mut dyn Observer,
     ) -> Result<()> {
         self.core.tick(&self.model, adversary, observer, &mut SeqBackend::<false>)
-    }
-}
-
-/// A persistent worker pool shared across machines and run segments.
-///
-/// [`ExecMode::Threads`] builds a private worker pool per call — right
-/// for a single run, but wasteful (and impossible to time-share) when a
-/// daemon multiplexes many paused runs over one set of OS threads.
-/// `SharedPool` owns its workers for as long as the value lives; any
-/// thread may drive a run segment on it through [`Pram::run_with`] with
-/// [`ExecMode::Pool`], one segment at a time: an internal turn lock
-/// serializes drivers, and each driver re-binds the pool's coordinator to
-/// itself before its first tick.
-pub struct SharedPool {
-    pool: Arc<TickPool>,
-    /// Serializes run segments: at most one coordinator drives the workers
-    /// at any moment.
-    turn: Mutex<()>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl SharedPool {
-    /// Spawn `threads` parked workers (`threads >= 2`; a single thread
-    /// should use the sequential engine instead — the pool's coordination
-    /// protocol assumes at least two workers).
-    ///
-    /// # Errors
-    ///
-    /// [`PramError::InvalidConfig`] if `threads < 2`.
-    pub fn new(threads: usize) -> Result<Self> {
-        if threads < 2 {
-            return Err(PramError::InvalidConfig {
-                detail: "a shared pool needs at least two threads".into(),
-            });
-        }
-        let pool = Arc::new(TickPool::new(threads));
-        let handles = (0..threads)
-            .map(|rank| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.worker(rank))
-            })
-            .collect();
-        Ok(SharedPool { pool, turn: Mutex::new(()), handles })
-    }
-
-    /// Number of worker threads the pool owns.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-}
-
-impl std::fmt::Debug for SharedPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedPool").field("threads", &self.threads()).finish_non_exhaustive()
-    }
-}
-
-impl Drop for SharedPool {
-    fn drop(&mut self) {
-        self.pool.shutdown();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1188,6 +1102,33 @@ mod tests {
             let expected = reference.run(&mut NoFailures).unwrap();
             assert_eq!(report.stats, expected.stats);
             assert_eq!(m.memory().as_slice(), reference.memory().as_slice());
+        });
+    }
+
+    /// Without a panic policy the pool still catches a program panic: the
+    /// run returns `WorkerPanic` without a pid, and the calling thread does
+    /// not unwind. Debug builds take the pooled path on every tick, so the
+    /// panic is caught on a worker.
+    #[test]
+    fn a_pool_without_a_policy_returns_the_panic_as_an_error() {
+        with_quiet_panics(|| {
+            let trapped = BoobyTrap {
+                n: 8,
+                target: 4,
+                victim: 2,
+                fired: std::sync::atomic::AtomicBool::new(false),
+            };
+            let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
+            let spec = RunSpec { exec: ExecMode::Threads(2), ..RunSpec::default() };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue)
+            }));
+            let err = outcome.expect("the calling thread unwound").unwrap_err();
+            assert!(
+                matches!(&err, PramError::WorkerPanic { pid: None, detail }
+                    if detail.contains("injected fault in P2")),
+                "unexpected error: {err:?}"
+            );
         });
     }
 

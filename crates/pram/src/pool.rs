@@ -1,9 +1,13 @@
-//! The persistent tick pool behind the threaded engine.
+//! The persistent tick pool behind the pooled engine.
 //!
-//! The threaded engine of [`Machine::run_with`](crate::Machine::run_with)
-//! used to spawn a fresh set of scoped OS threads **every tick**; at millions of ticks per
-//! run the spawn/join cost dominated. [`TickPool`] replaces that with
-//! long-lived workers created once per run:
+//! The pooled rows of [`Pram::run_with`](crate::Pram::run_with) used to
+//! spawn a fresh set of scoped OS threads **every tick**; at millions of
+//! ticks per run the spawn/join cost dominated. [`TickPool`] replaces that
+//! with long-lived workers, and [`SharedPool`] is their only owner: it
+//! spawns them when it is built and joins them when it is dropped.
+//! [`ExecMode::Threads`](crate::ExecMode::Threads) builds one for the call;
+//! [`ExecMode::Pool`](crate::ExecMode::Pool) borrows a caller's. Either way
+//! a run drives the workers like this:
 //!
 //! * each tick the coordinator publishes one *job* (a borrowed closure
 //!   processing a half-open index range) and bumps a shared epoch counter;
@@ -16,8 +20,8 @@
 //! scan, commit merge, commit store), so the handoff latency
 //! is paid several times per tick and has to be cheap:
 //!
-//! * **spin-then-park barrier** — both sides spin on an atomic for a bounded
-//!   budget ([`RFSP_POOL_SPIN`]) before parking the OS thread, so the common
+//! * **spin-then-park barrier** — both sides spin on an atomic for
+//!   [`SPIN`] iterations before parking the OS thread, so the common
 //!   back-to-back-epoch case never enters the kernel. Parking uses the
 //!   Dekker-style *flag, recheck, park* sequence (all `SeqCst`) on both
 //!   sides, so a wakeup can never be lost; stale `unpark` tokens merely make
@@ -29,13 +33,19 @@
 //!   `len`/`chunk` and each worker's claim counter live on their own
 //!   128-byte lines so cursor traffic does not false-share with the epoch
 //!   line every worker spins on.
-//! * **adaptive inline degrade** — the pool keeps a per-class EWMA of
-//!   measured ns/item; when a class's predicted tick cost falls below
-//!   [`RFSP_POOL_INLINE_NS`] (or the host has one logical core), the
-//!   coordinator runs the job inline instead of waking anyone. Small-N-per
-//!   thread runs therefore degrade to single-worker execution instead of
-//!   paying coordination for nothing. `RFSP_POOL_INLINE_NS=0` disables
-//!   inlining (the differential tests force the pooled paths this way).
+//! * **adaptive inline degrade** (release builds) — the pool keeps a
+//!   per-class EWMA of measured ns/item; when a class's predicted tick cost
+//!   falls below [`INLINE_NS`], or the host has one logical core (read once
+//!   per pool), the coordinator runs the job inline instead of waking
+//!   anyone. Small-N-per-thread runs therefore degrade to single-worker
+//!   execution instead of paying coordination for nothing. Debug builds
+//!   never degrade: every pooled job crosses the barrier on every tick, so
+//!   the debug test suite drives the workers and the parallel commit on
+//!   any host.
+//!
+//! The spin budget and the threshold are constants, not options: nothing
+//! outside the pool has a reason to choose them, and inline or pooled, a
+//! job's results are the same.
 //!
 //! A steady-state tick performs **no thread spawns and no heap
 //! allocations**; the error slot's mutex is only touched on the cold error
@@ -50,19 +60,17 @@
 //! hold the pointer across epochs: the `SeqCst` epoch bump publishes the
 //! slot, and a worker's final `active.fetch_sub` (release) happens-before
 //! the coordinator's `active` load (acquire) that lets `run_tick` return.
-//!
-//! [`RFSP_POOL_SPIN`]: PoolTuning#structfield.spin
-//! [`RFSP_POOL_INLINE_NS`]: PoolTuning#structfield.inline_ns
 
 use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 use crate::error::PramError;
+use crate::Result;
 
 /// Render a caught panic payload as a message for
 /// [`PramError::WorkerPanic`].
@@ -110,14 +118,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// Pad-and-align wrapper putting `T` on its own cache line (128 bytes
 /// covers the common 64-byte line and adjacent-line prefetchers).
 #[repr(align(128))]
-#[derive(Default)]
-pub(crate) struct CachePadded<T>(T);
-
-impl<T> CachePadded<T> {
-    fn new(value: T) -> Self {
-        CachePadded(value)
-    }
-}
+struct CachePadded<T>(T);
 
 impl<T> Deref for CachePadded<T> {
     type Target = T;
@@ -126,14 +127,8 @@ impl<T> Deref for CachePadded<T> {
     }
 }
 
-impl<T> DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 /// The per-tick work item: process indices `[start, end)`.
-type Job<'a> = dyn Fn(usize, usize) -> Result<(), PramError> + Sync + 'a;
+type Job<'a> = dyn Fn(usize, usize) -> Result<()> + Sync + 'a;
 
 /// Lifetime-erased pointer to the current tick's [`Job`].
 #[derive(Clone, Copy)]
@@ -161,37 +156,13 @@ pub(crate) const CLASS_COMMIT_MERGE: usize = 2;
 pub(crate) const CLASS_COMMIT_STORE: usize = 3;
 const NUM_CLASSES: usize = 4;
 
-/// Tuning knobs for the pool's barrier and inline degrade, normally read
-/// from the environment (tests construct them directly via
-/// [`TickPool::with_tuning`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PoolTuning {
-    /// Spin iterations before parking (both sides of the barrier).
-    /// Env: `RFSP_POOL_SPIN` (default 512).
-    pub(crate) spin: u32,
-    /// Inline threshold in nanoseconds: a job whose predicted cost (EWMA
-    /// ns/item × items) is below this runs on the coordinator without
-    /// waking workers. `0` disables inlining entirely. Env:
-    /// `RFSP_POOL_INLINE_NS` (default 50 000).
-    pub(crate) inline_ns: u64,
-    /// Logical cores on the host. A single-core host always inlines
-    /// (unless `inline_ns` is 0): worker threads cannot run concurrently
-    /// with the coordinator there, so every handoff is pure loss.
-    pub(crate) cores: usize,
-}
+/// Spin iterations before parking, on both sides of the barrier.
+const SPIN: u32 = 512;
 
-impl PoolTuning {
-    pub(crate) fn from_env() -> Self {
-        fn env_u64(name: &str, default: u64) -> u64 {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
-        PoolTuning {
-            spin: env_u64("RFSP_POOL_SPIN", 512) as u32,
-            inline_ns: env_u64("RFSP_POOL_INLINE_NS", 50_000),
-            cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        }
-    }
-}
+/// Inline threshold in nanoseconds: a job whose predicted cost (EWMA
+/// ns/item × items) is below this runs on the coordinator without waking
+/// workers.
+const INLINE_NS: f64 = 50_000.0;
 
 /// Per-worker coordination slot, padded so one worker's claim counter and
 /// park flag never false-share with a neighbor's.
@@ -208,8 +179,8 @@ struct WorkerSlot {
     claims: AtomicU64,
 }
 
-/// Shared coordination state for one run's worker pool. Lives on the
-/// coordinator's stack; workers borrow it through the thread scope.
+/// Shared coordination state for one pool's workers. A [`SharedPool`]
+/// owns it and its workers; the coordinator borrows it for a run.
 pub(crate) struct TickPool {
     /// Incremented once per published pooled job; workers run at most one
     /// claim loop per epoch. This is the coordinator→worker barrier sense.
@@ -234,78 +205,59 @@ pub(crate) struct TickPool {
     /// Coordinator park flag for the worker→coordinator half of the
     /// barrier.
     coord_parked: CachePadded<AtomicBool>,
-    /// The coordinator's thread handle ([`TickPool::run_tick`] must be
-    /// called from the thread that built the pool, or from the thread that
-    /// most recently called [`TickPool::bind_coordinator`]). Behind a
-    /// `Mutex` so a shared pool can be re-bound between run segments; the
-    /// only reader is the cold worker→coordinator unpark path.
+    /// The coordinator's thread handle: [`TickPool::run_tick`] must be
+    /// called from the thread that last took the turn
+    /// ([`SharedPool::turn`]). Behind a `Mutex` so the pool can be re-bound
+    /// between run segments; the only reader is the cold
+    /// worker→coordinator unpark path.
     coord_thread: Mutex<Thread>,
     workers: Vec<CachePadded<WorkerSlot>>,
-    threads: usize,
-    tuning: PoolTuning,
+    /// Logical cores on the host, read once when the pool is built. A
+    /// single-core host cannot run workers beside the coordinator, so
+    /// there every handoff is pure loss.
+    cores: usize,
+    /// Whether the adaptive inline degrade may run a job on the
+    /// coordinator: on in release builds, off in debug builds.
+    degrade: bool,
     /// Per-class EWMA of measured ns/item, stored as `f64` bits
     /// (coordinator-only writes; 0 = no measurement yet).
     ewma: [AtomicU64; NUM_CLASSES],
 }
 
 impl TickPool {
-    /// A pool coordinating `threads` workers (callers spawn the workers and
-    /// point them at [`TickPool::worker`]), tuned from the environment.
-    pub(crate) fn new(threads: usize) -> Self {
-        Self::with_tuning(threads, PoolTuning::from_env())
-    }
-
-    /// [`TickPool::new`] with explicit tuning — tests force the pooled
-    /// path (`inline_ns: 0`) or the inline path (`cores: 1`) regardless of
-    /// the host.
-    pub(crate) fn with_tuning(threads: usize, tuning: PoolTuning) -> Self {
+    /// A pool coordinating `threads` workers; [`SharedPool::spawn`] starts
+    /// them on [`TickPool::worker`].
+    fn new(threads: usize) -> Self {
         debug_assert!(threads >= 2, "one thread should use the sequential engine");
         TickPool {
-            epoch: CachePadded::new(AtomicU64::new(0)),
-            active: CachePadded::new(AtomicUsize::new(0)),
-            cursor: CachePadded::new(AtomicUsize::new(0)),
-            stop: CachePadded::new(AtomicBool::new(false)),
-            len: CachePadded::new(AtomicUsize::new(0)),
-            chunk: CachePadded::new(AtomicUsize::new(1)),
+            epoch: CachePadded(AtomicU64::new(0)),
+            active: CachePadded(AtomicUsize::new(0)),
+            cursor: CachePadded(AtomicUsize::new(0)),
+            stop: CachePadded(AtomicBool::new(false)),
+            len: CachePadded(AtomicUsize::new(0)),
+            chunk: CachePadded(AtomicUsize::new(1)),
             shutdown: AtomicBool::new(false),
             job: JobCell(UnsafeCell::new(None)),
             err: Mutex::new(None),
-            coord_parked: CachePadded::new(AtomicBool::new(false)),
+            coord_parked: CachePadded(AtomicBool::new(false)),
             coord_thread: Mutex::new(std::thread::current()),
-            workers: (0..threads).map(|_| CachePadded::new(WorkerSlot::default())).collect(),
-            threads,
-            tuning,
+            workers: (0..threads).map(|_| CachePadded(WorkerSlot::default())).collect(),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            degrade: !cfg!(debug_assertions),
             ewma: Default::default(),
         }
     }
 
     /// Number of workers the pool coordinates.
     pub(crate) fn threads(&self) -> usize {
-        self.threads
+        self.workers.len()
     }
 
-    /// Re-bind the coordinator role to the calling thread.
-    ///
-    /// A pool owned by a single run is built and driven from the same
-    /// thread, but a pool shared across runs (see
-    /// [`SharedPool`](crate::SharedPool)) is driven by whichever job thread
-    /// currently holds the run turn; that thread must call this before its
-    /// first [`TickPool::run_tick`] so parked workers know whom to wake.
-    pub(crate) fn bind_coordinator(&self) {
-        *self.coord_thread.lock().unwrap_or_else(PoisonError::into_inner) = std::thread::current();
-    }
-
-    /// `true` when inlining is disabled (`RFSP_POOL_INLINE_NS=0`): callers
-    /// use the pooled variants of phases whose parallel form is only worth
-    /// selecting on real multi-core work, so the tests exercise them
-    /// everywhere.
-    pub(crate) fn force_parallel(&self) -> bool {
-        self.tuning.inline_ns == 0
-    }
-
-    /// `true` when the host can actually run workers concurrently.
-    pub(crate) fn multicore(&self) -> bool {
-        self.tuning.cores > 1
+    /// `false` when this pool runs every job on the coordinator whatever
+    /// its cost: a release build on a single-core host. Callers then skip
+    /// phases whose pooled form only pays on concurrent workers.
+    pub(crate) fn concurrent(&self) -> bool {
+        !self.degrade || self.cores > 1
     }
 
     /// Total chunks claimed by workers across all epochs (telemetry).
@@ -332,10 +284,10 @@ impl TickPool {
     /// exclusive access to everything the job borrows once this returns.
     ///
     /// `class` selects the cost model for the adaptive inline decision:
-    /// when the class's measured EWMA predicts the whole job is cheaper
-    /// than the coordination handoff (`inline_ns`), or the host has a
-    /// single logical core, the coordinator runs the job itself —
-    /// identical semantics, no wakeups.
+    /// in a release build, when the class's measured EWMA predicts the
+    /// whole job is cheaper than [`INLINE_NS`], or the host has a single
+    /// logical core, the coordinator runs the job itself — identical
+    /// semantics, no wakeups. A debug build always wakes the workers.
     ///
     /// Every chunk boundary falls on a multiple of `align` (the final chunk
     /// may be shorter): the batched kernels pass their batch width — times
@@ -349,13 +301,13 @@ impl TickPool {
         len: usize,
         align: usize,
         job: &Job<'_>,
-    ) -> Result<(), PramError> {
+    ) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
-        let inline = self.tuning.inline_ns != 0 && {
+        let inline = self.degrade && {
             let est = self.predicted_ns(class, len);
-            self.tuning.cores <= 1 || (est > 0.0 && est < self.tuning.inline_ns as f64)
+            self.cores <= 1 || (est > 0.0 && est < INLINE_NS)
         };
         let start = Instant::now();
         if inline {
@@ -370,14 +322,14 @@ impl TickPool {
     }
 
     /// The pooled half of [`TickPool::run_tick`]: publish, wake, wait.
-    fn run_pooled(&self, len: usize, align: usize, job: &Job<'_>) -> Result<(), PramError> {
+    fn run_pooled(&self, len: usize, align: usize, job: &Job<'_>) -> Result<()> {
         // Chunks are sized to give each worker several claims per tick —
         // dynamic enough to absorb uneven cycles, coarse enough to keep
         // cursor traffic negligible — then rounded up to the alignment.
         // The cursor starts at 0 and advances in whole chunks, so an
         // aligned chunk size makes every boundary aligned.
         let align = align.max(1);
-        let chunk = len.div_ceil(self.threads * 4).max(1).next_multiple_of(align);
+        let chunk = len.div_ceil(self.threads() * 4).max(1).next_multiple_of(align);
         self.cursor.store(0, Ordering::Relaxed);
         self.stop.store(false, Ordering::Relaxed);
         self.len.store(len, Ordering::Relaxed);
@@ -390,7 +342,7 @@ impl TickPool {
             let erased: *const Job<'static> = std::mem::transmute(job as *const Job<'_>);
             *self.job.0.get() = Some(JobPtr(erased));
         }
-        self.active.store(self.threads, Ordering::SeqCst);
+        self.active.store(self.threads(), Ordering::SeqCst);
         // Publish: the SeqCst bump is the release fence for every store
         // above, matched by the workers' SeqCst epoch load.
         self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -406,7 +358,7 @@ impl TickPool {
         // SeqCst, while we raise the flag *then* re-read `active`).
         let mut spins = 0u32;
         while self.active.load(Ordering::Acquire) != 0 {
-            if spins < self.tuning.spin {
+            if spins < SPIN {
                 spins += 1;
                 std::hint::spin_loop();
                 continue;
@@ -428,9 +380,9 @@ impl TickPool {
         }
     }
 
-    /// Tell workers to exit. Idempotent; called by the run guard
-    /// (including on unwind) so the surrounding thread scope can join.
-    pub(crate) fn shutdown(&self) {
+    /// Tell workers to exit. Idempotent; called when the owning
+    /// [`SharedPool`] drops (including on unwind), before it joins them.
+    fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for slot in &self.workers {
             // Unpark unconditionally: a stale token at worst makes a
@@ -445,7 +397,7 @@ impl TickPool {
 
     /// Body of pool worker `rank`: wait for an epoch (or shutdown) with a
     /// spin-then-park loop, claim chunks from the cursor, report back.
-    pub(crate) fn worker(&self, rank: usize) {
+    fn worker(&self, rank: usize) {
         let slot = &self.workers[rank];
         slot.thread.get_or_init(std::thread::current);
         let mut seen = 0u64;
@@ -463,7 +415,7 @@ impl TickPool {
                     seen = e;
                     break;
                 }
-                if spins < self.tuning.spin {
+                if spins < SPIN {
                     spins += 1;
                     std::hint::spin_loop();
                     continue;
@@ -530,13 +482,81 @@ impl TickPool {
     }
 }
 
-/// Shuts the pool down when dropped, so worker threads exit and the
-/// enclosing `thread::scope` can join even if the run loop unwinds.
-pub(crate) struct PoolShutdown<'a>(pub(crate) &'a TickPool);
+/// A persistent worker pool, the one owner of pool worker threads.
+///
+/// `SharedPool` owns its workers for as long as the value lives. Any
+/// thread may drive a run segment on it through
+/// [`Pram::run_with`](crate::Pram::run_with) with
+/// [`ExecMode::Pool`](crate::ExecMode::Pool), one segment at a time: an
+/// internal turn lock admits one caller at a time, and each re-binds the
+/// pool's coordinator to itself before its first tick. So a daemon can
+/// multiplex many paused runs over one set of OS threads.
+/// [`ExecMode::Threads`](crate::ExecMode::Threads) builds a pool per call
+/// and drops it when the call returns.
+pub struct SharedPool {
+    pool: Arc<TickPool>,
+    /// Serializes run segments: at most one coordinator drives the workers
+    /// at any moment.
+    turn: Mutex<()>,
+    handles: Vec<JoinHandle<()>>,
+}
 
-impl Drop for PoolShutdown<'_> {
+impl SharedPool {
+    /// Spawn `threads` parked workers (`threads >= 2`; a single thread
+    /// should use the sequential engine instead — the pool's coordination
+    /// protocol assumes at least two workers).
+    ///
+    /// # Errors
+    ///
+    /// [`PramError::InvalidConfig`] if `threads < 2`.
+    pub fn new(threads: usize) -> Result<Self> {
+        if threads < 2 {
+            return Err(PramError::InvalidConfig {
+                detail: "a shared pool needs at least two threads".into(),
+            });
+        }
+        Ok(Self::spawn(TickPool::new(threads)))
+    }
+
+    /// Start one worker thread per slot of `pool`.
+    fn spawn(pool: TickPool) -> Self {
+        let pool = Arc::new(pool);
+        let handles = (0..pool.threads())
+            .map(|rank| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || pool.worker(rank))
+            })
+            .collect();
+        SharedPool { pool, turn: Mutex::new(()), handles }
+    }
+
+    /// Number of worker threads the pool owns.
+    pub fn threads(&self) -> usize {
+        self.pool.threads()
+    }
+
+    /// Take the pool's turn and make the calling thread its coordinator.
+    /// The turn is held until the guard drops.
+    pub(crate) fn turn(&self) -> (MutexGuard<'_, ()>, &TickPool) {
+        let turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        *self.pool.coord_thread.lock().unwrap_or_else(PoisonError::into_inner) =
+            std::thread::current();
+        (turn, &self.pool)
+    }
+}
+
+impl std::fmt::Debug for SharedPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedPool").field("threads", &self.threads()).finish_non_exhaustive()
+    }
+}
+
+impl Drop for SharedPool {
     fn drop(&mut self) {
-        self.0.shutdown();
+        self.pool.shutdown();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -544,131 +564,126 @@ impl Drop for PoolShutdown<'_> {
 mod tests {
     use super::*;
 
-    /// Force the pooled path regardless of host core count.
-    fn pooled_tuning() -> PoolTuning {
-        PoolTuning { spin: 64, inline_ns: 0, cores: 8 }
+    /// A pool under the debug rule in any build: every job crosses the
+    /// barrier, whatever its cost and the host's core count.
+    fn always_pooled(threads: usize) -> SharedPool {
+        let mut pool = TickPool::new(threads);
+        pool.degrade = false;
+        SharedPool::spawn(pool)
+    }
+
+    /// Add one to every hit counter in `[start, end)`.
+    fn bump(hits: &[AtomicU64]) -> impl Fn(usize, usize) -> Result<()> + Sync + '_ {
+        move |start, end| {
+            for h in &hits[start..end] {
+                h.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(())
+        }
     }
 
     #[test]
     fn pool_processes_every_index_exactly_once() {
-        let pool = TickPool::with_tuning(3, pooled_tuning());
+        let shared = always_pooled(3);
         let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..3 {
-                scope.spawn(move || p.worker(rank));
-            }
-            for _ in 0..50 {
-                let job = |start: usize, end: usize| {
-                    for h in &hits[start..end] {
-                        h.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(())
-                };
-                pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &job).unwrap();
-            }
-            assert!(pool.total_claims() > 0, "pooled path must claim chunks");
-        });
+        for _ in 0..50 {
+            shared.pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+        }
+        assert!(shared.pool.total_claims() > 0, "pooled path must claim chunks");
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 50);
         }
     }
 
-    /// With a huge inline threshold the coordinator runs jobs itself: same
-    /// semantics, no worker claims.
+    /// A debug-built pool wakes its workers even for a job whose estimate
+    /// is far under [`INLINE_NS`]; a release build runs that job inline.
+    #[test]
+    fn debug_builds_pool_jobs_under_the_inline_threshold() {
+        let shared = SharedPool::new(2).unwrap();
+        let pool = &shared.pool;
+        let hits: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
+        pool.observe(CLASS_TENTATIVE, 1_000, hits.len());
+        assert!(pool.predicted_ns(CLASS_TENTATIVE, hits.len()) < INLINE_NS);
+        pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+        assert_eq!(pool.total_claims() > 0, cfg!(debug_assertions));
+        for h in &hits {
+            assert_eq!(h.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    /// The release rule runs the same cheap job on the coordinator — same
+    /// semantics, no worker claims — and a single-core host inlines every
+    /// job, even before any estimate exists.
     #[test]
     fn inline_degrade_runs_on_the_coordinator() {
-        let tuning = PoolTuning { spin: 64, inline_ns: u64::MAX, cores: 1 };
-        let pool = TickPool::with_tuning(2, tuning);
+        let mut pool = TickPool::new(2);
+        pool.degrade = true;
+        let shared = SharedPool::spawn(pool);
+        let pool = &shared.pool;
         let hits: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..2 {
-                scope.spawn(move || p.worker(rank));
-            }
-            let job = |start: usize, end: usize| {
-                for h in &hits[start..end] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            };
-            for _ in 0..8 {
-                pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &job).unwrap();
-            }
-            assert_eq!(pool.total_claims(), 0, "single-core host must inline every job");
-            // Inline errors surface exactly like pooled ones.
-            let err = pool
-                .run_tick(CLASS_COMMIT_SCAN, 4, 1, &|_, _| {
-                    Err(PramError::AddressOutOfBounds { addr: 9, size: 4 })
-                })
-                .unwrap_err();
-            assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
-        });
+        pool.observe(CLASS_TENTATIVE, 1_000, hits.len());
+        for _ in 0..8 {
+            pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+        }
+        assert_eq!(pool.total_claims(), 0, "a cheap job must run inline");
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 8);
         }
+
+        let mut pool = TickPool::new(2);
+        (pool.degrade, pool.cores) = (true, 1);
+        let shared = SharedPool::spawn(pool);
+        let pool = &shared.pool;
+        pool.run_tick(CLASS_COMMIT_SCAN, hits.len(), 1, &bump(&hits)).unwrap();
+        assert_eq!(pool.total_claims(), 0, "a single-core host must inline every job");
+        // Inline errors surface exactly like pooled ones.
+        let err = pool
+            .run_tick(CLASS_COMMIT_SCAN, 4, 1, &|_, _| {
+                Err(PramError::AddressOutOfBounds { addr: 9, size: 4 })
+            })
+            .unwrap_err();
+        assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
     }
 
     #[test]
     fn pool_reports_the_first_error() {
-        let pool = TickPool::with_tuning(2, pooled_tuning());
-        let err = std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..2 {
-                scope.spawn(move || p.worker(rank));
+        let shared = always_pooled(2);
+        let job = |start: usize, _end: usize| {
+            if start >= 8 {
+                Err(PramError::AddressOutOfBounds { addr: start, size: 8 })
+            } else {
+                Ok(())
             }
-            let job = |start: usize, _end: usize| {
-                if start >= 8 {
-                    Err(PramError::AddressOutOfBounds { addr: start, size: 8 })
-                } else {
-                    Ok(())
-                }
-            };
-            pool.run_tick(CLASS_TENTATIVE, 64, 1, &job).unwrap_err()
-        });
+        };
+        let err = shared.pool.run_tick(CLASS_TENTATIVE, 64, 1, &job).unwrap_err();
         assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
     }
 
     /// A panicking job closure must surface as [`PramError::WorkerPanic`]
     /// — not poison the pool, not abort the process — and the pool must
-    /// keep serving ticks afterwards. The `PoolShutdown` drop guard still
-    /// joins every worker at scope exit.
+    /// keep serving ticks afterwards. Dropping the pool still joins every
+    /// worker.
     #[test]
     fn panicking_job_reports_worker_panic_and_pool_survives() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep test output quiet
-        let pool = TickPool::with_tuning(2, pooled_tuning());
+        let shared = always_pooled(2);
         let hits: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..2 {
-                scope.spawn(move || p.worker(rank));
+        let bomb = |start: usize, _end: usize| -> Result<()> {
+            if start == 0 {
+                panic!("injected worker fault");
             }
-            let bomb = |start: usize, _end: usize| -> Result<(), PramError> {
-                if start == 0 {
-                    panic!("injected worker fault");
-                }
-                Ok(())
-            };
-            let err = pool.run_tick(CLASS_TENTATIVE, 64, 1, &bomb).unwrap_err();
-            assert!(
-                matches!(&err, PramError::WorkerPanic { pid: None, detail }
-                    if detail.contains("injected worker fault")),
-                "unexpected error: {err:?}"
-            );
-            // The pool is still operational for subsequent ticks.
-            let job = |start: usize, end: usize| {
-                for h in &hits[start..end] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &job).unwrap();
-        });
+            Ok(())
+        };
+        let err = shared.pool.run_tick(CLASS_TENTATIVE, 64, 1, &bomb).unwrap_err();
+        assert!(
+            matches!(&err, PramError::WorkerPanic { pid: None, detail }
+                if detail.contains("injected worker fault")),
+            "unexpected error: {err:?}"
+        );
+        // The pool is still operational for subsequent ticks.
+        shared.pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+        drop(shared);
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }
@@ -681,24 +696,14 @@ mod tests {
     /// yields chunk = 1 for len = 7, threads = 3).
     #[test]
     fn chunks_are_aligned_and_clamped() {
-        let pool = TickPool::with_tuning(3, pooled_tuning());
+        let shared = always_pooled(3);
         let claims = Mutex::new(Vec::new());
         let hits: Vec<AtomicU64> = (0..7).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..3 {
-                scope.spawn(move || p.worker(rank));
-            }
-            let job = |start: usize, end: usize| {
-                claims.lock().unwrap().push((start, end));
-                for h in &hits[start..end] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_TENTATIVE, hits.len(), 4, &job).unwrap();
-        });
+        let job = |start: usize, end: usize| {
+            claims.lock().unwrap().push((start, end));
+            bump(&hits)(start, end)
+        };
+        shared.pool.run_tick(CLASS_TENTATIVE, hits.len(), 4, &job).unwrap();
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1, "every index exactly once");
         }
@@ -713,14 +718,7 @@ mod tests {
 
     #[test]
     fn empty_tick_is_a_noop() {
-        let pool = TickPool::with_tuning(2, pooled_tuning());
-        std::thread::scope(|scope| {
-            let _guard = PoolShutdown(&pool);
-            let p = &pool;
-            for rank in 0..2 {
-                scope.spawn(move || p.worker(rank));
-            }
-            pool.run_tick(CLASS_TENTATIVE, 0, 64, &|_, _| Ok(())).unwrap();
-        });
+        let shared = always_pooled(2);
+        shared.pool.run_tick(CLASS_TENTATIVE, 0, 64, &|_, _| Ok(())).unwrap();
     }
 }

@@ -7,9 +7,10 @@
 //! threads. A counting `#[global_allocator]` pins that down: the
 //! sequential engine must allocate *exactly zero* times across a batch of
 //! steady-state ticks, and a pooled run's allocation total must not grow
-//! with the number of ticks — including with the adaptive inline degrade
-//! disabled, so the spin-then-park barrier and the per-worker commit
-//! buffers are inside the measurement.
+//! with the number of ticks. A debug-built pool has no adaptive inline
+//! degrade, so in the default `cargo test` build the spin-then-park
+//! barrier and the per-worker commit buffers are inside the measurement on
+//! any host.
 //!
 //! The sequential and snapshot engines run wholly on the calling thread,
 //! so their measurements read a per-thread counter: the test harness's
@@ -28,43 +29,6 @@ use rfsp_pram::{
     CompletionHint, CycleBudget, LayoutBuilder, Machine, NoFailures, NoopObserver, Pid, Program,
     ReadSet, Region, RunLimits, SharedMemory, Step, Word, WriteSet,
 };
-
-/// [`Grind`] with completion hints, so the pooled run primes the
-/// outstanding-cell count at run entry and the parallel commit folds it
-/// every tick.
-struct HintedGrind {
-    n: usize,
-    target: Word,
-}
-
-impl Program for HintedGrind {
-    type Private = ();
-    fn shared_size(&self) -> usize {
-        self.n
-    }
-    fn on_start(&self, _pid: Pid) {}
-    fn plan(&self, pid: Pid, _st: &(), values: &[Word], reads: &mut ReadSet) {
-        if values.is_empty() {
-            reads.push(pid.0 % self.n);
-        }
-    }
-    fn execute(&self, pid: Pid, _st: &mut (), values: &[Word], writes: &mut WriteSet) -> Step {
-        if values[0] < self.target {
-            writes.push(pid.0 % self.n, values[0] + 1);
-        }
-        Step::Continue
-    }
-    fn is_complete(&self, mem: &SharedMemory) -> bool {
-        (0..self.n).all(|i| mem.peek(i) >= self.target)
-    }
-    fn completion_hint(&self, _addr: usize, value: Word) -> CompletionHint {
-        if value >= self.target {
-            CompletionHint::Satisfied
-        } else {
-            CompletionHint::Outstanding
-        }
-    }
-}
 
 struct CountingAlloc;
 
@@ -118,10 +82,14 @@ fn measure_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Each processor increments its own cell once per tick until every cell
-/// reaches `target`: the run lasts exactly `target` full-width ticks.
+/// reaches `target`: the run lasts exactly `target` full-width ticks. A
+/// `tracked` grind gives completion hints, so a pooled run primes the
+/// outstanding-cell count at run entry and the parallel commit folds it
+/// every tick.
 struct Grind {
     n: usize,
     target: Word,
+    tracked: bool,
 }
 
 impl Program for Grind {
@@ -144,13 +112,20 @@ impl Program for Grind {
     fn is_complete(&self, mem: &SharedMemory) -> bool {
         (0..self.n).all(|i| mem.peek(i) >= self.target)
     }
+    fn completion_hint(&self, _addr: usize, value: Word) -> CompletionHint {
+        match (self.tracked, value >= self.target) {
+            (false, _) => CompletionHint::Untracked,
+            (true, true) => CompletionHint::Satisfied,
+            (true, false) => CompletionHint::Outstanding,
+        }
+    }
 }
 
 #[test]
 fn sequential_steady_state_ticks_do_not_allocate() {
     let _guard = measure_lock();
     let p = 16;
-    let prog = Grind { n: p, target: 1 << 20 };
+    let prog = Grind { n: p, target: 1 << 20, tracked: false };
     let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
     // Warm up: first ticks grow the reusable buffers (tentative slots,
     // adversary metadata) to their steady-state capacity.
@@ -235,58 +210,38 @@ fn snapshot_steady_state_ticks_do_not_allocate() {
     assert_eq!(delta, 0, "snapshot steady-state ticks allocated {delta} times");
 }
 
+/// The pooled engine — spin-then-park barrier, per-worker commit buffers
+/// (scan/merge/store) and, for a tracked program, the outstanding-count
+/// fold — must reach an allocation-free steady state. A debug-built pool
+/// has no adaptive inline degrade, so every tick actually crosses the
+/// barrier and runs the three commit passes. The per-worker rows of
+/// `CommitScratch` grow to their working sizes during the first ticks and
+/// are reused verbatim afterwards, so allocations must not scale with
+/// tick count.
 #[test]
 fn pooled_allocations_do_not_grow_with_tick_count() {
     let _guard = measure_lock();
     let p = 16;
     let threads = 3;
-    let measure = |target: Word| {
-        let prog = Grind { n: p, target };
-        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
-            .unwrap();
-        ALLOCATIONS.load(Ordering::Relaxed) - before
-    };
-    let short = measure(16);
-    let long = measure(16 + 512);
-    // Same machine size and thread count: all allocations happen during
-    // setup (thread spawns, report assembly), none per tick. Allow a few
-    // counts of slack for lazy OS/runtime initialization on first use.
-    assert!(
-        long <= short + 16,
-        "allocations grew with tick count: {short} for 16 ticks vs {long} for 528"
-    );
-}
-
-/// The forced-parallel engine — spin-then-park barrier, per-worker commit
-/// buffers (scan/merge/store) and the outstanding-count fold — must also
-/// reach an allocation-free steady state. `RFSP_POOL_INLINE_NS=0`
-/// disables the adaptive inline degrade so every tick actually crosses
-/// the barrier and runs the three commit passes; a tracked program makes
-/// the commit fold the outstanding-cell count too. The per-worker rows of
-/// `CommitScratch` grow to their working sizes during the first ticks and
-/// are reused verbatim afterwards, so allocations must not scale with
-/// tick count.
-#[test]
-fn forced_parallel_commit_allocations_do_not_grow_with_tick_count() {
-    let _guard = measure_lock();
-    std::env::set_var("RFSP_POOL_INLINE_NS", "0");
-    let p = 16;
-    let threads = 3;
-    let measure = |target: Word| {
-        let prog = HintedGrind { n: p, target };
-        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
-            .unwrap();
-        ALLOCATIONS.load(Ordering::Relaxed) - before
-    };
-    let short = measure(16);
-    let long = measure(16 + 512);
-    std::env::remove_var("RFSP_POOL_INLINE_NS");
-    assert!(
-        long <= short + 16,
-        "forced-parallel allocations grew with tick count: {short} for 16 ticks vs {long} for 528"
-    );
+    for tracked in [false, true] {
+        let measure = |target: Word| {
+            let prog = Grind { n: p, target, tracked };
+            let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let limits = RunLimits::default();
+            m.run_threaded_observed(&mut NoFailures, limits, threads, &mut NoopObserver).unwrap();
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        };
+        let short = measure(16);
+        let long = measure(16 + 512);
+        // Same machine size and thread count: all allocations happen
+        // during setup (thread spawns, report assembly), none per tick.
+        // Allow a few counts of slack for lazy OS/runtime initialization
+        // on first use.
+        assert!(
+            long <= short + 16,
+            "allocations grew with tick count (tracked: {tracked}): {short} for 16 ticks vs \
+             {long} for 528"
+        );
+    }
 }

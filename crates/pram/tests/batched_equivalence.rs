@@ -10,15 +10,15 @@
 //! half of the `BENCH_SCALE.json` optimization: the golden fixtures pin
 //! the default configuration, these properties pin the toggle itself.
 //!
-//! Both properties pin `RFSP_POOL_INLINE_NS=0` for the whole process: the
-//! pool's adaptive degrade would otherwise run every pooled tick inline on
-//! a small host, and the **parallel commit** (per-worker scan/merge/store
-//! with a rank-ordered coordinator merge, folding the outstanding-cell
-//! count per partition) would never execute. Forcing the pooled path
-//! makes every pooled run here a true differential test of that kernel
-//! against the sequential slot-by-slot apply. The snapshot model runs on
-//! the same pool, so its property has batched-pooled and scalar-pooled
-//! rows too, each checked against the scalar sequential run.
+//! A debug-built pool has no adaptive inline degrade: every pooled tick
+//! crosses the barrier, and the word model's pooled runs take the
+//! **parallel commit** (per-worker scan/merge/store with a rank-ordered
+//! coordinator merge, folding the outstanding-cell count per partition) on
+//! any host. In the default `cargo test` build every pooled run here is
+//! therefore a true differential test of that kernel against the
+//! sequential slot-by-slot apply. The snapshot model runs on the same
+//! pool, so its property has batched-pooled and scalar-pooled rows too,
+//! each checked against the scalar sequential run.
 
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
@@ -167,14 +167,6 @@ fn assert_same(a: &Observables, b: &Observables) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Disable the pool's adaptive inline degrade so pooled runs genuinely
-/// exercise the parallel commit (see the module docs). `set_var` is
-/// idempotent and every run in this file wants the same override, so the
-/// process-global setting is safe.
-fn force_pooled_path() {
-    std::env::set_var("RFSP_POOL_INLINE_NS", "0");
-}
-
 fn word_run(
     layout: MemoryLayout,
     prog: &Blocks,
@@ -182,7 +174,6 @@ fn word_run(
     threads: Option<usize>,
     batch_width: usize,
 ) -> Observables {
-    force_pooled_path();
     let limits = RunLimits { max_cycles: 1_000_000 };
     let mut m = Machine::with_layout(prog, prog.p, CycleBudget::PAPER, layout).unwrap();
     m.set_batch_width(batch_width);
@@ -208,7 +199,6 @@ fn snapshot_run(
     threads: Option<usize>,
     width: usize,
 ) -> Observables {
-    force_pooled_path();
     let limits = RunLimits { max_cycles: 1_000_000 };
     let mut m = SnapshotMachine::new(prog, p, 1).unwrap();
     m.set_batch_width(width);
@@ -254,7 +244,7 @@ proptest! {
         let batched_pool = word_run(MemoryLayout::Flat, &prog, &pattern, Some(threads), width);
         assert_same(&scalar_seq, &batched_pool)?;
 
-        // Scalar kernels on the forced pool: the parallel commit must be
+        // Scalar kernels on the pool: the parallel commit must be
         // invisible even without lane batching.
         let scalar_pool = word_run(MemoryLayout::Flat, &prog, &pattern, Some(threads), 1);
         assert_same(&scalar_seq, &scalar_pool)?;

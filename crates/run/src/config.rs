@@ -19,6 +19,12 @@ use crate::{io_err, pattern_io, RunError};
 /// allocated.
 pub const MAX_SIZE: u64 = 1 << 28;
 
+/// The largest tick-engine thread count a [`RunConfig`] accepts. Thread
+/// counts arrive from outside the program too, and each one is that many
+/// OS threads spawned, so [`RunConfig::validate`] refuses larger ones. The
+/// CLI holds every thread-count option to the same cap.
+pub const MAX_THREADS: u64 = 256;
+
 /// One crash-safe run, fully described: algorithm, instance, adversary,
 /// checkpoint policy, and where the durable artifacts live.
 ///
@@ -96,9 +102,10 @@ impl RunConfig {
 
     /// Reject configurations no session can honour: a zero or oversized
     /// instance or processor count (see [`MAX_SIZE`]), an in-place X
-    /// instance that is not a power of two ≥ 4, a zero cadence, zero
-    /// threads, or a checkpoint on an algorithm whose program-level state a
-    /// resumed run cannot recover.
+    /// instance that is not a power of two ≥ 4, a zero cadence, a thread
+    /// count outside `1..=`[`MAX_THREADS`], a fault rate that is not a
+    /// probability, or a checkpoint on an algorithm whose program-level
+    /// state a resumed run cannot recover.
     ///
     /// # Errors
     ///
@@ -129,15 +136,30 @@ impl RunConfig {
                     .into(),
             ));
         }
-        if self.threads == 0 {
-            return Err(RunError("--threads must be at least 1".into()));
+        if !(1..=MAX_THREADS).contains(&self.threads) {
+            return Err(RunError(format!(
+                "--threads must be between 1 and {MAX_THREADS}, not {}",
+                self.threads
+            )));
         }
+        self.check_rates()?;
         if self.algo == "acc" && self.checkpoint.is_some() {
             return Err(RunError(
                 "--checkpoint does not support --algo acc: its incarnation counter is \
                  program-level state a resumed run cannot recover"
                     .into(),
             ));
+        }
+        Ok(())
+    }
+
+    /// Refuse a `rate` or `restart_rate` outside `[0, 1]`, NaN included:
+    /// the fault adversaries take both as probabilities.
+    fn check_rates(&self) -> Result<(), RunError> {
+        for (flag, value) in [("--rate", self.rate), ("--restart-rate", self.restart_rate)] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(RunError(format!("{flag} must be between 0 and 1, not {value}")));
+            }
         }
         Ok(())
     }
@@ -148,8 +170,11 @@ impl RunConfig {
 ///
 /// # Errors
 ///
-/// Unknown adversary kinds, and unreadable or illegal replay patterns.
+/// Unknown adversary kinds, fault rates that are not probabilities (a
+/// resumed checkpoint's config was never validated), and unreadable or
+/// illegal replay patterns.
 pub fn build_adversary(cfg: &RunConfig) -> Result<Box<dyn Adversary>, RunError> {
+    cfg.check_rates()?;
     Ok(match cfg.adversary.as_str() {
         "none" => Box::new(NoFailures),
         "random" => Box::new(RandomFaults::new(cfg.rate, cfg.restart_rate, cfg.seed)),
@@ -191,8 +216,22 @@ mod tests {
 
         let bad = RunConfig { every: 0, ..RunConfig::default() };
         assert!(bad.validate().unwrap_err().0.contains("degenerate"));
-        let bad = RunConfig { threads: 0, ..RunConfig::default() };
-        assert!(bad.validate().is_err());
+        for threads in [0, MAX_THREADS + 1] {
+            let bad = RunConfig { threads, ..RunConfig::default() };
+            assert!(bad.validate().unwrap_err().0.contains("--threads"), "threads = {threads}");
+        }
+        RunConfig { threads: MAX_THREADS, ..RunConfig::default() }.validate().unwrap();
+        for value in [5.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let bad = RunConfig { adversary: "random".into(), rate: value, ..RunConfig::default() };
+            assert!(bad.validate().unwrap_err().0.contains("--rate"), "rate = {value}");
+            let bad = RunConfig { restart_rate: value, ..RunConfig::default() };
+            assert!(bad.validate().unwrap_err().0.contains("--restart-rate"), "{value}");
+        }
+        for value in [0.0, 1.0] {
+            RunConfig { rate: value, restart_rate: value, ..RunConfig::default() }
+                .validate()
+                .unwrap();
+        }
         let bad = RunConfig {
             algo: "acc".into(),
             checkpoint: Some("ck.json".into()),
@@ -250,5 +289,10 @@ mod tests {
         cfg.adversary = "martian".into();
         let Err(err) = build_adversary(&cfg) else { panic!("unknown adversary accepted") };
         assert!(err.0.contains("unknown long-run adversary 'martian'"), "{err}");
+        // A config that skipped `validate` (a resumed checkpoint's) gets an
+        // error, not the adversary's panic.
+        let cfg = RunConfig { adversary: "random".into(), rate: 5.0, ..RunConfig::default() };
+        let Err(err) = build_adversary(&cfg) else { panic!("rate 5 accepted") };
+        assert!(err.0.contains("--rate"), "{err}");
     }
 }
