@@ -6,9 +6,9 @@
 //! overhead ratio, and `σ` decay as `|F|` grows (Corollary 4.11).
 
 use rfsp_adversary::RandomFaults;
-use rfsp_pram::{MetricsObserver, NoopObserver, RunLimits, Word};
+use rfsp_pram::{MetricsObserver, NoopObserver, RunLimits, Word, WriteMode};
 use rfsp_sim::programs::{OddEvenSort, ParallelSum, PrefixSums};
-use rfsp_sim::{reference_run, simulate, simulate_observed, Engine, SimProgram};
+use rfsp_sim::{reference_run, simulate, simulate_with_mode_observed, Engine, SimProgram};
 
 use crate::{fmt, print_table, TelemetrySink};
 
@@ -23,24 +23,19 @@ fn kernel_row<P: SimProgram + Sync + Clone>(
 ) -> Vec<String> {
     let mut adv = RandomFaults::new(fault_rate, 0.8, 0xE9).with_budget(budget);
     let mut metrics = if sink.is_active() { Some(MetricsObserver::new(p)) } else { None };
-    let report = match metrics.as_mut() {
-        Some(m) => simulate_observed(
-            prog.clone(),
-            p,
-            Engine::Interleaved,
-            &mut adv,
-            RunLimits::default(),
-            m,
-        ),
-        None => simulate_observed(
-            prog.clone(),
-            p,
-            Engine::Interleaved,
-            &mut adv,
-            RunLimits::default(),
-            &mut NoopObserver,
-        ),
-    }
+    let mut noop = NoopObserver;
+    let report = simulate_with_mode_observed(
+        prog.clone(),
+        p,
+        Engine::Interleaved,
+        &mut adv,
+        RunLimits::default(),
+        WriteMode::Common,
+        match metrics.as_mut() {
+            Some(m) => m,
+            None => &mut noop,
+        },
+    )
     .expect("E9 simulation failed");
     assert_eq!(report.memory, expected, "{name}: simulated output differs from reference");
     let n = report.sim_processors;

@@ -53,7 +53,7 @@ impl Algo {
 
 /// One Write-All run: the instance and every machine knob the run recipe
 /// forwards. All knobs except the instance are behavior-invariant — every
-/// tick engine, layout and batch width produces a bit-identical run.
+/// tick engine and layout produces a bit-identical run.
 #[derive(Clone, Copy, Debug)]
 pub struct WriteAllSpec<'a> {
     /// The algorithm.
@@ -67,10 +67,6 @@ pub struct WriteAllSpec<'a> {
     /// The shared-memory layout: per-bank counters (and any attached
     /// network meter) reflect a real bank mapping.
     pub layout: MemoryLayout,
-    /// Tentative-phase batch width ([`Machine::set_batch_width`]); `None`
-    /// keeps the machine default, `Some(1)` forces the scalar reference
-    /// path.
-    pub batch_width: Option<usize>,
     /// Algorithm X's options (the Remark 5 ablation); must stay at the
     /// default for every other algorithm.
     pub x_options: XOptions,
@@ -78,8 +74,7 @@ pub struct WriteAllSpec<'a> {
 
 impl WriteAllSpec<'_> {
     /// `algo` on `n` cells and `p` processors, every knob at its default:
-    /// the sequential engine, flat memory, the machine's batch width and
-    /// default X options.
+    /// the sequential engine, flat memory and default X options.
     pub fn new(algo: Algo, n: usize, p: usize) -> Self {
         WriteAllSpec {
             algo,
@@ -87,7 +82,6 @@ impl WriteAllSpec<'_> {
             p,
             exec: ExecMode::Sequential,
             layout: MemoryLayout::Flat,
-            batch_width: None,
             x_options: XOptions::default(),
         }
     }
@@ -145,9 +139,6 @@ where
         {
             let mut adversary = (self.make_adversary)(setup);
             let mut m = Machine::with_layout(prog, self.spec.p, budget, self.spec.layout)?;
-            if let Some(w) = self.spec.batch_width {
-                m.set_batch_width(w);
-            }
             let run = RunSpec { exec: self.spec.exec, panic: None, limits: self.limits };
             let RunStatus::Completed(report) =
                 m.run_with(run, &mut adversary, self.observer, |_| RunControl::Continue)?

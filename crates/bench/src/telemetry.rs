@@ -151,7 +151,7 @@ impl TelemetrySink {
     }
 
     /// Record a run whose series was collected by an externally managed
-    /// [`MetricsObserver`] (e.g. one attached to `rfsp_sim::simulate_observed`).
+    /// [`MetricsObserver`] (e.g. one attached to `rfsp_sim::simulate_with_mode_observed`).
     /// No-op when inactive.
     #[allow(clippy::too_many_arguments)]
     pub fn record_series(

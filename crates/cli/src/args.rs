@@ -81,6 +81,13 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Every key given, options then flags, each with whether it came
+    /// with a value.
+    pub fn keys(&self) -> impl Iterator<Item = (&str, bool)> {
+        let opts = self.opts.keys().map(|k| (k.as_str(), true));
+        opts.chain(self.flags.iter().map(|k| (k.as_str(), false)))
+    }
+
     /// Parsed numeric option with a default.
     ///
     /// # Errors
@@ -93,23 +100,12 @@ impl Args {
         }
     }
 
-    /// A size option (`--n`, `--p`) with a default: like
-    /// [`get_parsed`](Args::get_parsed), but zero is refused too.
-    ///
-    /// # Errors
-    ///
-    /// Reports unparseable values and zero with the offending key.
-    pub fn get_size(&self, key: &str, default: usize) -> Result<usize, ArgError> {
-        match self.get_parsed(key, default)? {
-            0 => Err(ArgError(format!("--{key} must be at least 1"))),
-            size => Ok(size),
-        }
-    }
-
-    /// A numeric option with a default that must lie in `range`: thread
-    /// counts (each one an OS thread spawned, so capped at
-    /// [`rfsp_run::MAX_THREADS`]) and fault rates (probabilities, so NaN is
-    /// refused too).
+    /// A numeric option with a default that must lie in `range`: sizes
+    /// (capped at [`rfsp_run::MAX_SIZE`] cells and
+    /// [`rfsp_run::MAX_PROCESSORS`] processors, so nothing oversized is
+    /// allocated), thread counts (each one an OS thread spawned, so capped
+    /// at [`rfsp_run::MAX_THREADS`]) and fault rates (probabilities, so NaN
+    /// is refused too).
     ///
     /// # Errors
     ///
@@ -148,10 +144,10 @@ mod tests {
         assert_eq!(a.get_parsed("p", 5usize).unwrap(), 5);
         let a = Args::parse(["run", "--n", "abc"]).unwrap();
         assert!(a.get_parsed::<usize>("n", 0).is_err());
-        assert!(a.get_size("n", 5).is_err());
+        assert!(a.get_in("n", 5, 1..=8).is_err());
         let a = Args::parse(["run", "--n", "0"]).unwrap();
-        assert_eq!(a.get_size("n", 5).unwrap_err().0, "--n must be at least 1");
-        assert_eq!(a.get_size("p", 5).unwrap(), 5);
+        assert_eq!(a.get_in("n", 5, 1..=8).unwrap_err().0, "--n must be between 1 and 8, not 0");
+        assert_eq!(a.get_in("p", 5, 1..=8).unwrap(), 5);
         let a = Args::parse(["run", "--threads", "0", "--rate", "NaN", "--p", "256"]).unwrap();
         let e = a.get_in("threads", 1, 1..=256).unwrap_err();
         assert_eq!(e.0, "--threads must be between 1 and 256, not 0");

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use rfsp_core::{run_lockfree_x, LockfreeOptions};
-use rfsp_run::MAX_THREADS;
+use rfsp_run::{MAX_SIZE, MAX_THREADS};
 
 use crate::args::{ArgError, Args};
 
@@ -13,7 +13,7 @@ use crate::args::{ArgError, Args};
 ///
 /// Reports bad arguments as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n = args.get_size("n", 65_536)?;
+    let n = args.get_in("n", 65_536, 1..=MAX_SIZE as usize)?;
     let threads = args.get_in("threads", 4, 1..=MAX_THREADS)? as usize;
     let fault_rate: f64 = args.get_parsed("fault-rate", 0.0)?;
     let seed: u64 = args.get_parsed("seed", 0)?;

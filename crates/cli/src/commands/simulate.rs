@@ -3,10 +3,11 @@
 
 use rfsp_adversary::RandomFaults;
 use rfsp_pram::{NoFailures, RunLimits};
+use rfsp_run::MAX_PROCESSORS;
 use rfsp_sim::programs::{
     Components, ListRanking, MatVec, MaxFind, OddEvenSort, ParallelSum, PrefixSums,
 };
-use rfsp_sim::{reference_run, simulate, Engine, SimProgram, SimReport};
+use rfsp_sim::{reference_run, simulate, Engine, SimProgram, SimReport, MAX_SIM_MEMORY};
 
 use crate::args::{ArgError, Args};
 
@@ -20,22 +21,23 @@ fn parse_engine(name: &str) -> Result<Engine, ArgError> {
 }
 
 fn run_kernel<P: SimProgram + Sync + Clone>(prog: P, args: &Args) -> Result<SimReport, ArgError> {
-    let p = args.get_size("p", 16)?;
+    let p = args.get_in("p", 16, 1..=MAX_PROCESSORS as usize)?;
     let engine = parse_engine(args.get_or("engine", "vx"))?;
-    let expected = reference_run(&prog);
+    // Simulate first: the driver refuses a kernel past its limits before
+    // the reference run spends time on it.
     let report = match args.get_or("adversary", "random") {
-        "none" => simulate(prog, p, engine, &mut NoFailures, RunLimits::default()),
+        "none" => simulate(prog.clone(), p, engine, &mut NoFailures, RunLimits::default()),
         "random" => {
             let rate = args.get_in("rate", 0.02, 0.0..=1.0)?;
             let restart = args.get_in("restart-rate", 0.6, 0.0..=1.0)?;
             let seed: u64 = args.get_parsed("seed", 0)?;
             let mut adv = RandomFaults::new(rate, restart, seed);
-            simulate(prog, p, engine, &mut adv, RunLimits::default())
+            simulate(prog.clone(), p, engine, &mut adv, RunLimits::default())
         }
         other => return Err(crate::unknown("adversary", other, &["none", "random"])),
     }
     .map_err(|e| ArgError(format!("machine error: {e}")))?;
-    if report.memory != expected {
+    if report.memory != reference_run(&prog) {
         return Err(ArgError("simulated output differs from the reference run".into()));
     }
     Ok(report)
@@ -47,7 +49,9 @@ fn run_kernel<P: SimProgram + Sync + Clone>(prog: P, args: &Args) -> Result<SimR
 ///
 /// Reports bad arguments and verification failures as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n = args.get_size("n", 256)?;
+    // Every kernel keeps at least one simulated cell per element, so no
+    // larger `n` fits the simulation's memory.
+    let n = args.get_in("n", 256, 1..=MAX_SIM_MEMORY)?;
     let kernel = args.get_or("kernel", "prefix");
     let report = match kernel {
         "prefix" => run_kernel(PrefixSums::new((0..n as u32).map(|i| i % 9).collect()), args)?,
@@ -56,6 +60,12 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "sort" => run_kernel(OddEvenSort::new((0..n as u32).rev().collect()), args)?,
         "listrank" => run_kernel(ListRanking::chain(n), args)?,
         "components" => {
+            if n > Components::MAX_VERTICES {
+                return Err(ArgError(format!(
+                    "--kernel components takes at most {} vertices, not {n}",
+                    Components::MAX_VERTICES
+                )));
+            }
             // A ring plus chords: one component.
             let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
             edges.extend((0..n / 3).map(|i| (i, (i * 7 + 2) % n)));

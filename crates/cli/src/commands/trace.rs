@@ -1,10 +1,11 @@
 //! `rfsp trace` — run one Write-All instance under full telemetry and
 //! export the stream.
 //!
-//! Accepts the same instance and adversary options as `rfsp writeall`; the
-//! run is driven through a [`Tee`] of a [`TraceRecorder`] (raw machine
-//! events) and a [`MetricsObserver`] (per-tick aggregates), and either or
-//! both views can be written to a file or streamed to stdout (`-`).
+//! Accepts the instance and adversary options of `rfsp writeall` (not its
+//! engine, layout or `--record-pattern` options); the run is driven
+//! through a [`Tee`] of a [`TraceRecorder`] (raw machine events) and a
+//! [`MetricsObserver`] (per-tick aggregates), and either or both views
+//! can be written to a file or streamed to stdout (`-`).
 //!
 //! `--model snapshot` traces the §3 snapshot machine instead (the
 //! balanced-allocation algorithm of Theorem 3.2 on `SnapshotMachine`):
@@ -27,7 +28,7 @@ use rfsp_pram::{
 };
 
 use crate::args::{ArgError, Args};
-use crate::commands::writeall::{build_adversary, parse_algo};
+use crate::commands::writeall::{build_adversary, parse_algo, parse_sizes};
 
 fn write_out(dest: &str, text: &str) -> Result<(), ArgError> {
     if dest == "-" {
@@ -72,8 +73,7 @@ fn run_snapshot(
 ///
 /// Reports bad arguments, I/O problems, and machine errors as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n = args.get_size("n", 1024)?;
-    let p = args.get_size("p", 64)?;
+    let (n, p) = parse_sizes(args)?;
     let model = args.get_or("model", "word");
     if model != "word" && model != "snapshot" {
         return Err(crate::unknown("--model", model, &["word", "snapshot"]));

@@ -7,7 +7,7 @@ use rfsp_bench::{run_write_all, Algo, WriteAllSetup, WriteAllSpec};
 use rfsp_pram::{
     Adversary, ExecMode, MemoryLayout, NoFailures, NoopObserver, RunLimits, ScheduledAdversary,
 };
-use rfsp_run::MAX_THREADS;
+use rfsp_run::{MAX_PROCESSORS, MAX_SIZE, MAX_THREADS};
 
 use crate::args::{ArgError, Args};
 use crate::pattern_io;
@@ -25,6 +25,15 @@ pub(crate) fn parse_layout(args: &Args) -> Result<MemoryLayout, ArgError> {
     } else {
         MemoryLayout::Banked { banks, interleave }
     })
+}
+
+/// Read `--n` and `--p` (defaults 1024 and 64), each refused outside
+/// `1..=`[`MAX_SIZE`] and `1..=`[`MAX_PROCESSORS`] before anything is
+/// allocated.
+pub(crate) fn parse_sizes(args: &Args) -> Result<(usize, usize), ArgError> {
+    let n = args.get_in("n", 1024, 1..=MAX_SIZE as usize)?;
+    let p = args.get_in("p", 64, 1..=MAX_PROCESSORS as usize)?;
+    Ok((n, p))
 }
 
 pub(crate) fn parse_algo(name: &str) -> Result<Algo, ArgError> {
@@ -121,19 +130,14 @@ pub(crate) fn build_adversary(
 ///
 /// Reports bad arguments, I/O problems, and machine errors as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let n = args.get_size("n", 1024)?;
-    let p = args.get_size("p", 64)?;
+    let (n, p) = parse_sizes(args)?;
     let algo = parse_algo(args.get_or("algo", "x"))?;
     let max_cycles: u64 = args.get_parsed("max-cycles", RunLimits::default().max_cycles)?;
     let threads = args.get_in("threads", 1, 1..=MAX_THREADS)? as usize;
     let mem_layout = parse_layout(args)?;
-    // 0 = keep the machine default; 1 = the scalar reference path (the
-    // differential-testing toggle).
-    let batch_width: usize = args.get_parsed("batch-width", 0)?;
     let spec = WriteAllSpec {
         exec: ExecMode::Threads(threads),
         layout: mem_layout,
-        batch_width: if batch_width == 0 { None } else { Some(batch_width) },
         ..WriteAllSpec::new(algo, n, p)
     };
 

@@ -50,6 +50,9 @@ rfsp — efficient parallel algorithms on restartable fail-stop processors
 
 USAGE: rfsp <COMMAND> [--key value]... [--flag]...
 
+Each command takes only the options listed under it. Sizes are at least
+1; --n is at most 2^28 cells and --p at most 2^20 processors.
+
 COMMANDS:
   writeall     solve a Write-All instance under an adversary
                --algo x|v|w|vx|x-inplace|acc   --n SIZE --p PROCS
@@ -57,7 +60,8 @@ COMMANDS:
                            random|offline|xkiller|stalking|replay
                --rate F --restart-rate F --seed S --fault-budget M
                --target CELL --no-restarts
-               --record-pattern FILE --replay-pattern FILE --max-cycles C
+               --replay-pattern FILE --max-cycles C
+               --record-pattern FILE
                --threads T        tick engine: 1 = sequential (default),
                                   T > 1 = persistent worker pool (T <= 256)
                --banks B          partition shared memory into B banks
@@ -65,17 +69,20 @@ COMMANDS:
                                   identical across layouts
                --interleave I     cells per block in the block-cyclic
                                   bank mapping (default 1 = word)
-               --batch-width W    tentative-phase batch width (default:
-                                  machine default; 1 = scalar reference
-                                  path); behavior-invariant
   simulate     execute a PRAM kernel fault-tolerantly (Theorem 4.1)
                --kernel prefix|sum|max|sort|listrank|matvec|components
                --n SIZE --p PROCS --engine x|v|vx
                --adversary none|random --rate F --restart-rate F --seed S
+               (--n at most 65534; a kernel past the simulation's
+               memory or step limit is refused)
   lockfree     run algorithm X on real OS threads over atomics
                --n SIZE --threads T --fault-rate F --seed S
   trace        run a Write-All instance under full telemetry and export it
-               (same instance/adversary options as writeall, plus:)
+               the writeall options from --algo to --max-cycles above
+               (not --record-pattern, --threads, --banks or --interleave),
+               plus:
+               --model word|snapshot  machine model (default word; the
+                                  snapshot model ignores --algo)
                --events FILE|-    raw machine-event stream, JSONL
                --metrics FILE|-   per-tick metrics series
                --format csv|jsonl metrics format (default csv)
@@ -130,25 +137,66 @@ COMMANDS:
 EXIT CODES:
   0  success
   1  runtime error (I/O, machine error, failed cross-check, daemon refusal)
-  2  usage error (unknown command or malformed command line)
+  2  usage error (unknown command, an option the command does not
+     take, or a malformed command line)
   3  long run interrupted by SIGINT; telemetry flushed and, when
      --checkpoint is set, a final checkpoint written for --resume
 ";
 
-/// Every subcommand `dispatch` accepts, for usage errors and docs.
-pub const COMMANDS: &[&str] = &[
-    "writeall",
-    "simulate",
-    "lockfree",
-    "trace",
-    "experiment",
-    "soak",
-    "serve",
-    "submit",
-    "jobs",
-    "cancel",
-    "help",
+/// The instance and adversary options `writeall` and `trace` share.
+const INSTANCE_OPTIONS: &str = "algo n p adversary rate restart-rate seed fault-budget target \
+                                no-restarts replay-pattern max-cycles";
+
+/// The options of a crash-safe long run (`experiment --run writeall`),
+/// which `submit` forwards to the daemon.
+const LONG_RUN_OPTIONS: &str = "algo n p threads adversary rate restart-rate seed replay-pattern \
+                                every policy max-cycles checkpoint events";
+
+/// Every subcommand `dispatch` accepts, with the keys it takes as groups
+/// of space-separated names; [`run_cli`] refuses any other key as a usage
+/// error.
+pub const COMMANDS: &[(&str, &[&str])] = &[
+    ("writeall", &[INSTANCE_OPTIONS, "record-pattern threads banks interleave"]),
+    ("simulate", &["kernel n p engine adversary rate restart-rate seed"]),
+    ("lockfree", &["n threads fault-rate seed"]),
+    ("trace", &[INSTANCE_OPTIONS, "model events metrics format tail"]),
+    ("experiment", &["id run resume", LONG_RUN_OPTIONS]),
+    ("soak", &["cases seed verbose replay-out replay"]),
+    ("serve", &["spool socket workers quantum"]),
+    ("submit", &[LONG_RUN_OPTIONS, "socket watch"]),
+    ("jobs", &["socket"]),
+    ("cancel", &["socket job shutdown"]),
+    ("help", &[]),
 ];
+
+/// The keys in [`COMMANDS`] that are flags: they take no value.
+pub const FLAGS: &[&str] = &["no-restarts", "verbose", "watch", "shutdown"];
+
+/// Refuse a key the command does not take, a value after a flag, and a
+/// flag where an option needs a value. A missing command (which prints
+/// the usage text) and an unknown one are left to [`dispatch`].
+fn check_keys(args: &Args) -> Result<(), ArgError> {
+    let Some(command) = args.command.as_deref() else { return Ok(()) };
+    let Some(&(_, groups)) = COMMANDS.iter().find(|(c, _)| *c == command) else {
+        return Ok(());
+    };
+    let takes = groups.iter().flat_map(|g| g.split_whitespace());
+    for (key, has_value) in args.keys() {
+        if !takes.clone().any(|k| k == key) {
+            let takes: Vec<String> = takes.map(|k| format!("--{k}")).collect();
+            let takes = if takes.is_empty() { "none".into() } else { takes.join(", ") };
+            return Err(ArgError(format!(
+                "'rfsp {command}' takes no option --{key} (it takes: {takes})"
+            )));
+        }
+        match (FLAGS.contains(&key), has_value) {
+            (true, true) => return Err(ArgError(format!("--{key} is a flag and takes no value"))),
+            (false, false) => return Err(ArgError(format!("--{key} needs a value"))),
+            _ => {}
+        }
+    }
+    Ok(())
+}
 
 /// The unified "unknown X" error: name what was given and what would have
 /// been accepted, the same shape for commands, algorithms, adversaries,
@@ -180,7 +228,10 @@ pub fn dispatch(args: &Args, stop: StopSource) -> Result<CliOutcome, ArgError> {
             print!("{USAGE}");
             Ok(CliOutcome::Done)
         }
-        Some(other) => Err(unknown("command", other, COMMANDS)),
+        Some(other) => {
+            let names: Vec<&str> = COMMANDS.iter().map(|(c, _)| *c).collect();
+            Err(unknown("command", other, &names))
+        }
     }
 }
 
@@ -189,14 +240,15 @@ pub fn dispatch(args: &Args, stop: StopSource) -> Result<CliOutcome, ArgError> {
 ///
 /// * `0` — success.
 /// * `1` — runtime error (I/O, machine error, failed cross-check).
-/// * `2` — usage error: malformed command line or unknown command.
+/// * `2` — usage error: malformed command line, unknown command, or an
+///   option the command does not take (see [`COMMANDS`]).
 /// * `3` — long run interrupted by SIGINT after checkpointing.
 pub fn run_cli<I, S>(raw: I, stop: StopSource) -> u8
 where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
-    let args = match Args::parse(raw) {
+    let args = match Args::parse(raw).and_then(|a| check_keys(&a).map(|()| a)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -204,7 +256,8 @@ where
             return 2;
         }
     };
-    let usage_error = args.command.as_deref().is_some_and(|c| !COMMANDS.contains(&c));
+    let usage_error =
+        args.command.as_deref().is_some_and(|c| COMMANDS.iter().all(|(name, _)| *name != c));
     match dispatch(&args, stop) {
         Ok(CliOutcome::Done) => 0,
         // Interrupted-with-checkpoint: distinct from errors so callers can
@@ -248,9 +301,22 @@ mod tests {
         // 0 — success.
         assert_eq!(run_cli(["help"], never), 0);
         assert_eq!(run_cli(["writeall", "--n", "32", "--p", "8"], never), 0);
-        // 2 — usage: unknown command, malformed command line.
+        // 2 — usage: unknown command, malformed command line, and an
+        // option the command does not take (a typo, another command's
+        // option, a removed option).
         assert_eq!(run_cli(["bogus"], never), 2);
         assert_eq!(run_cli(["writeall", "stray-positional"], never), 2);
+        for argv in [
+            &["trace", "--n", "64", "--p", "4", "--threads", "2", "--bogus-flag", "7"][..],
+            &["writeall", "--n", "64", "--p", "4", "--thread", "2"],
+            &["writeall", "--n", "64", "--p", "4", "--batch-width", "1"],
+            &["jobs", "--job", "3"],
+            &["soak", "--verbose", "yes"],
+            &["experiment", "--checkpoint", "--run", "writeall"],
+        ] {
+            assert_eq!(run_cli(argv.iter().copied(), never), 2, "{argv:?}");
+        }
+        assert_eq!(run_cli(["--help"], never), 0);
         // 1 — runtime: a known command that fails while running.
         assert_eq!(run_cli(["writeall", "--algo", "zzz"], never), 1);
         assert_eq!(run_cli(["experiment", "--resume", "/no/such/ck.json"], never), 1);

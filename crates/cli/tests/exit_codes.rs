@@ -25,9 +25,13 @@ fn code(args: &[&str]) -> i32 {
 fn codes_zero_one_and_two_against_the_binary() {
     assert_eq!(code(&["help"]), 0);
     assert_eq!(code(&["writeall", "--n", "32", "--p", "8"]), 0);
-    // Usage errors: unknown command, stray positional.
+    // Usage errors: unknown command, stray positional, and an option the
+    // command does not take (another command's, a typo, a removed one).
     assert_eq!(code(&["bogus"]), 2);
     assert_eq!(code(&["writeall", "stray"]), 2);
+    assert_eq!(code(&["trace", "--n", "64", "--p", "4", "--threads", "2", "--bogus-flag", "7"]), 2);
+    assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--thread", "2"]), 2);
+    assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--batch-width", "1"]), 2);
     // Runtime errors: known command that fails while running.
     assert_eq!(code(&["writeall", "--algo", "zzz"]), 1);
     assert_eq!(code(&["experiment", "--resume", "/no/such/ck.json"]), 1);
@@ -36,6 +40,22 @@ fn codes_zero_one_and_two_against_the_binary() {
         assert_eq!(code(&["writeall", size, "0"]), 1, "writeall {size} 0");
         assert_eq!(code(&["experiment", "--run", "writeall", size, "0"]), 1, "experiment {size} 0");
     }
+    // So are sizes just past the caps (2^28 cells, 2^20 processors),
+    // before anything is allocated: not an allocation abort (exit 134).
+    let (n, p) = ("268435457", "1048577");
+    for cmd in ["writeall", "trace"] {
+        assert_eq!(code(&[cmd, "--n", n, "--p", "4"]), 1, "{cmd} --n {n}");
+        assert_eq!(code(&[cmd, "--n", "64", "--p", p]), 1, "{cmd} --p {p}");
+    }
+    assert_eq!(code(&["writeall", "--n", "4294967296", "--p", "4"]), 1);
+    assert_eq!(code(&["lockfree", "--n", n]), 1);
+    assert_eq!(code(&["simulate", "--kernel", "sum", "--n", "16", "--p", p]), 1);
+    assert_eq!(code(&["experiment", "--run", "writeall", "--n", "64", "--p", p]), 1);
+    // And simulated kernels past the simulation's packing limits (65534
+    // cells, 32766 steps) or a kernel's own size: not a panic (exit 101).
+    assert_eq!(code(&["simulate", "--kernel", "prefix", "--n", "65535"]), 1);
+    assert_eq!(code(&["simulate", "--kernel", "sort", "--n", "32766"]), 1);
+    assert_eq!(code(&["simulate", "--kernel", "components", "--n", "4097"]), 1);
     // So are fault rates that are not probabilities, NaN included.
     for rate in ["5", "1.5", "nan"] {
         for adversary in ["random", "offline"] {

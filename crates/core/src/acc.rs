@@ -148,6 +148,10 @@ impl<T: TaskSet + Sync> Program for AlgoAcc<T> {
         self.d.base() + self.d.len()
     }
 
+    fn init_memory(&self, mem: &mut SharedMemory) {
+        self.tasks.init_memory(mem);
+    }
+
     fn on_start(&self, pid: Pid) -> AccPrivate {
         let inc = self.incarnations.fetch_add(1, Ordering::Relaxed);
         let seed = self

@@ -250,6 +250,7 @@ impl<T: TaskSet + Sync> Program for AlgoV<T> {
     }
 
     fn init_memory(&self, mem: &mut SharedMemory) {
+        self.tasks.init_memory(mem);
         mem.poke(self.layout.round.at(0), 1);
     }
 

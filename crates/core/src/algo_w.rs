@@ -150,6 +150,10 @@ impl<T: TaskSet + Sync> Program for AlgoW<T> {
         self.layout.dv.base() + self.layout.dv.len()
     }
 
+    fn init_memory(&self, mem: &mut SharedMemory) {
+        self.tasks.init_memory(mem);
+    }
+
     fn on_start(&self, _pid: Pid) -> WPrivate {
         WPrivate::Spin
     }

@@ -221,6 +221,7 @@ impl<T: TaskSet + Sync> Program for AlgoX<T> {
     }
 
     fn init_memory(&self, mem: &mut SharedMemory) {
+        self.tasks.init_memory(mem);
         mem.poke(self.layout.round.at(0), 1);
         for i in 0..self.p {
             mem.poke(self.layout.w.at(i), self.initial_position(Pid(i)) as Word);

@@ -110,6 +110,8 @@ impl<T: TaskSet + Sync + Clone> Program for Interleaved<T> {
     }
 
     fn init_memory(&self, mem: &mut SharedMemory) {
+        // Both halves write the shared task set's input; the second
+        // writes the same words again.
         self.x.init_memory(mem);
         self.v.init_memory(mem);
     }

@@ -41,6 +41,13 @@ pub trait TaskSet {
         1
     }
 
+    /// Write the task set's input into the machine's fresh memory (the
+    /// simulated program's initial memory, for the PRAM-step simulation).
+    /// Every algorithm over a task set calls it from its own
+    /// [`Program::init_memory`](rfsp_pram::Program::init_memory). The
+    /// default writes nothing: Write-All starts from zeroed memory.
+    fn init_memory(&self, _mem: &mut SharedMemory) {}
+
     /// Incremental read planning for one attempt of task `i` in `round`,
     /// following the same chained-plan protocol as
     /// [`Program::plan`](rfsp_pram::Program::plan): `values` holds the
@@ -68,6 +75,9 @@ impl<T: TaskSet + ?Sized> TaskSet for &T {
     }
     fn rounds(&self) -> Word {
         (**self).rounds()
+    }
+    fn init_memory(&self, mem: &mut SharedMemory) {
+        (**self).init_memory(mem)
     }
     fn plan(&self, round: Word, i: usize, values: &[Word], reads: &mut ReadSet) {
         (**self).plan(round, i, values, reads)

@@ -22,9 +22,10 @@
 //!   snapshot-model runs trace identically;
 //! * adversary-decision validation (the crate's `decisions` module);
 //! * the incremental completion tracker: an outstanding-cell count primed
-//!   from [`ExecutionModel::completion_masks`] and folded on every
-//!   committed write, replacing the O(N) `is_complete` scan with an O(1)
-//!   zero test — plus, for a model that keeps one
+//!   lane by lane from [`ExecutionModel::completion_masks`] (debug builds
+//!   check each lane against the per-cell `completion_hint`) and folded on
+//!   every committed write, replacing the O(N) `is_complete` scan with an
+//!   O(1) zero test — plus, for a model that keeps one
 //!   ([`ExecutionModel::KEEPS_INDEX`]), an [`UnvisitedIndex`] of those
 //!   cells folded the same way;
 //! * versioned checkpoint save/restore tagged with the model's name
@@ -57,7 +58,7 @@ use crate::decisions::{resolve, CycleFate};
 use crate::error::{BudgetKind, PramError};
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::machine::Pram;
-use crate::memory::{MemoryLayout, SharedMemory};
+use crate::memory::SharedMemory;
 use crate::mode::WriteMode;
 use crate::pool::{
     panic_detail, SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE,
@@ -194,7 +195,7 @@ pub trait ExecutionModel: Sync {
     /// one contiguous lane of at most 64 cells starting at `base`: returns
     /// `(outstanding, tracked)` bit masks where bit `j` describes cell
     /// `base + j`. Must agree cell-wise with `completion_hint` — debug
-    /// builds assert it when the batched tracker path runs. Models forward
+    /// builds assert it on every lane the tracker primes. Models forward
     /// to their program, so a program can supply a branch-free classifier
     /// the compiler autovectorizes.
     fn completion_masks(&self, base: usize, values: &[Word]) -> (u64, u64) {
@@ -347,6 +348,11 @@ fn tentative_seq<M: ExecutionModel, const CATCH: bool>(
     Ok(())
 }
 
+/// The fewest processors one pool worker claims at a time in the pooled
+/// tentative phase, so a small machine on many threads does not degrade
+/// into per-processor claims.
+const TENTATIVE_MIN_CHUNK: usize = 64;
+
 /// The pooled tentative phase: pool workers claim chunks of the processor
 /// range from the shared cursor and fill the corresponding tentative slots
 /// ([`guarded`] by `CATCH`). With the structure-of-arrays processor state
@@ -358,15 +364,12 @@ fn tentative_pooled<M: ExecutionModel, const CATCH: bool>(
     pool: &TickPool,
 ) -> Result<()> {
     let p = core.procs.len();
-    // Align worker chunks to the batch width (× bank interleave on banked
-    // layouts): whole lanes per worker, no lane split across banks.
-    let align = core.chunk_align();
     let (mem, cycle, write_slots) = (&core.mem, core.cycle, core.write_slots);
     let index = if M::KEEPS_INDEX && core.tracked { Some(&core.unvisited) } else { None };
     let statuses: &[ProcStatus] = &core.procs.status;
     let states = SendPtr::new(core.procs.state.as_mut_ptr());
     let tentative = SendPtr::new(core.tentative.as_mut_ptr());
-    pool.run_tick(CLASS_TENTATIVE, p, align, &move |start: usize, end: usize| {
+    pool.run_tick(CLASS_TENTATIVE, p, TENTATIVE_MIN_CHUNK, &move |start: usize, end: usize| {
         #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
         for i in start..end {
             // SAFETY: the pool's cursor hands out disjoint [start, end)
@@ -490,13 +493,6 @@ pub struct Core<Pv> {
     pub(crate) tracked: bool,
     pub(crate) outstanding: usize,
     pub(crate) unvisited: UnvisitedIndex,
-    /// Lane width of the batched kernels. The default
-    /// ([`DEFAULT_BATCH_WIDTH`]) selects the lane-mask batched paths and
-    /// aligns pooled chunk claiming; `1` selects the scalar reference
-    /// paths. Behavior is identical either way (pinned by the
-    /// batched-vs-scalar differential proptests); only the instruction
-    /// stream differs.
-    pub(crate) batch_width: usize,
     // Reused per-tick buffers.
     pub(crate) tentative: Vec<Option<TentativeCycle>>,
     pub(crate) meta: Vec<ProcMeta>,
@@ -515,29 +511,6 @@ pub struct Core<Pv> {
     /// reused across ticks so the pooled apply stays allocation-free in
     /// steady state.
     pub(crate) commit: CommitScratch,
-}
-
-/// Default lane width of the batched tentative-phase kernels: one `u64`
-/// mask worth of cells.
-pub const DEFAULT_BATCH_WIDTH: usize = LANE_WIDTH;
-
-/// Pooled chunk alignment is capped so huge `batch_width × interleave`
-/// combinations cannot serialize a run into one chunk.
-const MAX_CHUNK_ALIGN: usize = 1 << 16;
-
-fn gcd(a: usize, b: usize) -> usize {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-fn lcm(a: usize, b: usize) -> usize {
-    if a == 0 || b == 0 {
-        return a.max(b);
-    }
-    a / gcd(a, b) * b
 }
 
 impl<Pv: Clone + Send> Core<Pv> {
@@ -570,7 +543,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             tracked: false,
             outstanding: 0,
             unvisited: UnvisitedIndex::new(0),
-            batch_width: DEFAULT_BATCH_WIDTH,
             tentative: vec![None; processors],
             meta: Vec::with_capacity(processors),
             fates: vec![CycleFate::Idle; processors],
@@ -587,100 +559,55 @@ impl<Pv: Clone + Send> Core<Pv> {
         core
     }
 
-    /// Classify every shared cell via [`ExecutionModel::completion_hint`]
-    /// and prime the completion tracker: the outstanding count, and the
-    /// unvisited index when the model keeps one. The model is *tracked*
-    /// iff it reports at least one tracked cell; untracked models keep the
-    /// full-scan completion check.
+    /// Classify every shared cell and prime the completion tracker: the
+    /// outstanding count, and the unvisited index when the model keeps
+    /// one. The model is *tracked* iff it reports at least one tracked
+    /// cell; untracked models keep the full-scan completion check.
+    ///
+    /// The cells are read as the 64-cell lanes of each bank-aligned chunk
+    /// (one contiguous slice of its bank, so a banked layout needs no
+    /// per-address bank mapping), each classified into bit masks by
+    /// [`ExecutionModel::completion_masks`], whose hot implementations are
+    /// branch-free (see `WriteAllTasks::completion_masks`). The count is
+    /// the masks' popcount; an index ORs them in whole. Debug builds check
+    /// every lane against the per-cell
+    /// [`completion_hint`](ExecutionModel::completion_hint) reference.
     pub(crate) fn init_tracker<M: ExecutionModel<Private = Pv>>(&mut self, model: &M) {
         let mem = &self.mem;
-        let size = mem.size();
-        if self.batch_width > 1 {
-            // Batched path: the 64-cell lanes of each bank-aligned chunk
-            // (one contiguous slice of its bank, so a banked layout needs
-            // no per-address bank mapping) classified into bit masks by
-            // `completion_masks`, whose hot implementations are
-            // branch-free (see `WriteAllTasks::completion_masks`). The
-            // count is the masks' popcount; an index ORs them in whole.
-            let mut tracked_bits = 0u64;
-            let mut outstanding = 0;
-            let lanes = mem
-                .chunks()
-                .flat_map(|(base, cells)| {
-                    cells
-                        .chunks(LANE_WIDTH)
-                        .enumerate()
-                        .map(move |(k, lane)| (base + k * LANE_WIDTH, lane))
-                })
-                .map(|(base, lane)| {
-                    let (mask, tracked) = model.completion_masks(base, lane);
-                    #[cfg(debug_assertions)]
-                    {
-                        let expected = crate::fold_completion_masks(base, lane, |addr, value| {
-                            model.completion_hint(addr, value)
-                        });
-                        assert_eq!(
-                            (mask, tracked),
-                            expected,
-                            "completion_masks disagrees with completion_hint on lane at {base}",
-                        );
-                    }
-                    tracked_bits |= tracked;
-                    outstanding += mask.count_ones() as usize;
-                    (base, mask)
-                });
-            if M::KEEPS_INDEX {
-                self.unvisited.rebuild_from_lanes(size, lanes);
-            } else {
-                lanes.for_each(drop);
-            }
-            self.tracked = tracked_bits != 0;
-            self.outstanding = outstanding;
+        let mut tracked_bits = 0u64;
+        let mut outstanding = 0;
+        let lanes = mem
+            .chunks()
+            .flat_map(|(base, cells)| {
+                cells
+                    .chunks(LANE_WIDTH)
+                    .enumerate()
+                    .map(move |(k, lane)| (base + k * LANE_WIDTH, lane))
+            })
+            .map(|(base, lane)| {
+                let (mask, tracked) = model.completion_masks(base, lane);
+                #[cfg(debug_assertions)]
+                {
+                    let expected = crate::fold_completion_masks(base, lane, |addr, value| {
+                        model.completion_hint(addr, value)
+                    });
+                    assert_eq!(
+                        (mask, tracked),
+                        expected,
+                        "completion_masks disagrees with completion_hint on lane at {base}",
+                    );
+                }
+                tracked_bits |= tracked;
+                outstanding += mask.count_ones() as usize;
+                (base, mask)
+            });
+        if M::KEEPS_INDEX {
+            self.unvisited.rebuild_from_lanes(mem.size(), lanes);
         } else {
-            // Scalar reference path (`batch_width == 1`): one
-            // `completion_hint` per cell of the same chunks, kept for the
-            // batched-vs-scalar differential proptests.
-            let mut any_tracked = false;
-            let outstanding = mem
-                .chunks()
-                .flat_map(|(base, cells)| {
-                    cells.iter().enumerate().map(move |(off, &value)| (base + off, value))
-                })
-                .filter(|&(addr, value)| match model.completion_hint(addr, value) {
-                    CompletionHint::Untracked => false,
-                    CompletionHint::Outstanding => {
-                        any_tracked = true;
-                        true
-                    }
-                    CompletionHint::Satisfied => {
-                        any_tracked = true;
-                        false
-                    }
-                })
-                .map(|(addr, _)| addr);
-            self.outstanding = if M::KEEPS_INDEX {
-                self.unvisited.rebuild(size, outstanding);
-                self.unvisited.len()
-            } else {
-                outstanding.count()
-            };
-            self.tracked = any_tracked;
+            lanes.for_each(drop);
         }
-    }
-
-    /// Chunk alignment for the pooled tentative phase: a multiple of the
-    /// batch width (so a worker's chunk is whole lanes) and, on banked
-    /// layouts, of the bank interleave (so a lane never straddles a bank
-    /// boundary inside a chunk). Capped at a constant so pathological
-    /// `batch_width × interleave` combinations cannot serialize a run into
-    /// one chunk.
-    pub(crate) fn chunk_align(&self) -> usize {
-        let base = self.batch_width.max(1);
-        let align = match self.mem.layout() {
-            MemoryLayout::Banked { interleave, .. } => lcm(base, interleave),
-            _ => base,
-        };
-        align.min(MAX_CHUNK_ALIGN)
+        self.tracked = tracked_bits != 0;
+        self.outstanding = outstanding;
     }
 
     /// O(1) completion test for tracked models (no cell is outstanding),

@@ -84,7 +84,7 @@ pub use adversary::{
 pub use checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
 pub use cycle::{CycleBudget, ReadSet, Step, ValueSet, WriteSet, MAX_READS, MAX_WRITES};
 pub use error::PramError;
-pub use exec::{ExecutionModel, DEFAULT_BATCH_WIDTH};
+pub use exec::ExecutionModel;
 pub use failure::{
     DecisionRecorder, FailureEvent, FailureKind, FailurePattern, PatternError, ScheduledAdversary,
 };
@@ -245,12 +245,11 @@ pub trait Program: Sync {
     /// would report [`CompletionHint::Outstanding`], set in `tracked` iff
     /// it would report anything but [`CompletionHint::Untracked`].
     ///
-    /// The machine's batched kernels (the default; see
-    /// [`Machine::set_batch_width`](crate::Machine::set_batch_width)) prime
-    /// the completion tracker through this method, 64 cells per call. The
-    /// default folds `completion_hint` cell by cell and is always correct;
-    /// programs on the hot path override it with a branch-free classifier
-    /// the compiler can autovectorize (see `WriteAllTasks` in `rfsp-core`).
+    /// The machine primes its completion tracker through this method, 64
+    /// cells per call. The default folds `completion_hint` cell by cell and
+    /// is always correct; programs on the hot path override it with a
+    /// branch-free classifier the compiler can autovectorize (see
+    /// `WriteAllTasks` in `rfsp-core`).
     /// Overrides **must agree cell-wise with `completion_hint`** — debug
     /// builds assert it on every lane.
     fn completion_masks(&self, base: usize, values: &[Word]) -> (u64, u64) {

@@ -40,8 +40,9 @@
 //! spawn**: all per-tick buffers live in the core and are reused; a pooled
 //! run parks its workers between ticks; and programs that implement
 //! [`Program::completion_hint`] replace the per-tick O(memory) completion
-//! scan with an O(1) test of an outstanding-cell counter. The word model
-//! keeps no index of those cells: nothing in it asks which cells they are.
+//! scan with an O(1) test of an outstanding-cell counter, primed 64 cells
+//! at a time through [`Program::completion_masks`]. The word model keeps
+//! no index of those cells: nothing in it asks which cells they are.
 
 use crate::accounting::{RunReport, WorkStats};
 use crate::adversary::{Adversary, ProcStatus, TentativeCycle};
@@ -272,19 +273,6 @@ impl<M: ExecutionModel> Pram<M> {
         }
         let core = Core::new(&model, processors, mem()?, mode, write_slots);
         Ok(Pram { model, core })
-    }
-
-    /// Override the batched-kernel lane width (default:
-    /// [`DEFAULT_BATCH_WIDTH`](crate::DEFAULT_BATCH_WIDTH)). `1` selects
-    /// the scalar reference kernels; any other value selects the lane-mask
-    /// batched kernels and sets the pooled engine's chunk alignment.
-    /// Behavior is identical for every width — only the instruction stream
-    /// and chunk boundaries differ (pinned by the batched-vs-scalar
-    /// differential proptests); exposed for testing and benchmarking via
-    /// `writeall --batch-width`.
-    pub fn set_batch_width(&mut self, width: usize) -> &mut Self {
-        self.core.batch_width = width.max(1);
-        self
     }
 
     /// The shared memory (uncharged inspection).

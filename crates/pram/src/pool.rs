@@ -290,11 +290,9 @@ impl TickPool {
     /// semantics, no wakeups. A debug build always wakes the workers.
     ///
     /// Every chunk boundary falls on a multiple of `align` (the final chunk
-    /// may be shorter): the batched kernels pass their batch width — times
-    /// the bank interleave on banked layouts — so one worker's chunk is
-    /// whole lanes and never splits a lane across banks. `align` is also
-    /// the minimum chunk size, which keeps tiny index spaces with many
-    /// threads from degenerating into per-index claims.
+    /// may be shorter), so `align` is also the minimum chunk size: the
+    /// tentative phase passes 64, which keeps a small machine on many
+    /// threads from degenerating into per-processor claims.
     pub(crate) fn run_tick(
         &self,
         class: usize,

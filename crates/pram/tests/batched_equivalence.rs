@@ -1,14 +1,15 @@
-//! Differential properties for the batched tentative-phase kernels.
+//! Differential properties for the pooled tick engine.
 //!
-//! The batch width is an implementation detail of the run loop: for every
-//! legal fault schedule, a machine with any batch width (the lane-masked
-//! init pre-pass plus batch-aligned pooled chunk claiming) must produce
-//! the byte-identical event stream, stats, failure pattern, memory image
-//! and access counters as the scalar reference machine (`batch_width ==
-//! 1`) — for the word model (sequential and pooled engines, flat and
-//! banked layouts) and the snapshot model. This is the behavior-invariance
-//! half of the `BENCH_SCALE.json` optimization: the golden fixtures pin
-//! the default configuration, these properties pin the toggle itself.
+//! The tick engine is an implementation detail of the run loop: for every
+//! legal fault schedule, a pooled run (the tentative phase claimed in
+//! chunks of at least 64 processors, plus the parallel commit) must
+//! produce the byte-identical event stream, stats, failure pattern, memory
+//! image and access counters as the sequential run — for the word model
+//! (flat and banked layouts) and the snapshot model. The golden fixtures
+//! pin the default configuration; these properties pin the engines
+//! against each other over random schedules. Every run primes its
+//! completion tracker from the 64-cell lane masks, which a debug build
+//! checks lane by lane against the per-cell `completion_hint` reference.
 //!
 //! A debug-built pool has no adaptive inline degrade: every pooled tick
 //! crosses the barrier, and the word model's pooled runs take the
@@ -16,20 +17,20 @@
 //! coordinator merge, folding the outstanding-cell count per partition) on
 //! any host. In the default `cargo test` build every pooled run here is
 //! therefore a true differential test of that kernel against the
-//! sequential slot-by-slot apply. The snapshot model runs on the same
-//! pool, so its property has batched-pooled and scalar-pooled rows too,
-//! each checked against the scalar sequential run.
+//! sequential slot-by-slot apply. A release build (`cargo test --release`)
+//! keeps the degrade, so it checks the engine users run. The snapshot
+//! model runs on the same pool.
 
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, Machine,
-    MemoryLayout, Pid, Program, ReadSet, RunLimits, RunReport, ScheduledAdversary, SharedMemory,
-    Step, TraceRecorder, Word, WriteSet,
+    CompletionHint, CycleBudget, ExecutionModel, FailPoint, FailureEvent, FailureKind,
+    FailurePattern, Machine, MemoryLayout, Pid, Pram, Program, ReadSet, RunLimits, RunReport,
+    ScheduledAdversary, SharedMemory, Step, TraceRecorder, Word, WriteSet,
 };
 
 /// Block-assigned Write-All with completion hints — a *tracked* program,
-/// so the batched completion-tracker init actually runs (untracked
+/// so the completion-tracker prime actually classifies cells (untracked
 /// programs skip the index entirely). Restarts reset the block cursor,
 /// making re-execution under faults idempotent.
 struct Blocks {
@@ -167,41 +168,13 @@ fn assert_same(a: &Observables, b: &Observables) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn word_run(
-    layout: MemoryLayout,
-    prog: &Blocks,
+/// Run `m` under `pattern`, sequentially or on a pool of `threads`.
+fn observe<M: ExecutionModel>(
+    mut m: Pram<M>,
     pattern: &FailurePattern,
     threads: Option<usize>,
-    batch_width: usize,
 ) -> Observables {
     let limits = RunLimits { max_cycles: 1_000_000 };
-    let mut m = Machine::with_layout(prog, prog.p, CycleBudget::PAPER, layout).unwrap();
-    m.set_batch_width(batch_width);
-    let mut adv = ScheduledAdversary::new(pattern.clone());
-    let mut trace = TraceRecorder::unbounded();
-    let report = match threads {
-        None => m.run_observed(&mut adv, limits, &mut trace).unwrap(),
-        Some(t) => m.run_threaded_observed(&mut adv, limits, t, &mut trace).unwrap(),
-    };
-    Observables {
-        events: trace.to_jsonl(),
-        report,
-        mem: m.memory().to_vec(),
-        reads: m.memory().read_count(),
-        writes: m.memory().write_count(),
-    }
-}
-
-fn snapshot_run(
-    prog: &SnapHinted,
-    p: usize,
-    pattern: &FailurePattern,
-    threads: Option<usize>,
-    width: usize,
-) -> Observables {
-    let limits = RunLimits { max_cycles: 1_000_000 };
-    let mut m = SnapshotMachine::new(prog, p, 1).unwrap();
-    m.set_batch_width(width);
     let mut adv = ScheduledAdversary::new(pattern.clone());
     let mut trace = TraceRecorder::unbounded();
     let report = match threads {
@@ -220,63 +193,45 @@ fn snapshot_run(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Word model: for every legal fault schedule, every batch width is
-    /// observationally identical to the scalar reference — sequentially,
-    /// pooled (batch-aligned chunk claiming), and pooled over a banked
-    /// layout (chunk alignment is the lcm of batch width and interleave).
+    /// Word model: for every legal fault schedule, the pooled engine is
+    /// observationally identical to the sequential one — over flat memory
+    /// and over a banked layout. `p` reaches past 128 so that the
+    /// tentative phase splits into several 64-processor chunks.
     #[test]
-    fn word_batched_is_bit_identical_to_scalar(
+    fn word_pooled_is_bit_identical_to_sequential(
         n in 1usize..90,
-        p in 1usize..16,
-        width in 2usize..130,
+        p in 1usize..160,
         banks in 2usize..6,
         interleave in 1usize..4,
         threads in 2usize..4,
-        raw in proptest::collection::vec((1usize..16, any::<bool>()), 0..48),
+        raw in proptest::collection::vec((1usize..160, any::<bool>()), 0..48),
     ) {
         let pattern = legal_schedule(p, raw);
         let prog = Blocks { n, p };
+        let run = |layout, threads| {
+            let m = Machine::with_layout(&prog, p, CycleBudget::PAPER, layout).unwrap();
+            observe(m, &pattern, threads)
+        };
 
-        let scalar_seq = word_run(MemoryLayout::Flat, &prog, &pattern, None, 1);
-        let batched_seq = word_run(MemoryLayout::Flat, &prog, &pattern, None, width);
-        assert_same(&scalar_seq, &batched_seq)?;
-
-        let batched_pool = word_run(MemoryLayout::Flat, &prog, &pattern, Some(threads), width);
-        assert_same(&scalar_seq, &batched_pool)?;
-
-        // Scalar kernels on the pool: the parallel commit must be
-        // invisible even without lane batching.
-        let scalar_pool = word_run(MemoryLayout::Flat, &prog, &pattern, Some(threads), 1);
-        assert_same(&scalar_seq, &scalar_pool)?;
-
-        let layout = MemoryLayout::Banked { banks, interleave };
-        let banked_pool = word_run(layout, &prog, &pattern, Some(threads), width);
-        assert_same(&scalar_seq, &banked_pool)?;
+        let seq = run(MemoryLayout::Flat, None);
+        assert_same(&seq, &run(MemoryLayout::Flat, Some(threads)))?;
+        assert_same(&seq, &run(MemoryLayout::Banked { banks, interleave }, Some(threads)))?;
     }
 
     /// Snapshot model: the same property through the unified core's
-    /// snapshot path (the batched tracker init feeds the index the
-    /// snapshot tentative phase selects from every tick), sequentially and
-    /// on the pool.
+    /// snapshot path (the tracker prime feeds the index the snapshot
+    /// tentative phase selects from every tick), sequentially and on the
+    /// pool.
     #[test]
-    fn snapshot_batched_is_bit_identical_to_scalar(
+    fn snapshot_pooled_is_bit_identical_to_sequential(
         n in 1usize..40,
-        p in 1usize..8,
-        width in 2usize..130,
+        p in 1usize..140,
         threads in 2usize..4,
-        raw in proptest::collection::vec((1usize..8, any::<bool>()), 0..32),
+        raw in proptest::collection::vec((1usize..140, any::<bool>()), 0..32),
     ) {
         let pattern = legal_schedule(p, raw);
         let prog = SnapHinted { n };
-
-        let scalar_seq = snapshot_run(&prog, p, &pattern, None, 1);
-        let batched_seq = snapshot_run(&prog, p, &pattern, None, width);
-        assert_same(&scalar_seq, &batched_seq)?;
-
-        let batched_pool = snapshot_run(&prog, p, &pattern, Some(threads), width);
-        assert_same(&scalar_seq, &batched_pool)?;
-
-        let scalar_pool = snapshot_run(&prog, p, &pattern, Some(threads), 1);
-        assert_same(&scalar_seq, &scalar_pool)?;
+        let run = |threads| observe(SnapshotMachine::new(&prog, p, 1).unwrap(), &pattern, threads);
+        assert_same(&run(None), &run(Some(threads)))?;
     }
 }

@@ -12,12 +12,18 @@ use serde::{Deserialize, Serialize};
 
 use crate::{io_err, pattern_io, RunError};
 
-/// The largest instance size and processor count a [`RunConfig`] accepts:
-/// 2^28, the largest N the repository sweeps. Sizes arrive from outside
-/// the program (a command line, a daemon `Submit`), so
-/// [`RunConfig::validate`] refuses larger ones before anything is
-/// allocated.
+/// The largest instance size a [`RunConfig`] accepts: 2^28, the largest N
+/// the repository sweeps. Sizes arrive from outside the program (a command
+/// line, a daemon `Submit`), so [`RunConfig::validate`] refuses larger ones
+/// before anything is allocated.
 pub const MAX_SIZE: u64 = 1 << 28;
+
+/// The largest processor count a [`RunConfig`] accepts: 2^20. Every
+/// processor carries a few hundred bytes of per-tick buffers, so this cap
+/// keeps a machine's processor state near 300 MB; the largest P any
+/// experiment or benchmark runs is 2^16. The CLI holds every `--p` to the
+/// same cap.
+pub const MAX_PROCESSORS: u64 = 1 << 20;
 
 /// The largest tick-engine thread count a [`RunConfig`] accepts. Thread
 /// counts arrive from outside the program too, and each one is that many
@@ -101,7 +107,8 @@ impl RunConfig {
     }
 
     /// Reject configurations no session can honour: a zero or oversized
-    /// instance or processor count (see [`MAX_SIZE`]), an in-place X
+    /// instance or processor count (see [`MAX_SIZE`] and
+    /// [`MAX_PROCESSORS`]), an in-place X
     /// instance that is not a power of two ≥ 4, a zero cadence, a thread
     /// count outside `1..=`[`MAX_THREADS`], a fault rate that is not a
     /// probability, or a checkpoint on an algorithm whose program-level
@@ -111,13 +118,14 @@ impl RunConfig {
     ///
     /// [`RunError`] naming the offending field.
     pub fn validate(&self) -> Result<(), RunError> {
-        for (flag, value) in [("--n", self.n), ("--p", self.p)] {
+        for (flag, value, max) in [("--n", self.n, MAX_SIZE), ("--p", self.p, MAX_PROCESSORS)] {
             if value == 0 {
                 return Err(RunError(format!("{flag} must be at least 1")));
             }
-            if value > MAX_SIZE {
+            if value > max {
                 return Err(RunError(format!(
-                    "{flag} {value} exceeds the limit 2^28 = {MAX_SIZE}"
+                    "{flag} {value} exceeds the limit 2^{} = {max}",
+                    max.trailing_zeros()
                 )));
             }
         }
@@ -248,11 +256,12 @@ mod tests {
         }
         for bad in [
             RunConfig { p: 0, ..RunConfig::default() },
+            RunConfig { p: MAX_PROCESSORS + 1, ..RunConfig::default() },
             RunConfig { p: MAX_SIZE + 1, ..RunConfig::default() },
         ] {
             assert!(bad.validate().unwrap_err().0.contains("--p"), "p = {}", bad.p);
         }
-        RunConfig { n: MAX_SIZE, p: MAX_SIZE, ..RunConfig::default() }.validate().unwrap();
+        RunConfig { n: MAX_SIZE, p: MAX_PROCESSORS, ..RunConfig::default() }.validate().unwrap();
         for algo in ["x-inplace", "inplace"] {
             for n in [1, 2, 3, 6, 1000] {
                 let bad = RunConfig { algo: algo.into(), n, ..RunConfig::default() };

@@ -42,7 +42,7 @@ pub mod spool;
 
 pub use atomic::write_atomic;
 pub use checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
-pub use config::{build_adversary, RunConfig, MAX_SIZE, MAX_THREADS};
+pub use config::{build_adversary, RunConfig, MAX_PROCESSORS, MAX_SIZE, MAX_THREADS};
 pub use events::{count_tick_starts, EventLog};
 pub use protocol::{
     read_line, read_request, write_line, JobInfo, JobState, Request, Response, MAX_REQUEST_BYTES,

@@ -12,6 +12,10 @@
 //! * [`Engine::Interleaved`] — both at once: the Theorem 4.1/4.9 strategy,
 //!   `S = O(min{N + P log²N + M log N, N·P^{0.59}})` per simulated step
 //!   and overhead ratio `O(log² N)`.
+//!
+//! The engine is the plain `rfsp-core` program: [`SimTasks`] writes the
+//! simulated input through [`TaskSet::init_memory`](rfsp_core::TaskSet::init_memory),
+//! which every engine calls from its own `init_memory`.
 
 use rfsp_core::{AlgoV, AlgoX, Interleaved, XOptions};
 use rfsp_pram::{
@@ -60,14 +64,13 @@ impl SimReport {
 ///
 /// The simulated machine's COMMON CRCW semantics are enforced end-to-end:
 /// concurrent simulated writes become concurrent machine writes in the
-/// commit rounds. Use [`simulate_with_mode`] for ARBITRARY simulated
-/// programs (simulated on a machine of the same type, per Theorem 4.1's
-/// statement).
+/// commit rounds. Use [`simulate_with_mode_observed`] for ARBITRARY
+/// simulated programs (simulated on a machine of the same type, per
+/// Theorem 4.1's statement) or for an event stream.
 ///
 /// # Errors
 ///
-/// Any [`PramError`] from the underlying machine; notably
-/// [`PramError::CycleLimit`] if `limits` are exhausted.
+/// Any [`PramError`] from [`simulate_with_mode_observed`].
 pub fn simulate<P, A>(
     prog: P,
     p: usize,
@@ -79,55 +82,28 @@ where
     P: SimProgram + Sync + Clone,
     A: Adversary,
 {
-    simulate_with_mode(prog, p, engine, adversary, limits, WriteMode::Common)
+    simulate_with_mode_observed(
+        prog,
+        p,
+        engine,
+        adversary,
+        limits,
+        WriteMode::Common,
+        &mut NoopObserver,
+    )
 }
 
-/// [`simulate`] streaming every machine event of the simulating run to
-/// `observer` (see `rfsp_pram::trace`).
+/// [`simulate`] with explicit machine write semantics, streaming every
+/// machine event of the simulating run to `observer` (see
+/// `rfsp_pram::trace`).
 ///
 /// # Errors
 ///
-/// Any [`PramError`] from the underlying machine.
-pub fn simulate_observed<P, A>(
-    prog: P,
-    p: usize,
-    engine: Engine,
-    adversary: &mut A,
-    limits: RunLimits,
-    observer: &mut dyn Observer,
-) -> Result<SimReport, PramError>
-where
-    P: SimProgram + Sync + Clone,
-    A: Adversary,
-{
-    simulate_with_mode_observed(prog, p, engine, adversary, limits, WriteMode::Common, observer)
-}
-
-/// [`simulate`] with explicit machine write semantics.
-///
-/// # Errors
-///
-/// Any [`PramError`] from the underlying machine.
-pub fn simulate_with_mode<P, A>(
-    prog: P,
-    p: usize,
-    engine: Engine,
-    adversary: &mut A,
-    limits: RunLimits,
-    mode: WriteMode,
-) -> Result<SimReport, PramError>
-where
-    P: SimProgram + Sync + Clone,
-    A: Adversary,
-{
-    simulate_with_mode_observed(prog, p, engine, adversary, limits, mode, &mut NoopObserver)
-}
-
-/// [`simulate_with_mode`] with an event stream.
-///
-/// # Errors
-///
-/// Any [`PramError`] from the underlying machine.
+/// [`PramError::InvalidConfig`] for a PRIORITY `mode` (paper Remark 4)
+/// and for a program past the packing limits of
+/// [`SimTasks::check_limits`], both before anything is built; otherwise
+/// any [`PramError`] from the underlying machine, notably
+/// [`PramError::CycleLimit`] if `limits` are exhausted.
 pub fn simulate_with_mode_observed<P, A>(
     prog: P,
     p: usize,
@@ -150,129 +126,60 @@ where
             detail: "PRIORITY CRCW programs cannot be directly simulated (paper Remark 4)".into(),
         });
     }
+    SimTasks::check_limits(&prog).map_err(|detail| PramError::InvalidConfig { detail })?;
     let sim_processors = prog.processors();
     let sim_steps = prog.steps();
     let mut layout = LayoutBuilder::new();
     let tasks = SimTasks::new(&mut layout, prog);
-
-    // A small shim is needed because each engine is a different Program
-    // type; macro-free dispatch via three arms.
-    match engine {
+    // Each engine writes the simulated input through its task set's
+    // `init_memory`, so the three arms differ only in the program type.
+    let (run, memory) = match engine {
         Engine::X => {
-            let algo = XSim { inner: AlgoX::new(&mut layout, tasks, p, XOptions::default()) };
-            let budget = algo.inner.required_budget();
-            let mut machine = Machine::new(&algo, p, budget)?;
-            machine.set_write_mode(mode);
-            let run = machine.run_observed(adversary, limits, observer)?;
-            let memory = algo.inner.tasks().extract_memory(machine.memory());
-            Ok(SimReport { run, memory, sim_processors, sim_steps })
+            let algo = AlgoX::new(&mut layout, tasks, p, XOptions::default());
+            let machine = Machine::new(&algo, p, algo.required_budget())?;
+            run_machine(machine, algo.tasks(), mode, adversary, limits, observer)?
         }
         Engine::V => {
-            let algo = VSim { inner: AlgoV::new(&mut layout, tasks, p) };
-            let budget = algo.inner.required_budget();
-            let mut machine = Machine::new(&algo, p, budget)?;
-            machine.set_write_mode(mode);
-            let run = machine.run_observed(adversary, limits, observer)?;
-            let memory = algo.inner.tasks().extract_memory(machine.memory());
-            Ok(SimReport { run, memory, sim_processors, sim_steps })
+            let algo = AlgoV::new(&mut layout, tasks, p);
+            let machine = Machine::new(&algo, p, algo.required_budget())?;
+            run_machine(machine, algo.tasks(), mode, adversary, limits, observer)?
         }
         Engine::Interleaved => {
-            let algo = ISim { inner: Interleaved::new(&mut layout, tasks, p) };
-            let budget = algo.inner.required_budget();
-            let mut machine = Machine::new(&algo, p, budget)?;
-            machine.set_write_mode(mode);
-            let run = machine.run_observed(adversary, limits, observer)?;
-            let memory = algo.inner.x_half().tasks().extract_memory(machine.memory());
-            Ok(SimReport { run, memory, sim_processors, sim_steps })
-        }
-    }
-}
-
-// The engines' `init_memory` initializes their own bookkeeping; the shims
-// additionally initialize the simulated input.
-macro_rules! sim_shim {
-    ($name:ident, $inner:ty) => {
-        struct $name<P: SimProgram + Sync + Clone> {
-            inner: $inner,
-        }
-
-        impl<P: SimProgram + Sync + Clone> Program for $name<P> {
-            type Private = <$inner as Program>::Private;
-
-            fn shared_size(&self) -> usize {
-                self.inner.shared_size()
-            }
-
-            fn init_memory(&self, mem: &mut rfsp_pram::SharedMemory) {
-                self.inner.init_memory(mem);
-                self.tasks().init_memory(mem);
-            }
-
-            fn on_start(&self, pid: rfsp_pram::Pid) -> Self::Private {
-                self.inner.on_start(pid)
-            }
-
-            fn plan(
-                &self,
-                pid: rfsp_pram::Pid,
-                state: &Self::Private,
-                values: &[Word],
-                reads: &mut rfsp_pram::ReadSet,
-            ) {
-                self.inner.plan(pid, state, values, reads)
-            }
-
-            fn execute(
-                &self,
-                pid: rfsp_pram::Pid,
-                state: &mut Self::Private,
-                values: &[Word],
-                writes: &mut rfsp_pram::WriteSet,
-            ) -> rfsp_pram::Step {
-                self.inner.execute(pid, state, values, writes)
-            }
-
-            fn is_complete(&self, mem: &rfsp_pram::SharedMemory) -> bool {
-                self.inner.is_complete(mem)
-            }
-
-            fn completion_hint(&self, addr: usize, value: Word) -> rfsp_pram::CompletionHint {
-                self.inner.completion_hint(addr, value)
-            }
+            let algo = Interleaved::new(&mut layout, tasks, p);
+            let machine = Machine::new(&algo, p, algo.required_budget())?;
+            run_machine(machine, algo.x_half().tasks(), mode, adversary, limits, observer)?
         }
     };
+    Ok(SimReport { run, memory, sim_processors, sim_steps })
 }
 
-sim_shim!(XSim, AlgoX<SimTasks<P>>);
-sim_shim!(VSim, AlgoV<SimTasks<P>>);
-sim_shim!(ISim, Interleaved<SimTasks<P>>);
-
-impl<P: SimProgram + Sync + Clone> XSim<P> {
-    fn tasks(&self) -> &SimTasks<P> {
-        self.inner.tasks()
-    }
-}
-impl<P: SimProgram + Sync + Clone> VSim<P> {
-    fn tasks(&self) -> &SimTasks<P> {
-        self.inner.tasks()
-    }
-}
-impl<P: SimProgram + Sync + Clone> ISim<P> {
-    fn tasks(&self) -> &SimTasks<P> {
-        self.inner.x_half().tasks()
-    }
+/// Run a fresh simulating machine under `mode`, then read the simulated
+/// memory back through `tasks`: the part every engine shares.
+fn run_machine<G: Program, P: SimProgram, A: Adversary>(
+    mut machine: Machine<'_, G>,
+    tasks: &SimTasks<P>,
+    mode: WriteMode,
+    adversary: &mut A,
+    limits: RunLimits,
+    observer: &mut dyn Observer,
+) -> Result<(RunReport, Vec<Word>), PramError> {
+    machine.set_write_mode(mode);
+    let run = machine.run_observed(adversary, limits, observer)?;
+    Ok((run, tasks.extract_memory(machine.memory())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{reference_run, Regs, SimWrite};
+    use crate::tasks::{MAX_SIM_MEMORY, MAX_SIM_STEPS};
     use rfsp_pram::NoFailures;
 
-    /// Doubling counter: each processor increments its own cell twice.
+    /// Counter: each processor increments its own cell once per step.
     #[derive(Clone)]
     struct Inc {
         n: usize,
+        steps: usize,
     }
     impl SimProgram for Inc {
         fn processors(&self) -> usize {
@@ -282,7 +189,7 @@ mod tests {
             self.n
         }
         fn steps(&self) -> usize {
-            2
+            self.steps
         }
         fn init_memory(&self, _mem: &mut [Word]) {}
         fn read_addr(&self, pid: usize, _t: usize, _r: &Regs) -> usize {
@@ -295,7 +202,7 @@ mod tests {
 
     #[test]
     fn all_engines_match_the_reference() {
-        let prog = Inc { n: 8 };
+        let prog = Inc { n: 8, steps: 2 };
         let expected = reference_run(&prog);
         for engine in [Engine::X, Engine::V, Engine::Interleaved] {
             let report =
@@ -304,32 +211,45 @@ mod tests {
         }
     }
 
+    /// PRIORITY (Remark 4) and programs past the packing limits are
+    /// refused with an error before anything is built, never a panic.
     #[test]
     fn priority_simulation_is_rejected_per_remark_4() {
-        let prog = Inc { n: 4 };
-        let err = simulate_with_mode(
-            prog,
-            2,
-            Engine::X,
-            &mut NoFailures,
-            RunLimits::default(),
-            WriteMode::Priority,
-        )
-        .unwrap_err();
+        let refuse = |prog: Inc, mode: WriteMode| {
+            simulate_with_mode_observed(
+                prog,
+                2,
+                Engine::X,
+                &mut NoFailures,
+                RunLimits::default(),
+                mode,
+                &mut NoopObserver,
+            )
+            .unwrap_err()
+        };
+        let err = refuse(Inc { n: 4, steps: 2 }, WriteMode::Priority);
         assert!(matches!(err, rfsp_pram::PramError::InvalidConfig { .. }));
         assert!(err.to_string().contains("Remark 4"));
+
+        for (n, steps) in [(MAX_SIM_MEMORY + 1, 2), (1, MAX_SIM_STEPS + 1)] {
+            let err = refuse(Inc { n, steps }, WriteMode::Common);
+            assert!(matches!(err, rfsp_pram::PramError::InvalidConfig { .. }), "{err}");
+            assert!(err.to_string().contains("limit"), "n = {n}, {steps} steps: {err}");
+        }
+        SimTasks::check_limits(&Inc { n: MAX_SIM_MEMORY, steps: MAX_SIM_STEPS }).unwrap();
     }
 
     #[test]
     fn arbitrary_simulation_is_allowed() {
-        let prog = Inc { n: 4 };
-        let report = simulate_with_mode(
+        let prog = Inc { n: 4, steps: 2 };
+        let report = simulate_with_mode_observed(
             prog.clone(),
             2,
             Engine::X,
             &mut NoFailures,
             RunLimits::default(),
             WriteMode::Arbitrary,
+            &mut NoopObserver,
         )
         .unwrap();
         assert_eq!(report.memory, reference_run(&prog));
@@ -337,7 +257,7 @@ mod tests {
 
     #[test]
     fn work_ratio_is_reported() {
-        let prog = Inc { n: 8 };
+        let prog = Inc { n: 8, steps: 2 };
         let report = simulate(prog, 2, Engine::X, &mut NoFailures, RunLimits::default()).unwrap();
         assert!(report.work_ratio() > 0.0);
         assert_eq!(report.sim_processors, 8);

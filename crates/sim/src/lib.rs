@@ -12,9 +12,13 @@
 //! * [`program`] — the [`SimProgram`] description of the simulated machine
 //!   and a failure-free reference executor.
 //! * [`tasks`] — the two-rounds-per-step [`TaskSet`](rfsp_core::TaskSet)
-//!   encoding (register checkpoints, staging, round tags).
-//! * [`executor`] — [`simulate`]: run a program on `P` faulty processors
-//!   under any adversary, with engine choice (X / V / interleaved).
+//!   encoding (register checkpoints, staging, round tags); the task set
+//!   writes the simulated input itself, so any Write-All engine drives it
+//!   unchanged.
+//! * [`executor`] — [`simulate`] and its full form
+//!   [`simulate_with_mode_observed`] (write mode and event stream): run a
+//!   program on `P` faulty processors under any adversary, with engine
+//!   choice (X / V / interleaved).
 //! * [`programs`] — classic PRAM kernels: reduction, prefix sums, maximum,
 //!   odd-even transposition sort, pointer-jumping list ranking.
 //!
@@ -36,8 +40,6 @@ pub mod program;
 pub mod programs;
 pub mod tasks;
 
-pub use executor::{
-    simulate, simulate_observed, simulate_with_mode, simulate_with_mode_observed, Engine, SimReport,
-};
+pub use executor::{simulate, simulate_with_mode_observed, Engine, SimReport};
 pub use program::{reference_run, Regs, SimProgram, SimWrite, REG_MAX};
-pub use tasks::{SimLayout, SimTasks};
+pub use tasks::{SimLayout, SimTasks, MAX_SIM_MEMORY, MAX_SIM_STEPS};

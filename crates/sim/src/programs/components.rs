@@ -28,14 +28,18 @@ pub struct Components {
 }
 
 impl Components {
+    /// The most vertices the kernel is sized for.
+    pub const MAX_VERTICES: usize = 4096;
+
     /// Build from an undirected edge list over `n` vertices.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > 4096`, or an endpoint is out of range.
+    /// Panics if `n == 0` or `n >` [`Components::MAX_VERTICES`], or an
+    /// endpoint is out of range.
     pub fn new(n: usize, edges: &[(usize, usize)]) -> Self {
         assert!(n > 0, "need at least one vertex");
-        assert!(n <= 4096, "kernel sized for ≤ 4096 vertices");
+        assert!(n <= Self::MAX_VERTICES, "kernel sized for ≤ 4096 vertices");
         let mut adj = vec![Vec::new(); n];
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge endpoint out of range");

@@ -35,6 +35,14 @@ use crate::program::{Regs, SimProgram, SimWrite};
 const TAG_SHIFT: u32 = 48;
 const NOP_ADDR: u64 = 0xFFFF;
 
+/// The most simulated memory cells a [`SimTasks`] can address: a staged
+/// write packs its address into 16 bits, and `0xFFFF` marks "no write".
+pub const MAX_SIM_MEMORY: usize = NOP_ADDR as usize - 1;
+
+/// The most simulated steps a [`SimTasks`] can drive: a step takes two
+/// rounds, and round tags must fit in 16 bits.
+pub const MAX_SIM_STEPS: usize = 32_766;
+
 #[inline]
 fn tag_of(v: Word) -> Word {
     v >> TAG_SHIFT
@@ -92,20 +100,37 @@ pub struct SimTasks<P> {
 }
 
 impl<P: SimProgram> SimTasks<P> {
+    /// Check `prog` against the packing limits: at least one processor, at
+    /// most [`MAX_SIM_MEMORY`] memory cells and at most [`MAX_SIM_STEPS`]
+    /// steps.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first limit `prog` exceeds.
+    pub fn check_limits(prog: &P) -> Result<(), String> {
+        let (n, cells, steps) = (prog.processors(), prog.memory_size(), prog.steps());
+        if n == 0 {
+            Err("simulated program needs at least one processor".into())
+        } else if cells > MAX_SIM_MEMORY {
+            Err(format!("simulated memory of {cells} cells exceeds the limit {MAX_SIM_MEMORY}"))
+        } else if steps > MAX_SIM_STEPS {
+            Err(format!("{steps} simulated steps exceed the limit {MAX_SIM_STEPS}"))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Allocate the simulation's regions from `layout`.
     ///
     /// # Panics
     ///
-    /// Panics if the program exceeds the packing limits: ≥ 1 processor,
-    /// memory < 65 535 cells, τ ≤ 32 766 steps.
+    /// Panics if the program exceeds the packing limits (see
+    /// [`SimTasks::check_limits`]).
     pub fn new(layout: &mut LayoutBuilder, prog: P) -> Self {
+        if let Err(e) = Self::check_limits(&prog) {
+            panic!("{e}");
+        }
         let n = prog.processors();
-        assert!(n > 0, "simulated program needs at least one processor");
-        assert!(
-            prog.memory_size() < NOP_ADDR as usize,
-            "simulated memory must fit 16-bit addressing (< 65535 cells)"
-        );
-        assert!(prog.steps() <= 32_766, "too many simulated steps for 16-bit round tags");
         let sim_layout = SimLayout {
             regs: layout.alloc(n),
             staged_regs: layout.alloc(n),
@@ -123,16 +148,6 @@ impl<P: SimProgram> SimTasks<P> {
     /// The simulated program.
     pub fn program(&self) -> &P {
         &self.prog
-    }
-
-    /// Initialize the simulated input (called via the driving algorithm's
-    /// `init_memory`).
-    pub fn init_memory(&self, mem: &mut SharedMemory) {
-        let mut sim = vec![0; self.prog.memory_size()];
-        self.prog.init_memory(&mut sim);
-        for (i, v) in sim.into_iter().enumerate() {
-            mem.poke(self.layout.smem.at(i), v);
-        }
     }
 
     /// Extract the simulated memory after a run.
@@ -160,6 +175,15 @@ impl<P: SimProgram> TaskSet for SimTasks<P> {
 
     fn rounds(&self) -> Word {
         2 * self.prog.steps() as Word
+    }
+
+    /// Write the simulated program's initial memory.
+    fn init_memory(&self, mem: &mut SharedMemory) {
+        let mut sim = vec![0; self.prog.memory_size()];
+        self.prog.init_memory(&mut sim);
+        for (i, v) in sim.into_iter().enumerate() {
+            mem.poke(self.layout.smem.at(i), v);
+        }
     }
 
     fn plan(&self, round: Word, i: usize, values: &[Word], reads: &mut ReadSet) {

@@ -124,9 +124,8 @@ fn register_checkpoints_survive_churn() {
     let algo = rfsp::core::AlgoX::new(&mut layout, tasks.clone(), 6, Default::default());
     let budget = algo.required_budget();
     let mut machine = rfsp::pram::Machine::new(&algo, 6, budget).unwrap();
-    // Initialize the simulated input (normally done by the executor shim).
+    // AlgoX writes its task set's simulated input itself.
     let sim_tasks = algo.tasks();
-    sim_tasks.init_memory(machine.memory_mut());
     let mut adv = RandomFaults::new(0.1, 0.7, 99);
     machine.run(&mut adv).unwrap();
     for (i, expected) in regs.iter().enumerate() {
