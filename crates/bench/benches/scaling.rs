@@ -23,6 +23,13 @@
 //! same process, so the ratios are host-independent even where absolute
 //! times are not.
 //!
+//! Each 1-thread word-model row also carries `bare_ns_per_cell`: the time
+//! per cell of the same stores in the same order — tick by tick, one store
+//! per processor in PID order — over a plain array of the same size, with
+//! no engine. The ratio of `ns_per_cell` to it is what the engine costs
+//! beyond its stores. The bare loop stores into one flat array, so on a
+//! banked row the ratio also prices the bank mapping.
+//!
 //! The artifact records the measuring host's logical cores so consumers
 //! can tell real parallelism from a host that could never express it.
 //!
@@ -60,6 +67,8 @@ struct ScaleRow {
     ns_per_cell: f64,
     speedup_vs_1t: f64,
     parallel_efficiency: f64,
+    /// The bare store loop's time per cell; 1-thread word rows only.
+    bare_ns_per_cell: Option<f64>,
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -154,6 +163,34 @@ fn word_run_once(layout: MemoryLayout, n: usize, p: usize, threads: usize) -> (u
     (elapsed, report)
 }
 
+/// One timed bare store loop: the stores of a [`TrivialAssign`] run (tick
+/// `t` stores offset `t` of every processor's block, in PID order) into a
+/// zeroed array of `n` cells allocated before the clock starts, as the
+/// machine's memory is. Returns the elapsed ns.
+fn bare_run_once(n: usize, p: usize) -> u128 {
+    let mut cells = vec![0u64; n];
+    let chunk = n.div_ceil(p);
+    let start = Instant::now();
+    for t in 0..chunk {
+        for pid in 0..p {
+            let addr = pid * chunk + t;
+            if addr < ((pid + 1) * chunk).min(n) {
+                // An opaque index keeps the compiler from reordering or
+                // vectorizing the stores.
+                cells[std::hint::black_box(addr)] = 1;
+            }
+        }
+    }
+    let elapsed = start.elapsed().as_nanos();
+    assert!(std::hint::black_box(&cells).iter().all(|&c| c == 1), "bare loop missed a cell");
+    elapsed
+}
+
+/// Best-of-`reps(n)` bare store loop; returns elapsed ns.
+fn measure_bare(n: usize, p: usize) -> u64 {
+    (0..reps(n)).map(|_| bare_run_once(n, p)).min().expect("at least one rep") as u64
+}
+
 /// One timed snapshot-model run (the snapshot machine is sequential).
 fn snapshot_run_once(layout: MemoryLayout, n: usize, p: usize) -> (u128, RunReport) {
     let mut lb = LayoutBuilder::new();
@@ -193,6 +230,7 @@ fn push_row(
     elapsed_ns: u64,
     ticks: u64,
     seq_ns: u64,
+    bare_ns: Option<u64>,
 ) {
     let speedup = seq_ns as f64 / elapsed_ns.max(1) as f64;
     rows.push(ScaleRow {
@@ -206,10 +244,14 @@ fn push_row(
         ns_per_cell: elapsed_ns as f64 / n as f64,
         speedup_vs_1t: speedup,
         parallel_efficiency: speedup / threads as f64,
+        bare_ns_per_cell: bare_ns.map(|ns| ns as f64 / n as f64),
     });
     let row = rows.last().expect("just pushed");
+    let bare = row.bare_ns_per_cell.map_or(String::new(), |b| {
+        format!("  bare {b:.2} ns/cell ({:.1}x)", row.ns_per_cell / b.max(f64::MIN_POSITIVE))
+    });
     println!(
-        "{:<8} {:<12} n=2^{:<2} threads={} : {:>8.2} ns/cell  speedup {:.2}x  eff {:.2}",
+        "{:<8} {:<12} n=2^{:<2} threads={} : {:>8.2} ns/cell  speedup {:.2}x  eff {:.2}{bare}",
         model,
         row.layout,
         n.trailing_zeros(),
@@ -237,10 +279,11 @@ fn main() {
             let mut seq_ns = 0u64;
             for threads in thread_sweep() {
                 let (ns, ticks) = measure(n, || word_run_once(layout, n, p, threads));
+                let bare = (threads == 1).then(|| measure_bare(n, p));
                 if threads == 1 {
                     seq_ns = ns;
                 }
-                push_row(&mut rows, "word", layout, n, p, threads, ns, ticks, seq_ns);
+                push_row(&mut rows, "word", layout, n, p, threads, ns, ticks, seq_ns, bare);
             }
         }
     }
@@ -250,7 +293,7 @@ fn main() {
         for n in snapshot_sizes() {
             let p = (n / CELLS_PER_PROC).max(1);
             let (ns, ticks) = measure(n, || snapshot_run_once(layout, n, p));
-            push_row(&mut rows, "snapshot", layout, n, p, 1, ns, ticks, ns);
+            push_row(&mut rows, "snapshot", layout, n, p, 1, ns, ticks, ns, None);
         }
     }
 

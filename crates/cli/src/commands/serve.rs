@@ -600,10 +600,9 @@ mod imp {
     }
 
     pub fn submit(args: &Args) -> Result<(), ArgError> {
-        // The daemon owns the artifact paths (they live in its spool).
-        let mut config = config_from_args(args)?;
-        config.checkpoint = None;
-        config.events = None;
+        // The daemon owns the artifact paths (they live in its spool), so
+        // `submit` takes no --checkpoint or --events and both stay unset.
+        let config = config_from_args(args)?;
         match roundtrip(args, &Request::Submit { config })? {
             Response::Submitted { job } => {
                 println!("job {job}");

@@ -127,8 +127,9 @@ COMMANDS:
                                   boundaries, round-robin, so no job waits
                                   more than (jobs - 1) quanta for a turn
   submit       queue a run on the daemon  --socket PATH, then the same
-               flags as 'experiment --run writeall'; add --watch to stream
-               the job's live telemetry to stdout
+               flags as 'experiment --run writeall' except --checkpoint
+               and --events (the daemon keeps both in its spool); add
+               --watch to stream the job's live telemetry to stdout
   jobs         list the daemon's jobs     --socket PATH
   cancel       stop a job at its next checkpoint  --socket PATH --job N
                (--shutdown instead stops every job and exits the daemon)
@@ -147,10 +148,12 @@ EXIT CODES:
 const INSTANCE_OPTIONS: &str = "algo n p adversary rate restart-rate seed fault-budget target \
                                 no-restarts replay-pattern max-cycles";
 
-/// The options of a crash-safe long run (`experiment --run writeall`),
-/// which `submit` forwards to the daemon.
+/// The options of a crash-safe long run (`experiment --run writeall`)
+/// that `submit` forwards to the daemon. The daemon keeps each job's
+/// checkpoint and events in its spool, so `submit` takes neither
+/// `--checkpoint` nor `--events`.
 const LONG_RUN_OPTIONS: &str = "algo n p threads adversary rate restart-rate seed replay-pattern \
-                                every policy max-cycles checkpoint events";
+                                every policy max-cycles";
 
 /// Every subcommand `dispatch` accepts, with the keys it takes as groups
 /// of space-separated names; [`run_cli`] refuses any other key as a usage
@@ -160,7 +163,7 @@ pub const COMMANDS: &[(&str, &[&str])] = &[
     ("simulate", &["kernel n p engine adversary rate restart-rate seed"]),
     ("lockfree", &["n threads fault-rate seed"]),
     ("trace", &[INSTANCE_OPTIONS, "model events metrics format tail"]),
-    ("experiment", &["id run resume", LONG_RUN_OPTIONS]),
+    ("experiment", &["id run resume checkpoint events", LONG_RUN_OPTIONS]),
     ("soak", &["cases seed verbose replay-out replay"]),
     ("serve", &["spool socket workers quantum"]),
     ("submit", &[LONG_RUN_OPTIONS, "socket watch"]),

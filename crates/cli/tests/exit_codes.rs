@@ -32,6 +32,10 @@ fn codes_zero_one_and_two_against_the_binary() {
     assert_eq!(code(&["trace", "--n", "64", "--p", "4", "--threads", "2", "--bogus-flag", "7"]), 2);
     assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--thread", "2"]), 2);
     assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--batch-width", "1"]), 2);
+    // The daemon keeps a job's checkpoint and events in its spool, so
+    // `submit` refuses both paths before it opens the socket.
+    assert_eq!(code(&["submit", "--socket", "/no/such.sock", "--checkpoint", "ck.json"]), 2);
+    assert_eq!(code(&["submit", "--socket", "/no/such.sock", "--events", "ev.jsonl"]), 2);
     // Runtime errors: known command that fails while running.
     assert_eq!(code(&["writeall", "--algo", "zzz"]), 1);
     assert_eq!(code(&["experiment", "--resume", "/no/such/ck.json"]), 1);

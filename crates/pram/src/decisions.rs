@@ -8,40 +8,129 @@
 //! and schedules that violate the paper's progress condition (§2.1 2(i):
 //! every tick with activity must complete at least one update cycle). This
 //! module holds that validation once; [`Core::apply`](crate::exec::Core)
-//! calls [`resolve`] to turn a [`Decisions`] into per-processor
-//! [`CycleFate`]s or a [`PramError::InvalidAdversaryDecision`] /
+//! calls [`resolve`] to turn a [`Decisions`] into one [`Fate`] record per
+//! processor or a [`PramError::InvalidAdversaryDecision`] /
 //! [`PramError::AdversaryStall`] / [`PramError::Deadlock`].
 
 use crate::adversary::{Decisions, FailPoint, ProcStatus, TentativeCycle};
 use crate::error::PramError;
 use crate::Result;
 
-/// Outcome of one processor's cycle after the adversary's decision.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum CycleFate {
+/// How one processor's cycle of the current tick ends.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[repr(u8)]
+pub(crate) enum FateKind {
     /// Not active this tick (failed or halted at tick start).
+    #[default]
     Idle,
     /// Completed the whole cycle (possibly failed *after* it completed).
     Completed,
     /// Stopped before its reads: the processor executed nothing this tick,
     /// so nothing is charged — not even partial work.
     InterruptedBeforeReads,
-    /// Stopped after its reads and local computation, with this many of its
-    /// writes committed (possibly zero: stopped before the first write).
-    Interrupted { committed_writes: usize },
+    /// Stopped after its reads and local computation, with
+    /// [`Fate::commits`] of its writes committed (possibly zero: stopped
+    /// before the first write).
+    Interrupted,
 }
 
-/// Validate `decisions` against this tick's machine state and fill the
-/// per-processor outcome buffers:
+/// Tags of [`Fate::point`]: the adversary did not stop the processor
+/// this tick, or stopped it at one of the three kinds of [`FailPoint`].
+const RUNNING: u8 = 0;
+const BEFORE_READS: u8 = 1;
+const BEFORE_WRITES: u8 = 2;
+const AFTER_WRITE: u8 = 3;
+
+/// [`Fate::flags`] bits.
+const RESTART: u8 = 1;
+const HALT: u8 = 2;
+
+/// One processor's outcome for the current tick: everything the commit
+/// and the finish sweep need, so neither reads the processor's tentative
+/// slot again. [`resolve`] writes every record and then the decisions'
+/// overrides; the tick's prepass fills in a completed cycle's write count
+/// and halt bit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct Fate {
+    /// `k` of an `AfterWrite(k)` fail point; 0 for the other points.
+    after_write: usize,
+    pub(crate) kind: FateKind,
+    /// How many of the cycle's writes commit this tick.
+    pub(crate) commits: u8,
+    /// Where the adversary stopped the processor this tick: [`RUNNING`]
+    /// or the tag of a [`FailPoint`].
+    point: u8,
+    /// [`RESTART`] and [`HALT`] bits.
+    flags: u8,
+}
+
+// Every tick sweeps the records three times (init, prepass and finish);
+// four of them fit a cache line.
+const _: () = assert!(std::mem::size_of::<Fate>() <= 16);
+
+impl Fate {
+    /// The record every tick starts from: an alive processor completes its
+    /// cycle unless a decision says otherwise, any other one is idle.
+    #[inline]
+    fn start(status: ProcStatus) -> Self {
+        let alive = status == ProcStatus::Alive;
+        Fate {
+            after_write: 0,
+            kind: [FateKind::Idle, FateKind::Completed][usize::from(alive)],
+            commits: 0,
+            point: RUNNING,
+            flags: 0,
+        }
+    }
+
+    /// Where the adversary stopped this processor this tick, if it did.
+    #[inline]
+    pub(crate) fn fail_point(&self) -> Option<FailPoint> {
+        match self.point {
+            RUNNING => None,
+            BEFORE_READS => Some(FailPoint::BeforeReads),
+            BEFORE_WRITES => Some(FailPoint::BeforeWrites),
+            _ => Some(FailPoint::AfterWrite(self.after_write)),
+        }
+    }
+
+    fn fail_at(&mut self, point: FailPoint) {
+        (self.point, self.after_write) = match point {
+            FailPoint::BeforeReads => (BEFORE_READS, 0),
+            FailPoint::BeforeWrites => (BEFORE_WRITES, 0),
+            FailPoint::AfterWrite(k) => (AFTER_WRITE, k),
+        };
+    }
+
+    /// Whether the processor restarts (effective next tick).
+    #[inline]
+    pub(crate) fn restarts(&self) -> bool {
+        self.flags & RESTART != 0
+    }
+
+    /// Whether the processor's completed cycle halts it.
+    #[inline]
+    pub(crate) fn halts(&self) -> bool {
+        self.flags & HALT != 0
+    }
+
+    /// Record whether the processor's completed cycle halts it.
+    #[inline]
+    pub(crate) fn set_halts(&mut self, halts: bool) {
+        self.flags = (self.flags & !HALT) | (u8::from(halts) * HALT);
+    }
+}
+
+/// Validate `decisions` against this tick's machine state and write one
+/// [`Fate`] per processor into `fates`.
 ///
-/// * `fates[i]` — every processor's [`CycleFate`];
-/// * `failed_now[i]` / `fail_points[i]` — which processors the adversary
-///   stopped this tick, and where;
-/// * `restarted[i]` — which processors restart (effective next tick).
-///
-/// `status` reports each processor's liveness *at the start of the tick*
-/// (decisions are validated against pre-tick state). The buffers must all
-/// have one entry per processor; they are fully overwritten.
+/// `status` holds each processor's liveness *at the start of the tick*
+/// (decisions are validated against pre-tick state); a processor has a
+/// tentative cycle exactly when it is alive. One sweep writes every record
+/// from its status, whatever an earlier tick or a rejected decision left
+/// there; the decisions then override only the processors they name, and
+/// the progress condition follows from counts. Only the tentative slots of
+/// processors the decisions stop are read.
 ///
 /// # Errors
 ///
@@ -49,27 +138,24 @@ pub(crate) enum CycleFate {
 /// [`PramError::AdversaryStall`] when an active tick completes no cycle (or
 /// everyone is failed with no restart), [`PramError::Deadlock`] when every
 /// processor halted voluntarily but the program is incomplete.
-// The argument list is the tick's full per-processor outcome surface —
-// bundling the four parallel buffers into a struct would just rename it.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve(
     cycle: u64,
     decisions: &Decisions,
-    status: impl Fn(usize) -> ProcStatus,
+    status: &[ProcStatus],
     tentative: &[Option<TentativeCycle>],
-    fates: &mut [CycleFate],
-    failed_now: &mut [bool],
-    fail_points: &mut [Option<FailPoint>],
-    restarted: &mut [bool],
+    fates: &mut [Fate],
 ) -> Result<()> {
-    let p = tentative.len();
-    // --- Initialize each processor's fate (branch-free: a select on
-    // "has a tentative cycle", so the P-length sweep autovectorizes). ---
-    for (fate, t) in fates.iter_mut().zip(tentative) {
-        *fate = [CycleFate::Idle, CycleFate::Completed][usize::from(t.is_some())];
+    let p = status.len();
+    // --- The init sweep, which also counts the processors the progress
+    // condition asks about. ---
+    let (mut active, mut failed) = (0usize, 0usize);
+    for (fate, &s) in fates.iter_mut().zip(status) {
+        *fate = Fate::start(s);
+        active += usize::from(s == ProcStatus::Alive);
+        failed += usize::from(s == ProcStatus::Failed);
     }
-    failed_now.fill(false);
-    fail_points.fill(None);
+    // Alive processors whose cycle the decisions keep from completing.
+    let mut stopped = 0usize;
     for &(pid, point) in &decisions.fails {
         if pid.0 >= p {
             return Err(PramError::InvalidAdversaryDecision {
@@ -77,25 +163,22 @@ pub(crate) fn resolve(
                 detail: format!("fail of unknown processor {pid}"),
             });
         }
-        if failed_now[pid.0] {
+        let fate = &mut fates[pid.0];
+        if fate.fail_point().is_some() {
             return Err(PramError::InvalidAdversaryDecision {
                 cycle,
                 detail: format!("duplicate failure of {pid}"),
             });
         }
-        match status(pid.0) {
+        match status[pid.0] {
             ProcStatus::Failed => {
                 return Err(PramError::InvalidAdversaryDecision {
                     cycle,
                     detail: format!("failure of already failed {pid}"),
                 });
             }
-            ProcStatus::Halted => {
-                // No cycle in flight; the processor simply stops.
-                failed_now[pid.0] = true;
-                fail_points[pid.0] = Some(point);
-                fates[pid.0] = CycleFate::Idle;
-            }
+            // No cycle in flight; the processor simply stops.
+            ProcStatus::Halted => fate.fail_at(point),
             ProcStatus::Alive => {
                 let t = tentative[pid.0].as_ref().expect("alive processor has a tentative cycle");
                 let committed = match point {
@@ -113,23 +196,27 @@ pub(crate) fn resolve(
                         k
                     }
                 };
-                failed_now[pid.0] = true;
-                fail_points[pid.0] = Some(point);
-                fates[pid.0] = match point {
+                fate.fail_at(point);
+                match point {
                     // The processor never got to its reads: the whole cycle
                     // is a no-op and charges nothing.
-                    FailPoint::BeforeReads => CycleFate::InterruptedBeforeReads,
+                    FailPoint::BeforeReads => fate.kind = FateKind::InterruptedBeforeReads,
                     // Failing after the final write means the cycle
                     // completed (and is charged) before the processor
                     // stopped.
-                    FailPoint::AfterWrite(_) if committed == t.writes.len() => CycleFate::Completed,
-                    _ => CycleFate::Interrupted { committed_writes: committed },
-                };
+                    FailPoint::AfterWrite(_) if committed == t.writes.len() => continue,
+                    _ => {
+                        fate.kind = FateKind::Interrupted;
+                        // At most the cycle's writes, which the tentative
+                        // phase bounds by the budget (at most `MAX_WRITES`).
+                        fate.commits = committed as u8;
+                    }
+                }
+                stopped += 1;
             }
         }
     }
     // --- Validate restarts. ---
-    restarted.fill(false);
     for &pid in &decisions.restarts {
         if pid.0 >= p {
             return Err(PramError::InvalidAdversaryDecision {
@@ -137,41 +224,31 @@ pub(crate) fn resolve(
                 detail: format!("restart of unknown processor {pid}"),
             });
         }
-        if restarted[pid.0] {
+        let fate = &mut fates[pid.0];
+        if fate.restarts() {
             return Err(PramError::InvalidAdversaryDecision {
                 cycle,
                 detail: format!("duplicate restart of {pid}"),
             });
         }
-        let failed = status(pid.0) == ProcStatus::Failed || failed_now[pid.0];
-        if !failed {
+        if status[pid.0] != ProcStatus::Failed && fate.fail_point().is_none() {
             return Err(PramError::InvalidAdversaryDecision {
                 cycle,
                 detail: format!("restart of non-failed {pid}"),
             });
         }
-        restarted[pid.0] = true;
+        fate.flags |= RESTART;
     }
 
-    // --- Progress condition (§2.1 2(i)). One fused branch-free sweep
-    // computes both counts instead of two short-circuiting passes. ---
-    let (mut active, mut completing) = (0usize, 0usize);
-    for (t, &fate) in tentative.iter().zip(fates.iter()) {
-        let has_cycle = t.is_some();
-        active += usize::from(has_cycle);
-        completing += usize::from(has_cycle && fate == CycleFate::Completed);
-    }
-    let any_active = active != 0;
-    if any_active && completing == 0 {
+    // --- Progress condition (§2.1 2(i)), from the counts. ---
+    if active != 0 && active == stopped {
         return Err(PramError::AdversaryStall { cycle });
     }
-    if !any_active {
-        let any_failed = (0..p).any(|i| status(i) == ProcStatus::Failed);
-        let any_restart = !decisions.restarts.is_empty();
-        if any_failed && !any_restart {
+    if active == 0 {
+        if failed != 0 && decisions.restarts.is_empty() {
             return Err(PramError::AdversaryStall { cycle });
         }
-        if !any_failed {
+        if failed == 0 {
             // Everyone halted voluntarily but the program is incomplete.
             return Err(PramError::Deadlock { cycle });
         }
@@ -191,26 +268,14 @@ mod tests {
         vec![Some(t)]
     }
 
-    fn buffers(p: usize) -> (Vec<CycleFate>, Vec<bool>, Vec<Option<FailPoint>>, Vec<bool>) {
-        (vec![CycleFate::Idle; p], vec![false; p], vec![None; p], vec![false; p])
-    }
-
     fn run(
         decisions: &Decisions,
         tentative: &[Option<TentativeCycle>],
-        status: impl Fn(usize) -> ProcStatus,
-    ) -> Result<Vec<CycleFate>> {
-        let (mut fates, mut failed_now, mut fail_points, mut restarted) = buffers(tentative.len());
-        resolve(
-            7,
-            decisions,
-            status,
-            tentative,
-            &mut fates,
-            &mut failed_now,
-            &mut fail_points,
-            &mut restarted,
-        )?;
+        status: ProcStatus,
+    ) -> Result<Vec<Fate>> {
+        let status = vec![status; tentative.len()];
+        let mut fates = vec![Fate::default(); tentative.len()];
+        resolve(7, decisions, &status, tentative, &mut fates)?;
         Ok(fates)
     }
 
@@ -224,7 +289,7 @@ mod tests {
         tentative.push(one_writer().pop().unwrap());
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::AfterWrite(2));
-        let err = run(&d, &tentative, |_| ProcStatus::Alive).unwrap_err();
+        let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
         assert!(
             matches!(&err, PramError::InvalidAdversaryDecision { cycle: 7, detail }
                 if detail.contains("after write 2") && detail.contains("1 writes")),
@@ -233,7 +298,7 @@ mod tests {
 
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::AfterWrite(0));
-        let err = run(&d, &tentative, |_| ProcStatus::Alive).unwrap_err();
+        let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
         assert!(matches!(err, PramError::InvalidAdversaryDecision { .. }), "{err:?}");
     }
 
@@ -245,8 +310,8 @@ mod tests {
         tentative.push(one_writer().pop().unwrap());
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::AfterWrite(1));
-        let fates = run(&d, &tentative, |_| ProcStatus::Alive).unwrap();
-        assert_eq!(fates[0], CycleFate::Completed);
+        let fates = run(&d, &tentative, ProcStatus::Alive).unwrap();
+        assert_eq!(fates[0].kind, FateKind::Completed);
     }
 
     #[test]
@@ -254,7 +319,7 @@ mod tests {
         let tentative = one_writer();
         let mut d = Decisions::none();
         d.restart(Pid(0));
-        let err = run(&d, &tentative, |_| ProcStatus::Alive).unwrap_err();
+        let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
         assert!(
             matches!(&err, PramError::InvalidAdversaryDecision { detail, .. }
                 if detail.contains("restart of non-failed")),
@@ -269,8 +334,8 @@ mod tests {
         tentative.push(one_writer().pop().unwrap());
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::BeforeWrites).restart(Pid(0));
-        let fates = run(&d, &tentative, |_| ProcStatus::Alive).unwrap();
-        assert_eq!(fates[0], CycleFate::Interrupted { committed_writes: 0 });
+        let fates = run(&d, &tentative, ProcStatus::Alive).unwrap();
+        assert_eq!((fates[0].kind, fates[0].commits), (FateKind::Interrupted, 0));
     }
 
     /// Failing every active processor completes no cycle — the stall the
@@ -281,7 +346,7 @@ mod tests {
         tentative.push(one_writer().pop().unwrap());
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::BeforeWrites).fail(Pid(1), FailPoint::BeforeReads);
-        let err = run(&d, &tentative, |_| ProcStatus::Alive).unwrap_err();
+        let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
         assert_eq!(err, PramError::AdversaryStall { cycle: 7 });
     }
 
@@ -290,9 +355,9 @@ mod tests {
     #[test]
     fn idle_machine_distinguishes_stall_from_deadlock() {
         let tentative: Vec<Option<TentativeCycle>> = vec![None, None];
-        let err = run(&Decisions::none(), &tentative, |_| ProcStatus::Failed).unwrap_err();
+        let err = run(&Decisions::none(), &tentative, ProcStatus::Failed).unwrap_err();
         assert_eq!(err, PramError::AdversaryStall { cycle: 7 });
-        let err = run(&Decisions::none(), &tentative, |_| ProcStatus::Halted).unwrap_err();
+        let err = run(&Decisions::none(), &tentative, ProcStatus::Halted).unwrap_err();
         assert_eq!(err, PramError::Deadlock { cycle: 7 });
     }
 
@@ -301,7 +366,7 @@ mod tests {
         let tentative = one_writer();
         let mut d = Decisions::none();
         d.fail(Pid(3), FailPoint::BeforeWrites);
-        let err = run(&d, &tentative, |_| ProcStatus::Alive).unwrap_err();
+        let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
         assert!(
             matches!(&err, PramError::InvalidAdversaryDecision { detail, .. }
                 if detail.contains("unknown processor")),
@@ -310,7 +375,7 @@ mod tests {
 
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::BeforeWrites).fail(Pid(0), FailPoint::BeforeReads);
-        let err = run(&d, &tentative, |_| ProcStatus::Alive).unwrap_err();
+        let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
         assert!(
             matches!(&err, PramError::InvalidAdversaryDecision { detail, .. }
                 if detail.contains("duplicate failure")),

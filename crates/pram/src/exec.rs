@@ -33,7 +33,7 @@
 //!   into a snapshot machine or vice versa.
 //!
 //! The core stays **allocation-free in steady state**: all per-tick buffers
-//! (tentative cycles, fates, slot merges, failure scratch) live in the
+//! (tentative cycles, fate records, slot merges, failure scratch) live in the
 //! [`Core`] and are reused; tracker maintenance is O(1) per committed write
 //! for the count and O(log N) for the index. A run backend supplies only
 //! two hooks to the run loop — how the tentative phase executes and how
@@ -48,13 +48,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde::{Deserialize, Serialize};
 
 use crate::accounting::{RunOutcome, RunReport, WorkStats};
-use crate::adversary::{
-    Adversary, Decisions, FailPoint, MachineView, ProcMeta, ProcStatus, TentativeCycle,
-};
+use crate::adversary::{Adversary, Decisions, MachineView, ProcMeta, ProcStatus, TentativeCycle};
 use crate::checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
 use crate::commit::{CommitEntry, CommitScratch, SlotWinner};
 use crate::cycle::{Step, MAX_WRITES};
-use crate::decisions::{resolve, CycleFate};
+use crate::decisions::{resolve, Fate, FateKind};
 use crate::error::{BudgetKind, PramError};
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::machine::Pram;
@@ -470,6 +468,22 @@ impl<M: ExecutionModel> Backend<M> for IsolatedBackend<'_, M::Private> {
     }
 }
 
+/// How far ahead of its stores the commit merge prefetches cells, in
+/// entries of the sorted write slot.
+const PREFETCH_DISTANCE: usize = 16;
+
+/// What one tick adds to the run's [`WorkStats`], totalled by the
+/// prepass and added only once the tick's commit succeeded.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub(crate) struct TickCharges {
+    pub(crate) completed: u64,
+    pub(crate) interrupted: u64,
+    pub(crate) instructions: u64,
+    pub(crate) partial: u64,
+    pub(crate) failures: u64,
+    pub(crate) restarts: u64,
+}
+
 /// The model-generic machine state and synchronous run loop.
 ///
 /// A `Core` is the entire mutable state of a machine — shared memory,
@@ -496,16 +510,18 @@ pub struct Core<Pv> {
     // Reused per-tick buffers.
     pub(crate) tentative: Vec<Option<TentativeCycle>>,
     pub(crate) meta: Vec<ProcMeta>,
-    pub(crate) fates: Vec<CycleFate>,
+    /// This tick's outcome per processor (see [`Fate`]).
+    pub(crate) fates: Vec<Fate>,
+    /// The writes of the write slot being merged. The prepass gathers slot
+    /// 0 here; later slots are gathered from `active`. Sized to the
+    /// processor count up front, so the first tick does not grow it.
     pub(crate) slot_writes: Vec<(Pid, usize, Word)>,
-    /// Processors with at least one surviving write this tick (compact
-    /// list, built by the batch pre-pass in [`Core::apply`]).
+    /// Processors that commit more than one write this tick (compact list,
+    /// built by the prepass in [`Core::apply`]).
     pub(crate) active: Vec<u32>,
-    /// Per-processor surviving-write count for the current tick.
-    pub(crate) surviving: Vec<u32>,
-    pub(crate) failed_now: Vec<bool>,
-    pub(crate) fail_points: Vec<Option<FailPoint>>,
-    pub(crate) restarted: Vec<bool>,
+    /// Reads the tick charges, per memory bank. Totalled by the prepass and
+    /// added to the bank counters once the commit succeeded.
+    pub(crate) read_tally: Vec<u64>,
     pub(crate) events: Vec<FailureEvent>,
     /// Per-worker buffers of the parallel commit (see [`crate::commit`]);
     /// reused across ticks so the pooled apply stays allocation-free in
@@ -525,13 +541,14 @@ impl<Pv: Clone + Send> Core<Pv> {
         mode: WriteMode,
         write_slots: usize,
     ) -> Self {
-        // The batch pre-pass keeps its compact processor list in u32.
+        // The prepass keeps its compact processor list in u32.
         assert!(processors <= u32::MAX as usize, "processor count exceeds u32 range");
         let procs = ProcSoA {
             status: vec![ProcStatus::Alive; processors],
             state: (0..processors).map(|i| Some(model.on_start(Pid(i)))).collect(),
             completed: vec![0; processors],
         };
+        let banks = mem.bank_count();
         let mut core = Core {
             mem,
             mode,
@@ -545,13 +562,10 @@ impl<Pv: Clone + Send> Core<Pv> {
             unvisited: UnvisitedIndex::new(0),
             tentative: vec![None; processors],
             meta: Vec::with_capacity(processors),
-            fates: vec![CycleFate::Idle; processors],
-            slot_writes: Vec::new(),
+            fates: vec![Fate::default(); processors],
+            slot_writes: Vec::with_capacity(processors),
             active: Vec::with_capacity(processors),
-            surviving: vec![0; processors],
-            failed_now: vec![false; processors],
-            fail_points: vec![None; processors],
-            restarted: vec![false; processors],
+            read_tally: vec![0; banks],
             events: Vec::new(),
             commit: CommitScratch::default(),
         };
@@ -742,6 +756,12 @@ impl<Pv: Clone + Send> Core<Pv> {
     /// [`crate::decisions`] logic), merge surviving write prefixes slot by
     /// slot, charge work, fold commits into the completion tracker, record
     /// the failure pattern, apply restarts.
+    ///
+    /// A tick charges nothing unless its commit succeeds: when the
+    /// decisions are rejected, or a write slot hits a CRCW conflict, the
+    /// tick adds nothing to the run's [`WorkStats`] or read counters, and
+    /// no processor changes status. (The stores of the slots merged before
+    /// a conflict stay, with their write counts.)
     pub(crate) fn apply<M>(
         &mut self,
         model: &M,
@@ -751,18 +771,17 @@ impl<Pv: Clone + Send> Core<Pv> {
     where
         M: ExecutionModel<Private = Pv>,
     {
-        let max_slots = self.resolve_and_prepass(decisions)?;
+        let (max_slots, charges) = self.resolve_and_prepass::<M>(decisions)?;
 
-        // --- Commit surviving write prefixes, slot by slot. ---
-        // (`active` is detached during the loop so `commit_slot` can borrow
-        // the rest of the core mutably; it is a reused buffer, so put it
-        // back afterwards.)
-        let active = std::mem::take(&mut self.active);
-        for slot in 0..max_slots {
+        // --- Commit surviving write prefixes, slot by slot. The prepass
+        // gathered slot 0; the later slots come from the processors that
+        // commit more than one write. ---
+        self.commit_slot(model, observer)?;
+        for slot in 1..max_slots {
             self.slot_writes.clear();
-            for &iu in &active {
+            for &iu in &self.active {
                 let i = iu as usize;
-                if slot < self.surviving[i] as usize {
+                if slot < usize::from(self.fates[i].commits) {
                     let t = self.tentative[i].as_ref().expect("active cycle exists");
                     let (addr, value) = t.writes.writes()[slot];
                     self.slot_writes.push((Pid(i), addr, value));
@@ -770,53 +789,75 @@ impl<Pv: Clone + Send> Core<Pv> {
             }
             self.commit_slot(model, observer)?;
         }
-        self.active = active;
 
-        self.charge_and_finish(model, observer);
+        self.finish(model, observer, charges);
         Ok(())
     }
 
-    /// Phase 2b: validate the adversary's decisions and fold each
-    /// processor's fate into a surviving-write count once (instead of
-    /// re-deriving it `write_slots` times). Returns the maximum surviving
-    /// prefix length — the number of write slots the commit must merge.
-    fn resolve_and_prepass(&mut self, decisions: Decisions) -> Result<usize> {
-        let p = self.procs.len();
-        let statuses = &self.procs.status;
-        resolve(
-            self.cycle,
-            &decisions,
-            |i| statuses[i],
-            &self.tentative,
-            &mut self.fates,
-            &mut self.failed_now,
-            &mut self.fail_points,
-            &mut self.restarted,
-        )?;
+    /// Phase 2b: validate the adversary's decisions into the fate records,
+    /// then sweep the tentative slots once: fill in each record's committed
+    /// write count and halt bit, gather write slot 0 into `slot_writes` and
+    /// the processors with more writes into `active`, and total the tick's
+    /// charges. Returns the number of write slots the commit must merge and
+    /// the charges, which [`Core::finish`] applies only after the commit.
+    pub(crate) fn resolve_and_prepass<M>(
+        &mut self,
+        decisions: Decisions,
+    ) -> Result<(usize, TickCharges)>
+    where
+        M: ExecutionModel<Private = Pv>,
+    {
+        resolve(self.cycle, &decisions, &self.procs.status, &self.tentative, &mut self.fates)?;
 
-        // The per-slot merge then touches only the compact list of
-        // processors that commit anything this tick, rather than striding
-        // over all P tentative slots per write slot.
+        self.slot_writes.clear();
         self.active.clear();
+        self.read_tally.fill(0);
+        let layout = self.mem.layout();
+        let mut charges = TickCharges {
+            failures: decisions.fails.len() as u64,
+            restarts: decisions.restarts.len() as u64,
+            ..TickCharges::default()
+        };
         let mut max_slots = 0;
-        for i in 0..p {
-            let n = match self.fates[i] {
-                CycleFate::Completed => {
-                    self.tentative[i].as_ref().expect("completed cycle exists").writes.len()
+        for (i, (slot, fate)) in self.tentative.iter().zip(&mut self.fates).enumerate() {
+            let Some(t) = slot else { continue };
+            let commits = match fate.kind {
+                FateKind::Completed => {
+                    charges.completed += 1;
+                    charges.instructions += (t.reads.len() + 1 + t.writes.len()) as u64;
+                    layout.tally_reads(t.reads.addrs(), &mut self.read_tally);
+                    fate.set_halts(t.halts);
+                    t.writes.len()
                 }
-                CycleFate::Interrupted { committed_writes } => {
+                FateKind::Interrupted => {
                     // Validated against the write count by `resolve`, but
-                    // clamp anyway: `surviving` is the sole bound the slot
-                    // loop indexes `writes()` with.
-                    let t = self.tentative[i].as_ref().expect("interrupted cycle exists");
-                    committed_writes.min(t.writes.len())
+                    // clamp anyway: `commits` is the sole bound the slot
+                    // gathers index `writes()` with.
+                    let commits = usize::from(fate.commits).min(t.writes.len());
+                    charges.interrupted += 1;
+                    // What an interrupted cycle is charged differs by model
+                    // (the snapshot's read and computation are free).
+                    charges.partial += M::partial_instructions(t, commits);
+                    layout.tally_reads(t.reads.addrs(), &mut self.read_tally);
+                    commits
                 }
-                CycleFate::InterruptedBeforeReads | CycleFate::Idle => 0,
+                // Stopped before the cycle began: zero instructions, so
+                // zero partial work — explicitly, not via a sentinel.
+                FateKind::InterruptedBeforeReads => {
+                    charges.interrupted += 1;
+                    0
+                }
+                FateKind::Idle => unreachable!("an alive processor has an active fate"),
             };
-            self.surviving[i] = n as u32;
-            if n > 0 {
-                self.active.push(i as u32);
-                max_slots = max_slots.max(n);
+            // At most the write budget, which fits `MAX_WRITES`.
+            fate.commits = commits as u8;
+            if commits > 0 {
+                let (addr, value) = t.writes.writes()[0];
+                self.slot_writes.push((Pid(i), addr, value));
+                if commits > 1 {
+                    self.active.push(i as u32);
+                }
+                max_slots = max_slots.max(commits);
             }
         }
 
@@ -824,73 +865,65 @@ impl<Pv: Clone + Send> Core<Pv> {
         // `resolve` bounds committed prefixes by the cycle's write count,
         // so no survivor can exceed the write-slot budget.
         debug_assert!(max_slots <= self.write_slots);
-        Ok(max_slots)
+        Ok((max_slots, charges))
     }
 
-    /// Phase 3: charge work, update processor states, record the failure
-    /// pattern, advance the clock.
-    fn charge_and_finish<M>(&mut self, model: &M, observer: &mut dyn Observer)
+    /// Phase 3: apply the tick's charges, then sweep the fate records once
+    /// to emit each processor's events and update its status (the tentative
+    /// slots are not read again), record the failure pattern, apply
+    /// restarts, advance the clock.
+    fn finish<M>(&mut self, model: &M, observer: &mut dyn Observer, charges: TickCharges)
     where
         M: ExecutionModel<Private = Pv>,
     {
-        let p = self.procs.len();
-        // --- Charge work, update processor states, record the pattern. ---
+        self.stats.completed_cycles += charges.completed;
+        self.stats.interrupted_cycles += charges.interrupted;
+        self.stats.charged_instructions += charges.instructions;
+        self.stats.partial_instructions += charges.partial;
+        self.stats.failures += charges.failures;
+        self.stats.restarts += charges.restarts;
+        self.mem.add_bank_reads(&self.read_tally);
+
+        let cycle = self.cycle;
         debug_assert!(self.events.is_empty());
-        for i in 0..p {
-            match self.fates[i] {
-                CycleFate::Idle => {}
-                CycleFate::Completed => {
-                    let t = self.tentative[i].as_ref().expect("completed cycle exists");
-                    observer.event(TraceEvent::CycleCompleted { cycle: self.cycle, pid: Pid(i) });
-                    self.stats.completed_cycles += 1;
-                    self.stats.charged_instructions += (t.reads.len() + 1 + t.writes.len()) as u64;
-                    self.mem.charge_reads_at(t.reads.addrs());
+        for (i, fate) in self.fates.iter().enumerate() {
+            match fate.kind {
+                FateKind::Idle => {}
+                FateKind::Completed => {
+                    observer.event(TraceEvent::CycleCompleted { cycle, pid: Pid(i) });
                     self.procs.completed[i] += 1;
-                    if t.halts {
+                    if fate.halts() {
                         self.procs.status[i] = ProcStatus::Halted;
                     }
                     // The post-cycle private state is already in the slot
                     // (the tentative phase advances it in place).
                 }
-                CycleFate::InterruptedBeforeReads => {
-                    observer.event(TraceEvent::CycleInterrupted { cycle: self.cycle, pid: Pid(i) });
-                    self.stats.interrupted_cycles += 1;
-                    // Stopped before the cycle began: zero instructions, so
-                    // zero partial work — explicitly, not via a sentinel.
-                }
-                CycleFate::Interrupted { committed_writes } => {
-                    let t = self.tentative[i].as_ref().expect("interrupted cycle exists");
-                    observer.event(TraceEvent::CycleInterrupted { cycle: self.cycle, pid: Pid(i) });
-                    self.stats.interrupted_cycles += 1;
-                    // What an interrupted cycle is charged differs by model
-                    // (the snapshot's read and computation are free).
-                    self.stats.partial_instructions += M::partial_instructions(t, committed_writes);
-                    self.mem.charge_reads_at(t.reads.addrs());
+                FateKind::InterruptedBeforeReads | FateKind::Interrupted => {
+                    observer.event(TraceEvent::CycleInterrupted { cycle, pid: Pid(i) });
                 }
             }
-            if self.failed_now[i] {
+            if let Some(point) = fate.fail_point() {
                 self.procs.status[i] = ProcStatus::Failed;
                 self.procs.state[i] = None;
-                self.stats.failures += 1;
-                let point = self.fail_points[i].expect("failed processor has a recorded point");
-                observer.event(TraceEvent::Failure { cycle: self.cycle, pid: Pid(i), point });
+                observer.event(TraceEvent::Failure { cycle, pid: Pid(i), point });
                 self.events.push(FailureEvent {
                     kind: FailureKind::Failure { point },
                     pid: i,
-                    time: self.cycle,
+                    time: cycle,
                 });
             }
         }
-        for i in (0..p).filter(|&i| self.restarted[i]) {
-            observer.event(TraceEvent::Restart { cycle: self.cycle, pid: Pid(i) });
-            self.procs.status[i] = ProcStatus::Alive;
-            self.procs.state[i] = Some(model.on_start(Pid(i)));
-            self.stats.restarts += 1;
-            self.events.push(FailureEvent {
-                kind: FailureKind::Restart,
-                pid: i,
-                time: self.cycle + 1,
-            });
+        if charges.restarts > 0 {
+            for (i, _) in self.fates.iter().enumerate().filter(|(_, fate)| fate.restarts()) {
+                observer.event(TraceEvent::Restart { cycle, pid: Pid(i) });
+                self.procs.status[i] = ProcStatus::Alive;
+                self.procs.state[i] = Some(model.on_start(Pid(i)));
+                self.events.push(FailureEvent {
+                    kind: FailureKind::Restart,
+                    pid: i,
+                    time: cycle + 1,
+                });
+            }
         }
         // Failure events at this tick precede restart events at tick+1, so
         // pushing fails-then-restarts keeps the pattern time-ordered.
@@ -930,7 +963,9 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// Merge one write slot under the core's CRCW semantics, apply it, and
-    /// fold each committed store into the completion tracker.
+    /// fold each committed store into the completion tracker. The merge
+    /// prefetches the cell [`PREFETCH_DISTANCE`] entries ahead of the one
+    /// it stores.
     fn commit_slot<M>(&mut self, model: &M, observer: &mut dyn Observer) -> Result<()>
     where
         M: ExecutionModel<Private = Pv>,
@@ -940,12 +975,19 @@ impl<Pv: Clone + Send> Core<Pv> {
         // (addr, pid) keys are unique, so the unstable sort is
         // deterministic.
         self.slot_writes.sort_unstable_by_key(|&(pid, addr, _)| (addr, pid));
+        let len = self.slot_writes.len();
+        // The next entry whose cell to prefetch.
+        let mut ahead = 0;
         let mut i = 0;
-        while i < self.slot_writes.len() {
+        while i < len {
+            while ahead < len.min(i + PREFETCH_DISTANCE) {
+                self.mem.prefetch(self.slot_writes[ahead].1);
+                ahead += 1;
+            }
             let (pid, addr, value) = self.slot_writes[i];
             let mut j = i + 1;
             let chosen = (pid, value);
-            while j < self.slot_writes.len() {
+            while j < len {
                 let (pid2, addr2, value2) = self.slot_writes[j];
                 if addr2 != addr {
                     break;
@@ -971,10 +1013,10 @@ impl<Pv: Clone + Send> Core<Pv> {
                 }
                 j += 1;
             }
+            let old = self.mem.store(addr, chosen.1)?;
             if self.tracked {
-                // Fold the committed write into the completion tracker
-                // *before* the store (the old value is still visible).
-                let old = model.completion_hint(addr, self.mem.peek(addr));
+                // Fold the committed write into the completion tracker.
+                let old = model.completion_hint(addr, old);
                 let new = model.completion_hint(addr, chosen.1);
                 match (old, new) {
                     (CompletionHint::Outstanding, CompletionHint::Satisfied) => {
@@ -992,7 +1034,6 @@ impl<Pv: Clone + Send> Core<Pv> {
                     _ => {}
                 }
             }
-            self.mem.store(addr, chosen.1)?;
             observer.event(TraceEvent::Commit { cycle: self.cycle, addr, value: chosen.1 });
             i = j;
         }
@@ -1033,11 +1074,11 @@ impl<Pv: Clone + Send> Core<Pv> {
         if M::KEEPS_INDEX || !pool.concurrent() {
             return self.apply(model, decisions, observer);
         }
-        let max_slots = self.resolve_and_prepass(decisions)?;
+        let (max_slots, charges) = self.resolve_and_prepass::<M>(decisions)?;
         if max_slots > 0 {
             self.commit_pooled(model, max_slots, observer, pool)?;
         }
-        self.charge_and_finish(model, observer);
+        self.finish(model, observer, charges);
         Ok(())
     }
 
@@ -1092,7 +1133,7 @@ impl<Pv: Clone + Send> Core<Pv> {
         // bucket rows [g*parts, (g+1)*parts) — disjoint per group.
         {
             let tentative = &self.tentative;
-            let surviving = &self.surviving;
+            let fates = &self.fates;
             let buckets_ptr = SendPtr::new(self.commit.buckets.as_mut_ptr());
             let errs_ptr = SendPtr::new(self.commit.errs.as_mut_ptr());
             let scan = move |g0: usize, g1: usize| -> Result<()> {
@@ -1108,7 +1149,7 @@ impl<Pv: Clone + Send> Core<Pv> {
                         row.clear();
                     }
                     for i in (g * gsize).min(p)..((g + 1) * gsize).min(p) {
-                        let n = surviving[i] as usize;
+                        let n = usize::from(fates[i].commits);
                         if n == 0 {
                             continue;
                         }

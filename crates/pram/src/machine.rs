@@ -476,6 +476,7 @@ mod tests {
     use crate::accounting::RunOutcome;
     use crate::adversary::{Decisions, FailPoint, MachineView, NoFailures};
     use crate::cycle::WriteSet;
+    use crate::decisions::FateKind;
     use crate::Program;
 
     /// Each processor repeatedly increments its own cell until it reaches
@@ -625,7 +626,7 @@ mod tests {
     /// Pins the `S'` partial-work accounting per fail point: a cycle
     /// stopped `BeforeWrites` is charged its reads and computation
     /// (`reads + 1 + 0`), a cycle stopped `BeforeReads` executed nothing
-    /// and is charged 0 (via `CycleFate::InterruptedBeforeReads`, not a
+    /// and is charged 0 (via `FateKind::InterruptedBeforeReads`, not a
     /// sentinel).
     #[test]
     fn partial_instructions_distinguish_fail_points() {
@@ -671,6 +672,148 @@ mod tests {
         fn is_complete(&self, mem: &SharedMemory) -> bool {
             mem.peek(0) != 0
         }
+    }
+
+    /// Like [`Clash`], but each cycle first reads the contested cell.
+    struct ReadClash;
+    impl Program for ReadClash {
+        type Private = ();
+        fn shared_size(&self) -> usize {
+            1
+        }
+        fn on_start(&self, _pid: Pid) {}
+        fn plan(&self, _pid: Pid, _st: &(), vals: &[Word], reads: &mut ReadSet) {
+            if vals.is_empty() {
+                reads.push(0);
+            }
+        }
+        fn execute(&self, pid: Pid, _st: &mut (), _v: &[Word], writes: &mut WriteSet) -> Step {
+            writes.push(0, pid.0 as Word + 1);
+            Step::Halt
+        }
+        fn is_complete(&self, mem: &SharedMemory) -> bool {
+            mem.peek(0) != 0
+        }
+    }
+
+    /// A tick whose commit hits a CRCW conflict charges nothing: no cycle,
+    /// no instruction, no read, and no processor changes status.
+    #[test]
+    fn a_conflicting_commit_charges_nothing() {
+        let prog = ReadClash;
+        let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
+        let err = m.tick(&mut NoFailures).unwrap_err();
+        assert!(matches!(err, PramError::CommonWriteConflict { addr: 0, .. }), "{err:?}");
+        assert_eq!(m.core.stats, WorkStats::default());
+        assert_eq!(m.memory().read_count(), 0);
+        assert_eq!(m.core.procs.status, vec![ProcStatus::Alive; 2]);
+        assert_eq!(m.core.procs.completed, vec![0; 2]);
+    }
+
+    /// The fate records are rewritten every tick. Whatever a legal tick
+    /// that fails, halts and restarts processors, or any decision that
+    /// `resolve` rejects, leaves in them, the next legal decision yields
+    /// exactly the records, gathered writes and charges that a fresh
+    /// machine computes from the same tentative slots and decisions.
+    #[test]
+    fn no_fate_data_outlives_its_tick() {
+        let prog = Counter { n: 8, target: 9 };
+        // P0–P3 alive (P0 and P2 write twice, P2's cycle halts), P4
+        // halted, P5 failed.
+        let setup = || {
+            let mut m = Machine::new(&prog, 6, CycleBudget::PAPER).unwrap();
+            for (i, slot) in m.core.tentative.iter_mut().enumerate() {
+                *slot = (i < 4).then(|| {
+                    let mut t = TentativeCycle::default();
+                    t.reads.push(i);
+                    t.writes.push(i, 1);
+                    if i % 2 == 0 {
+                        t.writes.push(i + 4, 1);
+                    }
+                    t.halts = i == 2;
+                    t
+                });
+            }
+            m.core.procs.status[4] = ProcStatus::Halted;
+            m.core.procs.status[5] = ProcStatus::Failed;
+            m.core.procs.state[5] = None;
+            m
+        };
+        let decide = |fails: &[(usize, FailPoint)], restarts: &[usize]| {
+            let mut d = Decisions::none();
+            for &(pid, point) in fails {
+                d.fail(Pid(pid), point);
+            }
+            for &pid in restarts {
+                d.restart(Pid(pid));
+            }
+            d
+        };
+        type Model<'p> = WordModel<'p, Counter>;
+        let outcome = |m: &mut Machine<'_, Counter>, d: &Decisions| {
+            let tick =
+                m.core.resolve_and_prepass::<Model<'_>>(d.clone()).map(|(slots, charges)| {
+                    (slots, charges, m.core.slot_writes.clone(), m.core.active.clone())
+                });
+            (tick, m.core.fates.clone(), m.core.read_tally.clone())
+        };
+        // Fails P0 mid-cycle, P1 before its reads and the halted P4;
+        // restarts P4 and P5; P2 completes and halts.
+        let legal = decide(
+            &[
+                (0, FailPoint::AfterWrite(1)),
+                (1, FailPoint::BeforeReads),
+                (4, FailPoint::BeforeWrites),
+            ],
+            &[4, 5],
+        );
+        // Stops P2 before its writes, and P3 after its only write (which
+        // completes the cycle).
+        let other = decide(&[(2, FailPoint::BeforeWrites), (3, FailPoint::AfterWrite(1))], &[]);
+        let fresh = |d: &Decisions| outcome(&mut setup(), d);
+        let (fresh_legal, fresh_other) = (fresh(&legal), fresh(&other));
+        let fates = &fresh_legal.1;
+        assert_eq!((fates[0].kind, fates[0].commits), (FateKind::Interrupted, 1));
+        assert_eq!(fates[0].fail_point(), Some(FailPoint::AfterWrite(1)));
+        assert_eq!(
+            (fates[2].kind, fates[2].commits, fates[2].halts()),
+            (FateKind::Completed, 2, true)
+        );
+        assert!(fates[4].restarts() && fates[5].restarts() && !fates[3].restarts());
+        assert_eq!(fresh_other.1[2].kind, FateKind::Interrupted);
+        assert!(!fresh_other.1[2].halts());
+
+        let mut m = setup();
+        assert!(outcome(&mut m, &legal).0.is_ok());
+        let rejected = [
+            decide(&[(6, FailPoint::BeforeReads)], &[]),
+            decide(&[(1, FailPoint::BeforeWrites), (1, FailPoint::BeforeReads)], &[]),
+            decide(&[(5, FailPoint::BeforeWrites)], &[]),
+            decide(&[(3, FailPoint::AfterWrite(2))], &[]),
+            decide(&[], &[2]),
+            decide(&[(4, FailPoint::BeforeWrites)], &[4, 5, 5]),
+            decide(&(0..4).map(|i| (i, FailPoint::BeforeWrites)).collect::<Vec<_>>(), &[5]),
+        ];
+        for (k, d) in rejected.iter().enumerate() {
+            let (tick, ..) = outcome(&mut m, d);
+            assert!(tick.is_err(), "decision {k} must be rejected: {d:?}");
+            let next = if k % 2 == 0 { (&other, &fresh_other) } else { (&legal, &fresh_legal) };
+            assert_eq!(&outcome(&mut m, next.0), next.1, "after rejected decision {k}");
+        }
+        // An idle machine: all failed without a restart is a stall, all
+        // halted a deadlock.
+        let (status, tentative) = (m.core.procs.status.clone(), m.core.tentative.clone());
+        m.core.tentative.fill(None);
+        for (idle, want) in [
+            (ProcStatus::Failed, PramError::AdversaryStall { cycle: 0 }),
+            (ProcStatus::Halted, PramError::Deadlock { cycle: 0 }),
+        ] {
+            m.core.procs.status.fill(idle);
+            assert_eq!(outcome(&mut m, &Decisions::none()).0.unwrap_err(), want);
+        }
+        m.core.procs.status = status;
+        m.core.tentative = tentative;
+        assert_eq!(outcome(&mut m, &other), fresh_other, "after the idle-machine rejections");
     }
 
     #[test]

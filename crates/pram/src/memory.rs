@@ -4,10 +4,11 @@
 //! processor failures; word writes are atomic. The memory also keeps
 //! lightweight instrumentation counters (charged reads/writes) used by the
 //! experiment harness. Writes are counted at the store; reads are charged
-//! per address by the word machine when a cycle's read phase actually
-//! executes (an interrupted-before-reads cycle charges nothing). The
-//! snapshot machine never charges reads: its whole-memory snapshot has unit
-//! cost by assumption, so per-cell read counts are meaningless there.
+//! per address, once a tick's commit succeeded, for every cycle whose read
+//! phase actually executed (an interrupted-before-reads cycle charges
+//! nothing). The snapshot machine never charges reads: its whole-memory
+//! snapshot has unit cost by assumption, so per-cell read counts are
+//! meaningless there.
 //!
 //! # Layouts
 //!
@@ -99,6 +100,21 @@ impl MemoryLayout {
             MemoryLayout::Banked { banks, interleave } => {
                 let block = addr / interleave;
                 (block % banks, (block / banks) * interleave + addr % interleave)
+            }
+        }
+    }
+
+    /// Count one read per address in `addrs` against its bank's entry of
+    /// `per_bank` (one entry per bank). The flat layout adds the count to
+    /// its single entry without mapping each address.
+    #[inline]
+    pub(crate) fn tally_reads(&self, addrs: &[usize], per_bank: &mut [u64]) {
+        match *self {
+            MemoryLayout::Flat => per_bank[0] += addrs.len() as u64,
+            MemoryLayout::Banked { .. } => {
+                for &addr in addrs {
+                    per_bank[self.bank_of(addr)] += 1;
+                }
             }
         }
     }
@@ -249,38 +265,44 @@ impl SharedMemory {
         Ok(mem)
     }
 
-    /// Charged atomic word write performed by the machine.
+    /// Charged atomic word write performed by the machine. Returns the
+    /// value it overwrote, so the commit folds the completion tracker
+    /// without reading the cell a second time.
     ///
     /// # Errors
     ///
     /// [`PramError::AddressOutOfBounds`] if `addr` is outside memory.
-    pub(crate) fn store(&mut self, addr: usize, value: Word) -> Result<(), PramError> {
+    pub(crate) fn store(&mut self, addr: usize, value: Word) -> Result<Word, PramError> {
         if addr >= self.size {
             return Err(PramError::AddressOutOfBounds { addr, size: self.size });
         }
         let (b, s) = self.locate(addr);
         let bank = &mut self.banks[b];
-        bank.cells[s] = value;
         bank.writes += 1;
-        Ok(())
+        Ok(std::mem::replace(&mut bank.cells[s], value))
     }
 
-    /// Charge one word read per address to the owning bank's counter.
-    /// Called by the word machine once per processor whose cycle got past
-    /// its read phase (completed or interrupted after the reads ran);
-    /// snapshot-model reads are uncharged. Addresses were bounds-checked
-    /// when the cycle was planned.
-    pub(crate) fn charge_reads_at(&mut self, addrs: &[usize]) {
-        match self.layout {
-            // Flat fast path: one counter, no per-address mapping.
-            MemoryLayout::Flat => self.banks[0].reads += addrs.len() as u64,
-            MemoryLayout::Banked { .. } => {
-                for &addr in addrs {
-                    let (b, _) = self.locate(addr);
-                    self.banks[b].reads += 1;
-                }
+    /// Ask the CPU to start loading `addr`'s cell ahead of a store to it:
+    /// the commit merge issues this a fixed number of stores ahead, so the
+    /// cell (and, at the scale geometry, the TLB entry of its page) is on
+    /// its way before the store needs it. A hint only: values and counters
+    /// are untouched, and an address outside the memory is ignored.
+    /// `_mm_prefetch` on x86_64; nothing on other architectures.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, addr: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let (b, s) = self.locate(addr);
+            if let Some(cell) = self.banks.get(b).and_then(|bank| bank.cells.get(s)) {
+                // SAFETY: SSE is part of the x86_64 baseline, and `cell` is
+                // a live reference; a prefetch reads nothing the program
+                // can observe.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(cell).cast()) };
             }
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = addr;
     }
 
     /// Uncharged inspection (harness/adversary/completion-predicate use).
@@ -358,6 +380,15 @@ impl SharedMemory {
         }
     }
 
+    /// Add a tick's per-bank read tally (see [`MemoryLayout::tally_reads`])
+    /// to the charge counters.
+    pub(crate) fn add_bank_reads(&mut self, per_bank: &[u64]) {
+        debug_assert_eq!(per_bank.len(), self.banks.len());
+        for (bank, &r) in self.banks.iter_mut().zip(per_bank) {
+            bank.reads += r;
+        }
+    }
+
     /// Merge per-bank committed-write deltas (from the parallel commit's
     /// per-worker accounting buffers) into the charge counters.
     pub(crate) fn add_bank_writes(&mut self, deltas: &[u64]) {
@@ -423,6 +454,13 @@ impl<'a> Iterator for CellChunks<'a> {
 mod tests {
     use super::*;
 
+    /// Charge one read per address, as a tick does for its cycles' reads.
+    fn charge_reads(m: &mut SharedMemory, addrs: &[usize]) {
+        let mut per_bank = vec![0; m.bank_count()];
+        m.layout().tally_reads(addrs, &mut per_bank);
+        m.add_bank_reads(&per_bank);
+    }
+
     #[test]
     fn starts_zeroed() {
         let m = SharedMemory::new(4);
@@ -451,8 +489,8 @@ mod tests {
     #[test]
     fn charge_reads_accumulates() {
         let mut m = SharedMemory::new(4);
-        m.charge_reads_at(&[0, 1, 2]);
-        m.charge_reads_at(&[3, 0]);
+        charge_reads(&mut m, &[0, 1, 2]);
+        charge_reads(&mut m, &[3, 0]);
         assert_eq!(m.read_count(), 5);
         assert_eq!(m.write_count(), 0);
     }
@@ -475,8 +513,8 @@ mod tests {
             flat.store(addr, (addr * 7 + 1) as Word).unwrap();
             banked.store(addr, (addr * 7 + 1) as Word).unwrap();
         }
-        flat.charge_reads_at(&[0, 5, 12]);
-        banked.charge_reads_at(&[0, 5, 12]);
+        charge_reads(&mut flat, &[0, 5, 12]);
+        charge_reads(&mut banked, &[0, 5, 12]);
         for addr in 0..13 {
             assert_eq!(flat.peek(addr), banked.peek(addr), "addr {addr}");
         }
@@ -498,7 +536,7 @@ mod tests {
         m.store(0, 1).unwrap();
         m.store(2, 1).unwrap();
         m.store(3, 1).unwrap();
-        m.charge_reads_at(&[4, 6]);
+        charge_reads(&mut m, &[4, 6]);
         assert_eq!(m.bank_counters(), vec![(1, 1), (1, 2)]);
         assert_eq!(m.read_count(), 2);
         assert_eq!(m.write_count(), 3);

@@ -121,23 +121,31 @@ impl Program for Grind {
     }
 }
 
+/// The sequential engine, untracked and tracked: the tracked grind also
+/// puts the per-store completion fold beside the prefetched store loop
+/// inside the measurement.
 #[test]
 fn sequential_steady_state_ticks_do_not_allocate() {
     let _guard = measure_lock();
     let p = 16;
-    let prog = Grind { n: p, target: 1 << 20, tracked: false };
-    let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-    // Warm up: first ticks grow the reusable buffers (tentative slots,
-    // adversary metadata) to their steady-state capacity.
-    for _ in 0..8 {
-        m.tick(&mut NoFailures).unwrap();
+    for tracked in [false, true] {
+        let prog = Grind { n: p, target: 1 << 20, tracked };
+        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
+        // Warm up: first ticks grow the reusable buffers (tentative slots,
+        // adversary metadata) to their steady-state capacity.
+        for _ in 0..8 {
+            m.tick(&mut NoFailures).unwrap();
+        }
+        let before = thread_allocations();
+        for _ in 0..64 {
+            m.tick(&mut NoFailures).unwrap();
+        }
+        let delta = thread_allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "sequential steady-state ticks allocated {delta} times (tracked: {tracked})"
+        );
     }
-    let before = thread_allocations();
-    for _ in 0..64 {
-        m.tick(&mut NoFailures).unwrap();
-    }
-    let delta = thread_allocations() - before;
-    assert_eq!(delta, 0, "sequential steady-state ticks allocated {delta} times");
 }
 
 /// Snapshot-model Write-All with the balanced-assignment rule, expressed
