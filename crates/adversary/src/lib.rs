@@ -25,9 +25,9 @@
 //! * [`BurstyFaults`] — two-state Markov-modulated failures (calm/burst
 //!   hidden mode chain): the clustered-crash regime the adaptive
 //!   checkpoint policy is measured against.
-//! * [`offline::offline_random`] — a pre-committed (non-adaptive) random
-//!   schedule: §5's *off-line* adversary, against which the randomized
-//!   algorithm is efficient.
+//! * [`OfflineRandom`] — a pre-committed (non-adaptive) random schedule:
+//!   §5's *off-line* adversary, against which the randomized algorithm is
+//!   efficient.
 //! * [`Budgeted`] — wrap any adversary with a hard `|F| ≤ M` budget.
 
 pub mod budget;
@@ -41,7 +41,7 @@ pub mod xkiller;
 
 pub use budget::Budgeted;
 pub use bursty::BurstyFaults;
-pub use offline::{offline_random, offline_random_pattern};
+pub use offline::{offline_random_pattern, OfflineRandom};
 pub use pigeonhole::Pigeonhole;
 pub use random::RandomFaults;
 pub use stalking::{Stalking, StalkingMode};

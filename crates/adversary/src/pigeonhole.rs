@@ -25,6 +25,7 @@
 //! so every tentative write finds its cell's number in O(1).
 
 use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView, Pid, ProcStatus, Region};
+use serde::Value;
 
 /// The Theorem 3.1 halving adversary over a Write-All array region.
 #[derive(Clone, Debug)]
@@ -173,6 +174,16 @@ impl Adversary for Pigeonhole {
             }
         }
         d
+    }
+
+    // The buffers are per-tick scratch: only configuration survives a
+    // tick, so the state is empty.
+    fn save_state(&self) -> Option<Value> {
+        Some(Value::Null)
+    }
+
+    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+        Ok(())
     }
 }
 

@@ -12,6 +12,7 @@
 //! "all touch simultaneously" release condition triggers immediately.
 
 use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView, Pid, Region};
+use serde::Value;
 
 /// Which §5 failure model the stalker plays.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -96,6 +97,15 @@ impl Adversary for Stalking {
             }
         }
         d
+    }
+
+    // Only configuration survives a tick, so the state is empty.
+    fn save_state(&self) -> Option<Value> {
+        Some(Value::Null)
+    }
+
+    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+        Ok(())
     }
 }
 

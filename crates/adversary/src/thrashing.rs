@@ -9,6 +9,7 @@
 //! charges almost nothing, which is exactly the point of Definition 2.2.
 
 use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView};
+use serde::Value;
 
 /// Fail everyone but one survivor before each tick's writes; restart them
 /// all for the next tick.
@@ -77,6 +78,15 @@ impl Adversary for Thrashing {
             }
         }
         d
+    }
+
+    // Only configuration survives a tick, so the state is empty.
+    fn save_state(&self) -> Option<Value> {
+        Some(Value::Null)
+    }
+
+    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+        Ok(())
     }
 }
 

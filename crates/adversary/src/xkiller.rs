@@ -22,6 +22,7 @@
 
 use rfsp_core::{HeapTree, XLayout};
 use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView, Pid, ProcStatus, Region};
+use serde::Value;
 
 /// The Theorem 4.8 postorder stalker for algorithm X.
 #[derive(Clone, Debug)]
@@ -80,6 +81,15 @@ impl Adversary for XKiller {
         }
         let _ = self.tree;
         d
+    }
+
+    // Only configuration survives a tick, so the state is empty.
+    fn save_state(&self) -> Option<Value> {
+        Some(Value::Null)
+    }
+
+    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+        Ok(())
     }
 }
 

@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfsp_adversary::{RandomFaults, Thrashing};
-use rfsp_bench::{run_write_all, Algo, WriteAllRun, WriteAllSpec};
+use rfsp_bench::{run_write_all, WriteAllRun};
 use rfsp_pram::{Adversary, NoFailures, NoopObserver, RunLimits};
+use rfsp_run::{Algo, WriteAllSpec};
 
 /// One sequential run of `algo` on `n` cells and `p` processors.
 fn run(algo: Algo, n: usize, p: usize, adversary: impl Adversary) -> WriteAllRun {

@@ -1,9 +1,10 @@
 //! E10 — §5: the stalking adversary vs randomized ACC and deterministic X.
 
-use rfsp_adversary::{offline_random, Stalking, StalkingMode};
+use rfsp_adversary::{OfflineRandom, Stalking, StalkingMode};
 use rfsp_pram::{PramError, RunLimits};
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, print_table, run_write_all, TelemetrySink};
 
 /// Mean completed work of `algo` under the stalker over `seeds` trials;
 /// `None` entries were censored at the cycle limit (the adversary held the
@@ -99,7 +100,7 @@ pub fn run() {
         let mut total = 0.0;
         let seeds = [11u64, 23, 37, 51, 73];
         for &seed in &seeds {
-            let mut adv = offline_random(p, 1_000_000, 0.1, 0.5, seed);
+            let mut adv = OfflineRandom::new(p, 1_000_000, 0.1, 0.5, seed);
             let run = sink
                 .observe(format!("acc-offline-n{n}-s{seed}"), "ACC", n, p, |obs| {
                     run_write_all(

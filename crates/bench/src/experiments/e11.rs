@@ -8,8 +8,9 @@
 use rfsp_adversary::{Pigeonhole, RandomFaults, XKiller};
 use rfsp_core::XOptions;
 use rfsp_pram::RunLimits;
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, print_table, run_write_all, TelemetrySink};
 
 /// Run experiment E11.
 pub fn run() {

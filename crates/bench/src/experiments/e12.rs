@@ -11,8 +11,9 @@
 
 use rfsp_adversary::Pigeonhole;
 use rfsp_pram::RunLimits;
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, loglog_slope, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, loglog_slope, print_table, run_write_all, TelemetrySink};
 
 /// Run experiment E12.
 pub fn run() {

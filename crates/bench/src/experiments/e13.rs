@@ -11,8 +11,9 @@
 
 use rfsp_net::{NetworkMeter, OmegaNetwork};
 use rfsp_pram::{NoFailures, RunLimits};
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, print_table, run_write_all, TelemetrySink};
 
 fn metered(
     sink: &mut TelemetrySink,

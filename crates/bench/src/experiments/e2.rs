@@ -6,8 +6,9 @@ use rfsp_adversary::Pigeonhole;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
 use rfsp_pram::{LayoutBuilder, NoopObserver, Observer, RunLimits, WorkStats};
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, loglog_slope, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, loglog_slope, print_table, run_write_all, TelemetrySink};
 
 /// Stats of the snapshot algorithm under the pigeonhole adversary, with the
 /// run's event stream delivered to `observer` (the unified execution core

@@ -3,8 +3,9 @@
 
 use rfsp_adversary::RandomFaults;
 use rfsp_pram::RunLimits;
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, print_table, run_write_all, TelemetrySink};
 
 /// Run experiment E4.
 pub fn run() {

@@ -3,8 +3,9 @@
 
 use rfsp_adversary::XKiller;
 use rfsp_pram::RunLimits;
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, loglog_slope, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, loglog_slope, print_table, run_write_all, TelemetrySink};
 
 /// Completed work of X under the X-killer at `N = P = n`.
 pub fn x_under_killer(n: usize) -> (u64, u64) {

@@ -3,8 +3,9 @@
 
 use rfsp_adversary::{RandomFaults, Thrashing};
 use rfsp_pram::{Adversary, RunLimits};
+use rfsp_run::{Algo, WriteAllSpec};
 
-use crate::{fmt, print_table, run_write_all, Algo, TelemetrySink, WriteAllSpec};
+use crate::{fmt, print_table, run_write_all, TelemetrySink};
 
 fn regime(
     sink: &mut TelemetrySink,

@@ -9,83 +9,14 @@ pub mod experiments;
 pub mod soak;
 pub mod telemetry;
 
-use rfsp_core::{
-    AccOptions, AlgoAcc, AlgoV, AlgoW, AlgoX, AlgoXInPlace, Interleaved, WriteAllTasks, XOptions,
-};
 use rfsp_pram::{
-    Adversary, CycleBudget, ExecMode, LayoutBuilder, Machine, MemoryLayout, Observer, PramError,
-    Program, RunControl, RunLimits, RunReport, RunSpec, RunStatus,
+    Adversary, CycleBudget, Machine, Observer, PramError, Program, RunControl, RunLimits,
+    RunReport, RunSpec, RunStatus,
 };
+use rfsp_run::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 use serde::{Deserialize, Serialize};
 
 pub use telemetry::{BenchArtifact, BenchRun, TelemetrySink};
-
-/// Which Write-All algorithm to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Algo {
-    /// Algorithm X (local traversal).
-    X,
-    /// Algorithm V (phase-synchronized).
-    V,
-    /// Algorithm W (the [KS 89] baseline with enumeration).
-    W,
-    /// Interleaved V+X (Theorem 4.9).
-    Interleaved,
-    /// Algorithm X in place (Remark 7; power-of-two sizes only).
-    XInPlace,
-    /// Randomized ACC with this seed (§5 baseline).
-    Acc(u64),
-}
-
-impl Algo {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::X => "X",
-            Algo::V => "V",
-            Algo::W => "W",
-            Algo::Interleaved => "V+X",
-            Algo::XInPlace => "X-inplace",
-            Algo::Acc(_) => "ACC",
-        }
-    }
-}
-
-/// One Write-All run: the instance and every machine knob the run recipe
-/// forwards. All knobs except the instance are behavior-invariant — every
-/// tick engine and layout produces a bit-identical run.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteAllSpec<'a> {
-    /// The algorithm.
-    pub algo: Algo,
-    /// Instance size `N`.
-    pub n: usize,
-    /// Processor count `P`.
-    pub p: usize,
-    /// The tick engine.
-    pub exec: ExecMode<'a>,
-    /// The shared-memory layout: per-bank counters (and any attached
-    /// network meter) reflect a real bank mapping.
-    pub layout: MemoryLayout,
-    /// Algorithm X's options (the Remark 5 ablation); must stay at the
-    /// default for every other algorithm.
-    pub x_options: XOptions,
-}
-
-impl WriteAllSpec<'_> {
-    /// `algo` on `n` cells and `p` processors, every knob at its default:
-    /// the sequential engine, flat memory and default X options.
-    pub fn new(algo: Algo, n: usize, p: usize) -> Self {
-        WriteAllSpec {
-            algo,
-            n,
-            p,
-            exec: ExecMode::Sequential,
-            layout: MemoryLayout::Flat,
-            x_options: XOptions::default(),
-        }
-    }
-}
 
 /// Outcome of one Write-All run.
 #[derive(Clone, Debug)]
@@ -150,93 +81,6 @@ where
     }
 
     with_write_all_program(spec, Run { spec, make_adversary, limits, observer })
-}
-
-/// A computation generic over the *concrete* Write-All program type.
-///
-/// [`run_write_all`] erases the program behind a fixed run recipe;
-/// anything needing the extra capabilities of the machine's crash-safety
-/// surface — [`Machine::save_checkpoint`] /
-/// [`Machine::restore_checkpoint`] (which require `P::Private:
-/// Serialize + Deserialize`), a panic-isolating [`Machine::run_with`], or
-/// multiple machines over one program — implements this trait instead and
-/// lets [`with_write_all_program`] construct the program.
-pub trait WriteAllVisitor {
-    /// What the visit produces.
-    type Out;
-
-    /// Run against the concrete program. `budget` is the cycle budget the
-    /// algorithm requires (the paper's 4-read/2-write budget for all but
-    /// the interleaved algorithm).
-    fn visit<P>(self, prog: &P, setup: &WriteAllSetup, budget: CycleBudget) -> Self::Out
-    where
-        P: Program,
-        P::Private: Serialize + Deserialize;
-}
-
-/// Build the Write-All program `spec` names — from its algorithm, instance
-/// size, processor count and X options — and hand it to `visitor`.
-///
-/// # Panics
-///
-/// If `spec` sets non-default X options for an algorithm other than X.
-pub fn with_write_all_program<V: WriteAllVisitor>(spec: &WriteAllSpec<'_>, visitor: V) -> V::Out {
-    let (n, p) = (spec.n, spec.p);
-    assert!(
-        matches!(spec.algo, Algo::X) || spec.x_options == XOptions::default(),
-        "X options apply to algorithm X only"
-    );
-    let mut layout = LayoutBuilder::new();
-    let tasks = WriteAllTasks::new(&mut layout, n);
-    match spec.algo {
-        Algo::X => {
-            let prog = AlgoX::new(&mut layout, tasks, p, spec.x_options);
-            let setup =
-                WriteAllSetup { tasks, x_layout: Some(*prog.layout()), tree: Some(prog.tree()) };
-            visitor.visit(&prog, &setup, CycleBudget::PAPER)
-        }
-        Algo::V => {
-            let prog = AlgoV::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            visitor.visit(&prog, &setup, CycleBudget::PAPER)
-        }
-        Algo::W => {
-            let prog = AlgoW::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            visitor.visit(&prog, &setup, CycleBudget::PAPER)
-        }
-        Algo::Interleaved => {
-            let prog = Interleaved::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup {
-                tasks,
-                x_layout: Some(*prog.x_half().layout()),
-                tree: Some(prog.x_half().tree()),
-            };
-            let budget = prog.required_budget();
-            visitor.visit(&prog, &setup, budget)
-        }
-        Algo::XInPlace => {
-            let prog = AlgoXInPlace::new(&mut layout, tasks, p);
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            visitor.visit(&prog, &setup, CycleBudget::PAPER)
-        }
-        Algo::Acc(seed) => {
-            let prog = AlgoAcc::new(&mut layout, tasks, AccOptions { seed });
-            let setup = WriteAllSetup { tasks, x_layout: None, tree: Some(prog.tree()) };
-            visitor.visit(&prog, &setup, CycleBudget::PAPER)
-        }
-    }
-}
-
-/// What a region-aware adversary constructor gets to see.
-#[derive(Clone, Debug)]
-pub struct WriteAllSetup {
-    /// The Write-All instance (exposes the array region).
-    pub tasks: WriteAllTasks,
-    /// Algorithm X's layout, when the algorithm is X-based.
-    pub x_layout: Option<rfsp_core::XLayout>,
-    /// The progress-tree shape, when the algorithm has one.
-    pub tree: Option<rfsp_core::HeapTree>,
 }
 
 /// Least-squares slope of `log y` against `log x` — the empirical exponent
@@ -334,7 +178,8 @@ pub fn fmt(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfsp_pram::{NoFailures, NoopObserver};
+    use rfsp_pram::{ExecMode, MemoryLayout, NoFailures, NoopObserver};
+    use rfsp_run::Algo;
 
     #[test]
     fn runner_covers_all_algorithms() {

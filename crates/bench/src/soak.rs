@@ -47,10 +47,10 @@ use rfsp_pram::{
     PramError, Program, ReadSet, RunControl, RunLimits, RunReport, RunSpec, RunStatus,
     ScheduledAdversary, SharedMemory, Step, Word, WriteSet,
 };
-use rfsp_run::run_with_cut;
+use rfsp_run::{
+    run_with_cut, with_write_all_program, Algo, WriteAllSetup, WriteAllSpec, WriteAllVisitor,
+};
 use serde::{Deserialize, Serialize};
-
-use crate::{with_write_all_program, Algo, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 
 /// Which algorithm a soak case exercises.
 ///

@@ -227,8 +227,9 @@ impl TelemetrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_write_all, Algo, WriteAllSpec};
+    use crate::run_write_all;
     use rfsp_pram::{NoFailures, RunLimits};
+    use rfsp_run::{Algo, WriteAllSpec};
 
     #[test]
     fn inactive_sink_records_nothing() {

@@ -94,18 +94,27 @@ impl Args {
     ///
     /// Reports unparseable values with the offending key.
     pub fn get_parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError(format!("invalid value '{v}' for --{key}"))),
-        }
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
-    /// A numeric option with a default that must lie in `range`: sizes
-    /// (capped at [`rfsp_run::MAX_SIZE`] cells and
-    /// [`rfsp_run::MAX_PROCESSORS`] processors, so nothing oversized is
-    /// allocated), thread counts (each one an OS thread spawned, so capped
-    /// at [`rfsp_run::MAX_THREADS`]) and fault rates (probabilities, so NaN
-    /// is refused too).
+    /// Parsed option, `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Reports unparseable values with the offending key.
+    pub fn get_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| ArgError(format!("invalid value '{v}' for --{key}"))))
+            .transpose()
+    }
+
+    /// A numeric option with a default that must lie in `range`, for the
+    /// commands that take no [`rfsp_run::RunConfig`]: sizes (capped at
+    /// [`rfsp_run::MAX_SIZE`] cells and [`rfsp_run::MAX_PROCESSORS`]
+    /// processors, so nothing oversized is allocated), thread counts (each
+    /// one an OS thread spawned, so capped at [`rfsp_run::MAX_THREADS`])
+    /// and fault rates (probabilities, so NaN is refused too). A Write-All
+    /// run's ranges are checked by [`rfsp_run::RunConfig::validate`].
     ///
     /// # Errors
     ///

@@ -14,8 +14,10 @@
 //!
 //! All of that machinery lives in [`rfsp_run::RunSession`] (shared with
 //! the soak harness's crash-recovery lanes and the `rfsp serve` daemon);
-//! this module is only the CLI skin: flag parsing, the program visitor,
-//! the stop flag, and the completion summary.
+//! this module is only the CLI skin: the program visitor, the stop flag,
+//! and the completion summary. Its options parse into a [`RunConfig`]
+//! like every Write-All command's, so every adversary kind of
+//! [`rfsp_run::build_adversary`] runs checkpointed and resumable.
 //!
 //! Two checkpoint policies are available (`--policy`):
 //!
@@ -37,26 +39,20 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
-use rfsp_pram::{CycleBudget, Machine, NoopObserver, PolicyKind, Program, RunLimits};
-use rfsp_run::{ExecMode, PauseFlow, RunSession, SessionEnd, MAX_THREADS};
+use rfsp_pram::{CycleBudget, Machine, NoopObserver, Program};
+use rfsp_run::{
+    with_write_all_program, ExecMode, PauseFlow, RunConfig, RunSession, SessionCheckpoint,
+    SessionEnd, WriteAllSetup, WriteAllVisitor,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::args::{ArgError, Args};
-use crate::commands::writeall::parse_algo;
+use crate::commands::config_from_args;
 use crate::CliOutcome;
 
-// The long-run types and helpers now live in the `rfsp-run` session
-// layer; these aliases keep the CLI's historical names (and the on-disk
-// format they describe) stable for users of this module.
-pub use rfsp_run::{
-    count_tick_starts, RunConfig as LongRunConfig, SessionCheckpoint as ExperimentCheckpoint,
-    SESSION_CHECKPOINT_VERSION as EXPERIMENT_CHECKPOINT_VERSION,
-};
-
 struct LongRun<'a> {
-    cfg: &'a LongRunConfig,
-    resume: Option<&'a ExperimentCheckpoint>,
+    cfg: &'a RunConfig,
+    resume: Option<&'a SessionCheckpoint>,
     stop: &'a AtomicBool,
 }
 
@@ -127,50 +123,6 @@ impl WriteAllVisitor for LongRun<'_> {
     }
 }
 
-pub(crate) fn config_from_args(args: &Args) -> Result<LongRunConfig, ArgError> {
-    let mut every = args.get_parsed("every", 100u64)?;
-    let policy = match args.get("policy") {
-        None => "fixed".to_string(),
-        Some(text) => match PolicyKind::parse(text).map_err(ArgError)? {
-            PolicyKind::Adaptive => {
-                if args.get("every").is_some() {
-                    return Err(ArgError(
-                        "--policy adaptive chooses its own cadence; drop --every".into(),
-                    ));
-                }
-                "adaptive".to_string()
-            }
-            PolicyKind::Fixed(k) => {
-                if args.get("every").is_some() {
-                    return Err(ArgError(
-                        "--policy fixed:K already names the cadence; drop --every".into(),
-                    ));
-                }
-                every = k;
-                "fixed".to_string()
-            }
-        },
-    };
-    let cfg = LongRunConfig {
-        algo: args.get_or("algo", "x").to_string(),
-        n: args.get_parsed("n", 1024u64)?,
-        p: args.get_parsed("p", 64u64)?,
-        threads: args.get_in("threads", 1, 1..=MAX_THREADS)?,
-        adversary: args.get_or("adversary", "none").to_string(),
-        rate: args.get_parsed("rate", 0.05f64)?,
-        restart_rate: args.get_parsed("restart-rate", 0.5f64)?,
-        seed: args.get_parsed("seed", 0u64)?,
-        replay_pattern: args.get("replay-pattern").map(str::to_string),
-        every,
-        policy,
-        max_cycles: args.get_parsed("max-cycles", RunLimits::default().max_cycles)?,
-        checkpoint: args.get("checkpoint").map(str::to_string),
-        events: args.get("events").map(str::to_string),
-    };
-    cfg.validate()?;
-    Ok(cfg)
-}
-
 /// Entry point for both `--run writeall` and `--resume`. The run pauses —
 /// checkpointed when configured, [`CliOutcome::Interrupted`] — at the
 /// first tick boundary after `stop` is set.
@@ -181,25 +133,26 @@ pub(crate) fn config_from_args(args: &Args) -> Result<LongRunConfig, ArgError> {
 /// machine errors, all as [`ArgError`].
 pub fn run(args: &Args, stop: &AtomicBool) -> Result<CliOutcome, ArgError> {
     if let Some(path) = args.get("resume") {
-        let ck = ExperimentCheckpoint::load(path)?;
-        let algo = parse_algo(&ck.config.algo)?;
-        let spec = WriteAllSpec::new(algo, ck.config.n as usize, ck.config.p as usize);
-        with_write_all_program(&spec, LongRun { cfg: &ck.config, resume: Some(&ck), stop })
+        let ck = SessionCheckpoint::load(path)?;
+        with_write_all_program(
+            &ck.config.spec()?,
+            LongRun { cfg: &ck.config, resume: Some(&ck), stop },
+        )
     } else {
         let run = args.get_or("run", "writeall");
         if run != "writeall" {
             return Err(crate::unknown("long-run mode", run, &["writeall"]));
         }
         let cfg = config_from_args(args)?;
-        let algo = parse_algo(&cfg.algo)?;
-        let spec = WriteAllSpec::new(algo, cfg.n as usize, cfg.p as usize);
-        with_write_all_program(&spec, LongRun { cfg: &cfg, resume: None, stop })
+        with_write_all_program(&cfg.spec()?, LongRun { cfg: &cfg, resume: None, stop })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfsp_pram::PolicyKind;
+    use rfsp_run::{count_tick_starts, SESSION_CHECKPOINT_VERSION};
 
     #[test]
     fn config_roundtrips_and_validates() {
@@ -227,7 +180,7 @@ mod tests {
         assert_eq!(cfg.algo, "v");
         assert_eq!(cfg.every, 10);
         assert_eq!(cfg.policy, "fixed");
-        let back = LongRunConfig::from_value(&cfg.to_value()).unwrap();
+        let back = RunConfig::from_value(&cfg.to_value()).unwrap();
         assert_eq!(back, cfg);
 
         let a =
@@ -297,8 +250,8 @@ mod tests {
 
         // "Crash": scribble garbage after the checkpointed offset, then
         // resume — the tail must be truncated and regenerated exactly.
-        let ck = ExperimentCheckpoint::load(ckpt.to_str().unwrap()).unwrap();
-        assert_eq!(ck.version, EXPERIMENT_CHECKPOINT_VERSION);
+        let ck = SessionCheckpoint::load(ckpt.to_str().unwrap()).unwrap();
+        assert_eq!(ck.version, SESSION_CHECKPOINT_VERSION);
         assert!(
             !matches!(ck.machine.policy, serde::Value::Null),
             "checkpoint carries the policy-engine state"

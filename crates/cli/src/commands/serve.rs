@@ -93,18 +93,16 @@ mod imp {
     use std::sync::{Arc, Mutex, PoisonError};
     use std::time::Duration;
 
-    use rfsp_bench::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
     use rfsp_pram::{CycleBudget, Machine, Observer, Program, SharedPool, TraceEvent};
     use rfsp_run::{
-        read_line, read_request, write_line, ExecMode, JobInfo, JobState, PauseFlow, Request,
-        Response, RunConfig, RunSession, Scheduler, SessionCheckpoint, SessionEnd, Spool,
-        MAX_THREADS,
+        read_line, read_request, with_write_all_program, write_line, ExecMode, JobInfo, JobState,
+        PauseFlow, Request, Response, RunConfig, RunSession, Scheduler, SessionCheckpoint,
+        SessionEnd, Spool, WriteAllSetup, WriteAllVisitor, MAX_THREADS,
     };
     use serde::{Deserialize, Serialize};
 
     use super::*;
-    use crate::commands::longrun::config_from_args;
-    use crate::commands::writeall::parse_algo;
+    use crate::commands::config_from_args;
 
     fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
         m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -352,9 +350,9 @@ mod imp {
             (Arc::clone(&entry.cancel), Arc::clone(&entry.watchers))
         };
         let mut fan = Fan::new(job, watchers);
-        let outcome = parse_algo(&cfg.algo).and_then(|algo| {
+        let outcome = cfg.spec().map_err(ArgError::from).and_then(|spec| {
             with_write_all_program(
-                &WriteAllSpec::new(algo, cfg.n as usize, cfg.p as usize),
+                &spec,
                 JobVisitor { daemon, job, cfg: &cfg, resume, cancel: &cancel, fan: &mut fan },
             )
         });
@@ -408,7 +406,6 @@ mod imp {
     /// it, spawn the job. A refused config touches neither the spool nor
     /// the job counter, so no restart can re-adopt it.
     fn admit(daemon: &Arc<Daemon>, config: RunConfig) -> Result<u64, ArgError> {
-        parse_algo(&config.algo)?;
         let (job, cfg) = {
             let mut next = lock(&daemon.next_id);
             // Validate with the spool paths in place: the checkpoint path

@@ -11,7 +11,8 @@
 //! balanced-allocation algorithm of Theorem 3.2 on `SnapshotMachine`):
 //! since the unified execution core, snapshot runs stream the exact same
 //! event vocabulary as word-model runs, so every export below works
-//! unchanged. `--algo` is ignored in that model.
+//! unchanged. `--algo` is ignored in that model, though it must still
+//! name an algorithm.
 //!
 //! ```text
 //! rfsp trace --algo v --n 256 --p 16 --adversary random --rate 0.1 --metrics -
@@ -20,15 +21,14 @@
 //! rfsp trace --model snapshot --n 1024 --p 64 --adversary pigeonhole --events -
 //! ```
 
-use rfsp_bench::{run_write_all, WriteAllSetup, WriteAllSpec};
+use rfsp_bench::run_write_all;
 use rfsp_core::{SnapshotBalance, WriteAllTasks};
 use rfsp_pram::snapshot::SnapshotMachine;
-use rfsp_pram::{
-    LayoutBuilder, MetricsObserver, NoFailures, Observer, RunLimits, Tee, TraceRecorder, WorkStats,
-};
+use rfsp_pram::{LayoutBuilder, MetricsObserver, Observer, Tee, TraceRecorder, WorkStats};
+use rfsp_run::{build_adversary, RunConfig, WriteAllSetup};
 
 use crate::args::{ArgError, Args};
-use crate::commands::writeall::{build_adversary, parse_algo, parse_sizes};
+use crate::commands::config_from_args;
 
 fn write_out(dest: &str, text: &str) -> Result<(), ArgError> {
     if dest == "-" {
@@ -39,27 +39,21 @@ fn write_out(dest: &str, text: &str) -> Result<(), ArgError> {
     }
 }
 
-/// Drive the snapshot-model balanced-allocation run under the selected
+/// Drive the snapshot-model balanced-allocation run under the configured
 /// adversary, streaming events to `observer`.
-fn run_snapshot(
-    args: &Args,
-    n: usize,
-    p: usize,
-    max_cycles: u64,
-    observer: &mut dyn Observer,
-) -> Result<WorkStats, ArgError> {
+fn run_snapshot(cfg: &RunConfig, observer: &mut dyn Observer) -> Result<WorkStats, ArgError> {
     let mut layout = LayoutBuilder::new();
-    let tasks = WriteAllTasks::new(&mut layout, n);
-    let algo = SnapshotBalance::new(tasks, n);
-    let mut m =
-        SnapshotMachine::new(&algo, p, 1).map_err(|e| ArgError(format!("machine error: {e}")))?;
+    let tasks = WriteAllTasks::new(&mut layout, cfg.n as usize);
+    let algo = SnapshotBalance::new(tasks, cfg.n as usize);
+    let mut m = SnapshotMachine::new(&algo, cfg.p as usize, 1)
+        .map_err(|e| ArgError(format!("machine error: {e}")))?;
     // Region-aware adversaries see the same Write-All array; the snapshot
     // model has no X layout or progress tree, so layout-bound adversaries
-    // (xkiller) are rejected by `build_adversary` itself.
+    // (xkiller) are refused by `build_adversary` itself.
     let setup = WriteAllSetup { tasks, x_layout: None, tree: None };
-    let mut adversary = build_adversary(args, &setup, n)?;
+    let mut adversary = build_adversary(cfg, &setup)?;
     let report = m
-        .run_observed(&mut adversary, RunLimits { max_cycles }, observer)
+        .run_observed(&mut adversary, cfg.limits(), observer)
         .map_err(|e| ArgError(format!("machine error: {e}")))?;
     if !tasks.all_written(m.memory()) {
         return Err(ArgError("postcondition failed: array not fully written".into()));
@@ -73,12 +67,13 @@ fn run_snapshot(
 ///
 /// Reports bad arguments, I/O problems, and machine errors as [`ArgError`].
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    let (n, p) = parse_sizes(args)?;
+    // `--events` names trace's own export, not a session's events log.
+    let cfg = RunConfig { events: None, ..config_from_args(args)? };
+    let (n, p) = (cfg.n, cfg.p);
     let model = args.get_or("model", "word");
     if model != "word" && model != "snapshot" {
         return Err(crate::unknown("--model", model, &["word", "snapshot"]));
     }
-    let max_cycles: u64 = args.get_parsed("max-cycles", RunLimits::default().max_cycles)?;
     let tail: usize = args.get_parsed("tail", 0)?;
     let format = args.get_or("format", "csv");
     if format != "csv" && format != "jsonl" {
@@ -87,34 +82,20 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 
     let mut recorder =
         if tail == 0 { TraceRecorder::unbounded() } else { TraceRecorder::with_capacity(tail) };
-    let mut metrics = MetricsObserver::new(p);
+    let mut metrics = MetricsObserver::new(p as usize);
+    let mut observer = Tee(&mut recorder, &mut metrics);
 
     let (algo_name, stats) = if model == "snapshot" {
-        let stats = run_snapshot(args, n, p, max_cycles, &mut Tee(&mut recorder, &mut metrics))?;
-        ("snapshot", stats)
+        ("snapshot", run_snapshot(&cfg, &mut observer)?)
     } else {
-        let algo = parse_algo(args.get_or("algo", "x"))?;
-        let mut build_err = None;
-        let result = run_write_all(
-            &WriteAllSpec::new(algo, n, p),
-            |setup| match build_adversary(args, setup, n) {
-                Ok(adv) => adv,
-                Err(e) => {
-                    build_err = Some(e);
-                    Box::new(NoFailures)
-                }
-            },
-            RunLimits { max_cycles },
-            &mut Tee(&mut recorder, &mut metrics),
-        );
-        if let Some(e) = build_err {
-            return Err(e);
-        }
-        let run = result.map_err(|e| ArgError(format!("machine error: {e}")))?;
+        let spec = cfg.spec()?;
+        let adversary = build_adversary(&cfg, &spec.setup())?;
+        let run = run_write_all(&spec, |_| adversary, cfg.limits(), &mut observer)
+            .map_err(|e| ArgError(format!("machine error: {e}")))?;
         if !run.verified {
             return Err(ArgError("postcondition failed: array not fully written".into()));
         }
-        (algo.name(), run.report.stats)
+        (spec.algo.name(), run.report.stats)
     };
     let series = metrics.finish();
 
@@ -136,7 +117,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     eprintln!(
         "trace: {algo_name} N={n} P={p} adversary={} — {} events ({} dropped by --tail), {} ticks, \
          S={} S'={} |F|={}",
-        args.get_or("adversary", "none"),
+        cfg.adversary,
         recorder.total_events,
         recorder.dropped,
         series.ticks.len(),

@@ -52,14 +52,20 @@ USAGE: rfsp <COMMAND> [--key value]... [--flag]...
 
 Each command takes only the options listed under it. Sizes are at least
 1; --n is at most 2^28 cells and --p at most 2^20 processors.
+writeall, trace, experiment --run writeall and submit describe one
+Write-All run the same way: they take the same --adversary kinds, and
+each of their shared options means the same in all four.
 
 COMMANDS:
   writeall     solve a Write-All instance under an adversary
                --algo x|v|w|vx|x-inplace|acc   --n SIZE --p PROCS
                --adversary none|thrashing|pigeonhole|pigeonhole-failstop|
-                           random|offline|xkiller|stalking|replay
+                           random|offline|xkiller|stalking|replay|bursty
+                                  (xkiller needs --algo x or vx)
                --rate F --restart-rate F --seed S --fault-budget M
-               --target CELL --no-restarts
+               --target CELL      stalking: the stalked cell (default
+                                  N - 1; must be below --n)
+               --no-restarts
                --replay-pattern FILE --max-cycles C
                --record-pattern FILE
                --threads T        tick engine: 1 = sequential (default),
@@ -90,8 +96,9 @@ COMMANDS:
   experiment   reproduce a paper result  --id e1..e13|all
                or run the crash-safe long-run mode:
                --run writeall     --algo/--n/--p/--threads as writeall
-               --adversary none|random|bursty|replay --rate F
-               --restart-rate F --seed S --replay-pattern FILE
+               --adversary KIND   any writeall adversary, checkpointed
+                                  and resumable like the rest of the run
+               --rate F --restart-rate F --seed S --replay-pattern FILE
                --checkpoint FILE  write a resumable snapshot (atomic
                                   tmp+fsync+rename) on the policy's
                                   cadence and on SIGINT
@@ -144,14 +151,14 @@ EXIT CODES:
      --checkpoint is set, a final checkpoint written for --resume
 ";
 
-/// The instance and adversary options `writeall` and `trace` share.
+/// The [`rfsp_run::RunConfig`] keys `writeall` and `trace` take.
 const INSTANCE_OPTIONS: &str = "algo n p adversary rate restart-rate seed fault-budget target \
                                 no-restarts replay-pattern max-cycles";
 
-/// The options of a crash-safe long run (`experiment --run writeall`)
-/// that `submit` forwards to the daemon. The daemon keeps each job's
-/// checkpoint and events in its spool, so `submit` takes neither
-/// `--checkpoint` nor `--events`.
+/// The [`rfsp_run::RunConfig`] keys of a crash-safe long run
+/// (`experiment --run writeall`) that `submit` forwards to the daemon.
+/// The daemon keeps each job's checkpoint and events in its spool, so
+/// `submit` takes neither `--checkpoint` nor `--events`.
 const LONG_RUN_OPTIONS: &str = "algo n p threads adversary rate restart-rate seed replay-pattern \
                                 every policy max-cycles";
 
@@ -325,6 +332,52 @@ mod tests {
         assert_eq!(run_cli(["experiment", "--resume", "/no/such/ck.json"], never), 1);
         // 3 — interrupted-with-checkpoint — exercised against the real
         // binary (signal delivery) in tests/exit_codes.rs.
+    }
+
+    /// Each command keeps exactly the keys it has always taken, whatever
+    /// the tables are built from.
+    #[test]
+    fn commands_take_their_pinned_keys() {
+        let pinned: &[(&str, &str)] = &[
+            (
+                "writeall",
+                "algo n p adversary rate restart-rate seed fault-budget target no-restarts \
+                 replay-pattern max-cycles record-pattern threads banks interleave",
+            ),
+            ("simulate", "kernel n p engine adversary rate restart-rate seed"),
+            ("lockfree", "n threads fault-rate seed"),
+            (
+                "trace",
+                "algo n p adversary rate restart-rate seed fault-budget target no-restarts \
+                 replay-pattern max-cycles model events metrics format tail",
+            ),
+            (
+                "experiment",
+                "id run resume checkpoint events algo n p threads adversary rate restart-rate \
+                 seed replay-pattern every policy max-cycles",
+            ),
+            ("soak", "cases seed verbose replay-out replay"),
+            ("serve", "spool socket workers quantum"),
+            (
+                "submit",
+                "algo n p threads adversary rate restart-rate seed replay-pattern every policy \
+                 max-cycles socket watch",
+            ),
+            ("jobs", "socket"),
+            ("cancel", "socket job shutdown"),
+            ("help", ""),
+        ];
+        let sorted = |keys: &mut dyn Iterator<Item = &'static str>| {
+            let mut keys: Vec<&str> = keys.collect();
+            keys.sort_unstable();
+            keys
+        };
+        assert_eq!(COMMANDS.len(), pinned.len());
+        for (&(command, groups), &(name, keys)) in COMMANDS.iter().zip(pinned) {
+            assert_eq!(command, name);
+            let takes = sorted(&mut groups.iter().flat_map(|g| g.split_whitespace()));
+            assert_eq!(takes, sorted(&mut keys.split_whitespace()), "{command}");
+        }
     }
 
     #[test]

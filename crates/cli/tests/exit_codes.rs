@@ -70,6 +70,15 @@ fn codes_zero_one_and_two_against_the_binary() {
         assert_eq!(code(&argv), 1, "experiment --rate {rate}");
         assert_eq!(code(&["simulate", "--kernel", "sum", "--n", "16", "--rate", rate]), 1);
     }
+    // So is a stalked cell outside the array, for either command, and an
+    // X-killer on an algorithm without an X layout.
+    let stalk = ["--adversary", "stalking", "--target"];
+    let writeall = [&["writeall", "--n", "1024", "--p", "8"][..], &stalk, &["5000"]];
+    assert_eq!(code(&writeall.concat()), 1);
+    let trace = [&["trace", "--n", "64", "--p", "4"][..], &stalk, &["64", "--events", "/dev/null"]];
+    assert_eq!(code(&trace.concat()), 1);
+    let argv = ["experiment", "--run", "writeall", "--algo", "v", "--adversary", "xkiller"];
+    assert_eq!(code(&argv), 1);
     // And thread counts outside 1..=256: each is an OS thread spawned.
     assert_eq!(code(&["lockfree", "--threads", "0"]), 1);
     assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--threads", "257"]), 1);

@@ -138,3 +138,39 @@ fn sigkill_adaptive_policy_run_then_resume_reproduces_the_baseline() {
         &["--policy", "adaptive"],
     );
 }
+
+/// Runs the long-run mode with `adversary` on the X-based instance `n`,
+/// `p`, checkpointing every 25 ticks, through [`kill_resume_case`].
+fn kill_resume_kind(adversary: &str, n: &str, p: &str) {
+    let common = [
+        "experiment",
+        "--run",
+        "writeall",
+        "--algo",
+        "x",
+        "--n",
+        n,
+        "--p",
+        p,
+        "--threads",
+        "2",
+        "--adversary",
+        adversary,
+    ];
+    kill_resume_case(adversary, &common, &["--every", "25"]);
+}
+
+#[test]
+fn sigkill_x_killer_run_then_resume_reproduces_the_baseline() {
+    // Theorem 4.8's adversary at P = N: thousands of ticks, so the kill
+    // lands long before the run ends.
+    kill_resume_kind("xkiller", "512", "512");
+}
+
+#[test]
+fn sigkill_pigeonhole_run_then_resume_reproduces_the_baseline() {
+    // Theorem 3.1's adversary reads memory every tick and keeps no state
+    // between ticks: its checkpoint is empty, and the resumed run must
+    // still fail the same processors.
+    kill_resume_kind("pigeonhole", "8192", "512");
+}

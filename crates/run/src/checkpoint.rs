@@ -18,7 +18,9 @@ use crate::{atomic::write_atomic, io_err, RunConfig, RunError};
 ///   checkpoint is v4 and carries the policy-engine state.
 /// * v3 — one compact JSON line; the wrapped machine checkpoint is v5,
 ///   whose failure pattern is a flat integer array.
-pub const SESSION_CHECKPOINT_VERSION: u32 = 3;
+/// * v4 — the config gains `fault_budget`, `target` and `no_restarts`, so
+///   every adversary kind of the one table can be checkpointed.
+pub const SESSION_CHECKPOINT_VERSION: u32 = 4;
 
 /// What a checkpoint file holds: everything a resumed process needs —
 /// config, machine snapshot, and how many event bytes had been flushed
@@ -54,10 +56,14 @@ impl SessionCheckpoint {
     ///
     /// The version is checked before the rest is decoded, so a file from
     /// an older format gets the version refusal rather than a shape error.
+    /// The config it carries is checked by [`RunConfig::validate`], as a
+    /// config from the command line or the wire is: a resumed run builds
+    /// its program and adversary from it.
     ///
     /// # Errors
     ///
-    /// Unreadable files, malformed JSON, and version mismatches.
+    /// Unreadable files, malformed JSON, version mismatches, and configs
+    /// `validate` refuses.
     pub fn load(path: &str) -> Result<Self, RunError> {
         let text = std::fs::read_to_string(path).map_err(|e| io_err("read", path, &e))?;
         let value = serde::json::parse(&text)
@@ -71,8 +77,10 @@ impl SessionCheckpoint {
             }
             _ => {}
         }
-        SessionCheckpoint::from_value(&value)
-            .map_err(|e| RunError(format!("{path}: malformed checkpoint: {e}")))
+        let ck = SessionCheckpoint::from_value(&value)
+            .map_err(|e| RunError(format!("{path}: malformed checkpoint: {e}")))?;
+        ck.config.validate().map_err(|e| RunError(format!("{path}: {e}")))?;
+        Ok(ck)
     }
 }
 
@@ -90,15 +98,19 @@ mod tests {
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("cannot read"));
         std::fs::write(&path, "{not json").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("not valid JSON"));
-        std::fs::write(&path, "{\"version\":3}").unwrap();
+        std::fs::write(&path, "{\"version\":4}").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("malformed"));
-        std::fs::write(&path, "{\"version\":\"3\"}").unwrap();
+        std::fs::write(&path, "{\"version\":\"4\"}").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("malformed"));
         // An older file is refused by version before its shape is read:
-        // a v2 file's pattern is a map the v3 decoder cannot read.
+        // a v2 file's pattern is a map the v3 decoder cannot read, and a
+        // v3 file's config lacks the v4 fields.
         std::fs::write(&path, "{\"version\":2,\"machine\":{\"pattern\":{\"events\":[]}}}").unwrap();
         let err = SessionCheckpoint::load(path_s).unwrap_err().0;
-        assert!(err.ends_with("checkpoint version 2 (this build reads 3)"), "{err}");
+        assert!(err.ends_with("checkpoint version 2 (this build reads 4)"), "{err}");
+        std::fs::write(&path, "{\"version\":3,\"config\":{\"algo\":\"x\"}}").unwrap();
+        let err = SessionCheckpoint::load(path_s).unwrap_err().0;
+        assert!(err.ends_with("checkpoint version 3 (this build reads 4)"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,6 +6,9 @@
 //! orchestration once, for the CLI's long-run mode, the soak harness's
 //! kill/resume lanes and the `rfsp serve` daemon:
 //!
+//! * [`RunConfig`] — the one description of a Write-All run, with the one
+//!   [`program`] dispatch (an algorithm name to its program) and the one
+//!   adversary table ([`build_adversary`]) beneath every run path.
 //! * [`RunSession`] — owns a machine (a [`Pram`](rfsp_pram::Pram) over
 //!   either model, so both the word-model [`Machine`](rfsp_pram::Machine)
 //!   and the §3 [`SnapshotMachine`](rfsp_pram::SnapshotMachine) qualify),
@@ -35,6 +38,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod events;
 pub mod pattern_io;
+pub mod program;
 pub mod protocol;
 pub mod sched;
 pub mod session;
@@ -42,8 +46,9 @@ pub mod spool;
 
 pub use atomic::write_atomic;
 pub use checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
-pub use config::{build_adversary, RunConfig, MAX_PROCESSORS, MAX_SIZE, MAX_THREADS};
+pub use config::{build_adversary, RunConfig, ADVERSARIES, MAX_PROCESSORS, MAX_SIZE, MAX_THREADS};
 pub use events::{count_tick_starts, EventLog};
+pub use program::{with_write_all_program, Algo, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 pub use protocol::{
     read_line, read_request, write_line, JobInfo, JobState, Request, Response, MAX_REQUEST_BYTES,
 };

@@ -15,6 +15,9 @@ use crate::{RunConfig, RunError};
 
 /// Client → daemon.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+// `Submit` carries the config by value, as every client builds it; a
+// request lives for one connection, so its size costs nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum Request {
     /// Queue a run; responds [`Response::Submitted`].
     Submit {

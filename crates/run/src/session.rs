@@ -28,6 +28,7 @@ use rfsp_pram::{
 use crate::checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
 use crate::config::{build_adversary, RunConfig};
 use crate::events::EventLog;
+use crate::program::WriteAllSetup;
 use crate::{machine_err, RunError};
 use serde::{Deserialize, Serialize};
 
@@ -73,9 +74,13 @@ pub enum SessionEnd {
 /// Generic over the machine's [`ExecutionModel`], so either model
 /// qualifies, and parameterized by an [`ExecMode`] naming the tick engine.
 /// The `rebuild` factory recreates the machine from scratch — the
-/// from-scratch leg of panic recovery when no checkpoint exists yet.
+/// from-scratch leg of panic recovery when no checkpoint exists yet. It
+/// must build the program the config names: the session derives the
+/// instance's [`WriteAllSetup`] from the config, for region-aware
+/// adversaries.
 pub struct RunSession<'a, M: ExecutionModel> {
     cfg: RunConfig,
+    setup: WriteAllSetup,
     machine: Pram<M>,
     adversary: Box<dyn Adversary>,
     engine: PolicyEngine,
@@ -94,9 +99,10 @@ where
     M: ExecutionModel,
     M::Private: Serialize + Deserialize,
 {
-    /// Start a fresh session from `cfg`. `rebuild` constructs the machine
-    /// (it is called once now, and again if a panic forces a from-scratch
-    /// restart before the first checkpoint).
+    /// Start a fresh session from `cfg`, which must have passed
+    /// [`RunConfig::validate`]. `rebuild` constructs the machine (it is
+    /// called once now, and again if a panic forces a from-scratch restart
+    /// before the first checkpoint).
     ///
     /// # Errors
     ///
@@ -107,11 +113,13 @@ where
         mut rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
     ) -> Result<Self, RunError> {
         let machine = rebuild().map_err(|e| machine_err(&e))?;
-        let adversary = build_adversary(&cfg)?;
+        let setup = cfg.spec()?.setup();
+        let adversary = build_adversary(&cfg, &setup)?;
         let engine = PolicyEngine::new(cfg.policy_kind());
         let (events, _) = EventLog::open(cfg.events.as_deref(), None)?;
         Ok(RunSession {
             cfg,
+            setup,
             machine,
             adversary,
             engine,
@@ -125,7 +133,8 @@ where
     }
 
     /// Resume a session from a loaded checkpoint: rebuild the machine and
-    /// adversary from the checkpoint's config, rehydrate their state,
+    /// adversary from the checkpoint's config (which
+    /// [`SessionCheckpoint::load`] validated), rehydrate their state,
     /// truncate the events log back to the checkpointed offset, and count
     /// the dropped tail as ticks to replay.
     ///
@@ -140,7 +149,8 @@ where
     ) -> Result<Self, RunError> {
         let cfg = ck.config.clone();
         let mut machine = rebuild().map_err(|e| machine_err(&e))?;
-        let mut adversary = build_adversary(&cfg)?;
+        let setup = cfg.spec()?.setup();
+        let mut adversary = build_adversary(&cfg, &setup)?;
         let mut engine = PolicyEngine::new(cfg.policy_kind());
         let (events, replayed_tail) =
             EventLog::open(cfg.events.as_deref(), Some(ck.events_offset))?;
@@ -157,6 +167,7 @@ where
         );
         Ok(RunSession {
             cfg,
+            setup,
             machine,
             adversary,
             engine,
@@ -334,7 +345,7 @@ where
             }
             None => {
                 self.machine = (self.rebuild)().map_err(|e| machine_err(&e))?;
-                self.adversary = build_adversary(&self.cfg)?;
+                self.adversary = build_adversary(&self.cfg, &self.setup)?;
                 self.engine.reset_preserving_panics();
                 self.wasted.replayed_ticks += panicked_at;
                 eprintln!(

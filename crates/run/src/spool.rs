@@ -148,8 +148,9 @@ impl Spool {
     /// torn done markers, and the unreadable or torn checkpoints of
     /// unfinished jobs, are reported as errors — a daemon must refuse to
     /// silently restart a job whose checkpoint it cannot parse, or re-run
-    /// one whose marker it cannot read. A finished job's checkpoint is
-    /// never read: nothing resumes from it.
+    /// one whose marker it cannot read. So is a config that
+    /// [`RunConfig::validate`] refuses, as its `Submit` was. A finished
+    /// job's checkpoint is never read: nothing resumes from it.
     ///
     /// # Errors
     ///
@@ -175,6 +176,7 @@ impl Spool {
                 .ok_or_else(|| {
                     RunError(format!("{}: malformed job config", config_path.display()))
                 })?;
+            config.validate().map_err(|e| RunError(format!("{}: {e}", config_path.display())))?;
             let done_path = dir.join("done.json");
             let done = if done_path.exists() {
                 let text = std::fs::read_to_string(&done_path)
@@ -274,6 +276,13 @@ mod tests {
         std::fs::write(&marker, r#"{"state": "completed", "detail": "S=5 tau=2"}"#).unwrap();
         let jobs = spool.scan().unwrap();
         assert_eq!(jobs[1].done.as_ref().map(|d| d.tick), Some(0));
+
+        // A config `validate` refuses fails the scan, as its `Submit`
+        // would have been refused.
+        let bad = RunConfig { rate: 5.0, ..spool.job_config(3, RunConfig::default()) };
+        spool.create_job(3, &bad).unwrap();
+        let err = spool.scan().err().expect("a job config that fails validate fails the scan");
+        assert!(err.0.ends_with("--rate must be between 0 and 1, not 5"), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

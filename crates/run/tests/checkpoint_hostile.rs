@@ -5,7 +5,8 @@
 //! machine's restore on freshly built ones), a recorded failure-pattern
 //! file ([`pattern_io::decode`], then [`ScheduledAdversary::try_new`] and
 //! a short run) and a daemon `Submit` line ([`read_request`], then
-//! [`RunConfig::validate`]).
+//! [`RunConfig::validate`], and for a config it accepts the instance's
+//! setup and its adversary).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -98,6 +99,7 @@ fn hostile_session_checkpoints_are_errors_not_panics() {
     let tasks = WriteAllTasks::new(&mut layout, cfg.n as usize);
     let prog = AlgoX::new(&mut layout, tasks, cfg.p as usize, XOptions::default());
     let build = || Machine::new(&prog, cfg.p as usize, CycleBudget::PAPER);
+    let setup = cfg.spec().unwrap().setup();
 
     // A real checkpoint, taken mid-run under random faults.
     let mut session = RunSession::new(cfg.clone(), ExecMode::Sequential, Box::new(build)).unwrap();
@@ -117,7 +119,7 @@ fn hostile_session_checkpoints_are_errors_not_panics() {
         let mut engine = PolicyEngine::new(cfg.policy_kind());
         let _ = engine.restore_state(&ck.machine.policy);
         let mut machine = build().unwrap();
-        let mut adversary = build_adversary(&cfg).unwrap();
+        let mut adversary = build_adversary(&cfg, &setup).unwrap();
         let _ = machine.restore_checkpoint(&ck.machine, &mut *adversary);
         true
     });
@@ -138,7 +140,8 @@ fn hostile_pattern_files_are_errors_not_panics() {
 
     // A real recorded pattern, from a run under random faults.
     let cfg = RunConfig { adversary: "random".into(), rate: 0.2, ..RunConfig::default() };
-    let report = build().run(&mut build_adversary(&cfg).unwrap()).unwrap();
+    let mut adversary = build_adversary(&cfg, &cfg.spec().unwrap().setup()).unwrap();
+    let report = build().run(&mut adversary).unwrap();
     assert!(report.pattern.size() > 4, "the run recorded too few failure events");
     let good = pattern_io::encode(&report.pattern).into_bytes();
 
@@ -155,20 +158,42 @@ fn hostile_pattern_files_are_errors_not_panics() {
     assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
 }
 
+/// A config `validate` accepts derives its setup and builds its adversary
+/// without a panic: `validate` refuses whatever a constructor would.
 #[test]
 fn hostile_submit_lines_are_errors_not_panics() {
-    let config = RunConfig { adversary: "random".into(), n: 4096, p: 16, ..RunConfig::default() };
+    let config = RunConfig {
+        algo: "vx".into(),
+        adversary: "stalking".into(),
+        n: 4096,
+        p: 16,
+        target: Some(4000),
+        fault_budget: Some(90),
+        ..RunConfig::default()
+    };
     let mut good = Vec::new();
     write_line(&mut good, &Request::Submit { config }).unwrap();
 
+    let valid = std::cell::Cell::new(0);
     let (accepted, refused) =
         hostile(&good, JSONISH, |bytes| match read_request(&mut &bytes[..]) {
             Ok(Some(Request::Submit { config })) => {
-                let _ = config.validate();
+                if config.validate().is_ok() {
+                    // Every kind, not only the one the line names.
+                    for kind in rfsp_run::ADVERSARIES {
+                        let config = RunConfig { adversary: kind.to_string(), ..config.clone() };
+                        if config.validate().is_ok() {
+                            let setup = config.spec().unwrap().setup();
+                            let _ = build_adversary(&config, &setup);
+                        }
+                    }
+                    valid.set(valid.get() + 1);
+                }
                 true
             }
             Ok(_) => true,
             Err(_) => false,
         });
     assert!(accepted > 0 && refused > good.len(), "{accepted} accepted, {refused} refused");
+    assert!(valid.get() > 0, "no hostile line passed validate; the constructors never ran");
 }

@@ -2,13 +2,15 @@
 //! a killed-and-resumed [`RunSession`] must produce a byte-identical event
 //! stream to an uninterrupted one, so must a session stopped at every pause
 //! and run again in the same process, and [`run_with_cut`] must agree with
-//! a straight run.
+//! a straight run under every kind of the adversary table.
 
-use rfsp_adversary::RandomFaults;
+use proptest::prelude::*;
+use rfsp_adversary::{offline_random_pattern, RandomFaults};
 use rfsp_core::{AlgoX, WriteAllTasks, XOptions};
 use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, NoopObserver, PolicyKind, RunLimits};
 use rfsp_run::{
-    run_with_cut, ExecMode, PauseFlow, RunConfig, RunSession, SessionCheckpoint, SessionEnd,
+    build_adversary, pattern_io, run_with_cut, ExecMode, PauseFlow, RunConfig, RunSession,
+    SessionCheckpoint, SessionEnd, ADVERSARIES,
 };
 
 fn test_dir(tag: &str) -> std::path::PathBuf {
@@ -90,8 +92,17 @@ fn killed_session_resumes_to_byte_identical_events() {
     assert!(!drive(&cut2, Some(7), false));
     // Resume carries the wasted-work ledger forward: the checkpoint on
     // disk already records at least one checkpoint written.
-    let ck = SessionCheckpoint::load(cut2.checkpoint.as_deref().unwrap()).unwrap();
+    let path = cut2.checkpoint.as_deref().unwrap();
+    let ck = SessionCheckpoint::load(path).unwrap();
     assert!(ck.wasted.checkpoints >= 1);
+    // A checkpoint whose config `validate` refuses is refused whole: a
+    // resumed run builds its program and adversary from that config.
+    let text = std::fs::read_to_string(path).unwrap();
+    let bad = text.replace("\"rate\":0.2,", "\"rate\":5.0,");
+    assert_ne!(bad, text);
+    std::fs::write(path, bad).unwrap();
+    let err = SessionCheckpoint::load(path).unwrap_err().0;
+    assert!(err.ends_with("--rate must be between 0 and 1, not 5"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dropped);
 }
@@ -161,4 +172,53 @@ fn run_with_cut_matches_a_straight_run() {
     .unwrap();
     let (reference, resumed) = outcome.policy_states.expect("cut must happen before completion");
     assert_eq!(reference, resumed, "policy engine diverged across the cut");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 60, ..ProptestConfig::default() })]
+
+    /// Every kind of the table, cut at a random tick, checkpointed through
+    /// the JSON codec and resumed into a freshly built machine and
+    /// adversary, ends exactly where the uninterrupted run does.
+    #[test]
+    fn every_adversary_kind_resumes_from_a_cut(
+        kind in 0usize..10,
+        seed in any::<u64>(),
+        n in 8u64..80,
+        p in 1u64..24,
+        cut in 0u64..120,
+    ) {
+        let dir = std::env::temp_dir().join(format!("rfsp-run-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pattern = dir.join(format!("{seed}.pat"));
+        let schedule = offline_random_pattern(p as usize, 300, 0.2, 0.5, seed);
+        std::fs::write(&pattern, pattern_io::encode(&schedule)).unwrap();
+        let cfg = RunConfig {
+            adversary: ADVERSARIES[kind].to_string(),
+            n,
+            p,
+            rate: 0.2,
+            restart_rate: 0.5,
+            seed,
+            replay_pattern: Some(pattern.display().to_string()),
+            ..RunConfig::default()
+        };
+        cfg.validate().unwrap();
+        let setup = cfg.spec().unwrap().setup();
+        let mut layout = LayoutBuilder::new();
+        let tasks = WriteAllTasks::new(&mut layout, n as usize);
+        let prog = AlgoX::new(&mut layout, tasks, p as usize, XOptions::default());
+        let build = || Machine::new(&prog, p as usize, CycleBudget::PAPER);
+        let adversary = || build_adversary(&cfg, &setup).unwrap();
+        let limits = RunLimits::default();
+
+        let mut straight = build().unwrap();
+        let report = straight.run_observed(&mut adversary(), limits, &mut NoopObserver).unwrap();
+        let outcome = run_with_cut(build, adversary, limits, cut, None).unwrap();
+        std::fs::remove_file(&pattern).unwrap();
+        prop_assert_eq!(&outcome.report.stats, &report.stats);
+        prop_assert_eq!(&outcome.report.pattern, &report.pattern);
+        prop_assert_eq!(outcome.machine.memory().to_vec(), straight.memory().to_vec());
+        prop_assert!(tasks.all_written(outcome.machine.memory()));
+    }
 }
