@@ -118,7 +118,7 @@ impl Adversary for BurstyFaults {
                 break;
             }
             if self.rng.random_bool(p_fail) {
-                let t = view.tentative[pid.0].as_ref().expect("active processor has a cycle");
+                let t = view.tentative.get(pid).expect("active processor has a cycle");
                 let w = t.writes.len();
                 let point = match self.rng.random_range(0..3) {
                     0 => FailPoint::BeforeReads,

@@ -117,8 +117,8 @@ impl Adversary for Pigeonhole {
         // fill (counts double as fill cursors).
         self.counts.clear();
         self.counts.resize(u, 0);
-        for t in view.tentative.iter().flatten() {
-            for &(addr, value) in t.writes.writes() {
+        for (_, t) in view.tentative.iter() {
+            for &(addr, value) in t.writes {
                 if value == 1 && x.contains(addr) {
                     if let Some(k) = slot(addr) {
                         self.counts[k] += 1;
@@ -134,12 +134,11 @@ impl Adversary for Pigeonhole {
         self.counts.copy_from_slice(&self.starts[..u]);
         self.csr.clear();
         self.csr.resize(self.starts[u], Pid(0));
-        for (pid_idx, t) in view.tentative.iter().enumerate() {
-            let Some(t) = t.as_ref() else { continue };
-            for &(addr, value) in t.writes.writes() {
+        for (pid, t) in view.tentative.iter() {
+            for &(addr, value) in t.writes {
                 if value == 1 && x.contains(addr) {
                     if let Some(k) = slot(addr) {
-                        self.csr[self.counts[k]] = Pid(pid_idx);
+                        self.csr[self.counts[k]] = pid;
                         self.counts[k] += 1;
                     }
                 }

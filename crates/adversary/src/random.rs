@@ -88,7 +88,7 @@ impl Adversary for RandomFaults {
                 break;
             }
             if self.rng.random_bool(self.p_fail) && self.take_budget() {
-                let t = view.tentative[pid.0].as_ref().expect("active processor has a cycle");
+                let t = view.tentative.get(pid).expect("active processor has a cycle");
                 let w = t.writes.len();
                 let point = match self.rng.random_range(0..3) {
                     0 => FailPoint::BeforeReads,

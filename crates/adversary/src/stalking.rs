@@ -46,9 +46,9 @@ impl Stalking {
     }
 
     /// Whether a tentative cycle touches the stalked cell.
-    fn touches(&self, t: &rfsp_pram::TentativeCycle) -> bool {
+    fn touches(&self, t: &rfsp_pram::TentativeCycle<'_>) -> bool {
         let addr = self.x.at(self.target);
-        t.writes.writes().iter().any(|&(a, _)| a == addr) || t.reads.addrs().contains(&addr)
+        t.writes.iter().any(|&(a, _)| a == addr) || t.reads.contains(&addr)
     }
 }
 
@@ -67,12 +67,8 @@ impl Adversary for Stalking {
             }
             return d;
         }
-        let active: Vec<(Pid, bool)> = view
-            .tentative
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (Pid(i), self.touches(t))))
-            .collect();
+        let active: Vec<(Pid, bool)> =
+            view.tentative.iter().map(|(pid, t)| (pid, self.touches(&t))).collect();
         let touchers: Vec<Pid> = active.iter().filter(|(_, t)| *t).map(|(p, _)| *p).collect();
         match self.mode {
             StalkingMode::FailStop => {

@@ -21,7 +21,7 @@
 //! again. The recursive re-traversals compound to `Θ(N^{log₂ 3})`.
 
 use rfsp_core::{HeapTree, XLayout};
-use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView, Pid, ProcStatus, Region};
+use rfsp_pram::{Adversary, Decisions, FailPoint, MachineView, ProcStatus, Region};
 use serde::Value;
 
 /// The Theorem 4.8 postorder stalker for algorithm X.
@@ -61,22 +61,20 @@ impl Adversary for XKiller {
         // Freeze any other processor whose cycle would contribute progress
         // (an x write or a progress-heap write) away from processor 0's
         // position; pure movement (w writes) is allowed — and charged.
-        for (pid_idx, t) in view.tentative.iter().enumerate() {
-            if pid_idx == 0 {
+        for (pid, t) in view.tentative.iter() {
+            if pid.0 == 0 {
                 continue;
             }
-            let Some(t) = t.as_ref() else { continue };
-            let pos = view.mem.peek(self.layout.w.at(pid_idx)) as usize;
+            let pos = view.mem.peek(self.layout.w.at(pid.0)) as usize;
             if pos == pos0 {
                 continue; // co-located with processor 0: may help it
             }
             let contributes = t
                 .writes
-                .writes()
                 .iter()
                 .any(|&(addr, _)| self.x.contains(addr) || self.layout.d.contains(addr));
             if contributes {
-                d.fail(Pid(pid_idx), FailPoint::BeforeWrites);
+                d.fail(pid, FailPoint::BeforeWrites);
             }
         }
         let _ = self.tree;

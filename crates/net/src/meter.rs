@@ -122,13 +122,12 @@ impl<A: Adversary> Adversary for NetworkMeter<A> {
         let mut writes = std::mem::take(&mut self.write_buf);
         reads.clear();
         writes.clear();
-        for (pid, t) in view.tentative.iter().enumerate() {
-            let Some(t) = t.as_ref() else { continue };
-            for &addr in t.reads.addrs() {
-                reads.push((pid, addr));
+        for (pid, t) in view.tentative.iter() {
+            for &addr in t.reads {
+                reads.push((pid.0, addr));
             }
-            for &(addr, _) in t.writes.writes() {
-                writes.push((pid, addr));
+            for &(addr, _) in t.writes {
+                writes.push((pid.0, addr));
             }
         }
         let mut tick_total = 0;

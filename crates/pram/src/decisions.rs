@@ -12,7 +12,7 @@
 //! processor or a [`PramError::InvalidAdversaryDecision`] /
 //! [`PramError::AdversaryStall`] / [`PramError::Deadlock`].
 
-use crate::adversary::{Decisions, FailPoint, ProcStatus, TentativeCycle};
+use crate::adversary::{Cycles, Decisions, FailPoint, ProcStatus};
 use crate::error::PramError;
 use crate::Result;
 
@@ -47,7 +47,7 @@ const HALT: u8 = 2;
 
 /// One processor's outcome for the current tick: everything the commit
 /// and the finish sweep need, so neither reads the processor's tentative
-/// slot again. [`resolve`] writes every record and then the decisions'
+/// cycle again. [`resolve`] writes every record and then the decisions'
 /// overrides; the tick's prepass fills in a completed cycle's write count
 /// and halt bit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -129,7 +129,7 @@ impl Fate {
 /// tentative cycle exactly when it is alive. One sweep writes every record
 /// from its status, whatever an earlier tick or a rejected decision left
 /// there; the decisions then override only the processors they name, and
-/// the progress condition follows from counts. Only the tentative slots of
+/// the progress condition follows from counts. Only the tentative cycles of
 /// processors the decisions stop are read.
 ///
 /// # Errors
@@ -142,7 +142,7 @@ pub(crate) fn resolve(
     cycle: u64,
     decisions: &Decisions,
     status: &[ProcStatus],
-    tentative: &[Option<TentativeCycle>],
+    tentative: &Cycles,
     fates: &mut [Fate],
 ) -> Result<()> {
     let p = status.len();
@@ -180,7 +180,7 @@ pub(crate) fn resolve(
             // No cycle in flight; the processor simply stops.
             ProcStatus::Halted => fate.fail_at(point),
             ProcStatus::Alive => {
-                let t = tentative[pid.0].as_ref().expect("alive processor has a tentative cycle");
+                let t = tentative.get(pid).expect("alive processor has a tentative cycle");
                 let committed = match point {
                     FailPoint::BeforeReads | FailPoint::BeforeWrites => 0,
                     FailPoint::AfterWrite(k) => {
@@ -259,20 +259,20 @@ pub(crate) fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::TentativeCycle;
     use crate::word::Pid;
 
-    /// One alive processor with a single pending write.
-    fn one_writer() -> Vec<Option<TentativeCycle>> {
-        let mut t = TentativeCycle::default();
-        t.writes.push(0, 1);
-        vec![Some(t)]
+    /// `p` alive processors, each with a single pending write.
+    fn writers(p: usize) -> Cycles {
+        let mut tentative = Cycles::new(p, 0, 1);
+        for i in 0..p {
+            let cycle = TentativeCycle { reads: &[], writes: &[(0, 1)], halts: false };
+            tentative.set(Pid(i), Some(cycle));
+        }
+        tentative
     }
 
-    fn run(
-        decisions: &Decisions,
-        tentative: &[Option<TentativeCycle>],
-        status: ProcStatus,
-    ) -> Result<Vec<Fate>> {
+    fn run(decisions: &Decisions, tentative: &Cycles, status: ProcStatus) -> Result<Vec<Fate>> {
         let status = vec![status; tentative.len()];
         let mut fates = vec![Fate::default(); tentative.len()];
         resolve(7, decisions, &status, tentative, &mut fates)?;
@@ -285,8 +285,7 @@ mod tests {
     #[test]
     fn kill_after_commit_beyond_cycle_is_rejected() {
         // Two alive processors so the survivor satisfies progress.
-        let mut tentative = one_writer();
-        tentative.push(one_writer().pop().unwrap());
+        let tentative = writers(2);
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::AfterWrite(2));
         let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
@@ -306,8 +305,7 @@ mod tests {
     /// counts as completed.
     #[test]
     fn kill_after_final_write_completes_the_cycle() {
-        let mut tentative = one_writer();
-        tentative.push(one_writer().pop().unwrap());
+        let tentative = writers(2);
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::AfterWrite(1));
         let fates = run(&d, &tentative, ProcStatus::Alive).unwrap();
@@ -316,7 +314,7 @@ mod tests {
 
     #[test]
     fn restart_of_live_processor_is_rejected() {
-        let tentative = one_writer();
+        let tentative = writers(1);
         let mut d = Decisions::none();
         d.restart(Pid(0));
         let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
@@ -330,8 +328,7 @@ mod tests {
     /// Restarting a processor failed *this very tick* is legal.
     #[test]
     fn restart_of_just_failed_processor_is_accepted() {
-        let mut tentative = one_writer();
-        tentative.push(one_writer().pop().unwrap());
+        let tentative = writers(2);
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::BeforeWrites).restart(Pid(0));
         let fates = run(&d, &tentative, ProcStatus::Alive).unwrap();
@@ -342,8 +339,7 @@ mod tests {
     /// progress condition forbids.
     #[test]
     fn stalling_decisions_are_rejected() {
-        let mut tentative = one_writer();
-        tentative.push(one_writer().pop().unwrap());
+        let tentative = writers(2);
         let mut d = Decisions::none();
         d.fail(Pid(0), FailPoint::BeforeWrites).fail(Pid(1), FailPoint::BeforeReads);
         let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();
@@ -354,7 +350,7 @@ mod tests {
     /// processor voluntarily halted it is a deadlock instead.
     #[test]
     fn idle_machine_distinguishes_stall_from_deadlock() {
-        let tentative: Vec<Option<TentativeCycle>> = vec![None, None];
+        let tentative = Cycles::new(2, 0, 1);
         let err = run(&Decisions::none(), &tentative, ProcStatus::Failed).unwrap_err();
         assert_eq!(err, PramError::AdversaryStall { cycle: 7 });
         let err = run(&Decisions::none(), &tentative, ProcStatus::Halted).unwrap_err();
@@ -363,7 +359,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_targets_are_rejected() {
-        let tentative = one_writer();
+        let tentative = writers(1);
         let mut d = Decisions::none();
         d.fail(Pid(3), FailPoint::BeforeWrites);
         let err = run(&d, &tentative, ProcStatus::Alive).unwrap_err();

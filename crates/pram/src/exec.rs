@@ -33,7 +33,7 @@
 //!   into a snapshot machine or vice versa.
 //!
 //! The core stays **allocation-free in steady state**: all per-tick buffers
-//! (tentative cycles, fate records, slot merges, failure scratch) live in the
+//! (the tentative-cycle table, fate records, slot merges, failure scratch) live in the
 //! [`Core`] and are reused; tracker maintenance is O(1) per committed write
 //! for the count and O(log N) for the index. A run backend supplies only
 //! two hooks to the run loop — how the tentative phase executes and how
@@ -48,10 +48,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde::{Deserialize, Serialize};
 
 use crate::accounting::{RunOutcome, RunReport, WorkStats};
-use crate::adversary::{Adversary, Decisions, MachineView, ProcMeta, ProcStatus, TentativeCycle};
+use crate::adversary::{
+    Adversary, Cycles, Decisions, MachineView, ProcMeta, ProcStatus, ReadRow, RowMut,
+};
 use crate::checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
 use crate::commit::{CommitEntry, CommitScratch, SlotWinner};
-use crate::cycle::{Step, MAX_WRITES};
+use crate::cycle::{Step, ValueSet, WriteSet, MAX_WRITES};
 use crate::decisions::{resolve, Fate, FateKind};
 use crate::error::{BudgetKind, PramError};
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
@@ -201,15 +203,19 @@ pub trait ExecutionModel: Sync {
     }
 
     /// Play alive processor `pid`'s update cycle of tick `cycle` against
-    /// the tick-start memory `mem`: fill `t`'s reads, values and writes
-    /// (all cleared on entry) and advance `state` in place. `index` is the
-    /// unvisited-cell index when the model keeps one and the program is
-    /// tracked. The caller checks the writes against the write budget and
-    /// the memory bounds, and records whether the step halts.
+    /// the tick-start memory `mem`: store its reads in `reads` (the
+    /// processor's row of the tick's [`Cycles`] table, empty on entry and
+    /// exactly as wide as the read budget), push its writes into `writes`
+    /// (a scratch, cleared on entry) and advance `state` in place. `index`
+    /// is the unvisited-cell index when the model keeps one and the
+    /// program is tracked. The caller checks the writes against the write
+    /// budget and the memory bounds, copies them into the processor's row,
+    /// and records whether the step halts.
     ///
     /// # Errors
     ///
     /// See [`PramError`] — a read-budget or read-address violation.
+    #[allow(clippy::too_many_arguments)] // one cycle's inputs and outputs
     fn play(
         &self,
         mem: &SharedMemory,
@@ -217,15 +223,16 @@ pub trait ExecutionModel: Sync {
         cycle: u64,
         pid: Pid,
         state: &mut Self::Private,
-        t: &mut TentativeCycle,
+        reads: &mut ReadRow<'_>,
+        writes: &mut WriteSet,
     ) -> Result<Step>;
 
-    /// `S'` charge for a cycle interrupted after its reads with
+    /// `S'` charge for a cycle of `reads` reads interrupted after them with
     /// `committed_writes` of its writes committed. The word model charges
     /// `reads + 1 + committed`; the snapshot model's whole-memory read is
     /// free and its unit of local computation is only charged on
     /// completion, so it charges `committed` alone.
-    fn partial_instructions(t: &TentativeCycle, committed_writes: usize) -> u64;
+    fn partial_instructions(reads: usize, committed_writes: usize) -> u64;
 
     /// `(reads, writes)` budget header for checkpoints. The snapshot model
     /// has no read budget and reports `(0, write_budget)`.
@@ -239,7 +246,7 @@ pub trait ExecutionModel: Sync {
 /// streams, stats, memory, and the completion tracker are pinned
 /// byte-identical by the golden and differential tests.
 pub(crate) trait Backend<M: ExecutionModel> {
-    /// Phase 1: fill `core.tentative[i]` for every alive processor.
+    /// Phase 1: fill every processor's row of `core.tentative`.
     ///
     /// # Errors
     ///
@@ -262,13 +269,23 @@ pub(crate) trait Backend<M: ExecutionModel> {
     }
 }
 
-/// Play one processor's tentative cycle into its slot: `None` unless the
-/// processor is alive; otherwise the slot's inline buffers are refilled in
-/// place (no allocation, see [`crate::cycle`]), the model plays the cycle,
-/// and its writes are checked against the write budget and the memory.
-/// The private state advances **in place**: the commit either adopts it
-/// (cycle completed) or discards it (a stopped processor loses its private
-/// memory), so the pre-cycle state is never needed.
+/// The per-thread buffers a tentative loop plays cycles through: the read
+/// values and the writes of the cycle in play, reused for every processor
+/// the thread plays.
+#[derive(Default)]
+struct Scratch {
+    values: ValueSet,
+    writes: WriteSet,
+}
+
+/// Play one processor's tentative cycle into its row: no cycle unless the
+/// processor is alive; otherwise the model plays the cycle through
+/// `scratch` (no allocation, see [`crate::cycle`]) and stores its reads in
+/// the row, and its writes are checked against the write budget and the
+/// memory before they are copied into the row, which is exactly as wide as
+/// that budget. The private state advances **in place**: the commit either
+/// adopts it (cycle completed) or discards it (a stopped processor loses
+/// its private memory), so the pre-cycle state is never needed.
 ///
 /// `inline(always)`: with plain `#[inline]` the compiler leaves it out of
 /// line, which puts a call per processor on the hottest path of a tick.
@@ -283,34 +300,33 @@ fn play_slot<M: ExecutionModel>(
     pid: Pid,
     status: ProcStatus,
     state: &mut Option<M::Private>,
-    out: &mut Option<TentativeCycle>,
+    mut row: RowMut<'_>,
+    scratch: &mut Scratch,
 ) -> Result<()> {
     if status != ProcStatus::Alive {
-        *out = None;
+        row.clear();
         return Ok(());
     }
     let state = state.as_mut().expect("alive processor must have private state");
-    let t = out.get_or_insert_with(TentativeCycle::default);
-    t.reads.clear();
-    t.values.clear();
-    t.writes.clear();
-    t.halts = false;
-    let step = model.play(mem, index, cycle, pid, state, t)?;
-    if t.writes.len() > write_slots {
+    let Scratch { values, writes } = scratch;
+    values.clear();
+    writes.clear();
+    let step = model.play(mem, index, cycle, pid, state, &mut row.reads(values), writes)?;
+    if writes.len() > write_slots {
         return Err(PramError::BudgetExceeded {
             pid,
             cycle,
             kind: BudgetKind::Writes,
-            used: t.writes.len(),
+            used: writes.len(),
             limit: write_slots,
         });
     }
-    for &(addr, _) in t.writes.writes() {
+    for &(addr, _) in writes.writes() {
         if addr >= mem.size() {
             return Err(PramError::AddressOutOfBounds { addr, size: mem.size() });
         }
     }
-    t.halts = matches!(step, Step::Halt);
+    row.fill(values.len(), writes.writes(), matches!(step, Step::Halt));
     Ok(())
 }
 
@@ -337,10 +353,22 @@ fn tentative_seq<M: ExecutionModel, const CATCH: bool>(
     let (mem, cycle, write_slots) = (&core.mem, core.cycle, core.write_slots);
     let index = if M::KEEPS_INDEX && core.tracked { Some(&core.unvisited) } else { None };
     let statuses = &core.procs.status;
-    for (i, (state, out)) in core.procs.state.iter_mut().zip(core.tentative.iter_mut()).enumerate()
-    {
+    let scratch = &mut Scratch::default();
+    for (i, state) in core.procs.state.iter_mut().enumerate() {
+        let row = core.tentative.row_mut(i);
         guarded::<CATCH>(Pid(i), || {
-            play_slot(model, mem, index, write_slots, cycle, Pid(i), statuses[i], state, out)
+            play_slot(
+                model,
+                mem,
+                index,
+                write_slots,
+                cycle,
+                Pid(i),
+                statuses[i],
+                state,
+                row,
+                scratch,
+            )
         })?;
     }
     Ok(())
@@ -352,10 +380,11 @@ fn tentative_seq<M: ExecutionModel, const CATCH: bool>(
 const TENTATIVE_MIN_CHUNK: usize = 64;
 
 /// The pooled tentative phase: pool workers claim chunks of the processor
-/// range from the shared cursor and fill the corresponding tentative slots
-/// ([`guarded`] by `CATCH`). With the structure-of-arrays processor state
-/// only the private states need a raw [`SendPtr`]: statuses are read-only
-/// during the tentative phase and are shared as a plain slice.
+/// range from the shared cursor and fill the corresponding rows of the
+/// tentative table, each chunk through its own [`Scratch`] ([`guarded`] by
+/// `CATCH`). With the structure-of-arrays processor state only the private
+/// states and the rows need raw pointers: statuses are read-only during
+/// the tentative phase and are shared as a plain slice.
 fn tentative_pooled<M: ExecutionModel, const CATCH: bool>(
     model: &M,
     core: &mut Core<M::Private>,
@@ -366,18 +395,30 @@ fn tentative_pooled<M: ExecutionModel, const CATCH: bool>(
     let index = if M::KEEPS_INDEX && core.tracked { Some(&core.unvisited) } else { None };
     let statuses: &[ProcStatus] = &core.procs.status;
     let states = SendPtr::new(core.procs.state.as_mut_ptr());
-    let tentative = SendPtr::new(core.tentative.as_mut_ptr());
+    let rows = core.tentative.rows_ptr();
     pool.run_tick(CLASS_TENTATIVE, p, TENTATIVE_MIN_CHUNK, &move |start: usize, end: usize| {
+        let scratch = &mut Scratch::default();
         #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
         for i in start..end {
             // SAFETY: the pool's cursor hands out disjoint [start, end)
-            // chunks within 0..p, so slot `i` is touched by exactly one
-            // worker this tick; `run_tick` blocks until every worker is
-            // done, so the pointers outlive all dereferences.
+            // chunks within 0..p, so state and row `i` are touched by
+            // exactly one worker this tick; `run_tick` blocks until every
+            // worker is done, so the pointers outlive all dereferences.
             let state = unsafe { &mut *states.ptr().add(i) };
-            let out = unsafe { &mut *tentative.ptr().add(i) };
+            let row = unsafe { rows.row(i) };
             guarded::<CATCH>(Pid(i), || {
-                play_slot(model, mem, index, write_slots, cycle, Pid(i), statuses[i], state, out)
+                play_slot(
+                    model,
+                    mem,
+                    index,
+                    write_slots,
+                    cycle,
+                    Pid(i),
+                    statuses[i],
+                    state,
+                    row,
+                    scratch,
+                )
             })?;
         }
         Ok(())
@@ -508,7 +549,8 @@ pub struct Core<Pv> {
     pub(crate) outstanding: usize,
     pub(crate) unvisited: UnvisitedIndex,
     // Reused per-tick buffers.
-    pub(crate) tentative: Vec<Option<TentativeCycle>>,
+    /// This tick's tentative cycles, one budget-sized row per processor.
+    pub(crate) tentative: Cycles,
     pub(crate) meta: Vec<ProcMeta>,
     /// This tick's outcome per processor (see [`Fate`]).
     pub(crate) fates: Vec<Fate>,
@@ -560,7 +602,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             tracked: false,
             outstanding: 0,
             unvisited: UnvisitedIndex::new(0),
-            tentative: vec![None; processors],
+            tentative: Cycles::new(processors, model.checkpoint_budget().0, write_slots),
             meta: Vec::with_capacity(processors),
             fates: vec![Fate::default(); processors],
             slot_writes: Vec::with_capacity(processors),
@@ -782,8 +824,8 @@ impl<Pv: Clone + Send> Core<Pv> {
             for &iu in &self.active {
                 let i = iu as usize;
                 if slot < usize::from(self.fates[i].commits) {
-                    let t = self.tentative[i].as_ref().expect("active cycle exists");
-                    let (addr, value) = t.writes.writes()[slot];
+                    let t = self.tentative.get(Pid(i)).expect("active cycle exists");
+                    let (addr, value) = t.writes[slot];
                     self.slot_writes.push((Pid(i), addr, value));
                 }
             }
@@ -795,7 +837,7 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// Phase 2b: validate the adversary's decisions into the fate records,
-    /// then sweep the tentative slots once: fill in each record's committed
+    /// then sweep the tentative cycles once: fill in each record's committed
     /// write count and halt bit, gather write slot 0 into `slot_writes` and
     /// the processors with more writes into `active`, and total the tick's
     /// charges. Returns the number of write slots the commit must merge and
@@ -819,26 +861,26 @@ impl<Pv: Clone + Send> Core<Pv> {
             ..TickCharges::default()
         };
         let mut max_slots = 0;
-        for (i, (slot, fate)) in self.tentative.iter().zip(&mut self.fates).enumerate() {
-            let Some(t) = slot else { continue };
+        for (pid, t) in self.tentative.iter() {
+            let fate = &mut self.fates[pid.0];
             let commits = match fate.kind {
                 FateKind::Completed => {
                     charges.completed += 1;
                     charges.instructions += (t.reads.len() + 1 + t.writes.len()) as u64;
-                    layout.tally_reads(t.reads.addrs(), &mut self.read_tally);
+                    layout.tally_reads(t.reads, &mut self.read_tally);
                     fate.set_halts(t.halts);
                     t.writes.len()
                 }
                 FateKind::Interrupted => {
                     // Validated against the write count by `resolve`, but
                     // clamp anyway: `commits` is the sole bound the slot
-                    // gathers index `writes()` with.
+                    // gathers index `writes` with.
                     let commits = usize::from(fate.commits).min(t.writes.len());
                     charges.interrupted += 1;
                     // What an interrupted cycle is charged differs by model
                     // (the snapshot's read and computation are free).
-                    charges.partial += M::partial_instructions(t, commits);
-                    layout.tally_reads(t.reads.addrs(), &mut self.read_tally);
+                    charges.partial += M::partial_instructions(t.reads.len(), commits);
+                    layout.tally_reads(t.reads, &mut self.read_tally);
                     commits
                 }
                 // Stopped before the cycle began: zero instructions, so
@@ -852,10 +894,10 @@ impl<Pv: Clone + Send> Core<Pv> {
             // At most the write budget, which fits `MAX_WRITES`.
             fate.commits = commits as u8;
             if commits > 0 {
-                let (addr, value) = t.writes.writes()[0];
-                self.slot_writes.push((Pid(i), addr, value));
+                let (addr, value) = t.writes[0];
+                self.slot_writes.push((pid, addr, value));
                 if commits > 1 {
-                    self.active.push(i as u32);
+                    self.active.push(pid.0 as u32);
                 }
                 max_slots = max_slots.max(commits);
             }
@@ -870,7 +912,7 @@ impl<Pv: Clone + Send> Core<Pv> {
 
     /// Phase 3: apply the tick's charges, then sweep the fate records once
     /// to emit each processor's events and update its status (the tentative
-    /// slots are not read again), record the failure pattern, apply
+    /// cycles are not read again), record the failure pattern, apply
     /// restarts, advance the clock.
     fn finish<M>(&mut self, model: &M, observer: &mut dyn Observer, charges: TickCharges)
     where
@@ -1148,13 +1190,14 @@ impl<Pv: Clone + Send> Core<Pv> {
                     for row in rows.iter_mut() {
                         row.clear();
                     }
-                    for i in (g * gsize).min(p)..((g + 1) * gsize).min(p) {
-                        let n = usize::from(fates[i].commits);
+                    let (lo, hi) = ((g * gsize).min(p), ((g + 1) * gsize).min(p));
+                    for (i, fate) in (lo..hi).zip(&fates[lo..hi]) {
+                        let n = usize::from(fate.commits);
                         if n == 0 {
                             continue;
                         }
-                        let t = tentative[i].as_ref().expect("surviving cycle exists");
-                        for (s, &(addr, value)) in t.writes.writes()[..n].iter().enumerate() {
+                        let t = tentative.get(Pid(i)).expect("surviving cycle exists");
+                        for (s, &(addr, value)) in t.writes[..n].iter().enumerate() {
                             if addr >= size {
                                 // Defensive: the tentative phase bounds-
                                 // checks writes, but an out-of-bounds store

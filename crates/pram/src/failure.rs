@@ -651,7 +651,7 @@ mod tests {
             ProcMeta { pid: Pid(0), status: ProcStatus::Alive, completed_cycles: 0 },
             ProcMeta { pid: Pid(1), status: ProcStatus::Alive, completed_cycles: 0 },
         ];
-        let tentative = [None, None];
+        let tentative = crate::Cycles::new(2, 0, 0);
         let view = |cycle| MachineView {
             cycle,
             processors: 2,
@@ -696,7 +696,7 @@ mod tests {
 
         let mem = SharedMemory::new(1);
         let procs = [ProcMeta { pid: Pid(0), status: ProcStatus::Alive, completed_cycles: 0 }];
-        let tentative = [None];
+        let tentative = crate::Cycles::new(1, 0, 0);
         let view = |cycle| MachineView {
             cycle,
             processors: 1,

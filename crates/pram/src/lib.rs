@@ -79,7 +79,8 @@ pub mod word;
 
 pub use accounting::{RunOutcome, RunReport, WorkStats};
 pub use adversary::{
-    Adversary, Decisions, FailPoint, MachineView, NoFailures, ProcMeta, ProcStatus, TentativeCycle,
+    Adversary, Cycles, Decisions, FailPoint, MachineView, NoFailures, ProcMeta, ProcStatus,
+    ReadRow, TentativeCycle,
 };
 pub use checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
 pub use cycle::{CycleBudget, ReadSet, Step, ValueSet, WriteSet, MAX_READS, MAX_WRITES};

@@ -45,8 +45,8 @@
 //! no index of those cells: nothing in it asks which cells they are.
 
 use crate::accounting::{RunReport, WorkStats};
-use crate::adversary::{Adversary, ProcStatus, TentativeCycle};
-use crate::cycle::{CycleBudget, ReadSet, Step, MAX_READS, MAX_WRITES};
+use crate::adversary::{Adversary, ProcStatus, ReadRow};
+use crate::cycle::{CycleBudget, ReadSet, Step, WriteSet, MAX_READS, MAX_WRITES};
 use crate::error::{BudgetKind, PramError};
 use crate::exec::{completed, Core, ExecutionModel, IsolatedBackend, PooledBackend, SeqBackend};
 use crate::memory::{MemoryLayout, SharedMemory};
@@ -132,7 +132,11 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
     /// Drive the plan chain — reads within a cycle may depend on values
     /// read earlier in the same cycle (ordinary sequential instructions) —
     /// within the read budget, then execute.
-    #[inline]
+    ///
+    /// `inline(always)`, like the tentative loop's `play_slot`: with plain
+    /// `#[inline]` the compiler leaves it out of line, which puts a call per
+    /// processor back on the hottest path of a tick (DESIGN §9).
+    #[inline(always)]
     fn play(
         &self,
         mem: &SharedMemory,
@@ -140,20 +144,21 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
         cycle: u64,
         pid: Pid,
         state: &mut P::Private,
-        t: &mut TentativeCycle,
+        reads: &mut ReadRow<'_>,
+        writes: &mut WriteSet,
     ) -> Result<Step> {
         loop {
             let mut batch = ReadSet::default();
-            self.program.plan(pid, state, &t.values, &mut batch);
+            self.program.plan(pid, state, reads.values(), &mut batch);
             if batch.is_empty() {
                 break;
             }
-            if t.reads.len() + batch.len() > self.budget.reads {
+            if reads.len() + batch.len() > self.budget.reads {
                 return Err(PramError::BudgetExceeded {
                     pid,
                     cycle,
                     kind: BudgetKind::Reads,
-                    used: t.reads.len() + batch.len(),
+                    used: reads.len() + batch.len(),
                     limit: self.budget.reads,
                 });
             }
@@ -161,17 +166,16 @@ impl<'p, P: Program> ExecutionModel for WordModel<'p, P> {
                 if addr >= mem.size() {
                     return Err(PramError::AddressOutOfBounds { addr, size: mem.size() });
                 }
-                t.values.push(mem.peek(addr));
-                t.reads.push(addr);
+                reads.push(addr, mem.peek(addr));
             }
         }
-        Ok(self.program.execute(pid, state, &t.values, &mut t.writes))
+        Ok(self.program.execute(pid, state, reads.values(), writes))
     }
 
-    fn partial_instructions(t: &TentativeCycle, committed_writes: usize) -> u64 {
+    fn partial_instructions(reads: usize, committed_writes: usize) -> u64 {
         // Reads and the local computation ran, plus the prefix of writes
         // that committed.
-        (t.reads.len() + 1 + committed_writes) as u64
+        (reads + 1 + committed_writes) as u64
     }
 
     fn checkpoint_budget(&self) -> (usize, usize) {
@@ -474,8 +478,7 @@ impl<M: ExecutionModel> Pram<M> {
 mod tests {
     use super::*;
     use crate::accounting::RunOutcome;
-    use crate::adversary::{Decisions, FailPoint, MachineView, NoFailures};
-    use crate::cycle::WriteSet;
+    use crate::adversary::{Decisions, FailPoint, MachineView, NoFailures, TentativeCycle};
     use crate::decisions::FateKind;
     use crate::Program;
 
@@ -714,7 +717,7 @@ mod tests {
     /// that fails, halts and restarts processors, or any decision that
     /// `resolve` rejects, leaves in them, the next legal decision yields
     /// exactly the records, gathered writes and charges that a fresh
-    /// machine computes from the same tentative slots and decisions.
+    /// machine computes from the same tentative cycles and decisions.
     #[test]
     fn no_fate_data_outlives_its_tick() {
         let prog = Counter { n: 8, target: 9 };
@@ -722,17 +725,11 @@ mod tests {
         // halted, P5 failed.
         let setup = || {
             let mut m = Machine::new(&prog, 6, CycleBudget::PAPER).unwrap();
-            for (i, slot) in m.core.tentative.iter_mut().enumerate() {
-                *slot = (i < 4).then(|| {
-                    let mut t = TentativeCycle::default();
-                    t.reads.push(i);
-                    t.writes.push(i, 1);
-                    if i % 2 == 0 {
-                        t.writes.push(i + 4, 1);
-                    }
-                    t.halts = i == 2;
-                    t
-                });
+            for i in 0..6 {
+                let writes = [(i, 1), (i + 4, 1)];
+                let cycle =
+                    TentativeCycle { reads: &[i], writes: &writes[..2 - i % 2], halts: i == 2 };
+                m.core.tentative.set(Pid(i), (i < 4).then_some(cycle));
             }
             m.core.procs.status[4] = ProcStatus::Halted;
             m.core.procs.status[5] = ProcStatus::Failed;
@@ -803,7 +800,9 @@ mod tests {
         // An idle machine: all failed without a restart is a stall, all
         // halted a deadlock.
         let (status, tentative) = (m.core.procs.status.clone(), m.core.tentative.clone());
-        m.core.tentative.fill(None);
+        for i in 0..6 {
+            m.core.tentative.set(Pid(i), None);
+        }
         for (idle, want) in [
             (ProcStatus::Failed, PramError::AdversaryStall { cycle: 0 }),
             (ProcStatus::Halted, PramError::Deadlock { cycle: 0 }),
@@ -903,7 +902,7 @@ mod tests {
         fn decide(&mut self, view: &MachineView<'_>) -> Decisions {
             let mut d = Decisions::none();
             if view.cycle == 0 {
-                if let Some(t) = view.tentative[1].as_ref() {
+                if let Some(t) = view.tentative.get(Pid(1)) {
                     d.fail(Pid(1), FailPoint::AfterWrite(t.writes.len()));
                     d.restart(Pid(1));
                 }
@@ -952,6 +951,67 @@ mod tests {
             err,
             PramError::BudgetExceeded { kind: BudgetKind::Reads, used: 5, limit: 4, .. }
         ));
+    }
+
+    /// Each processor writes `writes` cells of its own block per cycle.
+    struct Spray {
+        writes: usize,
+    }
+
+    impl Program for Spray {
+        type Private = ();
+        fn shared_size(&self) -> usize {
+            8 * MAX_WRITES
+        }
+        fn on_start(&self, _pid: Pid) {}
+        fn plan(&self, _pid: Pid, _st: &(), _vals: &[Word], _reads: &mut ReadSet) {}
+        fn execute(&self, pid: Pid, _st: &mut (), _v: &[Word], writes: &mut WriteSet) -> Step {
+            for k in 0..self.writes {
+                writes.push(pid.0 * MAX_WRITES + k % MAX_WRITES, 1);
+            }
+            Step::Continue
+        }
+        fn is_complete(&self, _mem: &SharedMemory) -> bool {
+            false
+        }
+    }
+
+    /// A cycle of `W + 1` writes under a write budget of `W` is refused
+    /// with the count it used, by the sequential and the pooled engine
+    /// alike, up to the widest budget (whose overflow the `WriteSet`
+    /// counts but cannot store). A processor's row holds exactly `W`
+    /// writes, so this check is what keeps the copy into it in bounds.
+    #[test]
+    fn write_budget_violation_is_reported() {
+        for w in [1, 2, MAX_WRITES] {
+            let prog = Spray { writes: w + 1 };
+            let budget = CycleBudget { reads: 4, writes: w };
+            for (exec, panic) in [
+                (ExecMode::Sequential, None),
+                (ExecMode::Threads(2), None),
+                (ExecMode::Threads(2), Some(PanicPolicy::Surface)),
+            ] {
+                let mut m = Machine::new(&prog, 8, budget).unwrap();
+                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
+                let err = m
+                    .run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, PramError::BudgetExceeded { kind: BudgetKind::Writes, used, limit, .. }
+                        if used == w + 1 && limit == w),
+                    "budget {w}, {spec:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// A word machine's tentative row is sized to its budget: 68 bytes per
+    /// processor at the paper's 4 reads and 2 writes.
+    #[test]
+    fn tentative_rows_follow_the_budget() {
+        let prog = Counter { n: 64, target: 1 };
+        let m = Machine::new(&prog, 64, CycleBudget::PAPER).unwrap();
+        assert_eq!(m.core.tentative.bytes_per_processor(), 68);
     }
 
     #[test]

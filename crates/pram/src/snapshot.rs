@@ -34,8 +34,8 @@
 //! instead of rescanning memory every tick. Debug builds cross-check the
 //! index against the full scan after every tick.
 
-use crate::adversary::TentativeCycle;
-use crate::cycle::{Step, WriteSet};
+use crate::adversary::ReadRow;
+use crate::cycle::{Step, WriteSet, MAX_WRITES};
 use crate::error::PramError;
 use crate::exec::ExecutionModel;
 use crate::machine::Pram;
@@ -272,8 +272,9 @@ impl<'p, P: SnapshotProgram> ExecutionModel for SnapModel<'p, P> {
     }
 
     /// The processor reads all of the tick-start memory at once, through a
-    /// [`SnapshotView`], and executes.
-    #[inline]
+    /// [`SnapshotView`], and executes; it stores no reads.
+    /// `inline(always)` for the same reason as the word model's `play`.
+    #[inline(always)]
     fn play(
         &self,
         mem: &SharedMemory,
@@ -281,13 +282,14 @@ impl<'p, P: SnapshotProgram> ExecutionModel for SnapModel<'p, P> {
         _cycle: u64,
         pid: Pid,
         state: &mut P::Private,
-        t: &mut TentativeCycle,
+        _reads: &mut ReadRow<'_>,
+        writes: &mut WriteSet,
     ) -> Result<Step> {
         let view = SnapshotView { mem, unvisited: index };
-        Ok(self.program.execute(pid, state, &view, &mut t.writes))
+        Ok(self.program.execute(pid, state, &view, writes))
     }
 
-    fn partial_instructions(_t: &TentativeCycle, committed_writes: usize) -> u64 {
+    fn partial_instructions(_reads: usize, committed_writes: usize) -> u64 {
         // The whole-memory read and the local computation are free by
         // assumption; an interrupted cycle is charged only its committed
         // write prefix.
@@ -312,8 +314,8 @@ impl<'p, P: SnapshotProgram> Pram<SnapModel<'p, P>> {
     ///
     /// # Errors
     ///
-    /// [`PramError::InvalidConfig`] if `processors == 0` or
-    /// `write_budget == 0`.
+    /// [`PramError::InvalidConfig`] if `processors == 0` or `write_budget`
+    /// is 0 or exceeds the inline write capacity ([`MAX_WRITES`]).
     pub fn new(program: &'p P, processors: usize, write_budget: usize) -> Result<Self> {
         Self::with_layout(program, processors, write_budget, MemoryLayout::Flat)
     }
@@ -334,9 +336,9 @@ impl<'p, P: SnapshotProgram> Pram<SnapModel<'p, P>> {
         write_budget: usize,
         layout: MemoryLayout,
     ) -> Result<Self> {
-        if write_budget == 0 {
+        if write_budget == 0 || write_budget > MAX_WRITES {
             return Err(PramError::InvalidConfig {
-                detail: "write budget must be positive".into(),
+                detail: format!("write budget must be between 1 and {MAX_WRITES}"),
             });
         }
         let model = SnapModel { program, write_budget };
@@ -556,5 +558,85 @@ mod tests {
     fn zero_write_budget_rejected() {
         let prog = Direct { n: 2 };
         assert!(matches!(SnapshotMachine::new(&prog, 1, 0), Err(PramError::InvalidConfig { .. })));
+    }
+
+    /// Each processor writes `writes` cells of its own block per cycle.
+    struct Spray {
+        writes: usize,
+    }
+
+    impl SnapshotProgram for Spray {
+        type Private = ();
+        fn shared_size(&self) -> usize {
+            8 * MAX_WRITES
+        }
+        fn on_start(&self, _pid: Pid) {}
+        fn execute(
+            &self,
+            pid: Pid,
+            _st: &mut (),
+            _view: &SnapshotView<'_>,
+            writes: &mut WriteSet,
+        ) -> Step {
+            for k in 0..self.writes {
+                writes.push(pid.0 * MAX_WRITES + k % MAX_WRITES, 1);
+            }
+            Step::Continue
+        }
+        fn is_complete(&self, _mem: &SharedMemory) -> bool {
+            false
+        }
+    }
+
+    /// A cycle of `W + 1` writes under a write budget of `W` is refused
+    /// with the count it used, sequentially and pooled; the processor's
+    /// row holds exactly `W` writes.
+    #[test]
+    fn write_budget_violation_is_reported() {
+        use crate::error::BudgetKind;
+        use crate::machine::{ExecMode, RunSpec};
+        use crate::{PanicPolicy, RunControl, RunLimits};
+
+        for w in [1, 2, MAX_WRITES] {
+            let prog = Spray { writes: w + 1 };
+            for (exec, panic) in [
+                (ExecMode::Sequential, None),
+                (ExecMode::Threads(2), None),
+                (ExecMode::Threads(2), Some(PanicPolicy::Surface)),
+            ] {
+                let mut m = SnapshotMachine::new(&prog, 8, w).unwrap();
+                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
+                let err = m
+                    .run_with(spec, &mut NoFailures, &mut crate::NoopObserver, |_| {
+                        RunControl::Continue
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(err, PramError::BudgetExceeded { kind: BudgetKind::Writes, used, limit, .. }
+                        if used == w + 1 && limit == w),
+                    "budget {w}, {spec:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// A snapshot machine's tentative row is one head and one write: 20
+    /// bytes per processor at Theorem 3.2's write budget of 1.
+    #[test]
+    fn tentative_rows_follow_the_budget() {
+        let prog = Direct { n: 64 };
+        let m = SnapshotMachine::new(&prog, 64, 1).unwrap();
+        assert_eq!(m.core.tentative.bytes_per_processor(), 20);
+    }
+
+    /// A write budget wider than the inline write capacity is refused: a
+    /// cycle's writes pass through a `WriteSet`, which stores at most
+    /// `MAX_WRITES` of them.
+    #[test]
+    fn write_budget_beyond_the_inline_capacity_rejected() {
+        let prog = Direct { n: 2 };
+        assert!(SnapshotMachine::new(&prog, 1, MAX_WRITES).is_ok());
+        let refused = SnapshotMachine::new(&prog, 1, MAX_WRITES + 1);
+        assert!(matches!(refused, Err(PramError::InvalidConfig { .. })));
     }
 }

@@ -16,8 +16,10 @@
 //! programs that require an index cannot run here.
 
 use crate::accounting::{RunOutcome, RunReport, WorkStats};
-use crate::adversary::{Adversary, FailPoint, MachineView, ProcMeta, ProcStatus, TentativeCycle};
-use crate::cycle::{ReadSet, Step, ValueSet, WriteSet};
+use crate::adversary::{
+    Adversary, Cycles, FailPoint, MachineView, ProcMeta, ProcStatus, TentativeCycle,
+};
+use crate::cycle::{Step, WriteSet, MAX_WRITES};
 use crate::error::PramError;
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::machine::RunLimits;
@@ -51,15 +53,15 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
     ///
     /// # Errors
     ///
-    /// [`PramError::InvalidConfig`] if `processors == 0` or
-    /// `write_budget == 0`.
+    /// [`PramError::InvalidConfig`] if `processors == 0` or `write_budget`
+    /// is 0 or exceeds [`MAX_WRITES`].
     pub fn new(program: &'p P, processors: usize, write_budget: usize) -> Result<Self> {
         if processors == 0 {
             return Err(PramError::InvalidConfig { detail: "need at least one processor".into() });
         }
-        if write_budget == 0 {
+        if write_budget == 0 || write_budget > MAX_WRITES {
             return Err(PramError::InvalidConfig {
-                detail: "write budget must be positive".into(),
+                detail: format!("write budget must be between 1 and {MAX_WRITES}"),
             });
         }
         let mut mem = SharedMemory::new(program.shared_size());
@@ -112,7 +114,7 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
         limits: RunLimits,
     ) -> Result<RunReport> {
         let p = self.procs.len();
-        let mut tentative: Vec<Option<TentativeCycle>> = vec![None; p];
+        let mut tentative = Cycles::new(p, 0, self.write_budget);
         let mut post_states: Vec<Option<P::Private>> = vec![None; p];
         loop {
             if self.program.is_complete(&self.mem) {
@@ -129,9 +131,9 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
 
             // Tentative phase: each alive processor computes against the
             // snapshot at tick start.
-            for i in 0..p {
-                tentative[i] = None;
-                post_states[i] = None;
+            for (i, post_state) in post_states.iter_mut().enumerate() {
+                tentative.set(Pid(i), None);
+                *post_state = None;
                 if self.procs[i].status != ProcStatus::Alive {
                     continue;
                 }
@@ -154,13 +156,10 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
                         return Err(PramError::AddressOutOfBounds { addr, size: self.mem.size() });
                     }
                 }
-                tentative[i] = Some(TentativeCycle {
-                    reads: ReadSet::default(),
-                    values: ValueSet::default(),
-                    writes,
-                    halts: matches!(step, Step::Halt),
-                });
-                post_states[i] = Some(state);
+                let halts = matches!(step, Step::Halt);
+                let cycle = TentativeCycle { reads: &[], writes: writes.writes(), halts };
+                tentative.set(Pid(i), Some(cycle));
+                *post_state = Some(state);
             }
 
             // Adversary phase.
@@ -185,7 +184,7 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
 
             // Validate + compute committed write counts.
             let mut committed: Vec<Option<usize>> =
-                tentative.iter().map(|t| t.as_ref().map(|t| t.writes.len())).collect();
+                (0..p).map(|i| tentative.get(Pid(i)).map(|t| t.writes.len())).collect();
             let mut failed_now = vec![false; p];
             let mut fail_points: Vec<Option<FailPoint>> = vec![None; p];
             for &(pid, point) in &decisions.fails {
@@ -207,7 +206,7 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
                         fail_points[pid.0] = Some(point);
                     }
                     ProcStatus::Alive => {
-                        let len = tentative[pid.0].as_ref().map_or(0, |t| t.writes.len());
+                        let len = tentative.get(pid).map_or(0, |t| t.writes.len());
                         let c = match point {
                             FailPoint::BeforeReads | FailPoint::BeforeWrites => 0,
                             FailPoint::AfterWrite(k) => {
@@ -240,11 +239,11 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
             }
 
             // Progress condition.
-            let any_active = tentative.iter().any(|t| t.is_some());
+            let any_active = tentative.iter().next().is_some();
             let completing = (0..p)
                 .filter(|&i| {
-                    tentative[i].is_some()
-                        && committed[i] == tentative[i].as_ref().map(|t| t.writes.len())
+                    tentative.get(Pid(i)).is_some()
+                        && committed[i] == tentative.get(Pid(i)).map(|t| t.writes.len())
                         && !(failed_now[i] && committed[i] == Some(0))
                 })
                 .count();
@@ -265,11 +264,10 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
             // of §3 are COMMON-legal).
             for slot in 0..self.write_budget {
                 let mut slot_writes: Vec<(Pid, usize, Word)> = Vec::new();
-                for i in 0..p {
-                    let Some(t) = tentative[i].as_ref() else { continue };
-                    if slot < t.writes.len() && slot < committed[i].unwrap_or(0) {
-                        let (addr, value) = t.writes.writes()[slot];
-                        slot_writes.push((Pid(i), addr, value));
+                for (pid, t) in tentative.iter() {
+                    if slot < t.writes.len() && slot < committed[pid.0].unwrap_or(0) {
+                        let (addr, value) = t.writes[slot];
+                        slot_writes.push((pid, addr, value));
                     }
                 }
                 slot_writes.sort_by_key(|&(pid, addr, _)| (addr, pid));
@@ -296,7 +294,7 @@ impl<'p, P: SnapshotProgram> ReferenceSnapshotMachine<'p, P> {
             // Charge and update.
             let mut events: Vec<FailureEvent> = Vec::new();
             for i in 0..p {
-                if let Some(t) = tentative[i].as_ref() {
+                if let Some(t) = tentative.get(Pid(i)) {
                     let full = committed[i] == Some(t.writes.len())
                         && !(failed_now[i] && committed[i] == Some(0));
                     if full {

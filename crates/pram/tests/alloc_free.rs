@@ -1,8 +1,9 @@
 //! Steady-state allocation accounting for the tick engines.
 //!
 //! The engines are designed so that after warm-up every tick runs without
-//! touching the heap: tentative cycles reuse inline `ReadSet`/`WriteSet`
-//! buffers, the failure-event staging vector is hoisted onto the machine,
+//! touching the heap: tentative cycles pass through reused inline
+//! `ValueSet`/`WriteSet` scratch into a cycle table allocated with the
+//! machine, the failure-event staging vector is hoisted onto the machine,
 //! and the pooled engine parks persistent workers instead of spawning
 //! threads. A counting `#[global_allocator]` pins that down: the
 //! sequential engine must allocate *exactly zero* times across a batch of
@@ -131,8 +132,8 @@ fn sequential_steady_state_ticks_do_not_allocate() {
     for tracked in [false, true] {
         let prog = Grind { n: p, target: 1 << 20, tracked };
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        // Warm up: first ticks grow the reusable buffers (tentative slots,
-        // adversary metadata) to their steady-state capacity.
+        // Warm up: first ticks grow the reusable buffers to their
+        // steady-state capacity.
         for _ in 0..8 {
             m.tick(&mut NoFailures).unwrap();
         }
