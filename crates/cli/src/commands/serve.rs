@@ -285,7 +285,9 @@ mod imp {
                 None => RunSession::new(cfg.clone(), exec, build)?,
             };
 
-            daemon.sched.acquire(job);
+            // Dropped when `visit` returns or unwinds, handing the turn to
+            // the next job.
+            let mut turn = daemon.sched.acquire(job);
             lock(&daemon.registry).get_mut(&job).expect("registered").state = JobState::Running;
             let end = loop {
                 // Each segment runs one quantum. Every pause (the quantum
@@ -314,7 +316,7 @@ mod imp {
                         if daemon.shutdown.load(Ordering::SeqCst) {
                             break Ok(JobEnd::Shutdown);
                         }
-                        daemon.sched.yield_turn(job);
+                        turn.yield_turn();
                     }
                     Ok(SessionEnd::Completed(report)) => {
                         if !setup.tasks.all_written(session.memory()) {
@@ -335,7 +337,6 @@ mod imp {
                     Err(e) => break Err(e.into()),
                 }
             };
-            daemon.sched.release(job);
             end
         }
     }

@@ -35,13 +35,13 @@
 //! The core stays **allocation-free in steady state**: all per-tick buffers
 //! (the tentative-cycle table, fate records, slot merges, failure scratch) live in the
 //! [`Core`] and are reused; tracker maintenance is O(1) per committed write
-//! for the count and O(log N) for the index. A run backend supplies only
-//! two hooks to the run loop — how the tentative phase executes and how
-//! the tick's decisions are applied: the sequential backends play every
-//! phase inline, the pooled ones farm the tentative phase and the commit
-//! out to a persistent worker pool. The event stream and all accounting
-//! are therefore byte-identical across backends *by construction* (pinned
-//! by `tests/golden_equivalence.rs`).
+//! for the count and O(log N) for the index. A run backend supplies one
+//! hook to the run loop, how the tentative phase executes: the sequential
+//! backends play it inline, the pooled ones farm it out to a persistent
+//! worker pool. Every backend then commits through the one sequential
+//! `Core::apply` on the calling thread, so the event stream and all
+//! accounting are byte-identical across backends *by construction*
+//! (pinned by `tests/golden_equivalence.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -52,18 +52,14 @@ use crate::adversary::{
     Adversary, Cycles, Decisions, MachineView, ProcMeta, ProcStatus, ReadRow, RowMut,
 };
 use crate::checkpoint::{Checkpoint, ProcCheckpoint, CHECKPOINT_VERSION};
-use crate::commit::{CommitEntry, CommitScratch, SlotWinner};
-use crate::cycle::{Step, ValueSet, WriteSet, MAX_WRITES};
+use crate::cycle::{Step, ValueSet, WriteSet};
 use crate::decisions::{resolve, Fate, FateKind};
 use crate::error::{BudgetKind, PramError};
 use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::machine::Pram;
 use crate::memory::SharedMemory;
 use crate::mode::WriteMode;
-use crate::pool::{
-    panic_detail, SendPtr, TickPool, CLASS_COMMIT_MERGE, CLASS_COMMIT_SCAN, CLASS_COMMIT_STORE,
-    CLASS_TENTATIVE,
-};
+use crate::pool::{panic_detail, SendPtr, TickPool};
 use crate::trace::{Observer, TraceEvent};
 use crate::unvisited::{UnvisitedIndex, LANE_WIDTH};
 use crate::word::{Pid, Word};
@@ -239,12 +235,12 @@ pub trait ExecutionModel: Sync {
     fn checkpoint_budget(&self) -> (usize, usize);
 }
 
-/// The two per-tick hooks a run backend supplies to [`Core::run_loop`]:
-/// how the tentative phase executes, and how the tick's decisions are
-/// applied. The default `apply` is the sequential reference path. Every
-/// backend must be observationally identical to [`SeqBackend`] — event
-/// streams, stats, memory, and the completion tracker are pinned
-/// byte-identical by the golden and differential tests.
+/// The per-tick hook a run backend supplies to [`Core::run_loop`]: how
+/// the tentative phase executes. The commit is not a backend's to choose:
+/// [`Core::tick`] applies every tick's decisions through the sequential
+/// [`Core::apply`]. Every backend must be observationally identical to
+/// [`SeqBackend`] — event streams, stats, memory, and the completion
+/// tracker are pinned byte-identical by the golden and differential tests.
 pub(crate) trait Backend<M: ExecutionModel> {
     /// Phase 1: fill every processor's row of `core.tentative`.
     ///
@@ -252,21 +248,6 @@ pub(crate) trait Backend<M: ExecutionModel> {
     ///
     /// See [`PramError`] — typically budget or bounds violations.
     fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()>;
-
-    /// Phases 2b/3: validate decisions, commit, charge.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    fn apply(
-        &mut self,
-        model: &M,
-        core: &mut Core<M::Private>,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        core.apply(model, decisions, observer)
-    }
 }
 
 /// The per-thread buffers a tentative loop plays cycles through: the read
@@ -396,7 +377,7 @@ fn tentative_pooled<M: ExecutionModel, const CATCH: bool>(
     let statuses: &[ProcStatus] = &core.procs.status;
     let states = SendPtr::new(core.procs.state.as_mut_ptr());
     let rows = core.tentative.rows_ptr();
-    pool.run_tick(CLASS_TENTATIVE, p, TENTATIVE_MIN_CHUNK, &move |start: usize, end: usize| {
+    pool.run_tick(p, TENTATIVE_MIN_CHUNK, &move |start: usize, end: usize| {
         let scratch = &mut Scratch::default();
         #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
         for i in start..end {
@@ -437,8 +418,7 @@ impl<M: ExecutionModel, const CATCH: bool> Backend<M> for SeqBackend<CATCH> {
     }
 }
 
-/// The pooled backend: the tentative phase and the three-pass parallel
-/// commit run on the same worker pool.
+/// The pooled backend: the tentative phase runs on the worker pool.
 pub(crate) struct PooledBackend<'a> {
     pub(crate) pool: &'a TickPool,
 }
@@ -447,28 +427,14 @@ impl<M: ExecutionModel> Backend<M> for PooledBackend<'_> {
     fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
         tentative_pooled::<M, false>(model, core, self.pool)
     }
-
-    fn apply(
-        &mut self,
-        model: &M,
-        core: &mut Core<M::Private>,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-    ) -> Result<()> {
-        core.apply_pooled(model, decisions, observer, self.pool)
-    }
 }
 
 /// The pooled backend with per-processor panic isolation: each tick backs
 /// up every private state before the pooled tentative phase, restores them
 /// if a worker catches a panic, and then either surfaces the error or
 /// degrades permanently to the sequential caught engine per the
-/// [`PanicPolicy`].
-///
-/// The commit deliberately keeps the **sequential** default: the parallel
-/// commit stores through raw bank pointers and calls user completion
-/// hints, so a panic there could not be unwound to a clean tick boundary
-/// the way the tentative phase can.
+/// [`PanicPolicy`]. The commit is not covered: it runs on the calling
+/// thread, like every backend's, and a panic there unwinds to the caller.
 pub(crate) struct IsolatedBackend<'a, S> {
     pub(crate) pool: &'a TickPool,
     pub(crate) policy: PanicPolicy,
@@ -565,10 +531,6 @@ pub struct Core<Pv> {
     /// added to the bank counters once the commit succeeded.
     pub(crate) read_tally: Vec<u64>,
     pub(crate) events: Vec<FailureEvent>,
-    /// Per-worker buffers of the parallel commit (see [`crate::commit`]);
-    /// reused across ticks so the pooled apply stays allocation-free in
-    /// steady state.
-    pub(crate) commit: CommitScratch,
 }
 
 impl<Pv: Clone + Send> Core<Pv> {
@@ -609,7 +571,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             active: Vec::with_capacity(processors),
             read_tally: vec![0; banks],
             events: Vec::new(),
-            commit: CommitScratch::default(),
         };
         core.init_tracker(model);
         core
@@ -726,7 +687,8 @@ impl<Pv: Clone + Send> Core<Pv> {
     }
 
     /// Execute exactly one observed tick on `backend`: `TickStart`, the
-    /// tentative phase, adversary decisions, validate/commit/charge.
+    /// backend's tentative phase, adversary decisions, then
+    /// validate/commit/charge through [`Core::apply`] on this thread.
     ///
     /// # Errors
     ///
@@ -746,11 +708,11 @@ impl<Pv: Clone + Send> Core<Pv> {
         observer.event(TraceEvent::TickStart { cycle: self.cycle });
         backend.tentative(model, self)?;
         let decisions = self.collect_decisions::<M, A>(adversary);
-        backend.apply(model, self, decisions, observer)
+        self.apply(model, decisions, observer)
     }
 
     /// The single run loop behind every public entry point of both
-    /// models. Backends differ only in the [`Backend`] hooks they pass
+    /// models. Backends differ only in the [`Backend`] hook they pass
     /// in, so the event stream and all accounting are shared by
     /// construction. The `control` callback runs at the tick boundary —
     /// after the completion and cycle-limit checks, before the tick's
@@ -1079,336 +1041,6 @@ impl<Pv: Clone + Send> Core<Pv> {
             observer.event(TraceEvent::Commit { cycle: self.cycle, addr, value: chosen.1 });
             i = j;
         }
-        Ok(())
-    }
-
-    /// [`Core::apply`] with the commit merge farmed out to the worker pool.
-    ///
-    /// Observationally identical to the sequential apply on every
-    /// successful tick: same memory image, same `Commit` event stream (the
-    /// deterministic rank-ordered merge reproduces the slot-major,
-    /// address-ascending order), same stats and bank counters, same
-    /// outstanding count. A model that keeps an index commits through the
-    /// sequential [`Core::apply`] instead: the store pass folds the count,
-    /// not index operations. On a CRCW conflict it
-    /// reports the same error the sequential scan would hit first; the
-    /// machine state after an error is unspecified under both backends (the
-    /// sequential engine stops mid-commit, this one withholds the whole
-    /// tick's stores except those of already-finished partitions — see
-    /// DESIGN.md §15).
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`].
-    pub(crate) fn apply_pooled<M>(
-        &mut self,
-        model: &M,
-        decisions: Decisions,
-        observer: &mut dyn Observer,
-        pool: &TickPool,
-    ) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv>,
-    {
-        // On a host that cannot run workers concurrently the bucket/merge
-        // dance is pure overhead — fall back to the serial commit, except
-        // in debug builds, which pool every phase.
-        if M::KEEPS_INDEX || !pool.concurrent() {
-            return self.apply(model, decisions, observer);
-        }
-        let (max_slots, charges) = self.resolve_and_prepass::<M>(decisions)?;
-        if max_slots > 0 {
-            self.commit_pooled(model, max_slots, observer, pool)?;
-        }
-        self.finish(model, observer, charges);
-        Ok(())
-    }
-
-    /// The parallel commit (see `crate::commit` for the buffer layout):
-    ///
-    /// 1. **Scan** — worker groups bucket the surviving writes of disjoint
-    ///    PID ranges by destination address partition.
-    /// 2. **Merge** — each address partition sorts its bucket rows by
-    ///    `(slot, addr, pid)` and resolves CRCW winners per `(slot, addr)`
-    ///    group, recording per-bank write deltas; conflicts are recorded,
-    ///    not applied.
-    /// 3. **Store** — each partition k-way-merges its per-slot winner lists
-    ///    by address, folds the completion-hint chain into a signed change
-    ///    of the outstanding count, and writes the final value per address
-    ///    through raw bank pointers. Runs only if no partition recorded a
-    ///    conflict.
-    ///
-    /// The coordinator then merges the accounting deltas, replays the
-    /// `Commit` events in slot-major rank order (partitions are contiguous
-    /// ascending address ranges, so this is exactly the sequential order),
-    /// and adds the partitions' count changes.
-    fn commit_pooled<M>(
-        &mut self,
-        model: &M,
-        max_slots: usize,
-        observer: &mut dyn Observer,
-        pool: &TickPool,
-    ) -> Result<()>
-    where
-        M: ExecutionModel<Private = Pv>,
-    {
-        debug_assert!(!M::KEEPS_INDEX, "the pooled store pass folds only the outstanding count");
-        let groups = pool.threads();
-        let parts = pool.threads();
-        let p = self.procs.len();
-        let gsize = p.div_ceil(groups).max(1);
-        let size = self.mem.size();
-        // ceil(size/parts) guarantees addr / part_size < parts for every
-        // in-bounds address.
-        let part_size = size.div_ceil(parts).max(1);
-        let stride = self.write_slots.max(1);
-        debug_assert!(max_slots <= MAX_WRITES, "write budget exceeds the merge's head array");
-        let bank_count = self.mem.bank_count();
-        let layout = self.mem.layout();
-        let cycle = self.cycle;
-        let mode = self.mode;
-        let tracked = self.tracked;
-        self.commit.prepare(groups, parts, stride, bank_count);
-        self.mem.bank_cell_ptrs(&mut self.commit.bank_ptrs);
-
-        // --- Phase 1: scan. Group g owns PIDs [g*gsize, (g+1)*gsize) and
-        // bucket rows [g*parts, (g+1)*parts) — disjoint per group.
-        {
-            let tentative = &self.tentative;
-            let fates = &self.fates;
-            let buckets_ptr = SendPtr::new(self.commit.buckets.as_mut_ptr());
-            let errs_ptr = SendPtr::new(self.commit.errs.as_mut_ptr());
-            let scan = move |g0: usize, g1: usize| -> Result<()> {
-                for g in g0..g1 {
-                    // SAFETY: rows [g*parts, (g+1)*parts) and errs[g] are
-                    // owned exclusively by group g this epoch.
-                    let rows = unsafe {
-                        std::slice::from_raw_parts_mut(buckets_ptr.ptr().add(g * parts), parts)
-                    };
-                    let err = unsafe { &mut *errs_ptr.ptr().add(g) };
-                    *err = None;
-                    for row in rows.iter_mut() {
-                        row.clear();
-                    }
-                    let (lo, hi) = ((g * gsize).min(p), ((g + 1) * gsize).min(p));
-                    for (i, fate) in (lo..hi).zip(&fates[lo..hi]) {
-                        let n = usize::from(fate.commits);
-                        if n == 0 {
-                            continue;
-                        }
-                        let t = tentative.get(Pid(i)).expect("surviving cycle exists");
-                        for (s, &(addr, value)) in t.writes[..n].iter().enumerate() {
-                            if addr >= size {
-                                // Defensive: the tentative phase bounds-
-                                // checks writes, but an out-of-bounds store
-                                // must error like the sequential commit,
-                                // not corrupt a bucket row. Keep the
-                                // group's minimum-(slot, addr) offender.
-                                let key = (s as u32, addr);
-                                if err.as_ref().is_none_or(|&(es, ea, _)| key < (es, ea)) {
-                                    *err = Some((
-                                        key.0,
-                                        key.1,
-                                        PramError::AddressOutOfBounds { addr, size },
-                                    ));
-                                }
-                                continue;
-                            }
-                            rows[addr / part_size].push(CommitEntry {
-                                slot: s as u32,
-                                addr,
-                                pid: i as u32,
-                                value,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_COMMIT_SCAN, groups, 1, &scan)?;
-        }
-        if let Some(err) = self.commit.take_min_err() {
-            return Err(err);
-        }
-
-        // --- Phase 2: merge. Partition w owns the address range
-        // [w*part_size, (w+1)*part_size) and its own sorted/winners/deltas
-        // rows.
-        {
-            let buckets = &self.commit.buckets;
-            let sorted_ptr = SendPtr::new(self.commit.sorted.as_mut_ptr());
-            let winners_ptr = SendPtr::new(self.commit.winners.as_mut_ptr());
-            let deltas_ptr = SendPtr::new(self.commit.bank_deltas.as_mut_ptr());
-            let errs_ptr = SendPtr::new(self.commit.errs.as_mut_ptr());
-            let merge = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    // SAFETY: sorted[w], winners[w*stride..], bank_deltas[w]
-                    // and errs[w] are owned exclusively by partition w.
-                    let sorted = unsafe { &mut *sorted_ptr.ptr().add(w) };
-                    let winners = unsafe {
-                        std::slice::from_raw_parts_mut(winners_ptr.ptr().add(w * stride), stride)
-                    };
-                    let deltas = unsafe { &mut *deltas_ptr.ptr().add(w) };
-                    let err = unsafe { &mut *errs_ptr.ptr().add(w) };
-                    *err = None;
-                    sorted.clear();
-                    for g in 0..groups {
-                        sorted.extend_from_slice(&buckets[g * parts + w]);
-                    }
-                    // (slot, addr, pid) keys are unique, so the unstable
-                    // sort is deterministic; within a (slot, addr) group the
-                    // lowest PID comes first, exactly like the sequential
-                    // per-slot sort.
-                    sorted.sort_unstable_by_key(|e| (e.slot, e.addr, e.pid));
-                    for row in winners[..max_slots].iter_mut() {
-                        row.clear();
-                    }
-                    deltas.clear();
-                    deltas.resize(bank_count, 0);
-                    let mut i = 0;
-                    'scan: while i < sorted.len() {
-                        let e = sorted[i];
-                        let mut j = i + 1;
-                        while j < sorted.len()
-                            && sorted[j].slot == e.slot
-                            && sorted[j].addr == e.addr
-                        {
-                            let e2 = sorted[j];
-                            match mode {
-                                WriteMode::Common => {
-                                    if e2.value != e.value {
-                                        *err = Some((
-                                            e.slot,
-                                            e.addr,
-                                            PramError::CommonWriteConflict {
-                                                addr: e.addr,
-                                                cycle,
-                                                first: (Pid(e.pid as usize), e.value),
-                                                second: (Pid(e2.pid as usize), e2.value),
-                                            },
-                                        ));
-                                        break 'scan;
-                                    }
-                                }
-                                WriteMode::Arbitrary | WriteMode::Priority => {
-                                    // Lowest PID (the group head) wins.
-                                }
-                                WriteMode::Exclusive => {
-                                    *err = Some((
-                                        e.slot,
-                                        e.addr,
-                                        PramError::ExclusiveWriteConflict { addr: e.addr, cycle },
-                                    ));
-                                    break 'scan;
-                                }
-                            }
-                            j += 1;
-                        }
-                        winners[e.slot as usize].push(SlotWinner { addr: e.addr, value: e.value });
-                        deltas[layout.bank_of(e.addr)] += 1;
-                        i = j;
-                    }
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_COMMIT_MERGE, parts, 1, &merge)?;
-        }
-        if let Some(err) = self.commit.take_min_err() {
-            // The scan runs in (slot, addr) order and stops at its first
-            // conflict, so the minimum across partitions is exactly the
-            // error the sequential slot loop would return. No stores, no
-            // events, no accounting are applied for the failed tick.
-            return Err(err);
-        }
-
-        // --- Phase 3: store. Partition w writes only addresses inside its
-        // range; `locate` maps disjoint addresses to disjoint (bank, cell)
-        // slots, so the raw-pointer stores never race.
-        {
-            let winners = &self.commit.winners;
-            let bank_ptrs = &self.commit.bank_ptrs;
-            let changes_ptr = SendPtr::new(self.commit.outstanding_changes.as_mut_ptr());
-            let store = move |w0: usize, w1: usize| -> Result<()> {
-                for w in w0..w1 {
-                    let mut change = 0isize;
-                    let rows = &winners[w * stride..w * stride + max_slots];
-                    let mut heads = [0usize; MAX_WRITES];
-                    loop {
-                        // Next address in the k-way merge of the per-slot
-                        // winner lists (each is address-ascending).
-                        let mut next: Option<usize> = None;
-                        for (s, row) in rows.iter().enumerate() {
-                            if let Some(wn) = row.get(heads[s]) {
-                                next = Some(next.map_or(wn.addr, |a: usize| a.min(wn.addr)));
-                            }
-                        }
-                        let Some(addr) = next else { break };
-                        let (bank, off) = layout.locate(addr);
-                        // SAFETY: addr is in partition w's range; see above.
-                        let cell = unsafe { bank_ptrs[bank].ptr().add(off) };
-                        let initial = unsafe { *cell };
-                        // Fold the slot chain exactly like the sequential
-                        // engine: each store's "old" value is the previous
-                        // slot's winner, and each transition moves the
-                        // count by one.
-                        let mut cur =
-                            if tracked { Some(model.completion_hint(addr, initial)) } else { None };
-                        let mut value = initial;
-                        for (s, row) in rows.iter().enumerate() {
-                            if let Some(wn) = row.get(heads[s]) {
-                                if wn.addr == addr {
-                                    heads[s] += 1;
-                                    value = wn.value;
-                                    if let Some(old) = cur {
-                                        let new = model.completion_hint(addr, wn.value);
-                                        match (old, new) {
-                                            (
-                                                CompletionHint::Outstanding,
-                                                CompletionHint::Satisfied,
-                                            ) => change -= 1,
-                                            (
-                                                CompletionHint::Satisfied,
-                                                CompletionHint::Outstanding,
-                                            ) => change += 1,
-                                            _ => {}
-                                        }
-                                        cur = Some(new);
-                                    }
-                                }
-                            }
-                        }
-                        // SAFETY: as above — exclusive by address partition.
-                        unsafe { *cell = value };
-                    }
-                    // SAFETY: outstanding_changes[w] is owned exclusively
-                    // by partition w.
-                    unsafe { *changes_ptr.ptr().add(w) = change };
-                }
-                Ok(())
-            };
-            pool.run_tick(CLASS_COMMIT_STORE, parts, 1, &store)?;
-        }
-
-        // --- Deterministic rank-ordered merge on the coordinator. ---
-        for w in 0..parts {
-            let deltas = std::mem::take(&mut self.commit.bank_deltas[w]);
-            self.mem.add_bank_writes(&deltas);
-            self.commit.bank_deltas[w] = deltas;
-        }
-        // Slot-major, then partitions in rank order: partitions are
-        // contiguous ascending address ranges and each winner row is
-        // address-ascending, so this replays the sequential engine's
-        // slot-major address-ascending Commit stream byte for byte.
-        for s in 0..max_slots {
-            for w in 0..parts {
-                for wn in &self.commit.winners[w * stride + s] {
-                    observer.event(TraceEvent::Commit { cycle, addr: wn.addr, value: wn.value });
-                }
-            }
-        }
-        let change: isize = self.commit.outstanding_changes[..parts].iter().sum();
-        self.outstanding =
-            self.outstanding.checked_add_signed(change).expect("outstanding count stays in range");
         Ok(())
     }
 }

@@ -31,10 +31,9 @@
 //! the [`RunLimits`], and `run_with` holds the only table that maps a spec
 //! to a backend, for both models. [`Pram::run`], [`Pram::run_observed`] and
 //! [`Pram::run_threaded_observed`] are one-line forms of it. The pooled
-//! rows farm the whole tick out to a persistent worker pool — the
-//! tentative phase and the three-pass parallel commit — with rank-ordered
-//! merges keeping every observable byte identical to the sequential
-//! engine.
+//! rows farm the tentative phase out to a persistent worker pool; every
+//! row then commits through the same sequential merge on the calling
+//! thread, so every observable byte matches the sequential engine.
 //!
 //! A **steady-state tick performs no heap allocation and no thread
 //! spawn**: all per-tick buffers live in the core and are reused; a pooled
@@ -376,14 +375,14 @@ impl<M: ExecutionModel> Pram<M> {
     /// | `Threads(0)` | [`PramError::InvalidConfig`] | same |
     ///
     /// Every row produces the identical event stream, accounting, failure
-    /// pattern and memory. The pooled rows farm every heavy phase of the
-    /// tick — tentative phase and commit — out to the workers, whose
-    /// chunks are merged in rank order; a model that keeps an unvisited
-    /// index commits sequentially, since the parallel store pass folds only
-    /// the outstanding count. `Threads(n)` builds a [`SharedPool`] for the
-    /// call and drops it on return; either way the workers park between
-    /// ticks, so a steady-state tick performs no thread spawns. The pool's
-    /// turn lock is held for the whole call, so concurrent callers of one
+    /// pattern and memory, and a rejected tick (a CRCW conflict, say)
+    /// leaves the same memory on every row. The pooled rows farm the
+    /// tentative phase out to the workers; every row commits through the
+    /// same sequential merge on the calling thread, for both models.
+    /// `Threads(n)` builds a [`SharedPool`] for the call and drops it on
+    /// return; either way the workers park between ticks, so a
+    /// steady-state tick performs no thread spawns. The pool's turn lock
+    /// is held for the whole call, so concurrent callers of one
     /// shared pool serialize; pause through `control` to time-share it.
     ///
     /// An *isolated* pooled run backs up every private state before each
@@ -699,18 +698,81 @@ mod tests {
         }
     }
 
-    /// A tick whose commit hits a CRCW conflict charges nothing: no cycle,
-    /// no instruction, no read, and no processor changes status.
+    /// P0 writes cell 0 alone; P1 and P2 write 2 and 3 to cell 1.
+    struct SplitClash;
+    impl Program for SplitClash {
+        type Private = ();
+        fn shared_size(&self) -> usize {
+            2
+        }
+        fn on_start(&self, _pid: Pid) {}
+        fn plan(&self, _pid: Pid, _st: &(), _vals: &[Word], _reads: &mut ReadSet) {}
+        fn execute(&self, pid: Pid, _st: &mut (), _v: &[Word], writes: &mut WriteSet) -> Step {
+            writes.push(pid.0.min(1), pid.0 as Word + 1);
+            Step::Halt
+        }
+        fn is_complete(&self, mem: &SharedMemory) -> bool {
+            mem.peek(1) != 0
+        }
+    }
+
+    /// The `run_with` rows the commit tests run on: the sequential engine,
+    /// a private 2-worker pool, and that pool with a panic policy.
+    fn engine_specs() -> [RunSpec<'static>; 3] {
+        [
+            (ExecMode::Sequential, None),
+            (ExecMode::Threads(2), None),
+            (ExecMode::Threads(2), Some(PanicPolicy::Surface)),
+        ]
+        .map(|(exec, panic)| RunSpec { exec, panic, limits: RunLimits::default() })
+    }
+
+    /// Run `m` without failures on `spec` until it completes or errs.
+    fn run_on<P: Program>(m: &mut Machine<'_, P>, spec: RunSpec<'_>) -> Result<RunReport> {
+        completed(m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue))
+    }
+
+    /// A tick whose commit hits a CRCW conflict charges nothing on any
+    /// engine: no cycle, no instruction, no read, and no processor changes
+    /// status.
     #[test]
     fn a_conflicting_commit_charges_nothing() {
-        let prog = ReadClash;
-        let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
-        let err = m.tick(&mut NoFailures).unwrap_err();
-        assert!(matches!(err, PramError::CommonWriteConflict { addr: 0, .. }), "{err:?}");
-        assert_eq!(m.core.stats, WorkStats::default());
-        assert_eq!(m.memory().read_count(), 0);
-        assert_eq!(m.core.procs.status, vec![ProcStatus::Alive; 2]);
-        assert_eq!(m.core.procs.completed, vec![0; 2]);
+        for spec in engine_specs() {
+            let mut m = Machine::new(&ReadClash, 2, CycleBudget::PAPER).unwrap();
+            let err = run_on(&mut m, spec).unwrap_err();
+            assert!(
+                matches!(err, PramError::CommonWriteConflict { addr: 0, .. }),
+                "{spec:?}: {err:?}"
+            );
+            assert_eq!(m.core.stats, WorkStats::default(), "{spec:?}");
+            assert_eq!(m.memory().read_count(), 0, "{spec:?}");
+            assert_eq!(m.core.procs.status, vec![ProcStatus::Alive; 2], "{spec:?}");
+            assert_eq!(m.core.procs.completed, vec![0; 2], "{spec:?}");
+        }
+    }
+
+    /// Every engine leaves the same machine after a conflict. Each commits
+    /// a write slot in address order and stops at the first conflicting
+    /// cell, so P0's store to cell 0 stays, with its bank's write count,
+    /// while the tick charges nothing.
+    #[test]
+    fn a_conflict_leaves_the_same_memory_on_every_engine() {
+        let conflict = PramError::CommonWriteConflict {
+            addr: 1,
+            cycle: 0,
+            first: (Pid(1), 2),
+            second: (Pid(2), 3),
+        };
+        for spec in engine_specs() {
+            let mut m =
+                Machine::with_layout(&SplitClash, 3, CycleBudget::PAPER, MemoryLayout::banked(2))
+                    .unwrap();
+            let err = run_on(&mut m, spec).unwrap_err();
+            assert_eq!(err, conflict, "{spec:?}");
+            assert_eq!(m.memory().to_vec(), vec![1, 0], "{spec:?}");
+            assert_eq!(m.memory().bank_counters(), vec![(0, 1), (0, 0)], "{spec:?}");
+            assert_eq!(m.core.stats, WorkStats::default(), "{spec:?}");
+        }
     }
 
     /// The fate records are rewritten every tick. Whatever a legal tick
@@ -817,28 +879,37 @@ mod tests {
 
     #[test]
     fn common_mode_detects_conflicts() {
-        let prog = Clash;
-        let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
-        let err = m.run(&mut NoFailures).unwrap_err();
-        assert!(matches!(err, PramError::CommonWriteConflict { addr: 0, .. }));
+        for spec in engine_specs() {
+            let mut m = Machine::new(&Clash, 2, CycleBudget::PAPER).unwrap();
+            let err = run_on(&mut m, spec).unwrap_err();
+            assert!(
+                matches!(err, PramError::CommonWriteConflict { addr: 0, .. }),
+                "{spec:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn arbitrary_mode_lowest_pid_wins() {
-        let prog = Clash;
-        let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
-        m.set_write_mode(WriteMode::Arbitrary);
-        m.run(&mut NoFailures).unwrap();
-        assert_eq!(m.memory().peek(0), 1); // P0's value
+        for spec in engine_specs() {
+            let mut m = Machine::new(&Clash, 2, CycleBudget::PAPER).unwrap();
+            m.set_write_mode(WriteMode::Arbitrary);
+            run_on(&mut m, spec).unwrap();
+            assert_eq!(m.memory().peek(0), 1, "{spec:?}"); // P0's value
+        }
     }
 
     #[test]
     fn exclusive_mode_rejects_concurrent_writes() {
-        let prog = Clash;
-        let mut m = Machine::new(&prog, 2, CycleBudget::PAPER).unwrap();
-        m.set_write_mode(WriteMode::Exclusive);
-        let err = m.run(&mut NoFailures).unwrap_err();
-        assert!(matches!(err, PramError::ExclusiveWriteConflict { addr: 0, .. }));
+        for spec in engine_specs() {
+            let mut m = Machine::new(&Clash, 2, CycleBudget::PAPER).unwrap();
+            m.set_write_mode(WriteMode::Exclusive);
+            let err = run_on(&mut m, spec).unwrap_err();
+            assert!(
+                matches!(err, PramError::ExclusiveWriteConflict { addr: 0, .. }),
+                "{spec:?}: {err:?}"
+            );
+        }
     }
 
     /// Adversary failing everyone mid-cycle — must be rejected.
@@ -986,16 +1057,9 @@ mod tests {
         for w in [1, 2, MAX_WRITES] {
             let prog = Spray { writes: w + 1 };
             let budget = CycleBudget { reads: 4, writes: w };
-            for (exec, panic) in [
-                (ExecMode::Sequential, None),
-                (ExecMode::Threads(2), None),
-                (ExecMode::Threads(2), Some(PanicPolicy::Surface)),
-            ] {
+            for spec in engine_specs() {
                 let mut m = Machine::new(&prog, 8, budget).unwrap();
-                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
-                let err = m
-                    .run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue)
-                    .unwrap_err();
+                let err = run_on(&mut m, spec).unwrap_err();
                 assert!(
                     matches!(err, PramError::BudgetExceeded { kind: BudgetKind::Writes, used, limit, .. }
                         if used == w + 1 && limit == w),

@@ -90,11 +90,9 @@ impl MemoryLayout {
         }
     }
 
-    /// `(bank, slot-within-bank)` of `addr`. Callers check bounds. The
-    /// parallel commit kernels use the layout-level mapping to address raw
-    /// bank-cell pointers without borrowing the whole memory.
+    /// `(bank, slot-within-bank)` of `addr`. Callers check bounds.
     #[inline]
-    pub(crate) fn locate(&self, addr: usize) -> (usize, usize) {
+    fn locate(&self, addr: usize) -> (usize, usize) {
         match *self {
             MemoryLayout::Flat => (0, addr),
             MemoryLayout::Banked { banks, interleave } => {
@@ -364,37 +362,12 @@ impl SharedMemory {
         CellChunks { mem: self, next_base: 0 }
     }
 
-    /// Raw mutable pointers to each bank's cell storage, in bank order.
-    ///
-    /// The parallel commit writes winner values through these from worker
-    /// threads; each worker owns a disjoint address partition, and
-    /// [`MemoryLayout::locate`] maps disjoint addresses to disjoint
-    /// `(bank, slot)` cells, so the writes never race. The pointers are
-    /// only valid until the banks are next resized (they never are after
-    /// construction) and must not outlive the borrow this call creates —
-    /// callers re-fill the scratch vector every tick.
-    pub(crate) fn bank_cell_ptrs(&mut self, out: &mut Vec<crate::pool::SendPtr<Word>>) {
-        out.clear();
-        for bank in &mut self.banks {
-            out.push(crate::pool::SendPtr::new(bank.cells.as_mut_ptr()));
-        }
-    }
-
     /// Add a tick's per-bank read tally (see [`MemoryLayout::tally_reads`])
     /// to the charge counters.
     pub(crate) fn add_bank_reads(&mut self, per_bank: &[u64]) {
         debug_assert_eq!(per_bank.len(), self.banks.len());
         for (bank, &r) in self.banks.iter_mut().zip(per_bank) {
             bank.reads += r;
-        }
-    }
-
-    /// Merge per-bank committed-write deltas (from the parallel commit's
-    /// per-worker accounting buffers) into the charge counters.
-    pub(crate) fn add_bank_writes(&mut self, deltas: &[u64]) {
-        debug_assert_eq!(deltas.len(), self.banks.len());
-        for (bank, &d) in self.banks.iter_mut().zip(deltas) {
-            bank.writes += d;
         }
     }
 

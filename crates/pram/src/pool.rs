@@ -16,9 +16,9 @@
 //! * the coordinator waits until every worker has drained the cursor, then
 //!   reclaims exclusive access to the machine.
 //!
-//! The pool runs several job *classes* per tick (tentative phase, commit
-//! scan, commit merge, commit store), so the handoff latency
-//! is paid several times per tick and has to be cheap:
+//! The pool runs one job per tick, the tentative phase; the commit runs on
+//! the coordinator after it (see `Core::tick`). The handoff is paid every
+//! tick, so it has to be cheap:
 //!
 //! * **spin-then-park barrier** — both sides spin on an atomic for
 //!   [`SPIN`] iterations before parking the OS thread, so the common
@@ -33,15 +33,14 @@
 //!   `len`/`chunk` and each worker's claim counter live on their own
 //!   128-byte lines so cursor traffic does not false-share with the epoch
 //!   line every worker spins on.
-//! * **adaptive inline degrade** (release builds) — the pool keeps a
-//!   per-class EWMA of measured ns/item; when a class's predicted tick cost
-//!   falls below [`INLINE_NS`], or the host has one logical core (read once
-//!   per pool), the coordinator runs the job inline instead of waking
-//!   anyone. Small-N-per-thread runs therefore degrade to single-worker
-//!   execution instead of paying coordination for nothing. Debug builds
-//!   never degrade: every pooled job crosses the barrier on every tick, so
-//!   the debug test suite drives the workers and the parallel commit on
-//!   any host.
+//! * **adaptive inline degrade** (release builds) — the pool keeps an
+//!   EWMA of measured ns/item; when a job's predicted cost falls below
+//!   [`INLINE_NS`], or the host has one logical core (read once per pool),
+//!   the coordinator runs the job inline instead of waking anyone.
+//!   Small-N-per-thread runs therefore degrade to single-worker execution
+//!   instead of paying coordination for nothing. Debug builds never
+//!   degrade: every pooled job crosses the barrier on every tick, so the
+//!   debug test suite drives the workers on any host.
 //!
 //! The spin budget and the threshold are constants, not options: nothing
 //! outside the pool has a reason to choose them, and inline or pooled, a
@@ -86,8 +85,8 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A raw pointer that may cross thread boundaries.
 ///
-/// The pooled kernels hand each worker a disjoint region of one allocation
-/// (processor states, commit buckets); the pool's barrier
+/// The pooled tentative phase hands each worker a disjoint region of one
+/// allocation (processor states, tentative-table rows); the pool's barrier
 /// bounds every access, and disjointness is each call site's proof
 /// obligation — stated at the `unsafe` dereference, not here.
 pub(crate) struct SendPtr<T>(*mut T);
@@ -144,17 +143,6 @@ struct JobCell(UnsafeCell<Option<JobPtr>>);
 // `active` decrement.
 unsafe impl Send for JobCell {}
 unsafe impl Sync for JobCell {}
-
-/// Job classes with independent cost models for the adaptive inline
-/// decision: items of different classes differ by orders of magnitude
-/// (a tentative item is one processor's update cycle, a commit item is
-/// one processor group's or address partition's share of the tick's
-/// writes), so they must not share an EWMA.
-pub(crate) const CLASS_TENTATIVE: usize = 0;
-pub(crate) const CLASS_COMMIT_SCAN: usize = 1;
-pub(crate) const CLASS_COMMIT_MERGE: usize = 2;
-pub(crate) const CLASS_COMMIT_STORE: usize = 3;
-const NUM_CLASSES: usize = 4;
 
 /// Spin iterations before parking, on both sides of the barrier.
 const SPIN: u32 = 512;
@@ -219,9 +207,9 @@ pub(crate) struct TickPool {
     /// Whether the adaptive inline degrade may run a job on the
     /// coordinator: on in release builds, off in debug builds.
     degrade: bool,
-    /// Per-class EWMA of measured ns/item, stored as `f64` bits
-    /// (coordinator-only writes; 0 = no measurement yet).
-    ewma: [AtomicU64; NUM_CLASSES],
+    /// EWMA of measured ns/item, stored as `f64` bits (coordinator-only
+    /// writes; 0 = no measurement yet).
+    ewma: AtomicU64,
 }
 
 impl TickPool {
@@ -244,7 +232,7 @@ impl TickPool {
             workers: (0..threads).map(|_| CachePadded(WorkerSlot::default())).collect(),
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             degrade: !cfg!(debug_assertions),
-            ewma: Default::default(),
+            ewma: AtomicU64::new(0),
         }
     }
 
@@ -253,58 +241,44 @@ impl TickPool {
         self.workers.len()
     }
 
-    /// `false` when this pool runs every job on the coordinator whatever
-    /// its cost: a release build on a single-core host. Callers then skip
-    /// phases whose pooled form only pays on concurrent workers.
-    pub(crate) fn concurrent(&self) -> bool {
-        !self.degrade || self.cores > 1
-    }
-
     /// Total chunks claimed by workers across all epochs (telemetry).
     #[cfg(test)]
     fn total_claims(&self) -> u64 {
         self.workers.iter().map(|w| w.claims.load(Ordering::Relaxed)).sum()
     }
 
-    /// Predicted cost of `len` items of `class`, in ns (0 = unknown).
-    fn predicted_ns(&self, class: usize, len: usize) -> f64 {
-        f64::from_bits(self.ewma[class].load(Ordering::Relaxed)) * len as f64
+    /// Predicted cost of `len` items, in ns (0 = unknown).
+    fn predicted_ns(&self, len: usize) -> f64 {
+        f64::from_bits(self.ewma.load(Ordering::Relaxed)) * len as f64
     }
 
-    /// Fold a measurement into the class's cost model.
-    fn observe(&self, class: usize, elapsed_ns: u64, len: usize) {
+    /// Fold a measurement into the cost model.
+    fn observe(&self, elapsed_ns: u64, len: usize) {
         let per = elapsed_ns as f64 / len as f64;
-        let old = f64::from_bits(self.ewma[class].load(Ordering::Relaxed));
+        let old = f64::from_bits(self.ewma.load(Ordering::Relaxed));
         let new = if old == 0.0 { per } else { old + (per - old) * 0.25 };
-        self.ewma[class].store(new.to_bits(), Ordering::Relaxed);
+        self.ewma.store(new.to_bits(), Ordering::Relaxed);
     }
 
     /// Execute `job` over the index space `[0, len)` and block until every
     /// index has been processed (or a worker errored). Callers regain
     /// exclusive access to everything the job borrows once this returns.
     ///
-    /// `class` selects the cost model for the adaptive inline decision:
-    /// in a release build, when the class's measured EWMA predicts the
-    /// whole job is cheaper than [`INLINE_NS`], or the host has a single
-    /// logical core, the coordinator runs the job itself — identical
-    /// semantics, no wakeups. A debug build always wakes the workers.
+    /// In a release build, when the measured EWMA predicts the whole job
+    /// is cheaper than [`INLINE_NS`], or the host has a single logical
+    /// core, the coordinator runs the job itself — identical semantics, no
+    /// wakeups. A debug build always wakes the workers.
     ///
     /// Every chunk boundary falls on a multiple of `align` (the final chunk
     /// may be shorter), so `align` is also the minimum chunk size: the
     /// tentative phase passes 64, which keeps a small machine on many
     /// threads from degenerating into per-processor claims.
-    pub(crate) fn run_tick(
-        &self,
-        class: usize,
-        len: usize,
-        align: usize,
-        job: &Job<'_>,
-    ) -> Result<()> {
+    pub(crate) fn run_tick(&self, len: usize, align: usize, job: &Job<'_>) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
         let inline = self.degrade && {
-            let est = self.predicted_ns(class, len);
+            let est = self.predicted_ns(len);
             self.cores <= 1 || (est > 0.0 && est < INLINE_NS)
         };
         let start = Instant::now();
@@ -315,7 +289,7 @@ impl TickPool {
         } else {
             self.run_pooled(len, align, job)?;
         }
-        self.observe(class, start.elapsed().as_nanos() as u64, len);
+        self.observe(start.elapsed().as_nanos() as u64, len);
         Ok(())
     }
 
@@ -585,7 +559,7 @@ mod tests {
         let shared = always_pooled(3);
         let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
         for _ in 0..50 {
-            shared.pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+            shared.pool.run_tick(hits.len(), 1, &bump(&hits)).unwrap();
         }
         assert!(shared.pool.total_claims() > 0, "pooled path must claim chunks");
         for h in &hits {
@@ -600,9 +574,9 @@ mod tests {
         let shared = SharedPool::new(2).unwrap();
         let pool = &shared.pool;
         let hits: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
-        pool.observe(CLASS_TENTATIVE, 1_000, hits.len());
-        assert!(pool.predicted_ns(CLASS_TENTATIVE, hits.len()) < INLINE_NS);
-        pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+        pool.observe(1_000, hits.len());
+        assert!(pool.predicted_ns(hits.len()) < INLINE_NS);
+        pool.run_tick(hits.len(), 1, &bump(&hits)).unwrap();
         assert_eq!(pool.total_claims() > 0, cfg!(debug_assertions));
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
@@ -619,9 +593,9 @@ mod tests {
         let shared = SharedPool::spawn(pool);
         let pool = &shared.pool;
         let hits: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
-        pool.observe(CLASS_TENTATIVE, 1_000, hits.len());
+        pool.observe(1_000, hits.len());
         for _ in 0..8 {
-            pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+            pool.run_tick(hits.len(), 1, &bump(&hits)).unwrap();
         }
         assert_eq!(pool.total_claims(), 0, "a cheap job must run inline");
         for h in &hits {
@@ -632,13 +606,11 @@ mod tests {
         (pool.degrade, pool.cores) = (true, 1);
         let shared = SharedPool::spawn(pool);
         let pool = &shared.pool;
-        pool.run_tick(CLASS_COMMIT_SCAN, hits.len(), 1, &bump(&hits)).unwrap();
+        pool.run_tick(hits.len(), 1, &bump(&hits)).unwrap();
         assert_eq!(pool.total_claims(), 0, "a single-core host must inline every job");
         // Inline errors surface exactly like pooled ones.
         let err = pool
-            .run_tick(CLASS_COMMIT_SCAN, 4, 1, &|_, _| {
-                Err(PramError::AddressOutOfBounds { addr: 9, size: 4 })
-            })
+            .run_tick(4, 1, &|_, _| Err(PramError::AddressOutOfBounds { addr: 9, size: 4 }))
             .unwrap_err();
         assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
     }
@@ -653,7 +625,7 @@ mod tests {
                 Ok(())
             }
         };
-        let err = shared.pool.run_tick(CLASS_TENTATIVE, 64, 1, &job).unwrap_err();
+        let err = shared.pool.run_tick(64, 1, &job).unwrap_err();
         assert!(matches!(err, PramError::AddressOutOfBounds { .. }));
     }
 
@@ -673,14 +645,14 @@ mod tests {
             }
             Ok(())
         };
-        let err = shared.pool.run_tick(CLASS_TENTATIVE, 64, 1, &bomb).unwrap_err();
+        let err = shared.pool.run_tick(64, 1, &bomb).unwrap_err();
         assert!(
             matches!(&err, PramError::WorkerPanic { pid: None, detail }
                 if detail.contains("injected worker fault")),
             "unexpected error: {err:?}"
         );
         // The pool is still operational for subsequent ticks.
-        shared.pool.run_tick(CLASS_TENTATIVE, hits.len(), 1, &bump(&hits)).unwrap();
+        shared.pool.run_tick(hits.len(), 1, &bump(&hits)).unwrap();
         drop(shared);
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
@@ -701,7 +673,7 @@ mod tests {
             claims.lock().unwrap().push((start, end));
             bump(&hits)(start, end)
         };
-        shared.pool.run_tick(CLASS_TENTATIVE, hits.len(), 4, &job).unwrap();
+        shared.pool.run_tick(hits.len(), 4, &job).unwrap();
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1, "every index exactly once");
         }
@@ -717,6 +689,6 @@ mod tests {
     #[test]
     fn empty_tick_is_a_noop() {
         let shared = always_pooled(2);
-        shared.pool.run_tick(CLASS_TENTATIVE, 0, 64, &|_, _| Ok(())).unwrap();
+        shared.pool.run_tick(0, 64, &|_, _| Ok(())).unwrap();
     }
 }

@@ -10,7 +10,7 @@
 //! steady-state ticks, and a pooled run's allocation total must not grow
 //! with the number of ticks. A debug-built pool has no adaptive inline
 //! degrade, so in the default `cargo test` build the spin-then-park
-//! barrier and the per-worker commit buffers are inside the measurement on
+//! barrier and the workers' tentative phase are inside the measurement on
 //! any host.
 //!
 //! The sequential and snapshot engines run wholly on the calling thread,
@@ -85,8 +85,8 @@ fn measure_lock() -> std::sync::MutexGuard<'static, ()> {
 /// Each processor increments its own cell once per tick until every cell
 /// reaches `target`: the run lasts exactly `target` full-width ticks. A
 /// `tracked` grind gives completion hints, so a pooled run primes the
-/// outstanding-cell count at run entry and the parallel commit folds it
-/// every tick.
+/// outstanding-cell count at run entry and the commit folds it every
+/// tick.
 struct Grind {
     n: usize,
     target: Word,
@@ -219,14 +219,13 @@ fn snapshot_steady_state_ticks_do_not_allocate() {
     assert_eq!(delta, 0, "snapshot steady-state ticks allocated {delta} times");
 }
 
-/// The pooled engine — spin-then-park barrier, per-worker commit buffers
-/// (scan/merge/store) and, for a tracked program, the outstanding-count
-/// fold — must reach an allocation-free steady state. A debug-built pool
-/// has no adaptive inline degrade, so every tick actually crosses the
-/// barrier and runs the three commit passes. The per-worker rows of
-/// `CommitScratch` grow to their working sizes during the first ticks and
-/// are reused verbatim afterwards, so allocations must not scale with
-/// tick count.
+/// The pooled engine — spin-then-park barrier, the workers' tentative
+/// phase, the commit on the calling thread and, for a tracked program,
+/// the outstanding-count fold — must reach an allocation-free steady
+/// state. A debug-built pool has no adaptive inline degrade, so every
+/// tick actually crosses the barrier. Each worker plays its chunk through
+/// a scratch on its stack and the commit reuses the core's buffers, so
+/// allocations must not scale with tick count.
 #[test]
 fn pooled_allocations_do_not_grow_with_tick_count() {
     let _guard = measure_lock();

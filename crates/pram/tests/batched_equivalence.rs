@@ -2,24 +2,23 @@
 //!
 //! The tick engine is an implementation detail of the run loop: for every
 //! legal fault schedule, a pooled run (the tentative phase claimed in
-//! chunks of at least 64 processors, plus the parallel commit) must
-//! produce the byte-identical event stream, stats, failure pattern, memory
-//! image and access counters as the sequential run — for the word model
-//! (flat and banked layouts) and the snapshot model. The golden fixtures
-//! pin the default configuration; these properties pin the engines
-//! against each other over random schedules. Every run primes its
-//! completion tracker from the 64-cell lane masks, which a debug build
-//! checks lane by lane against the per-cell `completion_hint` reference.
+//! chunks of at least 64 processors, then the same sequential commit as
+//! every engine) must produce the byte-identical event stream, stats,
+//! failure pattern, memory image and access counters as the sequential
+//! run — for the word model (flat and banked layouts) and the snapshot
+//! model. The golden fixtures pin the default configuration; these
+//! properties pin the engines against each other over random schedules.
+//! Every run primes its completion tracker from the 64-cell lane masks,
+//! which a debug build checks lane by lane against the per-cell
+//! `completion_hint` reference.
 //!
-//! A debug-built pool has no adaptive inline degrade: every pooled tick
-//! crosses the barrier, and the word model's pooled runs take the
-//! **parallel commit** (per-worker scan/merge/store with a rank-ordered
-//! coordinator merge, folding the outstanding-cell count per partition) on
-//! any host. In the default `cargo test` build every pooled run here is
-//! therefore a true differential test of that kernel against the
-//! sequential slot-by-slot apply. A release build (`cargo test --release`)
-//! keeps the degrade, so it checks the engine users run. The snapshot
-//! model runs on the same pool.
+//! A debug-built pool has no adaptive inline degrade: every pooled tick's
+//! tentative phase crosses the barrier on any host, so in the default
+//! `cargo test` build every pooled run here is a true differential test
+//! of the workers' chunked tentative phase against the sequential loop.
+//! A release build (`cargo test --release`) keeps the degrade, so it
+//! checks the engine users run. The snapshot model runs on the same
+//! pool.
 
 use proptest::prelude::*;
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};

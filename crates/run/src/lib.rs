@@ -55,7 +55,7 @@ pub use protocol::{
 /// The tick-engine choice a [`RunSession`] runs on, re-exported from
 /// [`rfsp_pram`] so session callers need not name that crate.
 pub use rfsp_pram::ExecMode;
-pub use sched::Scheduler;
+pub use sched::{Scheduler, Turn};
 pub use session::{run_with_cut, CutOutcome, PauseFlow, PauseInfo, RunSession, SessionEnd};
 pub use spool::{DoneMarker, Spool, SpoolJob};
 
