@@ -1,6 +1,6 @@
 //! Throughput regression guard for the tick engine's hot paths.
 //!
-//! Three claims, each pinned in CI:
+//! Four claims, each pinned in CI:
 //!
 //! 1. **Flat tick cost** — the bank-partitioned memory backend must not
 //!    tax the flat layout. Measures ns/tick of the no-failure Write-All
@@ -16,29 +16,14 @@
 //!    per processor, sequential engine) against
 //!    `crates/bench/baseline/scale_word_flat.json`, gated by the same
 //!    `RFSP_GUARD_RATIO`.
-//! 3. **Relative checks** (machine-independent, both sides measured in
+//! 3. **Relative check** (machine-independent, both sides measured in
 //!    the same process): the banked layout must cost at most
-//!    `RFSP_GUARD_BANKED_RATIO` (default 4) times flat, and the pooled
-//!    engine at 2 threads must keep parallel efficiency — sequential time
-//!    over `2 ×` pooled time — at or above `RFSP_GUARD_EFF_FLOOR`
-//!    (default 0.10; a deliberately low floor, since a single-core CI
-//!    host makes pooling pure overhead and the check then only catches
-//!    pathological coordination regressions). Relative checks are
+//!    `RFSP_GUARD_BANKED_RATIO` (default 4) times flat. The check is
 //!    noise-sensitive, so a failure triggers ONE full re-measure of both
 //!    sides — both attempts are logged — and only a repeated failure
 //!    fails the guard.
 //!
-//! 4. **Committed scaling artifact** — the blessed
-//!    `crates/bench/artifacts/BENCH_SCALE.json` must show the pooled
-//!    engine at `speedup_vs_1t >= 1.0` for every flat word row with
-//!    `N >= 2^24` and `threads >= 2` whose thread count the recording
-//!    host could actually run (`host_logical_cores >= threads`); rows
-//!    beyond the recorded core count are skipped loudly. And on a live
-//!    host with 2+ logical cores, the measured 2-thread run must beat
-//!    sequential (`RFSP_GUARD_SPEEDUP_FLOOR`, default 1.0) — with the
-//!    same one-retry noise policy as the other relative checks.
-//!
-//! 5. **Committed policy artifact** — the blessed
+//! 4. **Committed policy artifact** — the blessed
 //!    `crates/bench/artifacts/BENCH_POLICY.json` (written by the policy
 //!    bench) must show the adaptive checkpoint policy wasting no more
 //!    ticks than the better fixed-interval extreme at every swept
@@ -51,9 +36,7 @@
 use std::time::Instant;
 
 use rfsp_core::{TrivialAssign, WriteAllTasks};
-use rfsp_pram::{
-    CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures, NoopObserver, RunLimits,
-};
+use rfsp_pram::{CycleBudget, LayoutBuilder, Machine, MemoryLayout, NoFailures};
 use serde::{Deserialize, Serialize};
 
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -68,25 +51,6 @@ struct ScaleBaseline {
     /// scale geometry (fixed-point: 1000 = 1 ns/cell; the integer keeps
     /// the artifact stable under sub-ns kernels).
     milli_ns_per_cell: u64,
-}
-
-/// The subset of a `BENCH_SCALE.json` row the guard consumes (extra
-/// fields in the artifact are ignored by the deserializer).
-#[derive(Clone, Debug, Deserialize)]
-struct ScaleRow {
-    model: String,
-    layout: String,
-    n: u64,
-    threads: u64,
-    speedup_vs_1t: f64,
-}
-
-/// The committed scaling artifact, `crates/bench/artifacts/BENCH_SCALE.json`.
-#[derive(Clone, Debug, Deserialize)]
-struct ScaleArtifact {
-    quick: bool,
-    host_logical_cores: u64,
-    rows: Vec<ScaleRow>,
 }
 
 const CELLS_PER_PROC: usize = 64;
@@ -125,23 +89,22 @@ fn measure(layout: MemoryLayout) -> f64 {
 }
 
 /// One flat word-model run at the scale geometry; returns ns/cell.
-fn scale_run_once(threads: usize) -> f64 {
+fn scale_run_once() -> f64 {
     let p = SCALE_N / SCALE_CELLS_PER_PROC;
     let mut lb = LayoutBuilder::new();
     let tasks = WriteAllTasks::new(&mut lb, SCALE_N);
     let algo = TrivialAssign::new(tasks, p);
     let mut m = Machine::new(&algo, p, CycleBudget::PAPER).expect("valid machine");
     let start = Instant::now();
-    m.run_threaded_observed(&mut NoFailures, RunLimits::default(), threads, &mut NoopObserver)
-        .expect("guard run");
+    m.run(&mut NoFailures).expect("guard run");
     let elapsed = start.elapsed().as_nanos();
     assert!(tasks.all_written(m.memory()), "write-all postcondition failed");
     elapsed as f64 / SCALE_N as f64
 }
 
 /// Best-of-`SCALE_REPS` ns/cell at the scale geometry.
-fn measure_scale(threads: usize) -> f64 {
-    (0..SCALE_REPS).map(|_| scale_run_once(threads)).fold(f64::INFINITY, f64::min)
+fn measure_scale() -> f64 {
+    (0..SCALE_REPS).map(|_| scale_run_once()).fold(f64::INFINITY, f64::min)
 }
 
 fn env_ratio(name: &str, default: f64) -> f64 {
@@ -181,65 +144,6 @@ fn relative_check_with_retry(
     }
     describe_failure(second.0, second.1);
     true
-}
-
-/// Gate the **committed** `BENCH_SCALE.json`: every blessed flat
-/// word-model row with `N >= 2^24` and `threads >= 2` must show
-/// `speedup_vs_1t >= 1.0` — the pooled engine may never lose to the
-/// sequential engine at scale. Rows whose thread count exceeds the
-/// recording host's logical cores are skipped loudly: such a row
-/// documents the adaptive inline degrade, not parallelism, and holding
-/// it to a speedup floor would reward faking the measurement. Returns
-/// `true` on failure.
-fn check_committed_scaling() -> bool {
-    const SPEEDUP_FLOOR_N: u64 = 1 << 24;
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts").join("BENCH_SCALE.json");
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "no committed scaling artifact at {} ({e}); run the scaling bench and commit it",
-            path.display()
-        )
-    });
-    let artifact: ScaleArtifact = serde::json::from_str(&raw).expect("scale artifact");
-    assert!(!artifact.quick, "the committed BENCH_SCALE.json must come from a full sweep");
-    let mut failed = false;
-    let mut gated = 0usize;
-    for row in &artifact.rows {
-        if row.model != "word" || row.layout != "flat" {
-            continue;
-        }
-        if row.n < SPEEDUP_FLOOR_N || row.threads < 2 {
-            continue;
-        }
-        if artifact.host_logical_cores < row.threads {
-            println!(
-                "SKIP: blessed speedup floor for n=2^{} threads={} — the recording host had \
-                 {} logical core(s)",
-                row.n.trailing_zeros(),
-                row.threads,
-                artifact.host_logical_cores
-            );
-            continue;
-        }
-        gated += 1;
-        if row.speedup_vs_1t < 1.0 {
-            eprintln!(
-                "FAIL: committed BENCH_SCALE.json shows speedup {:.3}x at n=2^{} threads={} \
-                 (recorded on a {}-core host) — the blessed artifact must demonstrate the pooled \
-                 engine beating sequential at scale; re-measure on capable hardware",
-                row.speedup_vs_1t,
-                row.n.trailing_zeros(),
-                row.threads,
-                artifact.host_logical_cores
-            );
-            failed = true;
-        }
-    }
-    if gated > 0 && !failed {
-        println!("OK: {gated} blessed scaling rows at or above the 1.0x speedup floor");
-    }
-    failed
 }
 
 /// The subset of a `BENCH_POLICY.json` row the guard consumes.
@@ -309,15 +213,10 @@ fn check_committed_policy() -> bool {
 fn main() {
     let flat = measure(MemoryLayout::Flat);
     let banked = measure(MemoryLayout::banked(PROCESSORS));
-    let scale_seq = measure_scale(1);
-    let scale_pool2 = measure_scale(2);
+    let scale_seq = measure_scale();
     println!("flat        : {flat:.1} ns/tick");
     println!("banked      : {banked:.1} ns/tick ({:.2}x flat)", banked / flat);
     println!("scale seq   : {scale_seq:.3} ns/cell (N = 2^20, flat word model)");
-    println!(
-        "scale pool2 : {scale_pool2:.3} ns/cell (efficiency {:.2})",
-        scale_seq / (2.0 * scale_pool2)
-    );
 
     let dir = baseline_dir();
     let tick_path = dir.join("tick_flat.json");
@@ -388,46 +287,6 @@ fn main() {
         },
     );
 
-    let eff_floor = env_ratio("RFSP_GUARD_EFF_FLOOR", 0.10);
-    failed |= relative_check_with_retry(
-        "pooled efficiency",
-        || (measure_scale(1), measure_scale(2)),
-        (scale_seq, scale_pool2),
-        |seq, pool| seq / (2.0 * pool) >= eff_floor,
-        |seq, pool| {
-            eprintln!(
-                "FAIL: pooled efficiency {:.3} at 2 threads below floor {eff_floor} — the worker \
-                 pool's per-tick coordination cost regressed",
-                seq / (2.0 * pool)
-            );
-        },
-    );
-
-    // On a host that can actually run two workers concurrently the floor
-    // is much stronger: the pooled engine must not lose to sequential at
-    // all. Single-core hosts skip (loudly) — there the adaptive degrade
-    // runs the tick inline and speedup > 1 is physically unmeasurable.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if cores >= 2 {
-        let speedup_floor = env_ratio("RFSP_GUARD_SPEEDUP_FLOOR", 1.0);
-        failed |= relative_check_with_retry(
-            "pooled speedup",
-            || (measure_scale(1), measure_scale(2)),
-            (scale_seq, scale_pool2),
-            |seq, pool| seq / pool >= speedup_floor,
-            |seq, pool| {
-                eprintln!(
-                    "FAIL: pooled speedup {:.3}x at 2 threads below floor {speedup_floor} on a \
-                     {cores}-core host — the parallel tick engine regressed",
-                    seq / pool
-                );
-            },
-        );
-    } else {
-        println!("SKIP: live pooled-speedup floor needs >= 2 logical cores, host has {cores}");
-    }
-
-    failed |= check_committed_scaling();
     failed |= check_committed_policy();
 
     if failed {
@@ -435,6 +294,6 @@ fn main() {
     }
     println!(
         "OK: tick and scale throughput within {ratio}x of baselines, banked within \
-         {banked_ratio}x of flat, pooled efficiency >= {eff_floor}"
+         {banked_ratio}x of flat"
     );
 }

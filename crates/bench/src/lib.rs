@@ -10,8 +10,7 @@ pub mod soak;
 pub mod telemetry;
 
 use rfsp_pram::{
-    Adversary, CycleBudget, Machine, Observer, PramError, Program, RunControl, RunLimits,
-    RunReport, RunSpec, RunStatus,
+    Adversary, CycleBudget, Machine, Observer, PramError, Program, RunLimits, RunReport,
 };
 use rfsp_run::{with_write_all_program, WriteAllSetup, WriteAllSpec, WriteAllVisitor};
 use serde::{Deserialize, Serialize};
@@ -40,7 +39,7 @@ pub struct WriteAllRun {
 /// [`PramError::CycleLimit`] marks runs the adversary successfully
 /// prevented from finishing within `limits`.
 pub fn run_write_all<F, A>(
-    spec: &WriteAllSpec<'_>,
+    spec: &WriteAllSpec,
     make_adversary: F,
     limits: RunLimits,
     observer: &mut dyn Observer,
@@ -50,7 +49,7 @@ where
     A: Adversary,
 {
     struct Run<'s, 'o, F> {
-        spec: &'s WriteAllSpec<'s>,
+        spec: &'s WriteAllSpec,
         make_adversary: F,
         limits: RunLimits,
         observer: &'o mut dyn Observer,
@@ -70,12 +69,7 @@ where
         {
             let mut adversary = (self.make_adversary)(setup);
             let mut m = Machine::with_layout(prog, self.spec.p, budget, self.spec.layout)?;
-            let run = RunSpec { exec: self.spec.exec, panic: None, limits: self.limits };
-            let RunStatus::Completed(report) =
-                m.run_with(run, &mut adversary, self.observer, |_| RunControl::Continue)?
-            else {
-                unreachable!("the control callback never pauses")
-            };
+            let report = m.run_observed(&mut adversary, self.limits, self.observer)?;
             Ok(WriteAllRun { report, verified: setup.tasks.all_written(m.memory()) })
         }
     }
@@ -178,7 +172,7 @@ pub fn fmt(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfsp_pram::{ExecMode, MemoryLayout, NoFailures, NoopObserver};
+    use rfsp_pram::{MemoryLayout, NoFailures, NoopObserver};
     use rfsp_run::Algo;
 
     #[test]
@@ -193,20 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_engine_matches_sequential_runner() {
-        let run = |spec: &WriteAllSpec<'_>| {
-            run_write_all(spec, |_| NoFailures, RunLimits::default(), &mut NoopObserver).unwrap()
-        };
-        let seq = run(&WriteAllSpec::new(Algo::X, 32, 8));
-        let pooled =
-            run(&WriteAllSpec { exec: ExecMode::Threads(3), ..WriteAllSpec::new(Algo::X, 32, 8) });
-        assert!(seq.verified && pooled.verified);
-        assert_eq!(seq.report.stats, pooled.report.stats);
-    }
-
-    #[test]
     fn banked_layout_matches_flat_runner() {
-        let run = |spec: &WriteAllSpec<'_>| {
+        let run = |spec: &WriteAllSpec| {
             run_write_all(spec, |_| NoFailures, RunLimits::default(), &mut NoopObserver).unwrap()
         };
         let flat = run(&WriteAllSpec::new(Algo::X, 32, 8));

@@ -67,7 +67,7 @@ impl WriteAllVisitor for LongRun<'_> {
         let cfg = self.cfg;
         let procs = cfg.p as usize;
         let build = Box::new(move || Machine::new(prog, procs, budget));
-        let exec = ExecMode::Threads(cfg.threads as usize);
+        let exec = ExecMode::Sequential;
         let mut session = match self.resume {
             Some(ck) => RunSession::resume(ck.clone(), exec, build)?,
             None => RunSession::new(cfg.clone(), exec, build)?,
@@ -186,8 +186,6 @@ mod tests {
         let a =
             Args::parse(["experiment", "--run", "writeall", "--algo", "acc", "--checkpoint", "x"])
                 .unwrap();
-        assert!(config_from_args(&a).is_err());
-        let a = Args::parse(["experiment", "--run", "writeall", "--threads", "0"]).unwrap();
         assert!(config_from_args(&a).is_err());
     }
 

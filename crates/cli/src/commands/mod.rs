@@ -48,7 +48,6 @@ pub(crate) fn config_from_args(args: &Args) -> Result<RunConfig, ArgError> {
         algo: args.get_or("algo", &d.algo).to_string(),
         n: args.get_parsed("n", d.n)?,
         p: args.get_parsed("p", d.p)?,
-        threads: args.get_parsed("threads", d.threads)?,
         adversary: args.get_or("adversary", &d.adversary).to_string(),
         rate: args.get_parsed("rate", d.rate)?,
         restart_rate: args.get_parsed("restart-rate", d.restart_rate)?,

@@ -6,8 +6,8 @@
 //! round-robin [`Scheduler`](rfsp_run::Scheduler) hands out the run turn
 //! one quantum at a time, jobs are preempted only at checkpoint boundaries
 //! (every preemption pause publishes a durable checkpoint, so the spool
-//! is always resumable), and pooled jobs share a single
-//! [`SharedPool`](rfsp_pram::SharedPool) of tick workers.
+//! is always resumable), and the turn-holder plays its job's ticks on its
+//! own thread.
 //!
 //! Everything the daemon knows lives in its on-disk spool — one directory
 //! per job with the config, the latest checkpoint, and the events stream.
@@ -93,11 +93,11 @@ mod imp {
     use std::sync::{Arc, Mutex, PoisonError};
     use std::time::Duration;
 
-    use rfsp_pram::{CycleBudget, Machine, Observer, Program, SharedPool, TraceEvent};
+    use rfsp_pram::{CycleBudget, Machine, Observer, Program, TraceEvent};
     use rfsp_run::{
         read_line, read_request, with_write_all_program, write_line, ExecMode, JobInfo, JobState,
         PauseFlow, Request, Response, RunConfig, RunSession, Scheduler, SessionCheckpoint,
-        SessionEnd, Spool, WriteAllSetup, WriteAllVisitor, MAX_THREADS,
+        SessionEnd, Spool, WriteAllSetup, WriteAllVisitor,
     };
     use serde::{Deserialize, Serialize};
 
@@ -156,7 +156,6 @@ mod imp {
     struct Daemon {
         spool: Spool,
         sched: Scheduler,
-        pool: Option<SharedPool>,
         quantum: u64,
         /// Where the daemon listens; `Shutdown` connects here once to wake
         /// the accept loop.
@@ -271,15 +270,7 @@ mod imp {
             let JobVisitor { daemon, job, cfg, resume, cancel, fan } = self;
             let procs = cfg.p as usize;
             let build = Box::new(move || Machine::new(prog, procs, budget));
-            // Pooled jobs share the daemon's worker pool; --threads 1 jobs
-            // take the sequential engine. Either way the scheduler
-            // serializes run segments, so the pool's turn lock never
-            // contends.
-            let exec = if cfg.threads > 1 {
-                daemon.pool.as_ref().map_or(ExecMode::Threads(cfg.threads as usize), ExecMode::Pool)
-            } else {
-                ExecMode::Sequential
-            };
+            let exec = ExecMode::Sequential;
             let mut session = match resume {
                 Some(ck) => RunSession::resume(ck, exec, build)?,
                 None => RunSession::new(cfg.clone(), exec, build)?,
@@ -503,8 +494,6 @@ mod imp {
         let spool_dir = args.get_or("spool", "rfsp-spool").to_string();
         let socket =
             args.get("socket").map_or_else(|| format!("{spool_dir}/rfsp.sock"), str::to_string);
-        // 0 and 1 mean no shared pool: pooled jobs get a private one.
-        let workers = args.get_in("workers", 2, 0..=MAX_THREADS)? as usize;
         let quantum: u64 = args.get_parsed("quantum", 50u64)?;
         if quantum == 0 {
             return Err(ArgError("--quantum must be at least 1 tick".into()));
@@ -512,15 +501,9 @@ mod imp {
         let spool = Spool::open(Path::new(&spool_dir))?;
         let adopt = spool.scan()?;
         let next_id = spool.next_job_id()?;
-        let pool = if workers >= 2 {
-            Some(SharedPool::new(workers).map_err(|e| ArgError(e.to_string()))?)
-        } else {
-            None
-        };
         let daemon = Arc::new(Daemon {
             spool,
             sched: Scheduler::new(),
-            pool,
             quantum,
             socket: socket.clone(),
             registry: Mutex::new(BTreeMap::new()),

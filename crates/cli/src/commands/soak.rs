@@ -1,9 +1,9 @@
 //! `rfsp soak` — the randomized chaos harness.
 //!
-//! Fuzzes program × adversary × tick engine × injected host faults
-//! (worker panics, simulated kill/resume) and cross-checks every run
-//! against a sequential reference: engine equivalence, panic-isolation
-//! equivalence, checkpoint/kill/resume equivalence, the Write-All
+//! Fuzzes program × adversary × injected host faults (program panics,
+//! simulated kill/resume) and cross-checks every run against a reference
+//! run: panic-recovery equivalence through a run session,
+//! checkpoint/kill/resume equivalence, the Write-All
 //! postcondition, and the paper's accounting invariants. The case mix
 //! includes the §3 snapshot machine, whose kill/resume check exercises the
 //! unified execution core's checkpointing from the snapshot side. The
@@ -21,11 +21,10 @@ use crate::args::{ArgError, Args};
 
 fn describe(case: &SoakCase) -> String {
     format!(
-        "{:?} n={} p={} threads={} panic={} kill={}",
+        "{:?} n={} p={} panic={} kill={}",
         case.algo,
         case.n,
         case.p,
-        case.threads,
         case.panic.map_or("-".to_string(), |s| format!("P{}@{}", s.pid, s.on_call)),
         case.kill_at.map_or("-".to_string(), |t| t.to_string()),
     )

@@ -1,7 +1,7 @@
 //! `rfsp writeall` — run one Write-All instance and report the accounting.
 
 use rfsp_bench::run_write_all;
-use rfsp_pram::{ExecMode, MemoryLayout, NoopObserver};
+use rfsp_pram::{MemoryLayout, NoopObserver};
 use rfsp_run::{build_adversary, WriteAllSpec};
 
 use crate::args::{ArgError, Args};
@@ -31,8 +31,7 @@ pub(crate) fn parse_layout(args: &Args) -> Result<MemoryLayout, ArgError> {
 pub fn run(args: &Args) -> Result<(), ArgError> {
     let cfg = config_from_args(args)?;
     let mem_layout = parse_layout(args)?;
-    let threads = cfg.threads as usize;
-    let spec = WriteAllSpec { exec: ExecMode::Threads(threads), layout: mem_layout, ..cfg.spec()? };
+    let spec = WriteAllSpec { layout: mem_layout, ..cfg.spec()? };
     let adversary = build_adversary(&cfg, &spec.setup())?;
     let run = run_write_all(&spec, |_| adversary, cfg.limits(), &mut NoopObserver)
         .map_err(|e| ArgError(format!("machine error: {e}")))?;
@@ -43,8 +42,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let (n, p) = (spec.n, spec.p);
     let s = run.report.stats.completed_work();
     println!("algorithm       : {}", spec.algo.name());
-    let engine = if threads == 1 { "seq".to_string() } else { format!("pool{threads}") };
-    println!("tick engine     : {engine}");
     println!("memory layout   : {mem_layout}");
     println!("instance        : N = {n}, P = {p}");
     println!("adversary       : {}", cfg.adversary);

@@ -68,8 +68,6 @@ COMMANDS:
                --no-restarts
                --replay-pattern FILE --max-cycles C
                --record-pattern FILE
-               --threads T        tick engine: 1 = sequential (default),
-                                  T > 1 = persistent worker pool (T <= 256)
                --banks B          partition shared memory into B banks
                                   (default 1 = flat); runs are bit-
                                   identical across layouts
@@ -85,7 +83,7 @@ COMMANDS:
                --n SIZE --threads T --fault-rate F --seed S
   trace        run a Write-All instance under full telemetry and export it
                the writeall options from --algo to --max-cycles above
-               (not --record-pattern, --threads, --banks or --interleave),
+               (not --record-pattern, --banks or --interleave),
                plus:
                --model word|snapshot  machine model (default word; the
                                   snapshot model ignores --algo)
@@ -95,7 +93,7 @@ COMMANDS:
                --tail K           keep only the last K events
   experiment   reproduce a paper result  --id e1..e13|all
                or run the crash-safe long-run mode:
-               --run writeall     --algo/--n/--p/--threads as writeall
+               --run writeall     --algo/--n/--p as writeall
                --adversary KIND   any writeall adversary, checkpointed
                                   and resumable like the rest of the run
                --rate F --restart-rate F --seed S --replay-pattern FILE
@@ -114,8 +112,8 @@ COMMANDS:
                                   is byte-identical to an uninterrupted run
                --resume CK        continue from a checkpoint file (all
                                   other flags come from the checkpoint)
-  soak         randomized chaos harness: fuzz program x adversary x engine
-               x injected host faults and cross-check equivalences
+  soak         randomized chaos harness: fuzz program x adversary x
+               injected host faults and cross-check equivalences
                --cases K --seed S --verbose
                --replay-out FILE  where to write a failing case
                                   (default soak-failure.json)
@@ -125,10 +123,6 @@ COMMANDS:
                                   directory is independently resumable, so
                                   a restarted daemon re-adopts all of them
                --socket PATH      Unix socket (default <spool>/rfsp.sock)
-               --workers T        shared tick-pool worker threads
-                                  (default 2, at most 256; 0 or 1 = none;
-                                  jobs with --threads 1 run on the
-                                  sequential engine instead)
                --quantum K        scheduling quantum in ticks (default 50);
                                   jobs are preempted only at checkpoint
                                   boundaries, round-robin, so no job waits
@@ -159,20 +153,20 @@ const INSTANCE_OPTIONS: &str = "algo n p adversary rate restart-rate seed fault-
 /// (`experiment --run writeall`) that `submit` forwards to the daemon.
 /// The daemon keeps each job's checkpoint and events in its spool, so
 /// `submit` takes neither `--checkpoint` nor `--events`.
-const LONG_RUN_OPTIONS: &str = "algo n p threads adversary rate restart-rate seed replay-pattern \
-                                every policy max-cycles";
+const LONG_RUN_OPTIONS: &str = "algo n p adversary rate restart-rate seed replay-pattern every \
+                                policy max-cycles";
 
 /// Every subcommand `dispatch` accepts, with the keys it takes as groups
 /// of space-separated names; [`run_cli`] refuses any other key as a usage
 /// error.
 pub const COMMANDS: &[(&str, &[&str])] = &[
-    ("writeall", &[INSTANCE_OPTIONS, "record-pattern threads banks interleave"]),
+    ("writeall", &[INSTANCE_OPTIONS, "record-pattern banks interleave"]),
     ("simulate", &["kernel n p engine adversary rate restart-rate seed"]),
     ("lockfree", &["n threads fault-rate seed"]),
     ("trace", &[INSTANCE_OPTIONS, "model events metrics format tail"]),
     ("experiment", &["id run resume checkpoint events", LONG_RUN_OPTIONS]),
     ("soak", &["cases seed verbose replay-out replay"]),
-    ("serve", &["spool socket workers quantum"]),
+    ("serve", &["spool socket quantum"]),
     ("submit", &[LONG_RUN_OPTIONS, "socket watch"]),
     ("jobs", &["socket"]),
     ("cancel", &["socket job shutdown"]),
@@ -320,6 +314,10 @@ mod tests {
             &["trace", "--n", "64", "--p", "4", "--threads", "2", "--bogus-flag", "7"][..],
             &["writeall", "--n", "64", "--p", "4", "--thread", "2"],
             &["writeall", "--n", "64", "--p", "4", "--batch-width", "1"],
+            &["writeall", "--n", "64", "--p", "4", "--threads", "2"],
+            &["experiment", "--run", "writeall", "--threads", "2"],
+            &["submit", "--socket", "/no/such.sock", "--threads", "2"],
+            &["serve", "--workers", "2"],
             &["jobs", "--job", "3"],
             &["soak", "--verbose", "yes"],
             &["experiment", "--checkpoint", "--run", "writeall"],
@@ -342,7 +340,7 @@ mod tests {
             (
                 "writeall",
                 "algo n p adversary rate restart-rate seed fault-budget target no-restarts \
-                 replay-pattern max-cycles record-pattern threads banks interleave",
+                 replay-pattern max-cycles record-pattern banks interleave",
             ),
             ("simulate", "kernel n p engine adversary rate restart-rate seed"),
             ("lockfree", "n threads fault-rate seed"),
@@ -353,15 +351,15 @@ mod tests {
             ),
             (
                 "experiment",
-                "id run resume checkpoint events algo n p threads adversary rate restart-rate \
-                 seed replay-pattern every policy max-cycles",
+                "id run resume checkpoint events algo n p adversary rate restart-rate seed \
+                 replay-pattern every policy max-cycles",
             ),
             ("soak", "cases seed verbose replay-out replay"),
-            ("serve", "spool socket workers quantum"),
+            ("serve", "spool socket quantum"),
             (
                 "submit",
-                "algo n p threads adversary rate restart-rate seed replay-pattern every policy \
-                 max-cycles socket watch",
+                "algo n p adversary rate restart-rate seed replay-pattern every policy max-cycles \
+                 socket watch",
             ),
             ("jobs", "socket"),
             ("cancel", "socket job shutdown"),
@@ -399,15 +397,6 @@ mod tests {
         ])
         .unwrap();
         dispatch(&a, never).unwrap();
-    }
-
-    #[test]
-    fn pooled_writeall_runs_end_to_end() {
-        let a = Args::parse(["writeall", "--n", "32", "--p", "8", "--algo", "x", "--threads", "3"])
-            .unwrap();
-        dispatch(&a, never).unwrap();
-        let a = Args::parse(["writeall", "--n", "32", "--p", "8", "--threads", "0"]).unwrap();
-        assert!(dispatch(&a, never).is_err());
     }
 
     #[test]

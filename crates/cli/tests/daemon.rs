@@ -78,7 +78,7 @@ impl Drop for KillOnDrop {
 
 fn spawn_daemon(spool: &str, socket: &str, stderr: Stdio) -> KillOnDrop {
     let child = Command::new(BIN)
-        .args(["serve", "--spool", spool, "--socket", socket, "--workers", "0", "--quantum", "200"])
+        .args(["serve", "--spool", spool, "--socket", socket, "--quantum", "200"])
         .stdout(Stdio::null())
         .stderr(stderr)
         .spawn()
@@ -385,18 +385,14 @@ fn an_oversized_submit_gets_an_error_not_an_abort() {
     assert_refused_without_trace("daemon-refuse-huge", config, "--n");
 }
 
-/// A fault rate that is not a probability, a thread count past the cap,
-/// or a processor count past the cap, is refused at admission, before a
-/// job thread could panic on the rate, spawn that many workers, or abort
-/// the daemon allocating that many processors.
+/// A fault rate that is not a probability, or a processor count past the
+/// cap, is refused at admission, before a job thread could panic on the
+/// rate or abort the daemon allocating that many processors.
 #[test]
-fn an_out_of_range_rate_or_thread_count_is_refused() {
+fn an_out_of_range_rate_or_processor_count_is_refused() {
     let config =
         RunConfig { adversary: "random".into(), rate: 5.0, n: 64, p: 4, ..RunConfig::default() };
     assert_refused_without_trace("daemon-refuse-rate", config, "--rate");
-    let threads = rfsp_run::MAX_THREADS + 1;
-    let config = RunConfig { threads, n: 64, p: 4, ..RunConfig::default() };
-    assert_refused_without_trace("daemon-refuse-threads", config, "--threads");
     let p = rfsp_run::MAX_PROCESSORS + 1;
     let config = RunConfig { n: 64, p, ..RunConfig::default() };
     assert_refused_without_trace("daemon-refuse-procs", config, "--p");

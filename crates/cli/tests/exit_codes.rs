@@ -32,6 +32,12 @@ fn codes_zero_one_and_two_against_the_binary() {
     assert_eq!(code(&["trace", "--n", "64", "--p", "4", "--threads", "2", "--bogus-flag", "7"]), 2);
     assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--thread", "2"]), 2);
     assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--batch-width", "1"]), 2);
+    // There is one tick engine, so no Write-All command takes a thread
+    // count and the daemon starts no tick workers.
+    assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--threads", "2"]), 2);
+    assert_eq!(code(&["experiment", "--run", "writeall", "--threads", "2"]), 2);
+    assert_eq!(code(&["submit", "--socket", "/no/such.sock", "--threads", "2"]), 2);
+    assert_eq!(code(&["serve", "--workers", "2"]), 2);
     // The daemon keeps a job's checkpoint and events in its spool, so
     // `submit` refuses both paths before it opens the socket.
     assert_eq!(code(&["submit", "--socket", "/no/such.sock", "--checkpoint", "ck.json"]), 2);
@@ -79,10 +85,10 @@ fn codes_zero_one_and_two_against_the_binary() {
     assert_eq!(code(&trace.concat()), 1);
     let argv = ["experiment", "--run", "writeall", "--algo", "v", "--adversary", "xkiller"];
     assert_eq!(code(&argv), 1);
-    // And thread counts outside 1..=256: each is an OS thread spawned.
+    // And lock-free thread counts outside 1..=256: each is an OS thread
+    // spawned.
     assert_eq!(code(&["lockfree", "--threads", "0"]), 1);
-    assert_eq!(code(&["writeall", "--n", "64", "--p", "4", "--threads", "257"]), 1);
-    assert_eq!(code(&["experiment", "--run", "writeall", "--threads", "257"]), 1);
+    assert_eq!(code(&["lockfree", "--n", "64", "--threads", "257"]), 1);
 }
 
 #[cfg(unix)]

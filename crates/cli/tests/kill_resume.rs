@@ -91,8 +91,6 @@ fn sigkill_mid_run_then_resume_reproduces_the_baseline() {
             "1024",
             "--p",
             "4",
-            "--threads",
-            "2",
             "--adversary",
             "random",
             "--rate",
@@ -124,8 +122,6 @@ fn sigkill_adaptive_policy_run_then_resume_reproduces_the_baseline() {
             "4096",
             "--p",
             "8",
-            "--threads",
-            "2",
             "--adversary",
             "bursty",
             "--rate",
@@ -152,8 +148,6 @@ fn kill_resume_kind(adversary: &str, n: &str, p: &str) {
         n,
         "--p",
         p,
-        "--threads",
-        "2",
         "--adversary",
         adversary,
     ];

@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::cycle::{ValueSet, MAX_READS, MAX_WRITES};
 use crate::memory::SharedMemory;
-use crate::pool::SendPtr;
 use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 
@@ -221,17 +220,6 @@ impl Cycles {
             + self.writes.capacity() * size_of::<(usize, Word)>();
         bytes / self.len()
     }
-
-    /// Raw handles on the rows, for pool workers that fill disjoint rows.
-    pub(crate) fn rows_ptr(&mut self) -> RowsPtr {
-        RowsPtr {
-            heads: SendPtr::new(self.heads.as_mut_ptr()),
-            reads: SendPtr::new(self.reads.as_mut_ptr()),
-            writes: SendPtr::new(self.writes.as_mut_ptr()),
-            read_width: self.read_width,
-            write_width: self.write_width,
-        }
-    }
 }
 
 /// One processor's row of a [`Cycles`] table, borrowed for the tentative
@@ -270,48 +258,10 @@ impl RowMut<'_> {
     }
 }
 
-/// Raw handles on the rows of a [`Cycles`] table, so that pool workers can
-/// fill disjoint rows at once.
-#[derive(Clone, Copy)]
-pub(crate) struct RowsPtr {
-    heads: SendPtr<Head>,
-    reads: SendPtr<usize>,
-    writes: SendPtr<(usize, Word)>,
-    read_width: usize,
-    write_width: usize,
-}
-
-impl RowsPtr {
-    /// Processor `i`'s row.
-    ///
-    /// # Safety
-    ///
-    /// `i` is below the table's length; the table is neither moved, resized
-    /// nor otherwise borrowed during `'a`; and no other row `i` is alive
-    /// during `'a`.
-    #[inline]
-    pub(crate) unsafe fn row<'a>(self, i: usize) -> RowMut<'a> {
-        // SAFETY: row `i` lies inside the table's three allocations (the
-        // caller keeps `i` in range and the table in place), and nothing
-        // else holds it (the caller's exclusivity).
-        RowMut {
-            head: &mut *self.heads.ptr().add(i),
-            reads: std::slice::from_raw_parts_mut(
-                self.reads.ptr().add(i * self.read_width),
-                self.read_width,
-            ),
-            writes: std::slice::from_raw_parts_mut(
-                self.writes.ptr().add(i * self.write_width),
-                self.write_width,
-            ),
-        }
-    }
-}
-
 /// The reads of the cycle a processor is playing, as its model's
 /// [`play`](crate::ExecutionModel::play) stores them: the addresses in the
-/// processor's row of the [`Cycles`] table, the values in the playing
-/// thread's scratch. The row is exactly as wide as the machine's read
+/// processor's row of the [`Cycles`] table, the values in the tentative
+/// loop's scratch. The row is exactly as wide as the machine's read
 /// budget, so a model checks each read against the budget before it stores
 /// it.
 #[derive(Debug)]

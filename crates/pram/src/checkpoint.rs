@@ -39,8 +39,10 @@ use crate::word::Word;
 /// continues the same policy trajectory (and a cross-policy resume is
 /// refused by the engine's own restore); v5 — compact JSON, and the
 /// failure pattern is one flat array of delta-coded integer triples (see
-/// [`FailurePattern`]) instead of a list of nested maps.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// [`FailurePattern`]) instead of a list of nested maps; v6 — the policy
+/// state drops the panic-escalation fields (`panic_threshold`, `panics`)
+/// with the panic policies they chose between.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// One processor's checkpointed state.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]

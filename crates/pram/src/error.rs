@@ -40,14 +40,12 @@ pub enum PramError {
     CycleLimit { cycles: u64 },
     /// Invalid machine configuration (e.g. zero processors).
     InvalidConfig { detail: String },
-    /// A worker thread of the pooled engine panicked while playing a
-    /// processor's tentative cycle. `pid` names the processor whose cycle
-    /// was in flight when the panic fired, if the panic could be attributed
-    /// to one; `detail` carries the panic payload. The panic is *caught*:
-    /// the machine stays consistent, and
-    /// [`PanicPolicy::FallbackSequential`](crate::PanicPolicy) can even
-    /// finish the run on the sequential engine.
-    WorkerPanic { pid: Option<Pid>, detail: String },
+    /// Program code panicked while playing processor `pid`'s tentative
+    /// cycle in a run with [`RunSpec::catch_panics`](crate::RunSpec) set;
+    /// `detail` carries the panic payload. The panic is *caught*, and the
+    /// machine is left mid-tick: rewind it to a checkpoint or rebuild it
+    /// before running on.
+    WorkerPanic { pid: Pid, detail: String },
     /// A checkpoint could not be saved or restored (version mismatch,
     /// wrong machine shape, undecodable private state).
     Checkpoint { detail: String },
@@ -96,12 +94,9 @@ impl fmt::Display for PramError {
                 write!(f, "execution exceeded the cycle limit of {cycles}")
             }
             PramError::InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
-            PramError::WorkerPanic { pid, detail } => match pid {
-                Some(pid) => {
-                    write!(f, "worker thread panicked while executing {pid}'s cycle: {detail}")
-                }
-                None => write!(f, "worker thread panicked: {detail}"),
-            },
+            PramError::WorkerPanic { pid, detail } => {
+                write!(f, "program panicked while executing {pid}'s cycle: {detail}")
+            }
             PramError::Checkpoint { detail } => write!(f, "checkpoint error: {detail}"),
         }
     }

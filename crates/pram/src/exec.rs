@@ -13,9 +13,9 @@
 //!
 //! Every model therefore gets the same machinery:
 //!
-//! * the sequential and pooled tentative loops, which skip processors that
-//!   are not alive, let the model play each alive processor's cycle, and
-//!   check its writes against the write budget and the memory;
+//! * the tentative loop, which skips processors that are not alive, lets
+//!   the model play each alive processor's cycle, and checks its writes
+//!   against the write budget and the memory;
 //! * the run loop with [`RunLimits`], completion detection, and the
 //!   [`RunControl`] pause hook for checkpointed long runs;
 //! * [`Observer`] event emission — one stream, so word-model and
@@ -35,13 +35,12 @@
 //! The core stays **allocation-free in steady state**: all per-tick buffers
 //! (the tentative-cycle table, fate records, slot merges, failure scratch) live in the
 //! [`Core`] and are reused; tracker maintenance is O(1) per committed write
-//! for the count and O(log N) for the index. A run backend supplies one
-//! hook to the run loop, how the tentative phase executes: the sequential
-//! backends play it inline, the pooled ones farm it out to a persistent
-//! worker pool. Every backend then commits through the one sequential
-//! `Core::apply` on the calling thread, so the event stream and all
-//! accounting are byte-identical across backends *by construction*
-//! (pinned by `tests/golden_equivalence.rs`).
+//! for the count and O(log N) for the index. There is one tick engine: the
+//! calling thread plays every processor's tentative cycle in PID order
+//! (optionally under `catch_unwind`, see `guarded`) and then commits
+//! through `Core::apply`. The ticks of one run are a synchronous round
+//! each, so spreading one over host threads would change how fast it is
+//! computed, never what it computes (DESIGN §15).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -59,7 +58,6 @@ use crate::failure::{FailureEvent, FailureKind, FailurePattern};
 use crate::machine::Pram;
 use crate::memory::SharedMemory;
 use crate::mode::WriteMode;
-use crate::pool::{panic_detail, SendPtr, TickPool};
 use crate::trace::{Observer, TraceEvent};
 use crate::unvisited::{UnvisitedIndex, LANE_WIDTH};
 use crate::word::{Pid, Word};
@@ -114,30 +112,13 @@ pub(crate) fn completed(status: Result<RunStatus>) -> Result<RunReport> {
     }
 }
 
-/// What the pooled engine does when a worker thread catches a panic while
-/// playing a processor's tentative cycle (see
-/// [`RunSpec::panic`](crate::RunSpec::panic)).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PanicPolicy {
-    /// Abort the run with [`PramError::WorkerPanic`], leaving the machine
-    /// at the failed tick's boundary with all pre-tick state restored.
-    #[default]
-    Surface,
-    /// Restore the pre-tick state, replay the tick on the sequential
-    /// engine, and finish the rest of the run sequentially. The run's
-    /// results are identical to an undisturbed run (the tick had committed
-    /// nothing when the panic fired); only wall-clock parallelism is lost.
-    FallbackSequential,
-}
-
 /// Processor bookkeeping in structure-of-arrays form.
 ///
 /// Each of the core's hot loops touches exactly one of these arrays — the
 /// adversary view reads statuses, the tentative phase mutates private
 /// states, charging bumps completed counts — so keeping them in separate
 /// dense vectors makes every scan contiguous instead of striding over a
-/// padded per-processor struct (and lets the pooled backend hand workers a
-/// raw pointer into the states alone while statuses stay a shared slice).
+/// padded per-processor struct.
 #[derive(Clone, Debug)]
 pub(crate) struct ProcSoA<S> {
     /// Liveness, indexed by PID.
@@ -235,24 +216,8 @@ pub trait ExecutionModel: Sync {
     fn checkpoint_budget(&self) -> (usize, usize);
 }
 
-/// The per-tick hook a run backend supplies to [`Core::run_loop`]: how
-/// the tentative phase executes. The commit is not a backend's to choose:
-/// [`Core::tick`] applies every tick's decisions through the sequential
-/// [`Core::apply`]. Every backend must be observationally identical to
-/// [`SeqBackend`] — event streams, stats, memory, and the completion
-/// tracker are pinned byte-identical by the golden and differential tests.
-pub(crate) trait Backend<M: ExecutionModel> {
-    /// Phase 1: fill every processor's row of `core.tentative`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PramError`] — typically budget or bounds violations.
-    fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()>;
-}
-
-/// The per-thread buffers a tentative loop plays cycles through: the read
-/// values and the writes of the cycle in play, reused for every processor
-/// the thread plays.
+/// The buffers the tentative loop plays cycles through: the read values
+/// and the writes of the cycle in play, reused for every processor.
 #[derive(Default)]
 struct Scratch {
     values: ValueSet,
@@ -311,6 +276,18 @@ fn play_slot<M: ExecutionModel>(
     Ok(())
 }
 
+/// Render a caught panic payload as a message for
+/// [`PramError::WorkerPanic`].
+fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Run one processor's tentative cycle `f`, under `catch_unwind` when
 /// `CATCH` is set so a panic in program code surfaces as
 /// [`PramError::WorkerPanic`] naming `pid`. With `CATCH == false` this
@@ -321,13 +298,13 @@ fn guarded<const CATCH: bool>(pid: Pid, f: impl FnOnce() -> Result<()>) -> Resul
         return f();
     }
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        Err(PramError::WorkerPanic { pid: Some(pid), detail: panic_detail(payload.as_ref()) })
+        Err(PramError::WorkerPanic { pid, detail: panic_detail(payload.as_ref()) })
     })
 }
 
-/// The sequential tentative phase: the calling thread plays every
-/// processor's cycle in PID order ([`guarded`] by `CATCH`).
-fn tentative_seq<M: ExecutionModel, const CATCH: bool>(
+/// The tentative phase: the calling thread plays every processor's cycle
+/// in PID order ([`guarded`] by `CATCH`).
+fn tentative<M: ExecutionModel, const CATCH: bool>(
     model: &M,
     core: &mut Core<M::Private>,
 ) -> Result<()> {
@@ -353,126 +330,6 @@ fn tentative_seq<M: ExecutionModel, const CATCH: bool>(
         })?;
     }
     Ok(())
-}
-
-/// The fewest processors one pool worker claims at a time in the pooled
-/// tentative phase, so a small machine on many threads does not degrade
-/// into per-processor claims.
-const TENTATIVE_MIN_CHUNK: usize = 64;
-
-/// The pooled tentative phase: pool workers claim chunks of the processor
-/// range from the shared cursor and fill the corresponding rows of the
-/// tentative table, each chunk through its own [`Scratch`] ([`guarded`] by
-/// `CATCH`). With the structure-of-arrays processor state only the private
-/// states and the rows need raw pointers: statuses are read-only during
-/// the tentative phase and are shared as a plain slice.
-fn tentative_pooled<M: ExecutionModel, const CATCH: bool>(
-    model: &M,
-    core: &mut Core<M::Private>,
-    pool: &TickPool,
-) -> Result<()> {
-    let p = core.procs.len();
-    let (mem, cycle, write_slots) = (&core.mem, core.cycle, core.write_slots);
-    let index = if M::KEEPS_INDEX && core.tracked { Some(&core.unvisited) } else { None };
-    let statuses: &[ProcStatus] = &core.procs.status;
-    let states = SendPtr::new(core.procs.state.as_mut_ptr());
-    let rows = core.tentative.rows_ptr();
-    pool.run_tick(p, TENTATIVE_MIN_CHUNK, &move |start: usize, end: usize| {
-        let scratch = &mut Scratch::default();
-        #[allow(clippy::needless_range_loop)] // `i` also offsets the raw SoA pointers
-        for i in start..end {
-            // SAFETY: the pool's cursor hands out disjoint [start, end)
-            // chunks within 0..p, so state and row `i` are touched by
-            // exactly one worker this tick; `run_tick` blocks until every
-            // worker is done, so the pointers outlive all dereferences.
-            let state = unsafe { &mut *states.ptr().add(i) };
-            let row = unsafe { rows.row(i) };
-            guarded::<CATCH>(Pid(i), || {
-                play_slot(
-                    model,
-                    mem,
-                    index,
-                    write_slots,
-                    cycle,
-                    Pid(i),
-                    statuses[i],
-                    state,
-                    row,
-                    scratch,
-                )
-            })?;
-        }
-        Ok(())
-    })
-}
-
-/// The sequential backend: every phase plays inline on the calling thread.
-/// With `CATCH` set every processor's cycle runs under `catch_unwind`; that
-/// variant serves sequential runs with a panic policy and is the degraded
-/// mode of [`IsolatedBackend`].
-pub(crate) struct SeqBackend<const CATCH: bool>;
-
-impl<M: ExecutionModel, const CATCH: bool> Backend<M> for SeqBackend<CATCH> {
-    fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
-        tentative_seq::<M, CATCH>(model, core)
-    }
-}
-
-/// The pooled backend: the tentative phase runs on the worker pool.
-pub(crate) struct PooledBackend<'a> {
-    pub(crate) pool: &'a TickPool,
-}
-
-impl<M: ExecutionModel> Backend<M> for PooledBackend<'_> {
-    fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
-        tentative_pooled::<M, false>(model, core, self.pool)
-    }
-}
-
-/// The pooled backend with per-processor panic isolation: each tick backs
-/// up every private state before the pooled tentative phase, restores them
-/// if a worker catches a panic, and then either surfaces the error or
-/// degrades permanently to the sequential caught engine per the
-/// [`PanicPolicy`]. The commit is not covered: it runs on the calling
-/// thread, like every backend's, and a panic there unwinds to the caller.
-pub(crate) struct IsolatedBackend<'a, S> {
-    pub(crate) pool: &'a TickPool,
-    pub(crate) policy: PanicPolicy,
-    /// One slot per processor.
-    pub(crate) backup: Vec<Option<S>>,
-    pub(crate) degraded: bool,
-}
-
-impl<M: ExecutionModel> Backend<M> for IsolatedBackend<'_, M::Private> {
-    fn tentative(&mut self, model: &M, core: &mut Core<M::Private>) -> Result<()> {
-        if self.degraded {
-            return tentative_seq::<M, true>(model, core);
-        }
-        // Snapshot every private state: the tentative phase advances
-        // states in place, so recovering from a panic mid-phase needs the
-        // pre-tick originals.
-        for (saved, state) in self.backup.iter_mut().zip(core.procs.state.iter()) {
-            saved.clone_from(state);
-        }
-        match tentative_pooled::<M, true>(model, core, self.pool) {
-            Err(PramError::WorkerPanic { pid, detail }) => {
-                for (state, saved) in core.procs.state.iter_mut().zip(self.backup.iter()) {
-                    state.clone_from(saved);
-                }
-                match self.policy {
-                    PanicPolicy::Surface => Err(PramError::WorkerPanic { pid, detail }),
-                    PanicPolicy::FallbackSequential => {
-                        self.degraded = true;
-                        // Replay the whole tick sequentially from the
-                        // restored pre-tick states — nothing had committed,
-                        // so the replay is identical to a clean tick.
-                        tentative_seq::<M, true>(model, core)
-                    }
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 /// How far ahead of its stores the commit merge prefetches cells, in
@@ -686,34 +543,31 @@ impl<Pv: Clone + Send> Core<Pv> {
         adversary.decide(&view)
     }
 
-    /// Execute exactly one observed tick on `backend`: `TickStart`, the
-    /// backend's tentative phase, adversary decisions, then
-    /// validate/commit/charge through [`Core::apply`] on this thread.
+    /// Execute exactly one observed tick: `TickStart`, the tentative phase
+    /// on this thread (each cycle [`guarded`] by `CATCH`), adversary
+    /// decisions, then validate/commit/charge through [`Core::apply`].
     ///
     /// # Errors
     ///
     /// See [`PramError`].
-    pub(crate) fn tick<M, A, B>(
+    pub(crate) fn tick<M, A, const CATCH: bool>(
         &mut self,
         model: &M,
         adversary: &mut A,
         observer: &mut dyn Observer,
-        backend: &mut B,
     ) -> Result<()>
     where
         M: ExecutionModel<Private = Pv>,
         A: Adversary + ?Sized,
-        B: Backend<M>,
     {
         observer.event(TraceEvent::TickStart { cycle: self.cycle });
-        backend.tentative(model, self)?;
+        tentative::<M, CATCH>(model, self)?;
         let decisions = self.collect_decisions::<M, A>(adversary);
         self.apply(model, decisions, observer)
     }
 
     /// The single run loop behind every public entry point of both
-    /// models. Backends differ only in the [`Backend`] hook they pass
-    /// in, so the event stream and all accounting are shared by
+    /// models, so the event stream and all accounting are shared by
     /// construction. The `control` callback runs at the tick boundary —
     /// after the completion and cycle-limit checks, before the tick's
     /// `TickStart` event — so pausing and resuming produces, by
@@ -724,19 +578,17 @@ impl<Pv: Clone + Send> Core<Pv> {
     ///
     /// See [`PramError`]; in particular [`PramError::CycleLimit`] when
     /// `limits` are exhausted.
-    pub(crate) fn run_loop<M, A, B>(
+    pub(crate) fn run_loop<M, A, const CATCH: bool>(
         &mut self,
         model: &M,
         adversary: &mut A,
         limits: RunLimits,
         observer: &mut dyn Observer,
-        backend: &mut B,
         mut control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus>
     where
         M: ExecutionModel<Private = Pv>,
         A: Adversary + ?Sized,
-        B: Backend<M>,
     {
         // Re-prime at every run entry: `Pram::memory_mut` lets callers
         // poke memory between runs, behind the tracker's back.
@@ -752,7 +604,7 @@ impl<Pv: Clone + Send> Core<Pv> {
             if control(self.cycle) == RunControl::Pause {
                 return Ok(RunStatus::Paused { cycle: self.cycle });
             }
-            self.tick(model, adversary, observer, backend)?;
+            self.tick::<M, A, CATCH>(model, adversary, observer)?;
         }
     }
 

@@ -57,6 +57,10 @@
 //! # }
 //! ```
 
+// The crate's one `unsafe` block is the commit's prefetch intrinsic
+// (`SharedMemory::prefetch`), which allows it by name.
+#![deny(unsafe_code)]
+
 pub mod accounting;
 pub mod adversary;
 pub mod checkpoint;
@@ -69,7 +73,6 @@ pub mod machine;
 pub mod memory;
 pub mod mode;
 pub mod policy;
-mod pool;
 pub mod region;
 pub mod snapshot;
 pub mod trace;
@@ -88,9 +91,7 @@ pub use exec::ExecutionModel;
 pub use failure::{
     DecisionRecorder, FailureEvent, FailureKind, FailurePattern, PatternError, ScheduledAdversary,
 };
-pub use machine::{
-    ExecMode, Machine, PanicPolicy, Pram, RunControl, RunLimits, RunSpec, RunStatus, SharedPool,
-};
+pub use machine::{Machine, Pram, RunControl, RunLimits, RunSpec, RunStatus};
 pub use memory::{CellChunks, MemoryLayout, SharedMemory};
 pub use mode::WriteMode;
 pub use policy::{PolicyConfig, PolicyEngine, PolicyKind};
@@ -156,8 +157,7 @@ pub enum CompletionHint {
 /// 5. commits the surviving writes with CRCW conflict resolution and charges
 ///    one completed update cycle.
 ///
-/// Programs are `Sync`: the pooled engines of [`Pram::run_with`] play
-/// processors' cycles on several threads against one shared program.
+/// Programs are `Sync`, and their private states `Clone + Send`.
 pub trait Program: Sync {
     /// Per-processor private memory; lost on failure.
     type Private: Clone + Send;

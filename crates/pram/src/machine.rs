@@ -27,17 +27,12 @@
 //! whose read phase is a free read of all of memory.
 //!
 //! Every run enters through one method, [`Pram::run_with`]: a [`RunSpec`]
-//! names the tick engine ([`ExecMode`]), the optional [`PanicPolicy`] and
-//! the [`RunLimits`], and `run_with` holds the only table that maps a spec
-//! to a backend, for both models. [`Pram::run`], [`Pram::run_observed`] and
-//! [`Pram::run_threaded_observed`] are one-line forms of it. The pooled
-//! rows farm the tentative phase out to a persistent worker pool; every
-//! row then commits through the same sequential merge on the calling
-//! thread, so every observable byte matches the sequential engine.
+//! says whether program panics are caught and gives the [`RunLimits`].
+//! [`Pram::run`] and [`Pram::run_observed`] are one-line forms of it. The
+//! calling thread plays every phase of every tick, for both models.
 //!
-//! A **steady-state tick performs no heap allocation and no thread
-//! spawn**: all per-tick buffers live in the core and are reused; a pooled
-//! run parks its workers between ticks; and programs that implement
+//! A **steady-state tick performs no heap allocation**: all per-tick
+//! buffers live in the core and are reused; and programs that implement
 //! [`Program::completion_hint`] replace the per-tick O(memory) completion
 //! scan with an O(1) test of an outstanding-cell counter, primed 64 cells
 //! at a time through [`Program::completion_masks`]. The word model keeps
@@ -47,7 +42,7 @@ use crate::accounting::{RunReport, WorkStats};
 use crate::adversary::{Adversary, ProcStatus, ReadRow};
 use crate::cycle::{CycleBudget, ReadSet, Step, WriteSet, MAX_READS, MAX_WRITES};
 use crate::error::{BudgetKind, PramError};
-use crate::exec::{completed, Core, ExecutionModel, IsolatedBackend, PooledBackend, SeqBackend};
+use crate::exec::{completed, Core, ExecutionModel};
 use crate::memory::{MemoryLayout, SharedMemory};
 use crate::mode::WriteMode;
 use crate::trace::{NoopObserver, Observer};
@@ -55,43 +50,22 @@ use crate::unvisited::UnvisitedIndex;
 use crate::word::{Pid, Word};
 use crate::{CompletionHint, Program, Result};
 
-pub use crate::exec::{PanicPolicy, RunControl, RunLimits, RunStatus};
-pub use crate::pool::SharedPool;
+pub use crate::exec::{RunControl, RunLimits, RunStatus};
 
-/// Which tick engine a run uses (see [`Pram::run_with`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub enum ExecMode<'a> {
-    /// The sequential engine: the calling thread plays every phase.
-    #[default]
-    Sequential,
-    /// A private [`SharedPool`] of this many worker threads, spawned when
-    /// the run starts and joined when it returns; the run itself takes the
-    /// [`ExecMode::Pool`] row. `1` is the sequential engine; `0` is
-    /// rejected.
-    Threads(usize),
-    /// A caller-owned [`SharedPool`], time-shared between runs; the
-    /// calling thread holds the pool's turn for the whole run.
-    Pool(&'a SharedPool),
-}
-
-/// How one run executes: the tick engine, panic isolation, and limits.
+/// How one run executes: panic isolation and limits.
 ///
-/// The default is the plain sequential engine with default limits — what
+/// The default catches nothing and uses default limits — what
 /// [`Pram::run`] uses.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct RunSpec<'a> {
-    /// The tick engine.
-    pub exec: ExecMode<'a>,
-    /// `Some` plays every processor's tentative cycle under
-    /// `catch_unwind`, so a panic in program code surfaces as
-    /// [`PramError::WorkerPanic`] naming the processor; on a pool the
-    /// policy also decides whether the run surfaces the panic or finishes
-    /// sequentially. `None` catches nothing on the sequential engine, so a
-    /// panic unwinds through the run. On a pool (`Threads(n ≥ 2)`, `Pool`)
-    /// the pool still catches it, since a worker must not die mid-epoch:
-    /// the run returns [`PramError::WorkerPanic`] with `pid: None` and
-    /// leaves the machine mid-tick, in an unspecified state.
-    pub panic: Option<PanicPolicy>,
+pub struct RunSpec {
+    /// Play every processor's tentative cycle under `catch_unwind`, so a
+    /// panic in program code returns [`PramError::WorkerPanic`] naming the
+    /// processor instead of unwinding through the run. The machine is then
+    /// left mid-tick: the processors before the panicking one have
+    /// advanced their private states, so a caller that goes on rewinds to
+    /// a checkpoint or rebuilds the machine (as `rfsp-run`'s session
+    /// does). Without it a program panic unwinds through the run.
+    pub catch_panics: bool,
     /// Safety limits.
     pub limits: RunLimits,
 }
@@ -315,8 +289,7 @@ impl<M: ExecutionModel> Pram<M> {
         self.core.procs.status[pid.0]
     }
 
-    /// Run to completion under `adversary` on the sequential engine with
-    /// default [`RunLimits`].
+    /// Run to completion under `adversary` with default [`RunLimits`].
     ///
     /// # Errors
     ///
@@ -326,7 +299,7 @@ impl<M: ExecutionModel> Pram<M> {
         self.run_observed(adversary, RunLimits::default(), &mut NoopObserver)
     }
 
-    /// Run to completion on the sequential engine, streaming every machine
+    /// Run to completion, streaming every machine
     /// event — cycle completions, failures, restarts, committed writes —
     /// to `observer` (see [`crate::trace`]). Both models emit the same
     /// event vocabulary, so one trace pipeline serves both.
@@ -344,9 +317,14 @@ impl<M: ExecutionModel> Pram<M> {
         completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
     }
 
-    /// Run to completion on a private pool of `threads` workers,
-    /// streaming every event to `observer`: [`Pram::run_with`] with
-    /// [`ExecMode::Threads`] and no pause.
+    /// Run to completion, streaming every event to `observer`, as
+    /// [`Pram::run_observed`] does. The thread count picks nothing: every
+    /// run plays its ticks on the calling thread.
+    ///
+    /// This form stays only because the benchmark under `perfbench/`
+    /// calls it, and that benchmark may not change in the same change as
+    /// the engine it measures. It goes with the benchmark's next revision
+    /// (ROADMAP item 1); nothing in the workspace calls it.
     ///
     /// # Errors
     ///
@@ -359,43 +337,22 @@ impl<M: ExecutionModel> Pram<M> {
         threads: usize,
         observer: &mut dyn Observer,
     ) -> Result<RunReport> {
-        let spec = RunSpec { exec: ExecMode::Threads(threads), panic: None, limits };
-        completed(self.run_with(spec, adversary, observer, |_| RunControl::Continue))
+        if threads == 0 {
+            return Err(PramError::InvalidConfig { detail: "need at least one thread".into() });
+        }
+        self.run_observed(adversary, limits, observer)
     }
 
     /// The one run entry point: run under `adversary` until the program
-    /// completes **or** `control` asks for a pause at a tick boundary, on
-    /// the engine `spec` names. The table holds for both models:
-    ///
-    /// | `spec.exec` | `panic: None` | `panic: Some(policy)` |
-    /// |---|---|---|
-    /// | `Sequential`, `Threads(1)` | sequential, a panic unwinds | sequential, panics caught |
-    /// | `Threads(n ≥ 2)` | as `Pool`, on a private `n`-worker pool | same |
-    /// | `Pool(shared)` | pooled, a panic is `WorkerPanic { pid: None }` | pooled, isolated |
-    /// | `Threads(0)` | [`PramError::InvalidConfig`] | same |
-    ///
-    /// Every row produces the identical event stream, accounting, failure
-    /// pattern and memory, and a rejected tick (a CRCW conflict, say)
-    /// leaves the same memory on every row. The pooled rows farm the
-    /// tentative phase out to the workers; every row commits through the
-    /// same sequential merge on the calling thread, for both models.
-    /// `Threads(n)` builds a [`SharedPool`] for the call and drops it on
-    /// return; either way the workers park between ticks, so a
-    /// steady-state tick performs no thread spawns. The pool's turn lock
-    /// is held for the whole call, so concurrent callers of one
-    /// shared pool serialize; pause through `control` to time-share it.
-    ///
-    /// An *isolated* pooled run backs up every private state before each
-    /// tentative phase, so a caught panic restores the tick boundary and
-    /// `policy` decides what follows: [`PanicPolicy::Surface`] returns
-    /// [`PramError::WorkerPanic`] with the machine intact, and
-    /// [`PanicPolicy::FallbackSequential`] replays the tick sequentially
-    /// and finishes the run there with results identical to an
-    /// undisturbed run. The sequential engine has nothing to fall back to
-    /// and surfaces the panic under either policy. Without a policy a pool
-    /// still catches a program panic (a worker must not die mid-epoch) but
-    /// backs nothing up: the run returns `WorkerPanic` with `pid: None`
-    /// and leaves the machine mid-tick, in an unspecified state.
+    /// completes **or** `control` asks for a pause at a tick boundary. The
+    /// calling thread plays every tick: the tentative phase in PID order,
+    /// the adversary's decisions, then the commit. With
+    /// [`RunSpec::catch_panics`] each processor's tentative cycle runs
+    /// under `catch_unwind`, so a program panic returns
+    /// [`PramError::WorkerPanic`] naming the processor, with the machine
+    /// left mid-tick; without it the panic unwinds through the call.
+    /// Either way the run produces the same event stream, accounting,
+    /// failure pattern and memory, for both models.
     ///
     /// `control` receives the tick about to execute. On
     /// [`RunStatus::Paused`] the machine holds no transient state: save a
@@ -409,46 +366,21 @@ impl<M: ExecutionModel> Pram<M> {
     /// See [`PramError`]; [`PramError::WorkerPanic`] as described above.
     pub fn run_with<A: Adversary + ?Sized>(
         &mut self,
-        spec: RunSpec<'_>,
+        spec: RunSpec,
         adversary: &mut A,
         observer: &mut dyn Observer,
         control: impl FnMut(u64) -> RunControl,
     ) -> Result<RunStatus> {
         let Pram { model, core } = self;
         let limits = spec.limits;
-        match (spec.exec, spec.panic) {
-            (ExecMode::Sequential | ExecMode::Threads(1), None) => {
-                let backend = &mut SeqBackend::<false>;
-                core.run_loop(model, adversary, limits, observer, backend, control)
-            }
-            (ExecMode::Sequential | ExecMode::Threads(1), Some(_)) => {
-                let backend = &mut SeqBackend::<true>;
-                core.run_loop(model, adversary, limits, observer, backend, control)
-            }
-            (ExecMode::Threads(0), _) => {
-                Err(PramError::InvalidConfig { detail: "need at least one thread".into() })
-            }
-            (ExecMode::Threads(threads), _) => {
-                let pool = SharedPool::new(threads)?;
-                let spec = RunSpec { exec: ExecMode::Pool(&pool), ..spec };
-                self.run_with(spec, adversary, observer, control)
-            }
-            (ExecMode::Pool(shared), None) => {
-                let (_turn, pool) = shared.turn();
-                let backend = &mut PooledBackend { pool };
-                core.run_loop(model, adversary, limits, observer, backend, control)
-            }
-            (ExecMode::Pool(shared), Some(policy)) => {
-                let (_turn, pool) = shared.turn();
-                let backup = vec![None; core.procs.len()];
-                let backend = &mut IsolatedBackend { pool, policy, backup, degraded: false };
-                core.run_loop(model, adversary, limits, observer, backend, control)
-            }
+        if spec.catch_panics {
+            core.run_loop::<M, A, true>(model, adversary, limits, observer, control)
+        } else {
+            core.run_loop::<M, A, false>(model, adversary, limits, observer, control)
         }
     }
 
-    /// Execute exactly one tick under `adversary` on the sequential engine
-    /// (no completion check). Exposed for fine-grained tests and lock-step
+    /// Execute exactly one tick under `adversary` (no completion check). Exposed for fine-grained tests and lock-step
     /// drivers; the completion tracker is kept consistent, so ticks and
     /// runs interleave freely.
     ///
@@ -469,7 +401,7 @@ impl<M: ExecutionModel> Pram<M> {
         adversary: &mut A,
         observer: &mut dyn Observer,
     ) -> Result<()> {
-        self.core.tick(&self.model, adversary, observer, &mut SeqBackend::<false>)
+        self.core.tick::<M, A, false>(&self.model, adversary, observer)
     }
 }
 
@@ -523,49 +455,6 @@ mod tests {
         assert_eq!(report.stats.parallel_time, 3);
         assert!(report.pattern.is_empty());
         assert_eq!(m.memory().peek(0), 3);
-    }
-
-    /// A [`SharedPool`] outlives any one run segment and may be driven
-    /// from whichever thread holds the turn: pause on one thread, finish
-    /// on another, and the result still matches the sequential engine.
-    #[test]
-    fn shared_pool_runs_segments_from_different_threads() {
-        assert!(SharedPool::new(1).is_err());
-        let pool = SharedPool::new(2).unwrap();
-        assert_eq!(pool.threads(), 2);
-        let prog = Counter { n: 8, target: 5 };
-        let mut m = Machine::new(&prog, 8, CycleBudget::PAPER).unwrap();
-        let spec = RunSpec {
-            exec: ExecMode::Pool(&pool),
-            panic: Some(PanicPolicy::Surface),
-            limits: RunLimits::default(),
-        };
-        let status = m
-            .run_with(spec, &mut NoFailures, &mut NoopObserver, |c| {
-                if c >= 2 {
-                    RunControl::Pause
-                } else {
-                    RunControl::Continue
-                }
-            })
-            .unwrap();
-        assert!(matches!(status, RunStatus::Paused { cycle: 2 }));
-        let status = std::thread::scope(|s| {
-            s.spawn(|| {
-                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue)
-                    .unwrap()
-            })
-            .join()
-            .unwrap()
-        });
-        let RunStatus::Completed(report) = status else {
-            panic!("expected completion, got {status:?}");
-        };
-        assert_eq!(report.outcome, RunOutcome::Completed);
-        let prog2 = Counter { n: 8, target: 5 };
-        let mut seq = Machine::new(&prog2, 8, CycleBudget::PAPER).unwrap();
-        let seq_report = seq.run(&mut NoFailures).unwrap();
-        assert_eq!(report.stats, seq_report.stats);
     }
 
     /// Adversary that fails processor 1 before its writes in cycle 0 and
@@ -716,24 +605,19 @@ mod tests {
         }
     }
 
-    /// The `run_with` rows the commit tests run on: the sequential engine,
-    /// a private 2-worker pool, and that pool with a panic policy.
-    fn engine_specs() -> [RunSpec<'static>; 3] {
-        [
-            (ExecMode::Sequential, None),
-            (ExecMode::Threads(2), None),
-            (ExecMode::Threads(2), Some(PanicPolicy::Surface)),
-        ]
-        .map(|(exec, panic)| RunSpec { exec, panic, limits: RunLimits::default() })
+    /// The `run_with` rows the commit tests run on: without and with panic
+    /// isolation.
+    fn engine_specs() -> [RunSpec; 2] {
+        [false, true].map(|catch_panics| RunSpec { catch_panics, limits: RunLimits::default() })
     }
 
     /// Run `m` without failures on `spec` until it completes or errs.
-    fn run_on<P: Program>(m: &mut Machine<'_, P>, spec: RunSpec<'_>) -> Result<RunReport> {
+    fn run_on<P: Program>(m: &mut Machine<'_, P>, spec: RunSpec) -> Result<RunReport> {
         completed(m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue))
     }
 
-    /// A tick whose commit hits a CRCW conflict charges nothing on any
-    /// engine: no cycle, no instruction, no read, and no processor changes
+    /// A tick whose commit hits a CRCW conflict charges nothing on either
+    /// row: no cycle, no instruction, no read, and no processor changes
     /// status.
     #[test]
     fn a_conflicting_commit_charges_nothing() {
@@ -751,7 +635,7 @@ mod tests {
         }
     }
 
-    /// Every engine leaves the same machine after a conflict. Each commits
+    /// Both rows leave the same machine after a conflict. The commit merges
     /// a write slot in address order and stops at the first conflicting
     /// cell, so P0's store to cell 0 stays, with its bank's write count,
     /// while the tick charges nothing.
@@ -1048,8 +932,8 @@ mod tests {
     }
 
     /// A cycle of `W + 1` writes under a write budget of `W` is refused
-    /// with the count it used, by the sequential and the pooled engine
-    /// alike, up to the widest budget (whose overflow the `WriteSet`
+    /// with the count it used, with and without panic isolation, up to the
+    /// widest budget (whose overflow the `WriteSet`
     /// counts but cannot store). A processor's row holds exactly `W`
     /// writes, so this check is what keeps the copy into it in bounds.
     #[test]
@@ -1091,16 +975,14 @@ mod tests {
         ));
     }
 
-    /// Every row of `run_with`'s backend table — each exec mode, with and
-    /// without a panic policy — produces the sequential engine's event
-    /// stream, stats, failure pattern and memory, and `Threads(0)` is
-    /// rejected.
+    /// Both rows of `run_with` — without and with panic isolation —
+    /// produce the same event stream, stats, failure pattern and memory.
     #[test]
     fn every_run_spec_matches_sequential() {
         use crate::trace::TraceRecorder;
 
         let prog = Counter { n: 16, target: 5 };
-        let run = |spec: RunSpec<'_>| {
+        let run = |spec: RunSpec| {
             let mut m = Machine::new(&prog, 16, CycleBudget::PAPER).unwrap();
             let mut trace = TraceRecorder::unbounded();
             let status = m.run_with(spec, &mut OneHiccup, &mut trace, |_| RunControl::Continue);
@@ -1109,27 +991,12 @@ mod tests {
         };
         let (trace, report, mem) = run(RunSpec::default()).unwrap();
         assert!(!report.pattern.is_empty(), "the adversary failed and restarted P1");
-        let pool = SharedPool::new(2).unwrap();
-        let execs = [
-            ExecMode::Sequential,
-            ExecMode::Threads(1),
-            ExecMode::Threads(3),
-            ExecMode::Pool(&pool),
-        ];
-        let panics = [None, Some(PanicPolicy::Surface), Some(PanicPolicy::FallbackSequential)];
-        for exec in execs {
-            for panic in panics {
-                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
-                let (row_trace, row_report, row_mem) = run(spec).unwrap();
-                assert_eq!(row_trace, trace, "{spec:?}: event stream");
-                assert_eq!(row_report.stats, report.stats, "{spec:?}: stats");
-                assert_eq!(row_report.pattern, report.pattern, "{spec:?}: failure pattern");
-                assert_eq!(row_mem, mem, "{spec:?}: memory");
-            }
-        }
-        for panic in panics {
-            let spec = RunSpec { exec: ExecMode::Threads(0), panic, limits: RunLimits::default() };
-            assert!(matches!(run(spec), Err(PramError::InvalidConfig { .. })), "{spec:?}");
+        for spec in engine_specs() {
+            let (row_trace, row_report, row_mem) = run(spec).unwrap();
+            assert_eq!(row_trace, trace, "{spec:?}: event stream");
+            assert_eq!(row_report.stats, report.stats, "{spec:?}: stats");
+            assert_eq!(row_report.pattern, report.pattern, "{spec:?}: failure pattern");
+            assert_eq!(row_mem, mem, "{spec:?}: memory");
         }
     }
 
@@ -1210,13 +1077,12 @@ mod tests {
         ));
     }
 
-    /// Counter whose `execute` panics exactly once, on `victim`'s first
-    /// cycle — a model of faulty host code for the panic-isolation engine.
+    /// Counter whose `execute` panics on every call of `victim`'s — a model
+    /// of faulty host code.
     struct BoobyTrap {
         n: usize,
         target: Word,
         victim: usize,
-        fired: std::sync::atomic::AtomicBool,
     }
 
     impl Program for BoobyTrap {
@@ -1231,7 +1097,7 @@ mod tests {
             }
         }
         fn execute(&self, pid: Pid, _st: &mut (), vals: &[Word], writes: &mut WriteSet) -> Step {
-            if pid.0 == self.victim && !self.fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            if pid.0 == self.victim {
                 panic!("injected fault in P{}", pid.0);
             }
             if vals[0] >= self.target {
@@ -1245,146 +1111,27 @@ mod tests {
         }
     }
 
-    /// A 4-worker private pool with per-processor panic isolation.
-    fn isolated(policy: PanicPolicy) -> RunSpec<'static> {
-        RunSpec { exec: ExecMode::Threads(4), panic: Some(policy), limits: RunLimits::default() }
-    }
-
-    fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
+    /// With `catch_panics` a program panic returns `WorkerPanic` naming the
+    /// processor, and the calling thread does not unwind; without it the
+    /// panic unwinds through the run.
+    #[test]
+    fn a_caught_panic_names_the_processor() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
+        let trapped = BoobyTrap { n: 8, target: 4, victim: 5 };
+        let outcomes = engine_specs().map(|spec| {
+            let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_on(&mut m, spec)))
+        });
         std::panic::set_hook(prev);
-        out
-    }
-
-    /// Under `FallbackSequential`, a panicking program degrades to the
-    /// sequential engine mid-run and still produces results identical to a
-    /// clean run of the same algorithm.
-    #[test]
-    fn panic_fallback_matches_clean_run() {
-        with_quiet_panics(|| {
-            let clean = Counter { n: 8, target: 4 };
-            let mut reference = Machine::new(&clean, 8, CycleBudget::PAPER).unwrap();
-            let expected = reference.run(&mut NoFailures).unwrap();
-
-            let trapped = BoobyTrap {
-                n: 8,
-                target: 4,
-                victim: 3,
-                fired: std::sync::atomic::AtomicBool::new(false),
-            };
-            let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
-            let report = completed(m.run_with(
-                isolated(PanicPolicy::FallbackSequential),
-                &mut NoFailures,
-                &mut NoopObserver,
-                |_| RunControl::Continue,
-            ))
-            .unwrap();
-            assert!(trapped.fired.load(std::sync::atomic::Ordering::SeqCst));
-            assert_eq!(report.stats, expected.stats);
-            assert_eq!(report.per_processor, expected.per_processor);
-            assert_eq!(m.memory().as_slice(), reference.memory().as_slice());
-        });
-    }
-
-    /// The sequential replay after a worker panic re-runs the *tentative*
-    /// phase only — nothing had committed, so the memory read/write
-    /// counters (total and per-bank) must equal an uninterrupted run's,
-    /// not charge the tick twice.
-    #[test]
-    fn panic_fallback_does_not_double_charge_counters() {
-        with_quiet_panics(|| {
-            let layout = MemoryLayout::Banked { banks: 3, interleave: 1 };
-            let clean = Counter { n: 8, target: 4 };
-            let mut reference =
-                Machine::with_layout(&clean, 8, CycleBudget::PAPER, layout).unwrap();
-            reference.run(&mut NoFailures).unwrap();
-
-            let trapped = BoobyTrap {
-                n: 8,
-                target: 4,
-                victim: 3,
-                fired: std::sync::atomic::AtomicBool::new(false),
-            };
-            let mut m = Machine::with_layout(&trapped, 8, CycleBudget::PAPER, layout).unwrap();
-            m.run_with(
-                isolated(PanicPolicy::FallbackSequential),
-                &mut NoFailures,
-                &mut NoopObserver,
-                |_| RunControl::Continue,
-            )
-            .unwrap();
-            assert!(trapped.fired.load(std::sync::atomic::Ordering::SeqCst));
-            assert_eq!(m.memory().read_count(), reference.memory().read_count());
-            assert_eq!(m.memory().write_count(), reference.memory().write_count());
-            assert_eq!(m.memory().bank_counters(), reference.memory().bank_counters());
-        });
-    }
-
-    /// Under `Surface`, the panic aborts the run as a `WorkerPanic` naming
-    /// the processor — and the machine is left consistent at the tick
-    /// boundary, so the run can even be finished afterwards.
-    #[test]
-    fn panic_surface_reports_pid_and_leaves_machine_resumable() {
-        with_quiet_panics(|| {
-            let trapped = BoobyTrap {
-                n: 8,
-                target: 4,
-                victim: 5,
-                fired: std::sync::atomic::AtomicBool::new(false),
-            };
-            let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
-            let err = m
-                .run_with(
-                    isolated(PanicPolicy::Surface),
-                    &mut NoFailures,
-                    &mut NoopObserver,
-                    |_| RunControl::Continue,
-                )
-                .unwrap_err();
-            assert!(
-                matches!(&err, PramError::WorkerPanic { pid: Some(Pid(5)), detail }
-                    if detail.contains("injected fault")),
-                "unexpected error: {err:?}"
-            );
-            // The pre-tick states were restored: the interrupted run can
-            // simply continue (the trap only fires once).
-            let report = m.run(&mut NoFailures).unwrap();
-            let clean = Counter { n: 8, target: 4 };
-            let mut reference = Machine::new(&clean, 8, CycleBudget::PAPER).unwrap();
-            let expected = reference.run(&mut NoFailures).unwrap();
-            assert_eq!(report.stats, expected.stats);
-            assert_eq!(m.memory().as_slice(), reference.memory().as_slice());
-        });
-    }
-
-    /// Without a panic policy the pool still catches a program panic: the
-    /// run returns `WorkerPanic` without a pid, and the calling thread does
-    /// not unwind. Debug builds take the pooled path on every tick, so the
-    /// panic is caught on a worker.
-    #[test]
-    fn a_pool_without_a_policy_returns_the_panic_as_an_error() {
-        with_quiet_panics(|| {
-            let trapped = BoobyTrap {
-                n: 8,
-                target: 4,
-                victim: 2,
-                fired: std::sync::atomic::AtomicBool::new(false),
-            };
-            let mut m = Machine::new(&trapped, 8, CycleBudget::PAPER).unwrap();
-            let spec = RunSpec { exec: ExecMode::Threads(2), ..RunSpec::default() };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m.run_with(spec, &mut NoFailures, &mut NoopObserver, |_| RunControl::Continue)
-            }));
-            let err = outcome.expect("the calling thread unwound").unwrap_err();
-            assert!(
-                matches!(&err, PramError::WorkerPanic { pid: None, detail }
-                    if detail.contains("injected fault in P2")),
-                "unexpected error: {err:?}"
-            );
-        });
+        let [uncaught, caught] = outcomes;
+        assert!(uncaught.is_err(), "without catch_panics the panic unwinds");
+        let err = caught.expect("the calling thread unwound").unwrap_err();
+        assert!(
+            matches!(&err, PramError::WorkerPanic { pid: Pid(5), detail }
+                if detail.contains("injected fault in P5")),
+            "unexpected error: {err:?}"
+        );
     }
 
     /// Pause mid-run, checkpoint, restore into a *fresh* machine and

@@ -285,7 +285,9 @@ impl SharedMemory {
     /// cell (and, at the scale geometry, the TLB entry of its page) is on
     /// its way before the store needs it. A hint only: values and counters
     /// are untouched, and an address outside the memory is ignored.
-    /// `_mm_prefetch` on x86_64; nothing on other architectures.
+    /// `_mm_prefetch` on x86_64; nothing on other architectures. The one
+    /// `unsafe` block of this crate.
+    #[allow(unsafe_code)]
     #[inline(always)]
     pub(crate) fn prefetch(&self, addr: usize) {
         #[cfg(target_arch = "x86_64")]

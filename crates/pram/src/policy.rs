@@ -43,19 +43,10 @@
 //! `fixed:500` run under `adaptive` would silently change where
 //! checkpoints land, which is exactly the nondeterminism the codec
 //! version gate exists to prevent.
-//!
-//! The engine also escalates the pooled engine's
-//! [`PanicPolicy`]: an adaptive run starts on
-//! [`PanicPolicy::Surface`] (a worker panic aborts the tick and surfaces,
-//! leaving the machine at the tick boundary) and falls back to
-//! [`PanicPolicy::FallbackSequential`] only after repeated panics — the
-//! optimistic stance costs nothing when panics are rare and keeps the
-//! failure visible while they are.
 
 use serde::Value;
 
 use crate::error::PramError;
-use crate::exec::PanicPolicy;
 use crate::trace::{Observer, TraceEvent};
 
 /// Fixed-point scale for the EWMA failure intensity: `lambda_fp` holds
@@ -133,21 +124,11 @@ pub struct PolicyConfig {
     /// save times are not — so this is the only measured input the cost
     /// model is allowed.
     pub bytes_per_tick: u64,
-    /// Worker panics tolerated on [`PanicPolicy::Surface`] before the
-    /// engine escalates to [`PanicPolicy::FallbackSequential`].
-    pub panic_threshold: u32,
 }
 
 impl Default for PolicyConfig {
     fn default() -> Self {
-        PolicyConfig {
-            cost_ticks: 8,
-            k_min: 4,
-            k_max: 4096,
-            ewma_shift: 5,
-            bytes_per_tick: 4096,
-            panic_threshold: 3,
-        }
+        PolicyConfig { cost_ticks: 8, k_min: 4, k_max: 4096, ewma_shift: 5, bytes_per_tick: 4096 }
     }
 }
 
@@ -179,8 +160,6 @@ pub struct PolicyEngine {
     /// Whether a tick is open (so the first TickStart does not fold an
     /// empty phantom tick).
     tick_open: bool,
-    /// Worker panics survived so far.
-    panics: u32,
 }
 
 /// Integer square root (floor), enough for interval arithmetic.
@@ -225,7 +204,6 @@ impl PolicyEngine {
             ticks: 0,
             open_failures: 0,
             tick_open: false,
-            panics: 0,
         }
     }
 
@@ -310,38 +288,6 @@ impl PolicyEngine {
         self.last_checkpoint = cycle;
     }
 
-    /// Record a surfaced worker panic; returns the policy to retry under.
-    pub fn record_panic(&mut self) -> PanicPolicy {
-        self.panics = self.panics.saturating_add(1);
-        self.panic_policy()
-    }
-
-    /// Reinitialize the decision state for a from-scratch restart (a
-    /// panic recovery with no checkpoint to rewind to), keeping only the
-    /// panic count — forgetting it would reset the escalation clock and a
-    /// deterministic panic could live-loop the run forever.
-    pub fn reset_preserving_panics(&mut self) {
-        let panics = self.panics;
-        *self = Self::with_config(self.kind, self.config);
-        self.panics = panics;
-    }
-
-    /// The [`PanicPolicy`] the run should currently use. Fixed policies
-    /// keep the long-run mode's historical always-degrade stance;
-    /// adaptive runs stay optimistic until `panic_threshold` panics.
-    pub fn panic_policy(&self) -> PanicPolicy {
-        match self.kind {
-            PolicyKind::Fixed(_) => PanicPolicy::FallbackSequential,
-            PolicyKind::Adaptive => {
-                if self.panics >= self.config.panic_threshold {
-                    PanicPolicy::FallbackSequential
-                } else {
-                    PanicPolicy::Surface
-                }
-            }
-        }
-    }
-
     /// Serialize the full engine state for the checkpoint's `policy`
     /// field. Identical streams produce identical state (the soak lane's
     /// cross-check relies on byte equality of this value's JSON).
@@ -359,13 +305,11 @@ impl PolicyEngine {
             ("k_max".into(), Value::UInt(c.k_max)),
             ("ewma_shift".into(), Value::UInt(u64::from(c.ewma_shift))),
             ("bytes_per_tick".into(), Value::UInt(c.bytes_per_tick)),
-            ("panic_threshold".into(), Value::UInt(u64::from(c.panic_threshold))),
             ("lambda_fp".into(), Value::UInt(self.lambda_fp)),
             ("cost_fp".into(), Value::UInt(self.cost_fp)),
             ("k".into(), Value::UInt(self.k)),
             ("last_checkpoint".into(), Value::UInt(self.last_checkpoint)),
             ("ticks".into(), Value::UInt(self.ticks)),
-            ("panics".into(), Value::UInt(u64::from(self.panics))),
             // A pause lands on a tick boundary, where the just-finished
             // tick is still open (it folds only at the next TickStart or
             // at Completed). Persist it, or a resumed engine would drop
@@ -414,7 +358,6 @@ impl PolicyEngine {
             k_max: want("k_max")?,
             ewma_shift: want("ewma_shift")? as u32,
             bytes_per_tick: want("bytes_per_tick")?,
-            panic_threshold: want("panic_threshold")? as u32,
         };
         if saved_config != self.config {
             return Err(fail(format!(
@@ -428,7 +371,6 @@ impl PolicyEngine {
         self.k = want("k")?;
         self.last_checkpoint = want("last_checkpoint")?;
         self.ticks = want("ticks")?;
-        self.panics = want("panics")? as u32;
         self.tick_open = want("tick_open")? != 0;
         self.open_failures = want("open_failures")?;
         Ok(())
@@ -533,18 +475,6 @@ mod tests {
         assert!(!e.checkpoint_due(9));
         assert!(e.checkpoint_due(16));
         assert_eq!(e.next_due(), 16);
-    }
-
-    #[test]
-    fn panic_escalation_is_thresholded() {
-        let mut e = PolicyEngine::new(PolicyKind::Adaptive);
-        assert_eq!(e.panic_policy(), PanicPolicy::Surface);
-        assert_eq!(e.record_panic(), PanicPolicy::Surface);
-        assert_eq!(e.record_panic(), PanicPolicy::Surface);
-        assert_eq!(e.record_panic(), PanicPolicy::FallbackSequential, "third panic escalates");
-        // Fixed runs keep the historical always-degrade behavior.
-        let f = PolicyEngine::new(PolicyKind::Fixed(10));
-        assert_eq!(f.panic_policy(), PanicPolicy::FallbackSequential);
     }
 
     #[test]

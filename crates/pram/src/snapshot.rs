@@ -18,8 +18,8 @@
 //!
 //! [`SnapshotMachine`] is an alias of [`Pram`] over [`SnapModel`], the
 //! model this module defines: the free whole-memory read phase and its `S'`
-//! charging rule. Everything else — the tentative loops, the run table of
-//! [`Pram::run_with`] with its pooled engines, adversary validation, COMMON
+//! charging rule. Everything else — the tentative loop, the run entry
+//! [`Pram::run_with`], adversary validation, COMMON
 //! write merging, accounting, observers and checkpoints — is the same code
 //! the word model runs.
 //!
@@ -186,9 +186,8 @@ impl<'a> SnapshotView<'a> {
 }
 
 /// An algorithm for the snapshot model: each cycle it sees the entire
-/// shared memory and emits a bounded number of writes. `Sync` for the same
-/// reason as [`Program`](crate::Program): the pooled engines share it
-/// across threads.
+/// shared memory and emits a bounded number of writes. `Sync`, with a
+/// `Clone + Send` private state, like [`Program`](crate::Program).
 pub trait SnapshotProgram: Sync {
     /// Per-processor private memory; lost on failure.
     type Private: Clone + Send;
@@ -507,17 +506,16 @@ mod tests {
         }
     }
 
-    /// Every row of `run_with`'s table runs the snapshot model too: each
-    /// engine, with and without a panic policy, reproduces the sequential
-    /// row's event stream, stats, per-processor work and memory, and
-    /// `Threads(0)` is refused before anything moves.
+    /// Both rows of `run_with` run the snapshot model too: with and without
+    /// panic isolation, a run reproduces the default row's event stream,
+    /// stats, per-processor work and memory.
     #[test]
     fn every_run_spec_matches_sequential() {
-        use crate::machine::{ExecMode, RunSpec};
-        use crate::{PanicPolicy, RunControl, RunLimits, TraceRecorder};
+        use crate::machine::RunSpec;
+        use crate::{RunControl, RunLimits, TraceRecorder};
 
         let prog = Hinted { n: 24 };
-        let run = |spec: RunSpec<'_>| {
+        let run = |spec: RunSpec| {
             let mut m = SnapshotMachine::new(&prog, 5, 1).unwrap();
             let mut trace = TraceRecorder::unbounded();
             let status = m.run_with(spec, &mut OneHiccup, &mut trace, |_| RunControl::Continue);
@@ -526,31 +524,13 @@ mod tests {
         };
         let (trace, report, mem) = run(RunSpec::default()).unwrap();
         assert!(!report.pattern.is_empty(), "the adversary failed and restarted P1");
-        let pool = crate::SharedPool::new(2).unwrap();
-        let execs = [
-            ExecMode::Threads(1),
-            ExecMode::Threads(2),
-            ExecMode::Threads(4),
-            ExecMode::Pool(&pool),
-        ];
-        let panics = [None, Some(PanicPolicy::Surface), Some(PanicPolicy::FallbackSequential)];
-        for exec in execs {
-            for panic in panics {
-                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
-                let (row_trace, row_report, row_mem) = run(spec).unwrap();
-                assert_eq!(row_trace, trace, "{spec:?}: event stream");
-                assert_eq!(row_report.stats, report.stats, "{spec:?}: stats");
-                assert_eq!(row_report.per_processor, report.per_processor, "{spec:?}: work");
-                assert_eq!(row_mem, mem, "{spec:?}: memory");
-            }
-        }
-        for panic in panics {
-            let mut m = SnapshotMachine::new(&prog, 5, 1).unwrap();
-            let spec = RunSpec { exec: ExecMode::Threads(0), panic, limits: RunLimits::default() };
-            let result = m
-                .run_with(spec, &mut OneHiccup, &mut crate::NoopObserver, |_| RunControl::Continue);
-            assert!(matches!(result, Err(PramError::InvalidConfig { .. })), "{spec:?}");
-            assert_eq!(m.cycle(), 0, "{spec:?} ran a tick");
+        for catch_panics in [false, true] {
+            let spec = RunSpec { catch_panics, limits: RunLimits::default() };
+            let (row_trace, row_report, row_mem) = run(spec).unwrap();
+            assert_eq!(row_trace, trace, "{spec:?}: event stream");
+            assert_eq!(row_report.stats, report.stats, "{spec:?}: stats");
+            assert_eq!(row_report.per_processor, report.per_processor, "{spec:?}: work");
+            assert_eq!(row_mem, mem, "{spec:?}: memory");
         }
     }
 
@@ -589,23 +569,19 @@ mod tests {
     }
 
     /// A cycle of `W + 1` writes under a write budget of `W` is refused
-    /// with the count it used, sequentially and pooled; the processor's
-    /// row holds exactly `W` writes.
+    /// with the count it used, with and without panic isolation; the
+    /// processor's row holds exactly `W` writes.
     #[test]
     fn write_budget_violation_is_reported() {
         use crate::error::BudgetKind;
-        use crate::machine::{ExecMode, RunSpec};
-        use crate::{PanicPolicy, RunControl, RunLimits};
+        use crate::machine::RunSpec;
+        use crate::{RunControl, RunLimits};
 
         for w in [1, 2, MAX_WRITES] {
             let prog = Spray { writes: w + 1 };
-            for (exec, panic) in [
-                (ExecMode::Sequential, None),
-                (ExecMode::Threads(2), None),
-                (ExecMode::Threads(2), Some(PanicPolicy::Surface)),
-            ] {
+            for catch_panics in [false, true] {
                 let mut m = SnapshotMachine::new(&prog, 8, w).unwrap();
-                let spec = RunSpec { exec, panic, limits: RunLimits::default() };
+                let spec = RunSpec { catch_panics, limits: RunLimits::default() };
                 let err = m
                     .run_with(spec, &mut NoFailures, &mut crate::NoopObserver, |_| {
                         RunControl::Continue

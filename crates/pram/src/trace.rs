@@ -18,10 +18,11 @@
 //!   `rfsp trace` subcommand. The finished [`RunSeries`] exports as JSON,
 //!   JSONL or CSV via serde.
 //!
-//! Every engine emits the identical stream for identical runs: each row of
-//! [`Machine::run_with`](crate::Machine::run_with)'s backend table shares
-//! the one run loop, which the test suite pins with a byte-identical JSONL
-//! comparison under a replayed failure pattern.
+//! Identical runs emit the identical stream: every form of
+//! [`Machine::run_with`](crate::Machine::run_with) — with or without panic
+//! isolation, straight or paused and resumed — shares the one run loop,
+//! which the test suite pins with a byte-identical JSONL comparison under
+//! a replayed failure pattern.
 
 use std::collections::VecDeque;
 
@@ -415,7 +416,7 @@ impl RunSeries {
 ///
 /// Attach to any observed entry point
 /// ([`Machine::run_observed`](crate::Machine::run_observed),
-/// [`Machine::run_threaded_observed`](crate::Machine::run_threaded_observed),
+/// [`Machine::run_with`](crate::Machine::run_with),
 /// [`Machine::tick_observed`](crate::Machine::tick_observed)); call
 /// [`MetricsObserver::finish`] afterwards to close the final tick and take
 /// the [`RunSeries`].

@@ -1,39 +1,29 @@
-//! Steady-state allocation accounting for the tick engines.
+//! Steady-state allocation accounting for the tick engine.
 //!
-//! The engines are designed so that after warm-up every tick runs without
+//! The engine is designed so that after warm-up every tick runs without
 //! touching the heap: tentative cycles pass through reused inline
 //! `ValueSet`/`WriteSet` scratch into a cycle table allocated with the
-//! machine, the failure-event staging vector is hoisted onto the machine,
-//! and the pooled engine parks persistent workers instead of spawning
-//! threads. A counting `#[global_allocator]` pins that down: the
-//! sequential engine must allocate *exactly zero* times across a batch of
-//! steady-state ticks, and a pooled run's allocation total must not grow
-//! with the number of ticks. A debug-built pool has no adaptive inline
-//! degrade, so in the default `cargo test` build the spin-then-park
-//! barrier and the workers' tentative phase are inside the measurement on
-//! any host.
+//! machine, and the failure-event staging vector is hoisted onto the
+//! machine. A counting `#[global_allocator]` pins that down: a word- or
+//! snapshot-model machine must allocate *exactly zero* times across a
+//! batch of steady-state ticks.
 //!
-//! The sequential and snapshot engines run wholly on the calling thread,
-//! so their measurements read a per-thread counter: the test harness's
-//! own threads allocate at any moment and must not leak into a window
-//! that has to stay at exactly zero. The pooled measurements read the
-//! process-wide counter, because worker-thread allocations are what they
-//! measure.
+//! Every tick runs wholly on the calling thread, so the measurements read
+//! a per-thread counter: the test harness's own threads allocate at any
+//! moment and must not leak into a window that has to stay at exactly
+//! zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use rfsp_pram::snapshot::{SnapshotMachine, SnapshotProgram, SnapshotView};
 use rfsp_pram::{
-    CompletionHint, CycleBudget, LayoutBuilder, Machine, NoFailures, NoopObserver, Pid, Program,
-    ReadSet, Region, RunLimits, SharedMemory, Step, Word, WriteSet,
+    CompletionHint, CycleBudget, LayoutBuilder, Machine, NoFailures, Pid, Program, ReadSet, Region,
+    SharedMemory, Step, Word, WriteSet,
 };
 
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // Const-initialized with no destructor, so the allocator can bump it
@@ -41,9 +31,8 @@ thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Count one allocation, process-wide and on the calling thread.
+/// Count one allocation on the calling thread.
 fn count() {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
@@ -52,7 +41,7 @@ fn thread_allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
 }
 
-// SAFETY: delegates verbatim to `System`; the counters have no side
+// SAFETY: delegates verbatim to `System`; the counter has no side
 // effects on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -84,9 +73,8 @@ fn measure_lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Each processor increments its own cell once per tick until every cell
 /// reaches `target`: the run lasts exactly `target` full-width ticks. A
-/// `tracked` grind gives completion hints, so a pooled run primes the
-/// outstanding-cell count at run entry and the commit folds it every
-/// tick.
+/// `tracked` grind gives completion hints, so the commit folds the
+/// outstanding-cell count every tick.
 struct Grind {
     n: usize,
     target: Word,
@@ -217,39 +205,4 @@ fn snapshot_steady_state_ticks_do_not_allocate() {
     }
     let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "snapshot steady-state ticks allocated {delta} times");
-}
-
-/// The pooled engine — spin-then-park barrier, the workers' tentative
-/// phase, the commit on the calling thread and, for a tracked program,
-/// the outstanding-count fold — must reach an allocation-free steady
-/// state. A debug-built pool has no adaptive inline degrade, so every
-/// tick actually crosses the barrier. Each worker plays its chunk through
-/// a scratch on its stack and the commit reuses the core's buffers, so
-/// allocations must not scale with tick count.
-#[test]
-fn pooled_allocations_do_not_grow_with_tick_count() {
-    let _guard = measure_lock();
-    let p = 16;
-    let threads = 3;
-    for tracked in [false, true] {
-        let measure = |target: Word| {
-            let prog = Grind { n: p, target, tracked };
-            let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let limits = RunLimits::default();
-            m.run_threaded_observed(&mut NoFailures, limits, threads, &mut NoopObserver).unwrap();
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        };
-        let short = measure(16);
-        let long = measure(16 + 512);
-        // Same machine size and thread count: all allocations happen
-        // during setup (thread spawns, report assembly), none per tick.
-        // Allow a few counts of slack for lazy OS/runtime initialization
-        // on first use.
-        assert!(
-            long <= short + 16,
-            "allocations grew with tick count (tracked: {tracked}): {short} for 16 ticks vs \
-             {long} for 528"
-        );
-    }
 }

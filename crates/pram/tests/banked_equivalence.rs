@@ -4,8 +4,7 @@
 //! schedule, every bank count and every interleave, a banked machine must
 //! produce the byte-identical event stream, stats, failure pattern,
 //! merged memory image and merged access counters as the flat machine —
-//! for the word model (sequential and pooled engines) and the snapshot
-//! model. Checkpoints taken under a non-default bank count must restore
+//! for the word model and the snapshot model. Checkpoints taken under a non-default bank count must restore
 //! bit-exactly, and cross-layout restores must be refused.
 
 use proptest::prelude::*;
@@ -124,21 +123,12 @@ struct Observables {
     writes: u64,
 }
 
-fn word_run(
-    layout: MemoryLayout,
-    prog: &Grind,
-    p: usize,
-    pattern: &FailurePattern,
-    threads: Option<usize>,
-) -> Observables {
+fn word_run(layout: MemoryLayout, prog: &Grind, p: usize, pattern: &FailurePattern) -> Observables {
     let limits = RunLimits { max_cycles: 1_000_000 };
     let mut m = Machine::with_layout(prog, p, CycleBudget::PAPER, layout).unwrap();
     let mut adv = ScheduledAdversary::new(pattern.clone());
     let mut trace = TraceRecorder::unbounded();
-    let report = match threads {
-        None => m.run_observed(&mut adv, limits, &mut trace).unwrap(),
-        Some(t) => m.run_threaded_observed(&mut adv, limits, t, &mut trace).unwrap(),
-    };
+    let report = m.run_observed(&mut adv, limits, &mut trace).unwrap();
     Observables {
         events: trace.to_jsonl(),
         report,
@@ -162,27 +152,23 @@ fn assert_same(flat: &Observables, banked: &Observables) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Word model, sequential and pooled engines: flat and banked layouts
-    /// are observationally identical for every legal fault schedule.
+    /// Word model: flat and banked layouts are observationally identical
+    /// for every legal fault schedule.
     #[test]
     fn word_banked_is_bit_identical_to_flat(
         p in 1usize..16,
         target in 1u64..5,
         banks in 2usize..7,
         interleave in 1usize..4,
-        threads in 2usize..4,
         raw in proptest::collection::vec((1usize..16, any::<bool>()), 0..48),
     ) {
         let pattern = legal_schedule(p, raw);
         let prog = Grind { n: p, target };
         let layout = MemoryLayout::Banked { banks, interleave };
 
-        let flat_seq = word_run(MemoryLayout::Flat, &prog, p, &pattern, None);
-        let banked_seq = word_run(layout, &prog, p, &pattern, None);
-        assert_same(&flat_seq, &banked_seq)?;
-
-        let banked_pool = word_run(layout, &prog, p, &pattern, Some(threads));
-        assert_same(&flat_seq, &banked_pool)?;
+        let flat = word_run(MemoryLayout::Flat, &prog, p, &pattern);
+        let banked = word_run(layout, &prog, p, &pattern);
+        assert_same(&flat, &banked)?;
     }
 
     /// Snapshot model: same property, through the unified core's snapshot

@@ -3,8 +3,8 @@
 //! The unified execution core (`rfsp_pram::exec`) must be *bit-identical*
 //! to the engines it replaced: same Observer event stream, same
 //! [`WorkStats`], same recorded failure pattern, same final memory and
-//! instrumentation counters, for both the word-model [`Machine`] (sequential
-//! and pooled) and the [`SnapshotMachine`]. These tests render each run into
+//! instrumentation counters, for both the word-model [`Machine`] (flat and
+//! banked) and the [`SnapshotMachine`]. These tests render each run into
 //! a canonical text summary and compare it byte-for-byte against a fixture
 //! generated from the pre-refactor code.
 //!
@@ -161,16 +161,6 @@ fn word_sequential_matches_golden() {
     check_golden("golden_word.txt", &actual);
 }
 
-/// The pooled engine must match the *same* fixture: bit-identical event
-/// stream, stats and memory as the sequential engine.
-#[test]
-fn word_pooled_matches_golden() {
-    let actual = word_summary(|m, adv, trace| {
-        m.run_threaded_observed(adv, RunLimits::default(), 3, trace).unwrap()
-    });
-    check_golden("golden_word.txt", &actual);
-}
-
 /// Bank-partitioning the shared memory must not change a single observable
 /// byte: the same fixture the flat layout pins, under an uneven
 /// block-cyclic layout (8 cells over 3 banks of 2-cell blocks).
@@ -179,15 +169,6 @@ fn word_banked_matches_golden() {
     let layout = MemoryLayout::Banked { banks: 3, interleave: 2 };
     let actual = word_summary_layout(layout, |m, adv, trace| {
         m.run_observed(adv, RunLimits::default(), trace).unwrap()
-    });
-    check_golden("golden_word.txt", &actual);
-}
-
-#[test]
-fn word_pooled_banked_matches_golden() {
-    let layout = MemoryLayout::Banked { banks: 3, interleave: 2 };
-    let actual = word_summary_layout(layout, |m, adv, trace| {
-        m.run_threaded_observed(adv, RunLimits::default(), 3, trace).unwrap()
     });
     check_golden("golden_word.txt", &actual);
 }

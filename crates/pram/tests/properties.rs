@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rfsp_pram::{
     CycleBudget, FailPoint, FailureEvent, FailureKind, FailurePattern, LayoutBuilder, Machine,
-    NoopObserver, Pid, Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step,
-    TraceRecorder, Word, WriteMode, WriteSet,
+    NoopObserver, Pid, Program, ReadSet, RunLimits, ScheduledAdversary, SharedMemory, Step, Word,
+    WriteMode, WriteSet,
 };
 
 proptest! {
@@ -148,46 +148,5 @@ proptest! {
         // Accounting sanity.
         prop_assert!(report.stats.s_prime()
             <= report.stats.completed_work() + report.stats.pattern_size());
-    }
-
-    /// The pooled tick engine is observationally identical to the
-    /// sequential one: byte-identical event streams, equal stats and
-    /// failure pattern, and the same final memory — for every legal fault
-    /// schedule and every pool width. This is the machine-level guarantee
-    /// that lets experiments pick an engine purely on speed.
-    #[test]
-    fn pooled_engine_is_bit_identical_to_sequential(
-        p in 1usize..20,
-        target in 1u64..6,
-        threads in 2usize..5,
-        raw in proptest::collection::vec((1usize..20, any::<bool>()), 0..60),
-    ) {
-        let pattern = legal_schedule(p, raw);
-        let prog = Grind { n: p, target };
-        let limits = RunLimits { max_cycles: 1_000_000 };
-
-        let mut seq_trace = TraceRecorder::unbounded();
-        let mut seq_machine = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let seq = seq_machine
-            .run_observed(&mut ScheduledAdversary::new(pattern.clone()), limits, &mut seq_trace)
-            .unwrap();
-        let seq_mem: Vec<Word> = (0..p).map(|i| seq_machine.memory().peek(i)).collect();
-
-        let mut pool_trace = TraceRecorder::unbounded();
-        let mut pool_machine = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let pooled = pool_machine
-            .run_threaded_observed(
-                &mut ScheduledAdversary::new(pattern),
-                limits,
-                threads,
-                &mut pool_trace,
-            )
-            .unwrap();
-        let pool_mem: Vec<Word> = (0..p).map(|i| pool_machine.memory().peek(i)).collect();
-
-        prop_assert_eq!(seq_trace.to_jsonl(), pool_trace.to_jsonl());
-        prop_assert_eq!(seq.stats, pooled.stats);
-        prop_assert_eq!(seq.pattern.events(), pooled.pattern.events());
-        prop_assert_eq!(seq_mem, pool_mem);
     }
 }

@@ -20,7 +20,10 @@ use crate::{atomic::write_atomic, io_err, RunConfig, RunError};
 ///   whose failure pattern is a flat integer array.
 /// * v4 — the config gains `fault_budget`, `target` and `no_restarts`, so
 ///   every adversary kind of the one table can be checkpointed.
-pub const SESSION_CHECKPOINT_VERSION: u32 = 4;
+/// * v5 — the config drops `threads` (there is one tick engine), and the
+///   wrapped machine checkpoint is v6, whose policy state drops the
+///   panic-escalation fields.
+pub const SESSION_CHECKPOINT_VERSION: u32 = 5;
 
 /// What a checkpoint file holds: everything a resumed process needs —
 /// config, machine snapshot, and how many event bytes had been flushed
@@ -98,19 +101,27 @@ mod tests {
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("cannot read"));
         std::fs::write(&path, "{not json").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("not valid JSON"));
-        std::fs::write(&path, "{\"version\":4}").unwrap();
+        std::fs::write(&path, "{\"version\":5}").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("malformed"));
-        std::fs::write(&path, "{\"version\":\"4\"}").unwrap();
+        std::fs::write(&path, "{\"version\":\"5\"}").unwrap();
         assert!(SessionCheckpoint::load(path_s).unwrap_err().0.contains("malformed"));
         // An older file is refused by version before its shape is read:
-        // a v2 file's pattern is a map the v3 decoder cannot read, and a
-        // v3 file's config lacks the v4 fields.
+        // a v2 file's pattern is a map the v3 decoder cannot read, a v3
+        // file's config lacks the v4 fields, and a v4 file wraps a machine
+        // checkpoint whose policy state carries the panic-escalation
+        // fields.
         std::fs::write(&path, "{\"version\":2,\"machine\":{\"pattern\":{\"events\":[]}}}").unwrap();
         let err = SessionCheckpoint::load(path_s).unwrap_err().0;
-        assert!(err.ends_with("checkpoint version 2 (this build reads 4)"), "{err}");
-        std::fs::write(&path, "{\"version\":3,\"config\":{\"algo\":\"x\"}}").unwrap();
-        let err = SessionCheckpoint::load(path_s).unwrap_err().0;
-        assert!(err.ends_with("checkpoint version 3 (this build reads 4)"), "{err}");
+        assert!(err.ends_with("checkpoint version 2 (this build reads 5)"), "{err}");
+        for old in [3, 4] {
+            std::fs::write(&path, format!("{{\"version\":{old},\"config\":{{\"algo\":\"x\"}}}}"))
+                .unwrap();
+            let err = SessionCheckpoint::load(path_s).unwrap_err().0;
+            assert!(
+                err.ends_with(&format!("checkpoint version {old} (this build reads 5)")),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

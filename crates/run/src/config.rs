@@ -32,10 +32,10 @@ pub const MAX_SIZE: u64 = 1 << 28;
 /// the same cap.
 pub const MAX_PROCESSORS: u64 = 1 << 20;
 
-/// The largest tick-engine thread count a [`RunConfig`] accepts. Thread
-/// counts arrive from outside the program too, and each one is that many
-/// OS threads spawned, so [`RunConfig::validate`] refuses larger ones. The
-/// CLI holds its other thread-count options to the same cap.
+/// The largest thread count a command accepts (`rfsp lockfree --threads`,
+/// which runs algorithm X on that many OS threads). Thread counts arrive
+/// from outside the program, and each one is an OS thread spawned, so the
+/// CLI refuses larger ones.
 pub const MAX_THREADS: u64 = 256;
 
 /// Every adversary kind [`build_adversary`] knows.
@@ -68,8 +68,6 @@ pub struct RunConfig {
     pub n: u64,
     /// Processor count.
     pub p: u64,
-    /// Tick-engine worker threads (1 = sequential).
-    pub threads: u64,
     /// Adversary kind, one of [`ADVERSARIES`].
     pub adversary: String,
     /// `random`/`offline`: per-tick failure probability. `bursty`: the
@@ -108,7 +106,6 @@ impl Default for RunConfig {
             algo: "x".to_string(),
             n: 1024,
             p: 64,
-            threads: 1,
             adversary: "none".to_string(),
             rate: 0.05,
             restart_rate: 0.5,
@@ -147,7 +144,7 @@ impl RunConfig {
     /// # Errors
     ///
     /// An unknown algorithm name.
-    pub fn spec(&self) -> Result<WriteAllSpec<'static>, RunError> {
+    pub fn spec(&self) -> Result<WriteAllSpec, RunError> {
         Ok(WriteAllSpec::new(Algo::parse(&self.algo)?, self.n as usize, self.p as usize))
     }
 
@@ -156,9 +153,8 @@ impl RunConfig {
     /// (see [`MAX_SIZE`] and [`MAX_PROCESSORS`]), an in-place X instance
     /// that is not a power of two ≥ 4, `xkiller` on an algorithm without
     /// an X layout, a stalked cell outside the array, a zero cadence, a
-    /// thread count outside `1..=`[`MAX_THREADS`], a fault rate that is
-    /// not a probability, or a checkpoint on an algorithm whose
-    /// program-level state a resumed run cannot recover.
+    /// fault rate that is not a probability, or a checkpoint on an
+    /// algorithm whose program-level state a resumed run cannot recover.
     ///
     /// A config that passes builds its program through
     /// [`RunConfig::spec`] and its adversary through [`build_adversary`]
@@ -207,12 +203,6 @@ impl RunConfig {
                  would lose everything; give a positive tick interval (or use --policy adaptive)"
                     .into(),
             ));
-        }
-        if !(1..=MAX_THREADS).contains(&self.threads) {
-            return Err(RunError(format!(
-                "--threads must be between 1 and {MAX_THREADS}, not {}",
-                self.threads
-            )));
         }
         for (flag, value) in [("--rate", self.rate), ("--restart-rate", self.restart_rate)] {
             if !(0.0..=1.0).contains(&value) {
@@ -309,11 +299,6 @@ mod tests {
 
         let bad = RunConfig { every: 0, ..RunConfig::default() };
         assert!(bad.validate().unwrap_err().0.contains("degenerate"));
-        for threads in [0, MAX_THREADS + 1] {
-            let bad = RunConfig { threads, ..RunConfig::default() };
-            assert!(bad.validate().unwrap_err().0.contains("--threads"), "threads = {threads}");
-        }
-        RunConfig { threads: MAX_THREADS, ..RunConfig::default() }.validate().unwrap();
         for value in [5.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
             let bad = RunConfig { adversary: "random".into(), rate: value, ..RunConfig::default() };
             assert!(bad.validate().unwrap_err().0.contains("--rate"), "rate = {value}");

@@ -139,8 +139,8 @@ impl EventLog {
     }
 
     /// Drop everything past `offset` — the in-process analogue of the
-    /// resume-time truncation, used when a surfaced worker panic rewinds
-    /// the run to its last checkpoint.
+    /// resume-time truncation, used when a panic in program code rewinds
+    /// the run to its last checkpoint (or to the start).
     ///
     /// # Errors
     ///

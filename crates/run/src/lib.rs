@@ -2,7 +2,7 @@
 //!
 //! A crash-safe run combines versioned machine checkpoints, atomic on-disk
 //! persistence, events-JSONL offset-truncate resume, an adaptive
-//! checkpoint cadence and panic-isolating engines. This crate holds that
+//! checkpoint cadence and panic isolation. This crate holds that
 //! orchestration once, for the CLI's long-run mode, the soak harness's
 //! kill/resume lanes and the `rfsp serve` daemon:
 //!
@@ -15,14 +15,14 @@
 //!   its adversary, its [`PolicyEngine`](rfsp_pram::PolicyEngine), its
 //!   events log and its durable checkpoints, and implements the *one*
 //!   crash-safe run loop: pause at tick boundaries, checkpoint on the
-//!   policy's cadence (and on demand), rewind-and-replay after surfaced
-//!   worker panics, stream every event to the log and to a caller
-//!   observer.
+//!   policy's cadence (and on demand), rewind-and-replay after a panic in
+//!   program code (once per tick: a panic that recurs at the same tick ends
+//!   the session), stream every event to the log and to a caller observer.
 //! * [`run_with_cut`] — the in-memory kill/checkpoint/JSON-round-trip/
 //!   restore/resume cross-check used by the soak harness's crash-recovery
 //!   lanes.
 //! * [`Scheduler`] — a FIFO round-robin turn queue multiplexing many
-//!   sessions over one shared worker pool, with bounded starvation.
+//!   sessions over one run turn, with bounded starvation.
 //! * [`protocol`] / [`Spool`] — the `rfsp serve` daemon's newline-delimited
 //!   JSON wire protocol and its on-disk job spool (the unit of daemon
 //!   crash recovery: every job directory is resumable from its config and
@@ -32,6 +32,8 @@
 //! Do-All instance — independent tasks that must all complete even though
 //! the workers (here: the daemon process) can fail and restart — and the
 //! spool is what makes progress *survivable* rather than merely parallel.
+
+#![forbid(unsafe_code)]
 
 pub mod atomic;
 pub mod checkpoint;
@@ -52,11 +54,10 @@ pub use program::{with_write_all_program, Algo, WriteAllSetup, WriteAllSpec, Wri
 pub use protocol::{
     read_line, read_request, write_line, JobInfo, JobState, Request, Response, MAX_REQUEST_BYTES,
 };
-/// The tick-engine choice a [`RunSession`] runs on, re-exported from
-/// [`rfsp_pram`] so session callers need not name that crate.
-pub use rfsp_pram::ExecMode;
 pub use sched::{Scheduler, Turn};
-pub use session::{run_with_cut, CutOutcome, PauseFlow, PauseInfo, RunSession, SessionEnd};
+pub use session::{
+    run_with_cut, CutOutcome, ExecMode, PauseFlow, PauseInfo, RunSession, SessionEnd,
+};
 pub use spool::{DoneMarker, Spool, SpoolJob};
 
 use std::fmt;

@@ -7,7 +7,7 @@ use rfsp_core::{
     AccOptions, AlgoAcc, AlgoV, AlgoW, AlgoX, AlgoXInPlace, HeapTree, Interleaved, WriteAllTasks,
     XLayout, XOptions,
 };
-use rfsp_pram::{CycleBudget, ExecMode, LayoutBuilder, MemoryLayout, Program};
+use rfsp_pram::{CycleBudget, LayoutBuilder, MemoryLayout, Program};
 use serde::{Deserialize, Serialize};
 
 use crate::RunError;
@@ -72,18 +72,16 @@ impl Algo {
 }
 
 /// One Write-All run: the instance and every machine knob the run recipe
-/// forwards. All knobs except the instance are behavior-invariant — every
-/// tick engine and layout produces a bit-identical run.
+/// forwards. All knobs except the instance and the X options are
+/// behavior-invariant — every layout produces a bit-identical run.
 #[derive(Clone, Copy, Debug)]
-pub struct WriteAllSpec<'a> {
+pub struct WriteAllSpec {
     /// The algorithm.
     pub algo: Algo,
     /// Instance size `N`.
     pub n: usize,
     /// Processor count `P`.
     pub p: usize,
-    /// The tick engine.
-    pub exec: ExecMode<'a>,
     /// The shared-memory layout: per-bank counters (and any attached
     /// network meter) reflect a real bank mapping.
     pub layout: MemoryLayout,
@@ -92,18 +90,11 @@ pub struct WriteAllSpec<'a> {
     pub x_options: XOptions,
 }
 
-impl WriteAllSpec<'_> {
+impl WriteAllSpec {
     /// `algo` on `n` cells and `p` processors, every knob at its default:
-    /// the sequential engine, flat memory and default X options.
+    /// flat memory and default X options.
     pub fn new(algo: Algo, n: usize, p: usize) -> Self {
-        WriteAllSpec {
-            algo,
-            n,
-            p,
-            exec: ExecMode::Sequential,
-            layout: MemoryLayout::Flat,
-            x_options: XOptions::default(),
-        }
+        WriteAllSpec { algo, n, p, layout: MemoryLayout::Flat, x_options: XOptions::default() }
     }
 
     /// The instance's [`WriteAllSetup`], through the dispatch: building a
@@ -164,7 +155,7 @@ pub trait WriteAllVisitor {
 /// # Panics
 ///
 /// If `spec` sets non-default X options for an algorithm other than X.
-pub fn with_write_all_program<V: WriteAllVisitor>(spec: &WriteAllSpec<'_>, visitor: V) -> V::Out {
+pub fn with_write_all_program<V: WriteAllVisitor>(spec: &WriteAllSpec, visitor: V) -> V::Out {
     let (n, p) = (spec.n, spec.p);
     assert!(
         matches!(spec.algo, Algo::X) || spec.x_options == XOptions::default(),

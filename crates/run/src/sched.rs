@@ -1,9 +1,8 @@
-//! A FIFO round-robin turn queue: many sessions, one worker pool,
-//! bounded starvation.
+//! A FIFO round-robin turn queue: many sessions, one turn, bounded
+//! starvation.
 //!
-//! The daemon runs each job on its own thread, but all jobs share one
-//! [`SharedPool`](rfsp_pram::SharedPool) — only the turn-holder may drive
-//! tick segments on it. The scheduler hands the turn out in strict FIFO
+//! The daemon runs each job on its own thread, but only the turn-holder
+//! may run a tick segment. The scheduler hands the turn out in strict FIFO
 //! order and a yielding job goes to the back of the queue, so with `N`
 //! runnable jobs no job waits more than `N − 1` quanta for its next turn.
 //! That bound is the fairness claim the daemon tests assert.

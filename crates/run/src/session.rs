@@ -14,15 +14,16 @@
 //!    checkpoint atomically;
 //! 3. hand control to the caller (`on_pause`), who may stop the session
 //!    (checkpointed, resumable) or let it continue;
-//! 4. on a surfaced worker panic, rewind machine + adversary + policy
-//!    engine + events log to the last checkpoint and replay, with the
-//!    wasted-work counters recording the overhead.
+//! 4. on a panic in program code, rewind machine + adversary + policy
+//!    engine + events log to the last checkpoint (or the start) and
+//!    replay, with the wasted-work counters recording the overhead; a
+//!    second panic at the same tick ends the session with an error.
 
 use std::time::Instant;
 
 use rfsp_pram::{
-    Adversary, ExecMode, ExecutionModel, NoopObserver, Observer, PolicyEngine, PolicyKind, Pram,
-    PramError, RunControl, RunLimits, RunReport, RunSpec, RunStatus, SharedMemory, Tee, WastedWork,
+    Adversary, ExecutionModel, NoopObserver, Observer, PolicyEngine, PolicyKind, Pram, PramError,
+    RunControl, RunLimits, RunReport, RunSpec, RunStatus, SharedMemory, Tee, WastedWork,
 };
 
 use crate::checkpoint::{SessionCheckpoint, SESSION_CHECKPOINT_VERSION};
@@ -31,6 +32,20 @@ use crate::events::EventLog;
 use crate::program::WriteAllSetup;
 use crate::{machine_err, RunError};
 use serde::{Deserialize, Serialize};
+
+/// The tick engine a [`RunSession`] runs on. There is one: the calling
+/// thread plays every tick.
+///
+/// [`RunSession::new`] and [`RunSession::resume`] still take it because
+/// the benchmark under `perfbench/` passes it, and that benchmark may not
+/// change in the same change as the code it measures. It goes with the
+/// benchmark's next revision (ROADMAP item 1).
+#[derive(Clone, Copy, Debug, Default)]
+pub enum ExecMode {
+    /// The calling thread plays every tick.
+    #[default]
+    Sequential,
+}
 
 /// What the caller decides at a pause.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,9 +87,8 @@ pub enum SessionEnd {
 /// durable checkpoints, driven by the canonical session loop.
 ///
 /// Generic over the machine's [`ExecutionModel`], so either model
-/// qualifies, and parameterized by an [`ExecMode`] naming the tick engine.
-/// The `rebuild` factory recreates the machine from scratch — the
-/// from-scratch leg of panic recovery when no checkpoint exists yet. It
+/// qualifies. The `rebuild` factory recreates the machine from scratch —
+/// the from-scratch leg of panic recovery when no checkpoint exists yet. It
 /// must build the program the config names: the session derives the
 /// instance's [`WriteAllSetup`] from the config, for region-aware
 /// adversaries.
@@ -86,11 +100,13 @@ pub struct RunSession<'a, M: ExecutionModel> {
     engine: PolicyEngine,
     events: EventLog,
     wasted: WastedWork,
-    /// The last published snapshot, kept in memory: a surfaced worker
-    /// panic is handled like a crash — rewind to it and replay.
+    /// The last published snapshot, kept in memory: a panic in program
+    /// code is handled like a crash — rewind to it and replay.
     last_saved: Option<SessionCheckpoint>,
     last_pause: Option<u64>,
-    exec: ExecMode<'a>,
+    /// The tick of the last panic the session recovered from: a second
+    /// panic there would only replay into the same panic.
+    last_panic: Option<u64>,
     rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
 }
 
@@ -109,7 +125,7 @@ where
     /// Machine construction, adversary construction, and events-log I/O.
     pub fn new(
         cfg: RunConfig,
-        exec: ExecMode<'a>,
+        _exec: ExecMode,
         mut rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
     ) -> Result<Self, RunError> {
         let machine = rebuild().map_err(|e| machine_err(&e))?;
@@ -127,7 +143,7 @@ where
             wasted: WastedWork::default(),
             last_saved: None,
             last_pause: None,
-            exec,
+            last_panic: None,
             rebuild,
         })
     }
@@ -144,7 +160,7 @@ where
     /// (cross-policy or cross-layout checkpoints, version skew).
     pub fn resume(
         ck: SessionCheckpoint,
-        exec: ExecMode<'a>,
+        _exec: ExecMode,
         mut rebuild: Box<dyn FnMut() -> Result<Pram<M>, PramError> + 'a>,
     ) -> Result<Self, RunError> {
         let cfg = ck.config.clone();
@@ -175,7 +191,7 @@ where
             wasted,
             last_saved: Some(ck),
             last_pause: None,
-            exec,
+            last_panic: None,
             rebuild,
         })
     }
@@ -222,10 +238,11 @@ where
     ///
     /// # Errors
     ///
-    /// Machine errors and checkpoint/events I/O. Surfaced worker panics
-    /// are *not* errors: the session rewinds to its last checkpoint (or
-    /// restarts from scratch) and replays, escalating the panic policy as
-    /// the engine dictates.
+    /// Machine errors and checkpoint/events I/O. A panic in program code is
+    /// not an error the first time: the session rewinds to its last
+    /// checkpoint (or restarts from scratch) and replays. A second panic at
+    /// the tick of the last one it recovered from is: the replay reached
+    /// the same panic, so the error names the processor and the tick.
     pub fn run(
         &mut self,
         pause_when: &mut dyn FnMut(u64) -> bool,
@@ -243,7 +260,7 @@ where
             // Whether the segment's pause was externally requested (such
             // pauses force a checkpoint and are reported to `on_pause`).
             let mut external = false;
-            let spec = RunSpec { exec: self.exec, panic: Some(self.engine.panic_policy()), limits };
+            let spec = RunSpec { catch_panics: true, limits };
             let status = {
                 let mut inner = Tee(&mut self.events, &mut self.engine);
                 let mut observer = Tee(&mut inner, telemetry);
@@ -320,14 +337,19 @@ where
         Ok(true)
     }
 
-    /// Crash-style panic recovery: the isolating engine restored the
-    /// pre-tick state, so the machine stands at the failed tick's
-    /// boundary. Rewind to the last durable checkpoint (or the start) and
-    /// replay, under whatever panic policy the engine now dictates —
-    /// after enough repeats it escalates to the sequential fallback.
+    /// Crash-style panic recovery: the machine stands mid-tick where the
+    /// panic left it. Rewind to the last durable checkpoint (or restart
+    /// from scratch) and replay — unless the panic struck at the tick of
+    /// the last one recovered from, which a replay only reaches again.
     fn recover_from_panic(&mut self, e: &PramError) -> Result<(), RunError> {
-        let escalated = self.engine.record_panic();
         let panicked_at = self.machine.cycle();
+        if self.last_panic == Some(panicked_at) {
+            return Err(RunError(format!(
+                "machine error: {e}; it struck again at tick {panicked_at} after a replay, \
+                 so the session stops"
+            )));
+        }
+        self.last_panic = Some(panicked_at);
         self.wasted.restores += 1;
         match &self.last_saved {
             Some(saved) => {
@@ -338,20 +360,17 @@ where
                 self.events.rewind_to(saved.events_offset)?;
                 self.wasted.replayed_ticks += panicked_at.saturating_sub(saved.machine.cycle);
                 eprintln!(
-                    "{e}; rewound from tick {panicked_at} to checkpointed tick {} \
-                     (next attempt: {escalated:?})",
+                    "{e}; rewound from tick {panicked_at} to checkpointed tick {}",
                     saved.machine.cycle
                 );
             }
             None => {
                 self.machine = (self.rebuild)().map_err(|e| machine_err(&e))?;
                 self.adversary = build_adversary(&self.cfg, &self.setup)?;
-                self.engine.reset_preserving_panics();
+                self.engine = PolicyEngine::new(self.cfg.policy_kind());
+                self.events.rewind_to(0)?;
                 self.wasted.replayed_ticks += panicked_at;
-                eprintln!(
-                    "{e}; no checkpoint yet — restarted from scratch at tick 0 \
-                     (next attempt: {escalated:?})"
-                );
+                eprintln!("{e}; no checkpoint yet — restarted from scratch at tick 0");
             }
         }
         self.last_pause = None;

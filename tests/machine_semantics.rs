@@ -1,52 +1,106 @@
-//! Cross-crate checks of the machine model itself: threaded-backend
-//! equivalence, write-semantics enforcement, and the model's progress
-//! condition, all exercised through the real algorithms.
+//! Cross-crate checks of the machine model itself: every row of the one
+//! run entry agrees with the observed run, write-semantics enforcement,
+//! and the model's progress condition, all exercised through the real
+//! algorithms.
 
 use rfsp::adversary::RandomFaults;
 use rfsp::core::{AlgoV, AlgoX, WriteAllTasks, XOptions};
 use rfsp::pram::{
-    CycleBudget, LayoutBuilder, Machine, NoopObserver, RunLimits, ScheduledAdversary, WriteMode,
+    Adversary, CycleBudget, LayoutBuilder, Machine, Observer, Program, RunControl, RunLimits,
+    RunReport, RunSpec, RunStatus, ScheduledAdversary, TraceRecorder, Word, WriteMode,
 };
 
-/// The threaded execution backend is bit-identical to the sequential one,
-/// including under an adversarial schedule (replayed so both backends see
-/// the same pattern).
+/// The rows of `run_with` a run can take besides the plain observed one:
+/// under panic isolation, and paused at every `k`-th tick boundary and
+/// resumed on the same machine until it completes.
+#[derive(Clone, Copy, Debug)]
+enum Row {
+    CatchPanics,
+    PausedEvery(u64),
+}
+
+const ROWS: [Row; 3] = [Row::CatchPanics, Row::PausedEvery(1), Row::PausedEvery(3)];
+
+/// Run `m` under `adv` to completion on `row`, streaming every event to
+/// `observer`.
+fn run_row<P: Program, A: Adversary>(
+    m: &mut Machine<'_, P>,
+    adv: &mut A,
+    row: Row,
+    observer: &mut dyn Observer,
+) -> RunReport {
+    let (spec, every) = match row {
+        Row::CatchPanics => (RunSpec { catch_panics: true, ..RunSpec::default() }, None),
+        Row::PausedEvery(k) => (RunSpec::default(), Some(k)),
+    };
+    let mut last_pause = None;
+    loop {
+        let paused = last_pause;
+        let control = |cycle: u64| match every {
+            Some(k) if cycle.is_multiple_of(k) && paused != Some(cycle) => RunControl::Pause,
+            _ => RunControl::Continue,
+        };
+        match m.run_with(spec, adv, observer, control).unwrap() {
+            RunStatus::Completed(report) => return report,
+            RunStatus::Paused { cycle } => last_pause = Some(cycle),
+        }
+    }
+}
+
+/// What a run leaves to compare: its stats, its memory and its event
+/// stream's JSONL bytes.
+type Observed = (rfsp::pram::WorkStats, Vec<Word>, String);
+
+/// Build a machine with `build` and an adversary with `adversary`, run it
+/// with `run_observed` and on every row of [`ROWS`], and require each row
+/// to match the observed run's stats, memory and JSONL bytes.
+fn rows_match_observed<'p, P: Program + 'p, A: Adversary>(
+    build: impl Fn() -> Machine<'p, P>,
+    adversary: impl Fn() -> A,
+) -> Observed {
+    let observe = |row: Option<Row>| -> Observed {
+        let mut m = build();
+        let mut adv = adversary();
+        let mut trace = TraceRecorder::unbounded();
+        let report = match row {
+            None => m.run_observed(&mut adv, RunLimits::default(), &mut trace).unwrap(),
+            Some(row) => run_row(&mut m, &mut adv, row, &mut trace),
+        };
+        (report.stats, m.memory().as_slice().to_vec(), trace.to_jsonl())
+    };
+    let reference = observe(None);
+    for row in ROWS {
+        let (stats, mem, jsonl) = observe(Some(row));
+        assert_eq!(stats, reference.0, "{row:?}: stats");
+        assert_eq!(mem, reference.1, "{row:?}: memory");
+        assert_eq!(jsonl, reference.2, "{row:?}: event stream");
+    }
+    reference
+}
+
+/// Every row of `run_with` is bit-identical to the observed run, including
+/// under an adversarial schedule (replayed so every row sees the same
+/// pattern).
 #[test]
-fn threaded_backend_matches_sequential_under_faults() {
+fn run_with_rows_match_sequential_under_faults() {
     let n = 200usize;
     let p = 32usize;
+    let mut layout = LayoutBuilder::new();
+    let tasks = WriteAllTasks::new(&mut layout, n);
+    let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
     // First, record a pattern with a live random adversary.
     let pattern = {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
         let mut adv = RandomFaults::new(0.2, 0.5, 7);
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         m.run(&mut adv).unwrap().pattern
     };
-    // Sequential replay.
-    let (seq_stats, seq_mem) = {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
-        let mut adv = ScheduledAdversary::new(pattern.clone());
-        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let r = m.run(&mut adv).unwrap();
-        (r.stats, m.memory().as_slice().to_vec())
-    };
-    // Threaded replay across several thread counts.
-    for threads in [1usize, 2, 3, 8] {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
-        let mut adv = ScheduledAdversary::new(pattern.clone());
-        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        let r = m
-            .run_threaded_observed(&mut adv, RunLimits::default(), threads, &mut NoopObserver)
-            .unwrap();
-        assert_eq!(r.stats, seq_stats, "threads = {threads}");
-        assert_eq!(m.memory().as_slice(), &seq_mem[..], "threads = {threads}");
-    }
+    let (stats, mem, _) = rows_match_observed(
+        || Machine::new(&prog, p, CycleBudget::PAPER).unwrap(),
+        || ScheduledAdversary::new(pattern.clone()),
+    );
+    assert!(stats.failures > 0, "the adversary must actually interfere");
+    let x = tasks.x();
+    assert!((0..x.len()).all(|i| mem[x.at(i)] == 1), "array not fully written");
 }
 
 /// The COMMON checker would catch an algorithm whose concurrent writers
@@ -109,7 +163,7 @@ fn fail_points_inside_cycles_are_all_exercised() {
 /// event counts must equal WorkStats on an adversarial run.
 #[test]
 fn trace_log_matches_work_stats() {
-    use rfsp::pram::{RunLimits, TraceEvent, TraceRecorder};
+    use rfsp::pram::TraceEvent;
     let mut layout = LayoutBuilder::new();
     let tasks = WriteAllTasks::new(&mut layout, 100);
     let prog = AlgoX::new(&mut layout, tasks, 20, XOptions::default());
@@ -145,103 +199,74 @@ fn trace_log_matches_work_stats() {
     }
 }
 
-/// The threaded backend is equivalent for every algorithm whose private
+/// Every row of `run_with` is equivalent for every algorithm whose private
 /// state is nontrivial (V carries cohort state; interleaved carries V's).
 #[test]
-fn threaded_backend_matches_for_v_and_interleaved() {
+fn run_with_rows_match_for_v_and_interleaved() {
     use rfsp::core::Interleaved;
     let n = 150usize;
     let p = 16usize;
-    // V.
+    // V, replaying a recorded pattern.
+    let mut layout = LayoutBuilder::new();
+    let tasks = WriteAllTasks::new(&mut layout, n);
+    let prog = AlgoV::new(&mut layout, tasks, p);
     let pattern = {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoV::new(&mut layout, tasks, p);
         let mut adv = RandomFaults::new(0.15, 0.6, 21);
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         m.run(&mut adv).unwrap().pattern
     };
-    let seq = {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoV::new(&mut layout, tasks, p);
-        let mut adv = ScheduledAdversary::new(pattern.clone());
-        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        m.run(&mut adv).unwrap().stats
-    };
-    let par = {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoV::new(&mut layout, tasks, p);
-        let mut adv = ScheduledAdversary::new(pattern.clone());
-        let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
-        m.run_threaded_observed(&mut adv, RunLimits::default(), 4, &mut NoopObserver).unwrap().stats
-    };
-    assert_eq!(seq, par);
-    // Interleaved.
-    let (seq, par) = {
-        let run = |threads: Option<usize>| {
-            let mut layout = LayoutBuilder::new();
-            let tasks = WriteAllTasks::new(&mut layout, n);
-            let prog = Interleaved::new(&mut layout, tasks, p);
-            let budget = prog.required_budget();
-            let mut adv = RandomFaults::new(0.1, 0.7, 33);
-            let mut m = Machine::new(&prog, p, budget).unwrap();
-            match threads {
-                None => m.run(&mut adv).unwrap().stats,
-                Some(t) => {
-                    m.run_threaded_observed(&mut adv, RunLimits::default(), t, &mut NoopObserver)
-                        .unwrap()
-                        .stats
-                }
-            }
-        };
-        (run(None), run(Some(3)))
-    };
-    assert_eq!(seq, par);
+    rows_match_observed(
+        || Machine::new(&prog, p, CycleBudget::PAPER).unwrap(),
+        || ScheduledAdversary::new(pattern.clone()),
+    );
+    // Interleaved, under a live random adversary.
+    let mut layout = LayoutBuilder::new();
+    let tasks = WriteAllTasks::new(&mut layout, n);
+    let prog = Interleaved::new(&mut layout, tasks, p);
+    let budget = prog.required_budget();
+    rows_match_observed(
+        || Machine::new(&prog, p, budget).unwrap(),
+        || RandomFaults::new(0.1, 0.7, 33),
+    );
 }
 
-/// The threaded backend emits the **identical event stream** as the
-/// sequential engine, asserted down to the exported bytes: the same
-/// recorded pattern is replayed through both backends with a
-/// `TraceRecorder` attached, and the JSONL exports must match exactly.
+/// Every row of `run_with` emits the **identical event stream** as the
+/// observed run, asserted down to the exported bytes: the same recorded
+/// pattern is replayed through each row with a `TraceRecorder` and a
+/// `MetricsObserver` attached, and the JSONL exports and the metrics
+/// series must match exactly.
 #[test]
-fn threaded_event_stream_is_byte_identical_to_sequential() {
-    use rfsp::pram::{MetricsObserver, Tee, TraceRecorder};
+fn run_with_event_stream_is_byte_identical_to_sequential() {
+    use rfsp::pram::{MetricsObserver, Tee};
     let n = 180usize;
     let p = 24usize;
+    let mut layout = LayoutBuilder::new();
+    let tasks = WriteAllTasks::new(&mut layout, n);
+    let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
     let pattern = {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
         let mut adv = RandomFaults::new(0.2, 0.5, 0xA11CE);
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         m.run(&mut adv).unwrap().pattern
     };
     assert!(!pattern.is_empty(), "the adversary must actually interfere");
-    let capture = |threads: Option<usize>| {
-        let mut layout = LayoutBuilder::new();
-        let tasks = WriteAllTasks::new(&mut layout, n);
-        let prog = AlgoX::new(&mut layout, tasks, p, XOptions::default());
+    let capture = |row: Option<Row>| {
         let mut adv = ScheduledAdversary::new(pattern.clone());
         let mut m = Machine::new(&prog, p, CycleBudget::PAPER).unwrap();
         let mut rec = TraceRecorder::unbounded();
         let mut metrics = MetricsObserver::new(p);
         let mut tee = Tee(&mut rec, &mut metrics);
-        let report = match threads {
+        let report = match row {
             None => m.run_observed(&mut adv, RunLimits::default(), &mut tee).unwrap(),
-            Some(t) => {
-                m.run_threaded_observed(&mut adv, RunLimits::default(), t, &mut tee).unwrap()
-            }
+            Some(row) => run_row(&mut m, &mut adv, row, &mut tee),
         };
         (rec.to_jsonl(), metrics.finish(), report.stats)
     };
     let (seq_jsonl, seq_series, seq_stats) = capture(None);
-    for threads in [1usize, 2, 5] {
-        let (par_jsonl, par_series, par_stats) = capture(Some(threads));
-        assert_eq!(par_jsonl, seq_jsonl, "event stream diverged at {threads} threads");
-        assert_eq!(par_series, seq_series, "metrics diverged at {threads} threads");
-        assert_eq!(par_stats, seq_stats);
+    for row in [Row::CatchPanics, Row::PausedEvery(1), Row::PausedEvery(2), Row::PausedEvery(5)] {
+        let (row_jsonl, row_series, row_stats) = capture(Some(row));
+        assert_eq!(row_jsonl, seq_jsonl, "event stream diverged on {row:?}");
+        assert_eq!(row_series, seq_series, "metrics diverged on {row:?}");
+        assert_eq!(row_stats, seq_stats);
     }
     // The folded series is itself consistent with the accounting.
     let last = *seq_series.last().expect("run has ticks");
